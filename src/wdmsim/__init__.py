@@ -13,7 +13,6 @@ from .engine import (
     Connection,
     SimConfig,
     Simulation,
-    TrafficModel,
     build_topology,
     generate_arrivals,
     random_failure_schedule,
@@ -44,7 +43,6 @@ from .probing import (
     reroute,
 )
 from .routing import (
-    CostParams,
     Lightpath,
     RouteResult,
     assign_wavelength,
@@ -75,7 +73,6 @@ __all__ = [
     "ConfigError",
     "Connection",
     "ConnectionProber",
-    "CostParams",
     "FORWARD",
     "Lightpath",
     "Link",
@@ -96,7 +93,6 @@ __all__ = [
     "Topology",
     "TopologyError",
     "TopologyParseError",
-    "TrafficModel",
     "assign_wavelength",
     "blocking_probability",
     "build_topology",

@@ -22,6 +22,7 @@ from .config import (
     Scenario,
     _ROUTER_ALIASES,
     parse_config,
+    unique_seeds,
     validate_scenario,
 )
 from .engine import run
@@ -127,7 +128,7 @@ def _load_scenario(args) -> Scenario:
         if alias != "both":
             scenario.base = replace(scenario.base, router=alias)
     if args.seed:
-        scenario.seeds = list(args.seed)
+        scenario.seeds = unique_seeds(list(args.seed), "--seed")
     return scenario
 
 

@@ -9,7 +9,7 @@ a different experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 from .engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig, build_topology
 from .errors import ConfigError, TopologyError
@@ -47,8 +47,6 @@ _FLOAT_KEYS = {
     "sample_interval",
     "probe_interval",
     "adaptive_scale",
-    "wavelength_conversion_factor",
-    "wavelength_conversion_distance",
 }
 _STR_KEYS = {"name", "topology", "conversion_mode", "router"}
 _LIST_KEYS = {"seeds", "sweep", "failures", "repairs"}
@@ -95,6 +93,13 @@ def _parse_number_list(value: str, key: str, cast):
         return [cast(p) for p in items]
     except ValueError:
         raise ConfigError(f"{key}: bad number in {value!r}") from None
+
+
+def unique_seeds(seeds: list[int], key: str) -> list[int]:
+    """Return ``seeds``, refusing a repeat, which would reuse a run label and its files."""
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"{key}: duplicate seed in {seeds}")
+    return seeds
 
 
 def _parse_schedule(value: str, key: str) -> list[tuple[float, int]]:
@@ -151,21 +156,20 @@ def parse_config(text: str) -> Scenario:
     if "repairs" in values:
         base_kwargs["repairs"] = _parse_schedule(values["repairs"], "repairs")
 
-    field_names = {f.name for f in fields(SimConfig)}
     router = ROUTER_RFTR
     if "router" in values:
         alias = values["router"].strip().lower()
         if alias not in _ROUTER_ALIASES:
             raise ConfigError(f"router: unknown value {values['router']!r}")
         router = _ROUTER_ALIASES[alias]
-    base = SimConfig(**{k: v for k, v in base_kwargs.items() if k in field_names})
+    base = SimConfig(**base_kwargs)
     if router != ROUTER_BOTH:
         base = replace(base, router=router)
     base.validate()
 
     scenario = Scenario(name=values.get("name", "scenario"), base=base, router=router)
     if "seeds" in values:
-        scenario.seeds = _parse_number_list(values["seeds"], "seeds", int)
+        scenario.seeds = unique_seeds(_parse_number_list(values["seeds"], "seeds", int), "seeds")
     elif "seed" in values:
         scenario.seeds = [base.seed]
 
@@ -183,6 +187,8 @@ def parse_config(text: str) -> Scenario:
                 raise ConfigError("sweep: sources values must be positive integers")
             scenario.sweep_param = parts[0]
             scenario.sweep_values = sweep_values
+            for value in sweep_values:
+                scenario.config_for(base.router, value, base.seed).validate()
         else:
             raise ConfigError(f"sweep: unknown parameter {parts[0]!r}")
     return scenario
@@ -195,7 +201,10 @@ class Diagnostic:
 
 
 def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
-    """Static checks without running: topology shape, schedules, connectivity."""
+    """Static checks that need the topology: its shape, schedule links, connectivity.
+
+    Schedule times were checked by ``SimConfig.validate`` when the scenario parsed.
+    """
     diagnostics: list[Diagnostic] = []
     try:
         topology = build_topology(scenario.base)
@@ -208,9 +217,7 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
         )
     n_links = len(topology.links)
     for label, schedule in (("failures", scenario.base.failures), ("repairs", scenario.base.repairs)):
-        for t, link_id in schedule:
+        for _, link_id in schedule:
             if not 0 <= link_id < n_links:
                 diagnostics.append(Diagnostic("error", f"{label}: unknown link {link_id}"))
-            if t < 0:
-                diagnostics.append(Diagnostic("error", f"{label}: negative time {t}"))
     return diagnostics

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
 
 from . import metrics as metrics_mod
 from .errors import ConfigError
@@ -19,7 +21,7 @@ from .probing import ConnectionProber, ProbePolicy, candidate_paths, probe_outco
 from .routing import (
     CONVERSION_MODES,
     NO_CONVERSION,
-    CostParams,
+    PRIMARY,
     Lightpath,
     establish_baseline,
     establish_primary,
@@ -49,21 +51,6 @@ ROUTER_BASELINE = "baseline"
 
 
 @dataclass
-class Event:
-    time: float
-    seq: int
-    kind: str
-    src: int | None = None
-    dst: int | None = None
-    holding: float | None = None
-    conn_id: int | None = None
-    path_index: int | None = None
-    probe_seq: int | None = None
-    outcome: str | None = None
-    link_id: int | None = None
-
-
-@dataclass
 class Connection:
     id: int
     src: int
@@ -79,19 +66,6 @@ class Connection:
 
 
 @dataclass
-class TrafficModel:
-    arrival_rate: float = 0.5  # calls/second per source
-    mean_holding: float = 0.2  # seconds
-    num_sources: int = 4
-    packet_size: int = 200  # bytes
-    data_rate: float = 2e6  # bits/second per session
-
-    @property
-    def aggregate_rate(self) -> float:
-        return self.arrival_rate * self.num_sources
-
-
-@dataclass
 class SimConfig:
     topology_file: str | None = None
     wavelengths: int = 8
@@ -99,11 +73,11 @@ class SimConfig:
     load_threshold: float = 0.3
     conversion_mode: str = NO_CONVERSION
     conversion_time: float = 0.024
-    arrival_rate: float = 0.5
-    holding_time: float = 0.2
+    arrival_rate: float = 0.5  # calls/second per source
+    holding_time: float = 0.2  # mean, seconds
     session_traffics: int = 4
-    packet_size: int = 200
-    data_rate_mbps: float = 2.0
+    packet_size: int = 200  # bytes
+    data_rate_mbps: float = 2.0  # per session
     max_requests: int = 50
     sample_interval: float = 0.5
     candidates_k: int = 3
@@ -115,11 +89,22 @@ class SimConfig:
     seed: int = 0
     failures: list[tuple[float, int]] = field(default_factory=list)
     repairs: list[tuple[float, int]] = field(default_factory=list)
-    # accepted and recorded only; no modelled effect
-    wavelength_conversion_factor: float = 1.0
-    wavelength_conversion_distance: float = 8.0
+
+    @property
+    def aggregate_rate(self) -> float:
+        """Arrivals per second over all sources: the per-source rate times the sources."""
+        return self.arrival_rate * self.session_traffics
 
     def validate(self) -> None:
+        """The one place a scenario parameter is checked; raises ``ConfigError``."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
+        for label, schedule in (("failures", self.failures), ("repairs", self.repairs)):
+            for t, _ in schedule:
+                if not (math.isfinite(t) and t >= 0):
+                    raise ConfigError(f"{label}: time must be finite and >= 0, got {t}")
         if self.max_requests < 1:
             raise ConfigError("max_requests must be >= 1")
         if self.sample_interval <= 0:
@@ -138,22 +123,14 @@ class SimConfig:
             raise ConfigError("wavelengths must be >= 1")
         if self.candidates_k < 1:
             raise ConfigError("candidates_k must be >= 1")
+        if self.backups_m is not None and self.backups_m < 0:
+            raise ConfigError(f"backups_m must be >= 0, got {self.backups_m}")
+        if self.link_delay_ms <= 0:
+            raise ConfigError(f"link_delay_ms must be positive, got {self.link_delay_ms}")
         if self.probes_per_interval < 1 or self.probe_interval <= 0 or self.adaptive_scale < 0:
             raise ConfigError("invalid probe policy parameters")
         if self.packet_size < 1 or self.data_rate_mbps <= 0:
             raise ConfigError("packet_size and data_rate_mbps must be positive")
-
-    def traffic_model(self) -> TrafficModel:
-        return TrafficModel(
-            arrival_rate=self.arrival_rate,
-            mean_holding=self.holding_time,
-            num_sources=self.session_traffics,
-            packet_size=self.packet_size,
-            data_rate=self.data_rate_mbps * 1e6,
-        )
-
-    def cost_params(self) -> CostParams:
-        return CostParams(load_threshold=self.load_threshold)
 
     def probe_policy(self) -> ProbePolicy:
         return ProbePolicy(
@@ -170,26 +147,27 @@ def build_topology(config: SimConfig) -> Topology:
 
 
 def generate_arrivals(
-    model: TrafficModel, rng: random.Random, max_requests: int, num_nodes: int
+    config: SimConfig, rng: random.Random, num_nodes: int
 ) -> list[tuple[float, int, int, float]]:
     """Pre-draw (time, src, dst, holding) for every demand.
 
-    Interarrival gaps are exponential at the aggregate rate (the per-source
-    generators superpose into one stream); endpoints are uniform over
-    ordered pairs with src != dst; holding times are exponential.
+    ``config.max_requests`` demands; interarrival gaps are exponential at
+    the aggregate rate (the per-source generators superpose into one
+    stream); endpoints are uniform over ordered pairs with src != dst;
+    holding times are exponential with mean ``config.holding_time``.
     """
     if num_nodes < 2:
         raise ConfigError("need at least two nodes to generate traffic")
     arrivals = []
     now = 0.0
-    rate = model.aggregate_rate
-    for _ in range(max_requests):
+    rate = config.aggregate_rate
+    for _ in range(config.max_requests):
         now += rng.expovariate(rate)
         src = rng.randrange(num_nodes)
         dst = rng.randrange(num_nodes - 1)
         if dst >= src:
             dst += 1
-        holding = rng.expovariate(1.0 / model.mean_holding)
+        holding = rng.expovariate(1.0 / config.holding_time)
         arrivals.append((now, src, dst, holding))
     return arrivals
 
@@ -208,36 +186,41 @@ def random_failure_schedule(
 
 
 class Simulation:
-    """Single-threaded event loop over one topology instance."""
+    """Single-threaded event loop over one topology instance.
+
+    An event is a heap entry ``(time, seq, kind, payload)``; dispatch looks
+    ``kind`` up in the handler table and passes ``payload`` as keywords.
+    """
 
     def __init__(self, config: SimConfig, topology: Topology | None = None, audit: bool = False):
         config.validate()
         self.config = config
         self.topology = topology if topology is not None else build_topology(config)
         self.audit = audit
-        self.model = config.traffic_model()
-        self.params = config.cost_params()
         self.policy = config.probe_policy()
         self.m = config.backups_m if config.backups_m is not None else config.candidates_k
+        # a router is its edge-cost function, applied by routing.establish
+        self._router = (
+            partial(establish_primary, lt=config.load_threshold)
+            if config.router == ROUTER_RFTR
+            else establish_baseline
+        )
         self.rng = random.Random(config.seed)
         self.now = 0.0
         self.connections: dict[int, Connection] = {}
-        self.collector = metrics_mod.MetricsCollector(self.model)
-        self._heap: list[tuple[float, int, Event]] = []
+        self.collector = metrics_mod.MetricsCollector(config)
+        self._heap: list[tuple[float, int, str, dict]] = []
         self._eseq = itertools.count()
         self._cid = itertools.count()
         self._initial_occupancy = None
         # Pre-generated workload, exposed so scripted scenarios can pin
         # endpoints or holding times while keeping the seeded arrival clock.
-        self.arrivals = generate_arrivals(
-            self.model, self.rng, config.max_requests, self.topology.num_nodes
-        )
+        self.arrivals = generate_arrivals(config, self.rng, self.topology.num_nodes)
 
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, time: float, kind: str, **payload) -> None:
-        event = Event(time=time, seq=next(self._eseq), kind=kind, **payload)
-        heapq.heappush(self._heap, (event.time, event.seq, event))
+        heapq.heappush(self._heap, (time, next(self._eseq), kind, payload))
 
     # -- run ----------------------------------------------------------------
 
@@ -253,11 +236,13 @@ class Simulation:
             self.schedule(t, LINK_REPAIR, link_id=link_id)
         self.schedule(self.config.sample_interval, SAMPLE_TICK)
 
-        while self._heap:
-            _, _, event = heapq.heappop(self._heap)
-            assert event.time >= self.now - 1e-12, "event clock went backwards"
-            self.now = max(self.now, event.time)
-            self._dispatch(event)
+        heap = self._heap
+        handlers = self._HANDLERS
+        while heap:
+            time, _, kind, payload = heapq.heappop(heap)
+            assert time >= self.now - 1e-12, "event clock went backwards"
+            self.now = max(self.now, time)
+            handlers[kind](self, **payload)
 
         if self.audit:
             assert self.topology.occupancy_snapshot() == self._initial_occupancy, (
@@ -276,40 +261,10 @@ class Simulation:
         if not 0 <= link_id < len(self.topology.links):
             raise ConfigError(f"unknown link {link_id} in failure schedule")
 
-    # -- dispatch -----------------------------------------------------------
+    # -- handlers -----------------------------------------------------------
 
-    def _dispatch(self, event: Event) -> None:
-        if event.kind == ARRIVAL:
-            self._on_arrival(event)
-        elif event.kind == DEPARTURE:
-            self._on_departure(event)
-        elif event.kind == PROBE_SEND:
-            self._on_probe_send(event)
-        elif event.kind == FEEDBACK_ARRIVE:
-            self._on_feedback(event)
-        elif event.kind == LINK_FAILURE:
-            self._on_link_failure(event)
-        elif event.kind == LINK_REPAIR:
-            set_link_state(self.topology.links[event.link_id], True)
-        elif event.kind == SAMPLE_TICK:
-            self._on_sample_tick(event)
-        elif event.kind == PROBE_WINDOW:
-            self._on_probe_window(event)
-        else:
-            raise AssertionError(f"unknown event kind {event.kind}")
-
-    def _establish(self, src: int, dst: int, role: str = "primary"):
-        if self.config.router == ROUTER_RFTR:
-            return establish_primary(
-                self.topology,
-                src,
-                dst,
-                self.params,
-                mode=self.config.conversion_mode,
-                conversion_time=self.config.conversion_time,
-                role=role,
-            )
-        return establish_baseline(
+    def _establish(self, src: int, dst: int, role: str = PRIMARY):
+        return self._router(
             self.topology,
             src,
             dst,
@@ -318,14 +273,8 @@ class Simulation:
             role=role,
         )
 
-    def _on_arrival(self, event: Event) -> None:
-        conn = Connection(
-            id=next(self._cid),
-            src=event.src,
-            dst=event.dst,
-            arrival=self.now,
-            holding=event.holding,
-        )
+    def _on_arrival(self, src: int, dst: int, holding: float) -> None:
+        conn = Connection(id=next(self._cid), src=src, dst=dst, arrival=self.now, holding=holding)
         self.connections[conn.id] = conn
         self.collector.on_offered()
         result = self._establish(conn.src, conn.dst)
@@ -347,7 +296,7 @@ class Simulation:
             self._open_probe_window(conn)
 
     def _open_probe_window(self, conn: Connection) -> None:
-        sends = conn.prober.open_windows(self.now, self.model.aggregate_rate)
+        sends = conn.prober.open_windows(self.now, self.config.aggregate_rate)
         for t, path_index, seq in sends:
             self.schedule(t, PROBE_SEND, conn_id=conn.id, path_index=path_index, probe_seq=seq)
         self.schedule(self.now + self.policy.update_interval, PROBE_WINDOW, conn_id=conn.id)
@@ -358,48 +307,48 @@ class Simulation:
             return None
         return conn
 
-    def _on_probe_send(self, event: Event) -> None:
-        conn = self._alive(event.conn_id)
+    def _on_probe_send(self, conn_id: int, path_index: int, probe_seq: int) -> None:
+        conn = self._alive(conn_id)
         if conn is None or conn.prober is None:
             return  # stale: session ended before the probe went out
-        route = conn.prober.candidates.paths[event.path_index]
+        route = conn.prober.candidates.paths[path_index]
         outcome = probe_outcome(self.topology, route, self.config.conversion_mode)
         self.collector.on_probe_sent()
         rtt = 2.0 * sum(link.delay for link, _ in self.topology.hops(route))
         self.schedule(
             self.now + rtt,
             FEEDBACK_ARRIVE,
-            conn_id=event.conn_id,
-            path_index=event.path_index,
-            probe_seq=event.probe_seq,
+            conn_id=conn_id,
+            path_index=path_index,
+            probe_seq=probe_seq,
             outcome=outcome,
         )
 
-    def _on_feedback(self, event: Event) -> None:
-        conn = self._alive(event.conn_id)
+    def _on_feedback(self, conn_id: int, path_index: int, probe_seq: int, outcome: str) -> None:
+        conn = self._alive(conn_id)
         if conn is None or conn.prober is None:
             return
-        conn.prober.feedback(event.path_index, event.probe_seq, event.outcome)
-        self.collector.on_probe_feedback(event.outcome)
+        conn.prober.feedback(path_index, probe_seq, outcome)
+        self.collector.on_probe_feedback(outcome)
 
-    def _on_probe_window(self, event: Event) -> None:
-        conn = self._alive(event.conn_id)
+    def _on_probe_window(self, conn_id: int) -> None:
+        conn = self._alive(conn_id)
         if conn is None or conn.prober is None:
             return
         conn.backups = conn.prober.close_and_rank()
         self._open_probe_window(conn)
 
-    def _on_departure(self, event: Event) -> None:
-        conn = self.connections.get(event.conn_id)
-        if conn is None or conn.state not in (ACTIVE, RESTORED):
+    def _on_departure(self, conn_id: int) -> None:
+        conn = self._alive(conn_id)
+        if conn is None:
             return  # stale departure for a dropped session
         release_lightpath(self.topology, conn.current)
         conn.state = COMPLETED
         conn.prober = None
         self.collector.on_completed(conn, self.now)
 
-    def _on_link_failure(self, event: Event) -> None:
-        link = self.topology.links[event.link_id]
+    def _on_link_failure(self, link_id: int) -> None:
+        link = self.topology.links[link_id]
         set_link_state(link, False)
         affected = [
             conn
@@ -435,10 +384,25 @@ class Simulation:
         if self.audit:
             self._assert_failure_safety()
 
-    def _on_sample_tick(self, event: Event) -> None:
+    def _on_link_repair(self, link_id: int) -> None:
+        set_link_state(self.topology.links[link_id], True)
+
+    def _on_sample_tick(self) -> None:
         self.collector.on_sample(self.topology, self.now)
         if self._heap:
             self.schedule(self.now + self.config.sample_interval, SAMPLE_TICK)
+
+    # unbound, so a Simulation holds no reference cycle and is freed on last use
+    _HANDLERS = {
+        ARRIVAL: _on_arrival,
+        DEPARTURE: _on_departure,
+        PROBE_SEND: _on_probe_send,
+        FEEDBACK_ARRIVE: _on_feedback,
+        LINK_FAILURE: _on_link_failure,
+        LINK_REPAIR: _on_link_repair,
+        SAMPLE_TICK: _on_sample_tick,
+        PROBE_WINDOW: _on_probe_window,
+    }
 
     # -- invariant checks ---------------------------------------------------
 

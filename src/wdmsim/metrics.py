@@ -44,32 +44,22 @@ class MetricsReport:
     probes_sent: int = 0
     probe_packs: int = 0
     probe_nacks: int = 0
-    utilization_series: list[tuple[float, float]] = field(default_factory=list)
     # (time, blocking_probability_so_far, cumulative_packets, utilization)
     series: list[tuple[float, float, int, float]] = field(default_factory=list)
 
 
-def blocking_probability(report: MetricsReport) -> float:
-    if report.offered <= 0:
-        raise ValueError("blocking probability undefined with zero offered demands")
-    return report.blocked / report.offered
+def packets_for(connection, config) -> int:
+    """Payload packets delivered over the connection's carried duration.
 
-
-def packets_for(connection, model) -> int:
-    """Payload packets delivered over the connection's carried duration."""
+    ``config`` supplies ``data_rate_mbps`` (per session) and ``packet_size`` (bytes).
+    """
     if connection.state == "blocked":
         return 0
     if connection.state == "dropped":
         carried = connection.drop_time - connection.arrival
     else:
         carried = connection.holding
-    return int(model.data_rate * carried // (model.packet_size * 8))
-
-
-def end_to_end_delay(topology: Topology, lightpath, conversion_time: float) -> float:
-    """Recompute propagation + conversion delay of a path from the topology."""
-    hops = topology.hops(lightpath.route)
-    return sum(link.delay for link, _ in hops) + conversion_time * lightpath.wavelength_changes()
+    return int(config.data_rate_mbps * 1e6 * carried // (config.packet_size * 8))
 
 
 def sample_utilization(topology: Topology, now: float) -> tuple[float, float]:
@@ -82,8 +72,8 @@ def sample_utilization(topology: Topology, now: float) -> tuple[float, float]:
 class MetricsCollector:
     """Accumulates lifecycle events from the simulation into a report."""
 
-    def __init__(self, model):
-        self.model = model
+    def __init__(self, config):
+        self.config = config
         self.offered = 0
         self.accepted = 0
         self.blocked = 0
@@ -119,12 +109,12 @@ class MetricsCollector:
     def on_completed(self, conn, now: float):
         self.completed += 1
         self._close_epoch(conn.id, now)
-        self.packets += packets_for(conn, self.model)
+        self.packets += packets_for(conn, self.config)
 
     def on_dropped(self, conn, now: float):
         self.dropped += 1
         self._close_epoch(conn.id, now)
-        self.packets += packets_for(conn, self.model)
+        self.packets += packets_for(conn, self.config)
 
     def on_probe_sent(self):
         self.probes_sent += 1
@@ -164,17 +154,15 @@ class MetricsCollector:
             probe_packs=self.probe_packs,
             probe_nacks=self.probe_nacks,
             series=list(self.series),
-            utilization_series=[(t, u) for t, _, _, u in self.series],
         )
-        report.blocking_probability = blocking_probability(report) if report.offered else 0.0
+        if self.offered:
+            report.blocking_probability = self.blocked / self.offered
         if self.carried_duration_sum > 0:
             report.mean_delay = self.delay_weighted_sum / self.carried_duration_sum
         if report.accepted:
             report.mean_setup_delay = self.setup_delay_sum / report.accepted
-        if report.utilization_series:
-            report.mean_utilization = sum(u for _, u in report.utilization_series) / len(
-                report.utilization_series
-            )
+        if self.series:
+            report.mean_utilization = sum(u for *_, u in self.series) / len(self.series)
         return report
 
 
@@ -205,28 +193,8 @@ TIMESERIES_COLUMNS = ["time", "blocking_probability_so_far", "cumulative_packets
 
 
 def summary_row(report: MetricsReport, n_seeds: int = 1) -> dict:
-    return {
-        "scenario": report.scenario,
-        "router": report.router,
-        "seed": report.seed,
-        "rate_mbps": report.rate_mbps,
-        "sources": report.sources,
-        "blocking_probability": report.blocking_probability,
-        "packets_received": report.packets_received,
-        "mean_delay": report.mean_delay,
-        "mean_utilization": report.mean_utilization,
-        "mean_setup_delay": report.mean_setup_delay,
-        "probes_sent": report.probes_sent,
-        "probe_packs": report.probe_packs,
-        "probe_nacks": report.probe_nacks,
-        "offered": report.offered,
-        "accepted": report.accepted,
-        "blocked": report.blocked,
-        "completed": report.completed,
-        "restored": report.restored,
-        "dropped": report.dropped,
-        "n_seeds": n_seeds,
-    }
+    row = {column: getattr(report, column) for column in SUMMARY_COLUMNS if column != "n_seeds"}
+    return {**row, "n_seeds": n_seeds}
 
 
 def write_summary_csv(rows: list[dict], destination) -> None:

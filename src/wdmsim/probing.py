@@ -105,20 +105,13 @@ class ProbePolicy:
 
     The effective count shrinks as the offered arrival rate grows, so busy
     networks spend less capacity on probing; ``adaptive_scale = 0`` turns
-    the adaptation off.
+    the adaptation off.  Built by ``SimConfig.probe_policy``, which has
+    validated the three values.
     """
 
     probes_per_interval: int = 10
     update_interval: float = 0.5
     adaptive_scale: float = 0.0
-
-    def __post_init__(self):
-        if self.probes_per_interval < 1:
-            raise ValueError("probes_per_interval must be >= 1")
-        if self.update_interval <= 0:
-            raise ValueError("update_interval must be positive")
-        if self.adaptive_scale < 0:
-            raise ValueError("adaptive_scale must be >= 0")
 
     def effective_count(self, arrival_rate: float) -> int:
         scaled = self.probes_per_interval / (1.0 + self.adaptive_scale * arrival_rate)

@@ -30,19 +30,7 @@ PRIMARY = "primary"
 BACKUP = "backup"
 
 
-@dataclass(frozen=True)
-class CostParams:
-    """Routing cost knobs; ``load_threshold`` is the LT breakpoint."""
-
-    load_threshold: float = 0.3
-
-    def __post_init__(self):
-        if not 0.0 < self.load_threshold < 1.0:
-            raise ValueError(f"load_threshold must be in (0,1), got {self.load_threshold}")
-
-
-def link_cost(load_index: float, params: CostParams) -> float:
-    lt = params.load_threshold
+def link_cost(load_index: float, lt: float) -> float:
     if load_index > lt:
         return 1.0 - load_index
     if load_index > 0.0:
@@ -50,11 +38,11 @@ def link_cost(load_index: float, params: CostParams) -> float:
     return math.inf
 
 
-def loaded_edge_cost(params: CostParams):
-    """Edge-cost function over the current channel state."""
+def loaded_edge_cost(lt: float):
+    """Edge-cost function over the current channel state; ``lt`` is the LT breakpoint."""
 
     def cost(link: Link, u: int, v: int) -> float:
-        return link_cost(link.load_index(link.lane(u, v)), params)
+        return link_cost(link.load_index(link.lane(u, v)), lt)
 
     return cost
 
@@ -108,13 +96,6 @@ def least_cost_path(
                 best[v] = candidate
                 heappush(heap, candidate)
     return None
-
-
-def compute_primary(
-    topology: Topology, src: int, dst: int, params: CostParams
-) -> tuple[list[int], float] | None:
-    """Least-cost route under threshold costs, or None when the demand blocks."""
-    return least_cost_path(topology, src, dst, loaded_edge_cost(params))
 
 
 def assign_wavelength(
@@ -214,17 +195,17 @@ def release_lightpath(topology: Topology, lp: Lightpath) -> None:
     lp.claims = []
 
 
-def establish_primary(
+def establish(
     topology: Topology,
     src: int,
     dst: int,
-    params: CostParams,
+    edge_cost,
     mode: str = NO_CONVERSION,
     conversion_time: float = 0.024,
     role: str = PRIMARY,
 ) -> RouteResult:
-    """Threshold-cost route selection plus atomic channel occupation."""
-    found = compute_primary(topology, src, dst, params)
+    """Least-cost route under ``edge_cost`` plus atomic channel occupation."""
+    found = least_cost_path(topology, src, dst, edge_cost)
     if found is None:
         return RouteResult(None, math.inf, 0.0)
     route, cost = found
@@ -235,21 +216,11 @@ def establish_primary(
     return RouteResult(lp, cost, setup_delay)
 
 
-def establish_baseline(
-    topology: Topology,
-    src: int,
-    dst: int,
-    mode: str = NO_CONVERSION,
-    conversion_time: float = 0.024,
-    role: str = PRIMARY,
-) -> RouteResult:
-    """Shortest-hop reference router sharing the assignment machinery."""
-    found = least_cost_path(topology, src, dst, unit_edge_cost)
-    if found is None:
-        return RouteResult(None, math.inf, 0.0)
-    route, cost = found
-    established = establish_lightpath(topology, route, mode, conversion_time, role)
-    if established is None:
-        return RouteResult(None, cost, 0.0)
-    lp, setup_delay = established
-    return RouteResult(lp, cost, setup_delay)
+def establish_primary(topology: Topology, src: int, dst: int, lt: float, **kwargs) -> RouteResult:
+    """The threshold-cost router: ``establish`` under ``loaded_edge_cost(lt)``."""
+    return establish(topology, src, dst, loaded_edge_cost(lt), **kwargs)
+
+
+def establish_baseline(topology: Topology, src: int, dst: int, **kwargs) -> RouteResult:
+    """The shortest-hop reference router: ``establish`` under ``unit_edge_cost``."""
+    return establish(topology, src, dst, unit_edge_cost, **kwargs)

@@ -251,10 +251,7 @@ def parse_topology(text: str) -> Topology:
             links.append(Link(i, a, b, delay_ms / 1000.0, channels))
         except TopologyError as err:
             raise TopologyParseError(str(err), line_no) from None
-    try:
-        return Topology(num_nodes, links)
-    except TopologyError:
-        raise
+    return Topology(num_nodes, links)
 
 
 def read_topology(path) -> Topology:
@@ -267,12 +264,9 @@ def read_topology(path) -> Topology:
 DEFAULT_RING_CHORDS = [(i, (i + 1) % 8) for i in range(8)] + [(0, 4), (1, 5), (2, 6)]
 
 
-def default_topology_text(channels: int = 8, delay_ms: float = 10.0) -> str:
-    lines = ["# default 8-node mesh: ring 0..7 plus chords 0-4, 1-5, 2-6", "nodes 8"]
-    for a, b in DEFAULT_RING_CHORDS:
-        lines.append(f"link {a} {b} {delay_ms:g} {channels}")
-    return "\n".join(lines) + "\n"
-
-
 def default_topology(channels: int = 8, delay_ms: float = 10.0) -> Topology:
-    return parse_topology(default_topology_text(channels, delay_ms))
+    """The default mesh, built directly so ``delay_ms`` keeps its full precision."""
+    links = [
+        Link(i, a, b, delay_ms / 1000.0, channels) for i, (a, b) in enumerate(DEFAULT_RING_CHORDS)
+    ]
+    return Topology(8, links)

@@ -36,7 +36,7 @@ from wdmsim.probing import (
     k_shortest_hop_paths,
     record_feedback,
 )
-from wdmsim.routing import CostParams, establish_primary, link_cost, loaded_edge_cost
+from wdmsim.routing import establish_primary, link_cost, loaded_edge_cost
 from wdmsim.topology import Link, parse_topology
 
 
@@ -55,7 +55,7 @@ def test_criterion_1_formula_fidelity(capsys):
     mismatches = 0
     checked = 0
     for j in range(1, 10):
-        params = CostParams(load_threshold=j / 10)
+        lt = j / 10
         for i in range(101):
             li = i / 100
             li_q, lt_q = Fraction(i, 100), Fraction(j, 10)
@@ -66,7 +66,7 @@ def test_criterion_1_formula_fidelity(capsys):
             else:
                 expected = 1.0 + li
             checked += 1
-            if link_cost(li, params) != expected:
+            if link_cost(li, lt) != expected:
                 mismatches += 1
 
     # free-channel fraction: exact dyadic and non-dyadic ratios
@@ -103,8 +103,8 @@ def test_criterion_1_formula_fidelity(capsys):
 
 def test_criterion_2_routing_oracle_equivalence(capsys):
     t0 = time.perf_counter()
-    params = CostParams()
-    cost_fn = loaded_edge_cost(params)
+    lt = SimConfig().load_threshold
+    cost_fn = loaded_edge_cost(lt)
     route_checks = candidate_checks = 0
     for case in range(200):
         rng = random.Random(9200 + case)
@@ -113,7 +113,7 @@ def test_criterion_2_routing_oracle_equivalence(capsys):
         dst = (src + 1 + rng.randrange(topo.num_nodes - 1)) % topo.num_nodes
 
         want = min_cost_route(topo, src, dst, cost_fn)
-        result = establish_primary(topo, src, dst, params)
+        result = establish_primary(topo, src, dst, lt)
         if want is None:
             assert result.blocked and math.isinf(result.total_cost)
         else:

@@ -107,6 +107,15 @@ def test_sweep_seed_flag_overrides_config(tmp_path):
     assert {r["seed"] for r in runs} == {"9"}
 
 
+def test_sweep_rejects_duplicate_seed_flags(tmp_path, capsys):
+    cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out),
+                 "--seed", "1", "--seed", "1"]) == 1
+    assert "duplicate seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_parallel_sweep_is_byte_identical(tmp_path):
     cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG)
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"

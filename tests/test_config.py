@@ -1,6 +1,10 @@
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from wdmsim.config import (
+    KNOWN_KEYS,
     ROUTER_BOTH,
     SWEEP_RATE,
     SWEEP_SOURCES,
@@ -63,6 +67,18 @@ def test_full_scenario_round_trip():
         ("max_requests = many", "integer"),
         ("arrival_rate = fast", "number"),
         ("load_threshold = 2.0", "load_threshold"),
+        ("probe_interval = nan", "probe_interval must be finite"),
+        ("arrival_rate = nan", "arrival_rate must be finite"),
+        ("holding_time = inf", "holding_time must be finite"),
+        ("sweep = rate 2,inf", "data_rate_mbps must be finite"),
+        ("backups_m = -3", "backups_m"),
+        ("link_delay_ms = 0", "link_delay_ms"),
+        ("link_delay_ms = -5", "link_delay_ms"),
+        ("failures = -1:0", "failures: time"),
+        ("failures = 1.0:0, -2.0:0", "failures: time"),
+        ("failures = nan:0", "failures: time"),
+        ("repairs = inf:0", "repairs: time"),
+        ("seeds = 1,1", "duplicate seed"),
     ],
 )
 def test_bad_configs_rejected(text, fragment):
@@ -128,10 +144,9 @@ def test_validate_flags_missing_topology_file():
 
 
 def test_validate_flags_bad_failure_links():
-    scenario = parse_config("failures = 1.0:99, -2.0:0")
+    scenario = parse_config("failures = 1.0:99, 2.0:0")
     messages = [d.message for d in validate_scenario(scenario)]
-    assert any("unknown link 99" in m for m in messages)
-    assert any("negative time" in m for m in messages)
+    assert messages == ["failures: unknown link 99"]
 
 
 def test_validate_warns_on_disconnected_topology(tmp_path):
@@ -141,3 +156,15 @@ def test_validate_warns_on_disconnected_topology(tmp_path):
     diags = validate_scenario(scenario)
     assert [d.severity for d in diags] == ["warning"]
     assert "disconnected" in diags[0].message
+
+
+def test_readme_config_block_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Config files", 1)[1].split("```", 2)[1]
+    keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
+    assert keys == KNOWN_KEYS
+    base = parse_config(block).base
+    # numeric keys are documented at their defaults; backups_m's default is candidates_k
+    assert base.backups_m == base.candidates_k
+    example_only = dict(topology_file=None, backups_m=None, failures=[], repairs=[])
+    assert replace(base, **example_only) == SimConfig()

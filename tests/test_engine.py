@@ -8,7 +8,6 @@ from wdmsim.engine import (
     ROUTER_RFTR,
     SimConfig,
     Simulation,
-    TrafficModel,
     build_topology,
     generate_arrivals,
     random_failure_schedule,
@@ -57,9 +56,8 @@ def test_config_rejects_bad_values(overrides):
 
 
 def test_traffic_model_aggregates_sources():
-    model = TrafficModel(arrival_rate=0.5, num_sources=4)
-    assert model.aggregate_rate == 2.0
-    assert SimConfig(arrival_rate=0.5, session_traffics=3).traffic_model().aggregate_rate == 1.5
+    assert SimConfig(arrival_rate=0.5, session_traffics=4).aggregate_rate == 2.0
+    assert SimConfig(arrival_rate=0.5, session_traffics=3).aggregate_rate == 1.5
 
 
 def test_build_topology_prefers_file(tmp_path):
@@ -75,8 +73,8 @@ def test_build_topology_prefers_file(tmp_path):
 # -- workload generation ------------------------------------------------------
 
 def test_arrivals_shape_and_bounds():
-    model = TrafficModel(arrival_rate=2.0, mean_holding=0.3, num_sources=4)
-    arrivals = generate_arrivals(model, random.Random(1), 200, num_nodes=8)
+    config = SimConfig(arrival_rate=2.0, holding_time=0.3, session_traffics=4, max_requests=200)
+    arrivals = generate_arrivals(config, random.Random(1), num_nodes=8)
     assert len(arrivals) == 200
     times = [t for t, _, _, _ in arrivals]
     assert times == sorted(times)
@@ -86,21 +84,21 @@ def test_arrivals_shape_and_bounds():
 
 
 def test_arrival_stream_is_deterministic():
-    model = TrafficModel()
-    a = generate_arrivals(model, random.Random(7), 100, 8)
-    b = generate_arrivals(model, random.Random(7), 100, 8)
+    config = SimConfig(max_requests=100)
+    a = generate_arrivals(config, random.Random(7), 8)
+    b = generate_arrivals(config, random.Random(7), 8)
     assert a == b
 
 
 def test_interarrival_and_holding_are_exponential():
     # mean and variance both within 5% of the exponential's 1/r and s at n=1e4
-    model = TrafficModel(arrival_rate=2.0, mean_holding=0.3, num_sources=2)
     n = 10_000
-    arrivals = generate_arrivals(model, random.Random(0), n, 8)
+    config = SimConfig(arrival_rate=2.0, holding_time=0.3, session_traffics=2, max_requests=n)
+    arrivals = generate_arrivals(config, random.Random(0), 8)
     times = [t for t, _, _, _ in arrivals]
     gaps = [b - a for a, b in zip([0.0] + times[:-1], times)]
     holdings = [h for _, _, _, h in arrivals]
-    rate = model.aggregate_rate
+    rate = config.aggregate_rate
     assert statistics.mean(gaps) == pytest.approx(1 / rate, rel=0.05)
     assert statistics.variance(gaps) == pytest.approx(1 / rate**2, rel=0.05)
     assert statistics.mean(holdings) == pytest.approx(0.3, rel=0.05)

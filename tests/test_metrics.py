@@ -9,9 +9,6 @@ from wdmsim.metrics import (
     SUMMARY_COLUMNS,
     TIMESERIES_COLUMNS,
     MetricsCollector,
-    MetricsReport,
-    blocking_probability,
-    end_to_end_delay,
     export_csv,
     packets_for,
     sample_utilization,
@@ -19,11 +16,11 @@ from wdmsim.metrics import (
     write_summary_csv,
     write_timeseries_csv,
 )
+from wdmsim.engine import SimConfig
 from wdmsim.routing import establish_lightpath
 from wdmsim.topology import FORWARD, parse_topology, set_link_state
 
-MODEL = SimpleNamespace(data_rate=2e6, packet_size=200, arrival_rate=0.5,
-                        mean_holding=0.2, num_sources=4)
+CONFIG = SimConfig(data_rate_mbps=2.0, packet_size=200)
 
 
 def conn(state="completed", arrival=0.0, holding=0.2, drop_time=None):
@@ -35,44 +32,47 @@ def conn(state="completed", arrival=0.0, holding=0.2, drop_time=None):
 
 def test_packet_count_for_whole_holding():
     # 2 Mb/s for 0.2 s in 1600-bit packets: exactly 250
-    assert packets_for(conn(), MODEL) == 250
+    assert packets_for(conn(), CONFIG) == 250
 
 
 def test_packet_count_floors_partial_packets():
-    assert packets_for(conn(holding=0.2001), MODEL) == 250
-    assert packets_for(conn(holding=0.1999), MODEL) == 249
+    assert packets_for(conn(holding=0.2001), CONFIG) == 250
+    assert packets_for(conn(holding=0.1999), CONFIG) == 249
 
 
 def test_blocked_connection_carries_nothing():
-    assert packets_for(conn(state="blocked"), MODEL) == 0
+    assert packets_for(conn(state="blocked"), CONFIG) == 0
 
 
 def test_dropped_connection_counts_time_before_failure():
     c = conn(state="dropped", arrival=1.0, holding=5.0, drop_time=1.1)
     # only 0.1 s carried: floor(2e6 * 0.1 / 1600) = 125
-    assert packets_for(c, MODEL) == 125
+    assert packets_for(c, CONFIG) == 125
 
 
 @given(st.floats(0.0, 100.0), st.integers(1, 10**7))
 def test_packet_count_nonnegative_and_monotone(holding, rate):
-    model = SimpleNamespace(data_rate=float(rate), packet_size=200)
-    n = packets_for(conn(holding=holding), model)
+    config = SimConfig(data_rate_mbps=rate / 1e6, packet_size=200)
+    n = packets_for(conn(holding=holding), config)
     assert n >= 0
-    assert n <= packets_for(conn(holding=holding + 1.0), model)
+    assert n <= packets_for(conn(holding=holding + 1.0), config)
 
 
 def test_blocking_probability_ratio():
-    report = MetricsReport(scenario="s", seed=0, router="rftr", rate_mbps=2.0,
-                           sources=4, offered=50, blocked=7)
-    assert blocking_probability(report) == 7 / 50
-    report.offered = 0
-    with pytest.raises(ValueError):
-        blocking_probability(report)
+    collector = MetricsCollector(CONFIG)
+    for i in range(50):
+        collector.on_offered()
+        if i < 7:
+            collector.on_blocked()
+    assert collector.finalize("s", 0, "rftr", 2.0, 4).blocking_probability == 7 / 50
+    # undefined with zero offered demands: the report keeps its 0.0 default
+    assert MetricsCollector(CONFIG).finalize("s", 0, "rftr", 2.0, 4).blocking_probability == 0.0
 
 
 def test_end_to_end_delay_recomputed_from_links(square):
     lp, _ = establish_lightpath(square, [0, 1, 2], "none", 0.024)
-    assert end_to_end_delay(square, lp, 0.024) == pytest.approx(0.020)
+    assert lp.path_delay == pytest.approx(sum(link.delay for link, _ in square.hops(lp.route)))
+    assert lp.path_delay == pytest.approx(0.020)
 
 
 def test_end_to_end_delay_charges_conversion():
@@ -80,7 +80,7 @@ def test_end_to_end_delay_charges_conversion():
     topo.links[0].occupy(FORWARD, 0, owner=-1)
     topo.links[1].occupy(FORWARD, 1, owner=-2)
     lp, _ = establish_lightpath(topo, [0, 1, 2], "full", 0.024)
-    assert end_to_end_delay(topo, lp, 0.024) == pytest.approx(0.044)
+    assert lp.path_delay == pytest.approx(0.044)
 
 
 # -- utilization sampling -----------------------------------------------------
@@ -102,7 +102,7 @@ def test_utilization_ignores_down_links(square):
 # -- collector lifecycle ------------------------------------------------------
 
 def test_delay_is_duration_weighted_across_restoration():
-    collector = MetricsCollector(MODEL)
+    collector = MetricsCollector(CONFIG)
     c = conn(state="completed", holding=10.0)
     collector.on_offered()
     collector.on_accepted(c, setup_delay=0.02, path_delay=0.02, now=0.0)
@@ -116,7 +116,7 @@ def test_delay_is_duration_weighted_across_restoration():
 
 
 def test_restoring_twice_counts_once():
-    collector = MetricsCollector(MODEL)
+    collector = MetricsCollector(CONFIG)
     c = conn(holding=9.0)
     collector.on_offered()
     collector.on_accepted(c, 0.02, 0.02, now=0.0)
@@ -127,7 +127,7 @@ def test_restoring_twice_counts_once():
 
 
 def test_sample_series_tracks_running_counters(square):
-    collector = MetricsCollector(MODEL)
+    collector = MetricsCollector(CONFIG)
     collector.on_sample(square, 0.5)
     collector.on_offered()
     collector.on_blocked()
@@ -135,12 +135,12 @@ def test_sample_series_tracks_running_counters(square):
     report = collector.finalize("s", 0, "rftr", 2.0, 4)
     assert report.series[0] == (0.5, 0.0, 0, 0.0)
     assert report.series[1] == (1.0, 1.0, 0, 0.0)
-    assert report.utilization_series == [(0.5, 0.0), (1.0, 0.0)]
+    assert [(t, u) for t, _, _, u in report.series] == [(0.5, 0.0), (1.0, 0.0)]
     assert report.mean_utilization == 0.0
 
 
 def test_probe_counters():
-    collector = MetricsCollector(MODEL)
+    collector = MetricsCollector(CONFIG)
     for _ in range(5):
         collector.on_probe_sent()
     collector.on_probe_feedback("pack")
@@ -151,7 +151,7 @@ def test_probe_counters():
 
 
 def test_empty_run_finalizes_with_defaults():
-    report = MetricsCollector(MODEL).finalize("s", 0, "rftr", 2.0, 4)
+    report = MetricsCollector(CONFIG).finalize("s", 0, "rftr", 2.0, 4)
     assert report.blocking_probability == 0.0
     assert report.mean_delay == 0.0
     assert report.mean_utilization == 0.0
@@ -161,7 +161,7 @@ def test_empty_run_finalizes_with_defaults():
 # -- CSV shape ----------------------------------------------------------------
 
 def finished_report():
-    collector = MetricsCollector(MODEL)
+    collector = MetricsCollector(CONFIG)
     c = conn(holding=0.2)
     collector.on_offered()
     collector.on_accepted(c, 0.02, 0.02, now=0.0)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import k_best_disjoint, random_topology
-from wdmsim.errors import DuplicateFeedbackError, UnknownSequenceError
+from wdmsim.engine import SimConfig
+from wdmsim.errors import ConfigError, DuplicateFeedbackError, UnknownSequenceError
 from wdmsim.probing import (
     NACK,
     PACK,
@@ -22,8 +23,10 @@ from wdmsim.probing import (
     record_feedback,
     reroute,
 )
-from wdmsim.routing import CostParams, establish_primary, establish_baseline
+from wdmsim.routing import establish_primary, establish_baseline
 from wdmsim.topology import FORWARD, parse_topology, set_link_state
+
+LT = SimConfig().load_threshold
 
 RING8 = "nodes 8\n" + "\n".join(
     f"link {i} {(i + 1) % 8} 10 8" for i in range(8)
@@ -34,14 +37,14 @@ RING8 = "nodes 8\n" + "\n".join(
 
 def test_ring_complement_is_only_disjoint_candidate():
     topo = parse_topology(RING8)
-    primary = establish_primary(topo, 0, 1, CostParams()).lightpath
+    primary = establish_primary(topo, 0, 1, LT).lightpath
     assert primary.route == [0, 1]
     cands = candidate_paths(topo, 0, 1, primary, k=2)
     assert cands.paths == [(0, 7, 6, 5, 4, 3, 2, 1)]
 
 
 def test_single_disjoint_route(two_route):
-    primary = establish_primary(two_route, 0, 1, CostParams()).lightpath
+    primary = establish_primary(two_route, 0, 1, LT).lightpath
     assert primary.route == [0, 2, 1]
     cands = candidate_paths(two_route, 0, 1, primary, k=3)
     assert cands.paths == [(0, 3, 1)]
@@ -91,7 +94,7 @@ def test_candidates_share_no_link_with_primary(seed):
     topo = random_topology(rng)
     src = rng.randrange(topo.num_nodes)
     dst = (src + 1 + rng.randrange(topo.num_nodes - 1)) % topo.num_nodes
-    result = establish_primary(topo, src, dst, CostParams())
+    result = establish_primary(topo, src, dst, LT)
     if result.blocked:
         return
     primary = result.lightpath
@@ -115,12 +118,12 @@ def test_effective_count_adapts_to_load():
 
 
 def test_policy_validation():
-    with pytest.raises(ValueError):
-        ProbePolicy(probes_per_interval=0)
-    with pytest.raises(ValueError):
-        ProbePolicy(update_interval=0.0)
-    with pytest.raises(ValueError):
-        ProbePolicy(adaptive_scale=-1.0)
+    with pytest.raises(ConfigError):
+        SimConfig(probes_per_interval=0).validate()
+    with pytest.raises(ConfigError):
+        SimConfig(probe_interval=0.0).validate()
+    with pytest.raises(ConfigError):
+        SimConfig(adaptive_scale=-1.0).validate()
 
 
 def test_emit_probes_spread_and_accounting():

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import min_cost_route, path_cost, random_topology, simple_paths
-from wdmsim.errors import LinkDownError, NoSuchNodeError
+from wdmsim.engine import SimConfig
+from wdmsim.errors import ConfigError, LinkDownError, NoSuchNodeError
 from wdmsim.routing import (
     FULL_CONVERSION,
     NO_CONVERSION,
-    CostParams,
     assign_wavelength,
     establish_baseline,
     establish_lightpath,
@@ -22,7 +22,7 @@ from wdmsim.routing import (
 )
 from wdmsim.topology import FORWARD, Topology, parse_topology, set_link_state
 
-PARAMS = CostParams()
+LT = SimConfig().load_threshold
 
 
 def occupy_forward(link, count, owner=-1):
@@ -33,7 +33,7 @@ def occupy_forward(link, count, owner=-1):
 # -- threshold cost -----------------------------------------------------------
 
 def test_link_cost_branches():
-    p = CostParams(load_threshold=0.3)
+    p = 0.3
     assert link_cost(1.0, p) == 0.0
     assert link_cost(0.5, p) == 0.5
     assert link_cost(0.31, p) == pytest.approx(0.69)
@@ -43,7 +43,7 @@ def test_link_cost_branches():
 
 
 def test_link_cost_discontinuity_at_threshold():
-    p = CostParams(load_threshold=0.5)
+    p = 0.5
     just_above = link_cost(0.5 + 1e-9, p)
     at = link_cost(0.5, p)
     assert just_above < 0.5 < at  # lightly-loaded side is always cheaper
@@ -51,7 +51,7 @@ def test_link_cost_discontinuity_at_threshold():
 
 @given(st.floats(0.0, 1.0, allow_nan=False), st.floats(0.01, 0.99))
 def test_link_cost_total_and_bounded(li, lt):
-    c = link_cost(li, CostParams(load_threshold=lt))
+    c = link_cost(li, lt)
     if li == 0.0:
         assert c == math.inf
     elif li <= lt:
@@ -61,14 +61,14 @@ def test_link_cost_total_and_bounded(li, lt):
 
 
 def test_cost_params_validation():
-    with pytest.raises(ValueError):
-        CostParams(load_threshold=0.0)
-    with pytest.raises(ValueError):
-        CostParams(load_threshold=1.0)
+    with pytest.raises(ConfigError):
+        SimConfig(load_threshold=0.0).validate()
+    with pytest.raises(ConfigError):
+        SimConfig(load_threshold=1.0).validate()
 
 
 def test_loaded_cost_uses_travel_lane(square):
-    cost = loaded_edge_cost(PARAMS)
+    cost = loaded_edge_cost(LT)
     link = square.links[0]
     occupy_forward(link, 8)  # saturate 0 -> 1 only
     assert cost(link, 0, 1) == math.inf
@@ -106,14 +106,14 @@ def test_fewer_hops_wins_on_cost_tie():
     occupy_towards(topo, 0, 1, 6)
     occupy_towards(topo, 0, 2, 5)
     occupy_towards(topo, 2, 1, 5)
-    route, cost = least_cost_path(topo, 0, 1, loaded_edge_cost(PARAMS))
+    route, cost = least_cost_path(topo, 0, 1, loaded_edge_cost(LT))
     assert route == [0, 1]
     assert cost == 1.25
 
 
 def test_congestion_forces_detour(square):
     occupy_forward(square.links[0], 8)  # 0->1 saturated
-    route, _ = least_cost_path(square, 0, 2, loaded_edge_cost(PARAMS))
+    route, _ = least_cost_path(square, 0, 2, loaded_edge_cost(LT))
     assert route == [0, 3, 2]
 
 
@@ -146,7 +146,7 @@ def test_least_cost_matches_exhaustive_search(seed):
     topo = random_topology(rng)
     src = rng.randrange(topo.num_nodes)
     dst = (src + 1 + rng.randrange(topo.num_nodes - 1)) % topo.num_nodes
-    for edge_cost in (loaded_edge_cost(PARAMS), unit_edge_cost):
+    for edge_cost in (loaded_edge_cost(LT), unit_edge_cost):
         got = least_cost_path(topo, src, dst, edge_cost)
         want = min_cost_route(topo, src, dst, edge_cost)
         if want is None:
@@ -163,13 +163,13 @@ def test_returned_route_is_simple_and_priced_correctly(seed):
     rng = random.Random(seed)
     topo = random_topology(rng)
     src, dst = 0, topo.num_nodes - 1
-    found = least_cost_path(topo, src, dst, loaded_edge_cost(PARAMS))
+    found = least_cost_path(topo, src, dst, loaded_edge_cost(LT))
     if found is None:
         return
     route, cost = found
     assert len(set(route)) == len(route)
     assert route[0] == src and route[-1] == dst
-    assert cost == path_cost(topo, tuple(route), loaded_edge_cost(PARAMS))
+    assert cost == path_cost(topo, tuple(route), loaded_edge_cost(LT))
 
 
 # -- wavelength assignment ----------------------------------------------------
@@ -241,7 +241,7 @@ def test_setup_delay_charges_conversions():
 
 
 def test_establish_primary_end_to_end(square):
-    result = establish_primary(square, 0, 2, PARAMS)
+    result = establish_primary(square, 0, 2, LT)
     assert not result.blocked
     assert result.lightpath.route == [0, 1, 2]
     assert result.total_cost == 0.0  # both hops idle: LI = 1, cost 0
@@ -252,7 +252,7 @@ def test_establish_primary_blocks_when_saturated():
     topo = parse_topology("nodes 2\nlink 0 1 10 1\n")
     topo.links[0].occupy(FORWARD, 0, owner=-1)
     before = topo.occupancy_snapshot()
-    result = establish_primary(topo, 0, 1, PARAMS)
+    result = establish_primary(topo, 0, 1, LT)
     assert result.blocked
     assert topo.occupancy_snapshot() == before
 
@@ -263,7 +263,7 @@ def test_baseline_prefers_hops_over_load(square):
     direct = establish_baseline(square, 0, 1)
     assert direct.lightpath.route == [0, 1]
     release_lightpath(square, direct.lightpath)
-    loaded = establish_primary(square, 0, 1, PARAMS)
+    loaded = establish_primary(square, 0, 1, LT)
     assert loaded.lightpath.route == [0, 3, 2, 1]
 
 
@@ -283,7 +283,7 @@ def test_establish_release_is_idempotent_on_occupancy(seed):
     for _ in range(5):
         src = rng.randrange(topo.num_nodes)
         dst = (src + 1 + rng.randrange(topo.num_nodes - 1)) % topo.num_nodes
-        result = establish_primary(topo, src, dst, PARAMS)
+        result = establish_primary(topo, src, dst, LT)
         if not result.blocked:
             established.append(result.lightpath)
     for lp in reversed(established):

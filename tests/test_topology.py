@@ -70,6 +70,11 @@ def test_default_topology_is_ring_with_chords():
     assert all(l.delay == pytest.approx(0.010) for l in topo.links)
 
 
+def test_default_topology_keeps_link_delay_precision():
+    topo = default_topology(delay_ms=12.3456789)
+    assert all(l.delay == 12.3456789 / 1000.0 for l in topo.links)
+
+
 # -- lanes and occupancy ------------------------------------------------------
 
 def test_lane_orientation(square):
