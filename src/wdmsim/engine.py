@@ -17,7 +17,14 @@ from functools import partial
 
 from . import metrics as metrics_mod
 from .errors import ConfigError
-from .probing import ConnectionProber, ProbePolicy, candidate_paths, probe_outcome, reroute
+from .probing import (
+    CandidateSet,
+    ConnectionProber,
+    ProbePolicy,
+    candidate_paths,
+    probe_outcome,
+    reroute,
+)
 from .routing import (
     CONVERSION_MODES,
     NO_CONVERSION,
@@ -41,7 +48,6 @@ PROBE_WINDOW = "probe_window"  # window rollover heartbeat, one per connection
 
 # connection states
 ACTIVE = "active"
-BLOCKED = "blocked"
 RESTORED = "restored"
 DROPPED = "dropped"
 COMPLETED = "completed"
@@ -58,7 +64,6 @@ class Connection:
     arrival: float
     holding: float
     state: str = ACTIVE
-    primary: Lightpath | None = None
     current: Lightpath | None = None
     backups: list[tuple[int, ...]] = field(default_factory=list)
     prober: ConnectionProber | None = None
@@ -207,7 +212,12 @@ class Simulation:
         )
         self.rng = random.Random(config.seed)
         self.now = 0.0
+        # live (ACTIVE/RESTORED) connections only; a blocked one is never added
+        # and a departure or drop removes its entry
         self.connections: dict[int, Connection] = {}
+        # (src, dst, primary link ids) -> candidates; exact for the whole run
+        # because candidates are hop-count routes that ignore link state
+        self._candidates: dict[tuple[int, int, frozenset[int]], CandidateSet] = {}
         self.collector = metrics_mod.MetricsCollector(config)
         self._heap: list[tuple[float, int, str, dict]] = []
         self._eseq = itertools.count()
@@ -274,22 +284,26 @@ class Simulation:
         )
 
     def _on_arrival(self, src: int, dst: int, holding: float) -> None:
-        conn = Connection(id=next(self._cid), src=src, dst=dst, arrival=self.now, holding=holding)
-        self.connections[conn.id] = conn
+        conn_id = next(self._cid)
         self.collector.on_offered()
-        result = self._establish(conn.src, conn.dst)
+        result = self._establish(src, dst)
         if result.blocked:
-            conn.state = BLOCKED
             self.collector.on_blocked()
             return
-        conn.state = ACTIVE
-        conn.primary = conn.current = result.lightpath
+        conn = Connection(
+            id=conn_id, src=src, dst=dst, arrival=self.now, holding=holding,
+            current=result.lightpath,
+        )
+        self.connections[conn.id] = conn
         self._assert_continuity(result.lightpath)
         self.collector.on_accepted(conn, result.setup_delay, result.lightpath.path_delay, self.now)
         self.schedule(self.now + conn.holding, DEPARTURE, conn_id=conn.id)
-        cands = candidate_paths(
-            self.topology, conn.src, conn.dst, result.lightpath, self.config.candidates_k
-        )
+        key = (src, dst, frozenset(result.lightpath.link_ids))
+        cands = self._candidates.get(key)
+        if cands is None:
+            cands = self._candidates[key] = candidate_paths(
+                self.topology, src, dst, result.lightpath, self.config.candidates_k
+            )
         conn.backups = list(cands.paths[: self.m])
         if self.config.router == ROUTER_RFTR and cands.paths:
             conn.prober = ConnectionProber(cands, self.policy, self.m)
@@ -301,22 +315,17 @@ class Simulation:
             self.schedule(t, PROBE_SEND, conn_id=conn.id, path_index=path_index, probe_seq=seq)
         self.schedule(self.now + self.policy.update_interval, PROBE_WINDOW, conn_id=conn.id)
 
-    def _alive(self, conn_id: int) -> Connection | None:
-        conn = self.connections.get(conn_id)
-        if conn is None or conn.state not in (ACTIVE, RESTORED):
-            return None
-        return conn
-
     def _on_probe_send(self, conn_id: int, path_index: int, probe_seq: int) -> None:
-        conn = self._alive(conn_id)
+        conn = self.connections.get(conn_id)
         if conn is None or conn.prober is None:
             return  # stale: session ended before the probe went out
-        route = conn.prober.candidates.paths[path_index]
-        outcome = probe_outcome(self.topology, route, self.config.conversion_mode)
+        candidates = conn.prober.candidates
+        outcome = probe_outcome(
+            self.topology, candidates.paths[path_index], self.config.conversion_mode
+        )
         self.collector.on_probe_sent()
-        rtt = 2.0 * sum(link.delay for link, _ in self.topology.hops(route))
         self.schedule(
-            self.now + rtt,
+            self.now + candidates.rtts[path_index],
             FEEDBACK_ARRIVE,
             conn_id=conn_id,
             path_index=path_index,
@@ -325,39 +334,34 @@ class Simulation:
         )
 
     def _on_feedback(self, conn_id: int, path_index: int, probe_seq: int, outcome: str) -> None:
-        conn = self._alive(conn_id)
+        conn = self.connections.get(conn_id)
         if conn is None or conn.prober is None:
             return
         conn.prober.feedback(path_index, probe_seq, outcome)
         self.collector.on_probe_feedback(outcome)
 
     def _on_probe_window(self, conn_id: int) -> None:
-        conn = self._alive(conn_id)
+        conn = self.connections.get(conn_id)
         if conn is None or conn.prober is None:
             return
         conn.backups = conn.prober.close_and_rank()
         self._open_probe_window(conn)
 
     def _on_departure(self, conn_id: int) -> None:
-        conn = self._alive(conn_id)
+        conn = self.connections.pop(conn_id, None)
         if conn is None:
             return  # stale departure for a dropped session
         release_lightpath(self.topology, conn.current)
         conn.state = COMPLETED
-        conn.prober = None
         self.collector.on_completed(conn, self.now)
 
     def _on_link_failure(self, link_id: int) -> None:
         link = self.topology.links[link_id]
         set_link_state(link, False)
-        affected = [
-            conn
-            for conn in self.connections.values()
-            if conn.state in (ACTIVE, RESTORED)
-            and conn.current is not None
-            and link.id in conn.current.link_ids
-        ]
-        affected.sort(key=lambda c: c.id)
+        affected = sorted(
+            (conn for conn in self.connections.values() if link.id in conn.current.link_ids),
+            key=lambda c: c.id,
+        )
         # release every broken lightpath first so peers can reuse the capacity
         for conn in affected:
             release_lightpath(self.topology, conn.current)
@@ -371,10 +375,10 @@ class Simulation:
                 fallback_establish=lambda role, c=conn: self._establish(c.src, c.dst, role=role),
             )
             if new_lp is None:
+                del self.connections[conn.id]
                 conn.state = DROPPED
                 conn.current = None
                 conn.drop_time = self.now
-                conn.prober = None
                 self.collector.on_dropped(conn, self.now)
             else:
                 conn.state = RESTORED
@@ -413,10 +417,9 @@ class Simulation:
     def _assert_failure_safety(self) -> None:
         down = {l.id for l in self.topology.links if not l.up}
         for conn in self.connections.values():
-            if conn.state in (ACTIVE, RESTORED) and conn.current is not None:
-                assert not (down & set(conn.current.link_ids)), (
-                    f"connection {conn.id} rides a down link"
-                )
+            assert not (down & set(conn.current.link_ids)), (
+                f"connection {conn.id} rides a down link"
+            )
 
 
 def run(

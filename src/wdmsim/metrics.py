@@ -62,11 +62,12 @@ def packets_for(connection, config) -> int:
     return int(config.data_rate_mbps * 1e6 * carried // (config.packet_size * 8))
 
 
-def sample_utilization(topology: Topology, now: float) -> tuple[float, float]:
+def sample_utilization(topology: Topology) -> float:
+    """Occupied fraction of the channels on up links, both lanes counted."""
     total = topology.total_channel_count(up_only=True)
     if total == 0:
-        return (now, 0.0)
-    return (now, topology.occupied_channel_count(up_only=True) / total)
+        return 0.0
+    return topology.occupied_channel_count(up_only=True) / total
 
 
 class MetricsCollector:
@@ -126,7 +127,7 @@ class MetricsCollector:
             self.probe_nacks += 1
 
     def on_sample(self, topology: Topology, now: float):
-        _, utilization = sample_utilization(topology, now)
+        utilization = sample_utilization(topology)
         bp = self.blocked / self.offered if self.offered else 0.0
         self.series.append((now, bp, self.packets, utilization))
 

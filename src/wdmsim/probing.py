@@ -31,12 +31,19 @@ PACK = "pack"
 NACK = "nack"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CandidateSet:
+    """Candidate routes with each route's probe round-trip time, in route order.
+
+    Shared by every connection with the same endpoints and primary links, so
+    it is never modified after ``candidate_paths`` builds it.
+    """
+
     src: int
     dst: int
     paths: list[tuple[int, ...]]
     k: int
+    rtts: tuple[float, ...]
 
 
 def _min_hop_path(topology, src, dst, banned_links, banned_nodes):
@@ -96,7 +103,8 @@ def candidate_paths(
     """Up to k shortest loop-free routes sharing no link with the primary."""
     banned = frozenset(primary.link_ids)
     paths = k_shortest_hop_paths(topology, src, dst, k, banned)
-    return CandidateSet(src=src, dst=dst, paths=paths, k=k)
+    rtts = tuple(2.0 * sum(link.delay for link, _ in topology.hops(path)) for path in paths)
+    return CandidateSet(src=src, dst=dst, paths=paths, k=k, rtts=rtts)
 
 
 @dataclass
@@ -197,7 +205,7 @@ def probe_outcome(topology: Topology, route, mode: str = NO_CONVERSION) -> str:
         return NACK
     if any(not link.up for link, _ in hops):
         return NACK
-    if assign_wavelength(topology, list(route), mode) is None:
+    if assign_wavelength(topology, route, mode) is None:
         return NACK
     return PACK
 

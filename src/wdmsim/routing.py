@@ -113,20 +113,23 @@ def assign_wavelength(
     for link, _ in hops:
         if not link.up:
             raise LinkDownError(f"link {link.id} on route {route} is down")
+    # the lowest set bit of a free mask is its lowest free wavelength index
     if mode == NO_CONVERSION:
-        common = set(range(hops[0][0].total_channels)) if hops else set()
+        if not hops:
+            return None
+        common = -1
         for link, lane in hops:
-            common &= set(link.free_indices(lane))
+            common &= link.free_mask(lane)
         if not common:
             return None
-        w = min(common)
+        w = (common & -common).bit_length() - 1
         return [w] * len(hops)
     wavelengths = []
     for link, lane in hops:
-        free = link.free_indices(lane)
+        free = link.free_mask(lane)
         if not free:
             return None
-        wavelengths.append(free[0])
+        wavelengths.append((free & -free).bit_length() - 1)
     return wavelengths
 
 

@@ -3,7 +3,12 @@
 Links are declared once per unordered node pair but carry two independent
 channel lanes, one per travel direction; a lightpath occupies the lane that
 matches its direction of travel.  Channel state is an owner map so that
-exclusivity and ownership can be enforced on every occupy/release.
+exclusivity and ownership can be enforced on every occupy/release, plus a
+free-wavelength bitmask per lane that occupy/release keep in step with it,
+so that free counts and first-fit are integer operations.
+
+The graph itself never changes after construction, so each node's sorted
+adjacency is built once and each resolved route's hops are memoised.
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ class Link:
         self.up = True
         # one owner slot per wavelength per lane; None means free
         self._owners = ([None] * total_channels, [None] * total_channels)
+        # bit w of _free[lane] is set while wavelength w is free in that lane;
+        # only occupy and release write it
+        all_free = (1 << total_channels) - 1
+        self._free = [all_free, all_free]
 
     def __repr__(self):
         return f"Link({self.id}: {self.a}<->{self.b}, {self.total_channels}ch)"
@@ -65,11 +74,16 @@ class Link:
         self._check_wavelength(w)
         return self._owners[lane][w]
 
+    def free_mask(self, lane: int) -> int:
+        """Bitmask of the lane's free wavelengths: bit w is set while w is free."""
+        return self._free[lane]
+
     def free_indices(self, lane: int) -> list[int]:
-        return [w for w, o in enumerate(self._owners[lane]) if o is None]
+        mask = self._free[lane]
+        return [w for w in range(self.total_channels) if mask >> w & 1]
 
     def free_count(self, lane: int) -> int:
-        return sum(1 for o in self._owners[lane] if o is None)
+        return self._free[lane].bit_count()
 
     def occupied_count(self, lane: int) -> int:
         return self.total_channels - self.free_count(lane)
@@ -82,6 +96,8 @@ class Link:
 
     def occupy(self, lane: int, w: int, owner) -> None:
         self._check_wavelength(w)
+        if owner is None:
+            raise TopologyError(f"link {self.id}: a channel owner cannot be None")
         if not self.up:
             raise LinkDownError(f"link {self.id} is down")
         if self._owners[lane][w] is not None:
@@ -89,6 +105,7 @@ class Link:
                 f"link {self.id} lane {lane} wavelength {w} owned by {self._owners[lane][w]}"
             )
         self._owners[lane][w] = owner
+        self._free[lane] &= ~(1 << w)
 
     def release(self, lane: int, w: int, owner) -> None:
         self._check_wavelength(w)
@@ -100,6 +117,7 @@ class Link:
                 f"link {self.id} lane {lane} wavelength {w}: owner is {current}, not {owner}"
             )
         self._owners[lane][w] = None
+        self._free[lane] |= 1 << w
 
     def _check_wavelength(self, w: int) -> None:
         if not 0 <= w < self.total_channels:
@@ -132,6 +150,11 @@ class Topology:
             self.adjacency[link.b].append(link)
         for incident in self.adjacency:
             incident.sort(key=lambda l: l.id)
+        self._neighbors = [
+            tuple(sorted(((link.other_end(u), link) for link in incident), key=lambda p: p[0]))
+            for u, incident in enumerate(self.adjacency)
+        ]
+        self._hops: dict[tuple[int, ...], tuple[tuple[Link, int], ...]] = {}
         self._lightpath_ids = itertools.count(1)
 
     def has_node(self, n: int) -> bool:
@@ -140,20 +163,26 @@ class Topology:
     def link_between(self, u: int, v: int) -> Link | None:
         return self._by_pair.get((min(u, v), max(u, v)))
 
-    def neighbors(self, u: int):
-        """Yield (neighbor, link) in ascending neighbor order."""
-        pairs = [(link.other_end(u), link) for link in self.adjacency[u]]
-        pairs.sort(key=lambda p: p[0])
-        return pairs
+    def neighbors(self, u: int) -> tuple[tuple[int, Link], ...]:
+        """(neighbor, link) pairs in ascending neighbor order."""
+        return self._neighbors[u]
 
-    def hops(self, route: list[int] | tuple[int, ...]) -> list[tuple[Link, int]]:
-        """Resolve a node sequence into (link, lane) hops."""
-        hops = []
-        for u, v in zip(route, route[1:]):
-            link = self.link_between(u, v)
-            if link is None:
-                raise TopologyError(f"no link between {u} and {v}")
-            hops.append((link, link.lane(u, v)))
+    def hops(self, route: list[int] | tuple[int, ...]) -> tuple[tuple[Link, int], ...]:
+        """Resolve a node sequence into (link, lane) hops.
+
+        A resolved route is memoised; one with a missing link raises
+        ``TopologyError`` on every call.
+        """
+        key = tuple(route)
+        hops = self._hops.get(key)
+        if hops is None:
+            resolved = []
+            for u, v in zip(key, key[1:]):
+                link = self.link_between(u, v)
+                if link is None:
+                    raise TopologyError(f"no link between {u} and {v}")
+                resolved.append((link, link.lane(u, v)))
+            hops = self._hops[key] = tuple(resolved)
         return hops
 
     def next_lightpath_id(self) -> int:

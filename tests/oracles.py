@@ -58,6 +58,26 @@ def k_best_disjoint(topology: Topology, src: int, dst: int, primary_links, k: in
     return found[:k]
 
 
+def free_wavelengths(link: Link, lane: int) -> set[int]:
+    """Free indices read off the owner map one wavelength at a time."""
+    return {w for w in range(link.total_channels) if link.owner(lane, w) is None}
+
+
+def first_fit(topology: Topology, route, mode: str):
+    """Set-based first-fit: the least index free on every hop ("none"), or
+    each hop's own least free index ("full"); None when nothing fits."""
+    free = []
+    for u, v in zip(route, route[1:]):
+        link = topology.link_between(u, v)
+        free.append(free_wavelengths(link, link.lane(u, v)))
+    if mode == "none":
+        common = set.intersection(*free) if free else set()
+        return [min(common)] * len(free) if common else None
+    if not all(free):
+        return None
+    return [min(f) for f in free]
+
+
 def random_topology(rng: random.Random, max_nodes: int = 8) -> Topology:
     """Random connected-ish multigraph-free topology with random occupancy."""
     n = rng.randint(2, max_nodes)

@@ -12,8 +12,6 @@ import statistics
 import time
 from fractions import Fraction
 
-import pytest
-
 from oracles import k_best_disjoint, min_cost_route, random_topology
 from wdmsim.cli import run_scenario
 from wdmsim.config import parse_config

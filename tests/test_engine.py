@@ -285,3 +285,13 @@ def test_baseline_restores_too():
     assert report.restored == 1
     assert report.dropped == 0
     assert report.probes_sent == 0
+
+
+def test_connections_hold_only_live_sessions():
+    # blocks, drops and departures all leave the live-connection map empty
+    cfg = SimConfig(wavelengths=2, arrival_rate=6.0, holding_time=0.5, max_requests=300,
+                    seed=3, failures=[(2.0, 0), (4.0, 9), (6.0, 5)], repairs=[(3.0, 0)])
+    sim = Simulation(cfg, audit=True)
+    report = sim.run()
+    assert report.blocked > 0 and report.dropped > 0 and report.restored > 0
+    assert sim.connections == {}

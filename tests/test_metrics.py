@@ -1,5 +1,4 @@
 import csv
-import math
 from types import SimpleNamespace
 
 import pytest
@@ -86,17 +85,15 @@ def test_end_to_end_delay_charges_conversion():
 # -- utilization sampling -----------------------------------------------------
 
 def test_utilization_counts_both_lanes(square):
-    assert sample_utilization(square, 1.0) == (1.0, 0.0)
+    assert sample_utilization(square) == 0.0
     establish_lightpath(square, [0, 1, 2], "none", 0.024)
-    t, u = sample_utilization(square, 2.0)
-    assert (t, u) == (2.0, 2 / 64)
+    assert sample_utilization(square) == 2 / 64
 
 
 def test_utilization_ignores_down_links(square):
     establish_lightpath(square, [0, 1], "none", 0.024)
     set_link_state(square.links[0], up=False)
-    _, u = sample_utilization(square, 1.0)
-    assert u == 0.0  # the only occupied link no longer counts
+    assert sample_utilization(square) == 0.0  # the only occupied link no longer counts
 
 
 # -- collector lifecycle ------------------------------------------------------

@@ -87,6 +87,21 @@ def test_k_shortest_matches_exhaustive_k_best(seed, k):
     assert got == want
 
 
+def test_candidate_rtts_are_twice_the_hop_delays():
+    topo = parse_topology(
+        "nodes 5\nlink 0 1 10 8\nlink 1 4 20 8\nlink 0 2 5 8\nlink 2 4 40 8\n"
+        "link 0 3 7 8\nlink 3 4 3 8\nlink 2 3 1 8\n"
+    )
+    primary = establish_baseline(topo, 0, 4).lightpath
+    cands = candidate_paths(topo, 0, 4, primary, k=3)
+    assert len(cands.paths) == 3
+    expected = tuple(
+        2.0 * sum(topo.link_between(u, v).delay for u, v in zip(p, p[1:])) for p in cands.paths
+    )
+    assert cands.rtts == expected
+    assert len(set(expected)) == 3  # a misaligned RTT would show
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_candidates_share_no_link_with_primary(seed):
@@ -193,7 +208,8 @@ def test_probe_outcome_never_mutates(square):
 # -- ranking ------------------------------------------------------------------
 
 def C(*paths):
-    return CandidateSet(src=0, dst=9, paths=[tuple(p) for p in paths], k=len(paths))
+    return CandidateSet(src=0, dst=9, paths=[tuple(p) for p in paths], k=len(paths),
+                        rtts=(0.0,) * len(paths))
 
 
 def test_rank_orders_by_estimate():
@@ -228,7 +244,8 @@ def test_rank_requires_full_estimate_cover():
 # -- prober lifecycle ---------------------------------------------------------
 
 def make_prober(paths=((0, 1, 9), (0, 2, 9)), probes=4, m=2):
-    cands = CandidateSet(src=0, dst=9, paths=[tuple(p) for p in paths], k=len(paths))
+    cands = CandidateSet(src=0, dst=9, paths=[tuple(p) for p in paths], k=len(paths),
+                         rtts=(0.0,) * len(paths))
     policy = ProbePolicy(probes_per_interval=probes, update_interval=0.5)
     return ConnectionProber(cands, policy, m=m)
 

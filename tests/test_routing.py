@@ -1,10 +1,18 @@
+import itertools
 import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import min_cost_route, path_cost, random_topology, simple_paths
+from oracles import (
+    first_fit,
+    free_wavelengths,
+    min_cost_route,
+    path_cost,
+    random_topology,
+    simple_paths,
+)
 from wdmsim.engine import SimConfig
 from wdmsim.errors import ConfigError, LinkDownError, NoSuchNodeError
 from wdmsim.routing import (
@@ -20,7 +28,7 @@ from wdmsim.routing import (
     release_lightpath,
     unit_edge_cost,
 )
-from wdmsim.topology import FORWARD, Topology, parse_topology, set_link_state
+from wdmsim.topology import FORWARD, parse_topology, set_link_state
 
 LT = SimConfig().load_threshold
 
@@ -194,6 +202,37 @@ def test_disjoint_free_sets_need_conversion():
 def test_full_conversion_first_fit_per_hop(square):
     square.links[0].occupy(FORWARD, 0, owner=-1)
     assert assign_wavelength(square, [0, 1, 2], FULL_CONVERSION) == [1, 0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 63), st.integers(0, 1), st.integers(0, 3)), max_size=60),
+)
+def test_free_mask_tracks_owner_map_and_first_fit_oracle(seed, ops):
+    """After any occupy/release sequence the mask-based reads equal the owner map's."""
+    topo = random_topology(random.Random(seed))
+    for link in topo.links:
+        set_link_state(link, up=True)
+    for i, lane, w in ops:
+        link = topo.links[i % len(topo.links)]
+        w %= link.total_channels
+        owner = link.owner(lane, w)
+        if owner is None:
+            link.occupy(lane, w, owner=i + 1)
+        else:
+            link.release(lane, w, owner=owner)
+        free = free_wavelengths(link, lane)
+        assert link.free_indices(lane) == sorted(free)
+        assert link.free_count(lane) == len(free)
+        assert link.load_index(lane) == len(free) / link.total_channels
+    for src in range(topo.num_nodes):
+        for dst in range(topo.num_nodes):
+            if src == dst:
+                continue
+            for route in itertools.islice(simple_paths(topo, src, dst), 4):
+                for mode in (NO_CONVERSION, FULL_CONVERSION):
+                    assert assign_wavelength(topo, route, mode) == first_fit(topo, route, mode)
 
 
 def test_assignment_rejects_down_link(square):

@@ -104,6 +104,8 @@ def test_occupy_conflict_and_release_guards(square):
         link.release(FORWARD, 3, owner=2)
     with pytest.raises(ChannelFreeError):
         link.release(FORWARD, 4, owner=1)
+    with pytest.raises(TopologyError):
+        link.occupy(FORWARD, 4, owner=None)  # None is the free marker
     link.release(FORWARD, 3, owner=1)
     assert link.free_count(FORWARD) == 8
 
@@ -158,6 +160,25 @@ def test_hops_maps_route_to_lanes(square):
     assert [(l.id, lane) for l, lane in hops_rev] == [(1, REVERSE), (0, REVERSE)]
     with pytest.raises(TopologyError):
         square.hops((0, 2))
+
+
+def test_hops_repeat_equal_and_missing_link_raises_every_time(square):
+    expected = {
+        (0, 1): [(0, FORWARD)],
+        (0, 1, 2): [(0, FORWARD), (1, FORWARD)],
+        (2, 1, 0): [(1, REVERSE), (0, REVERSE)],
+        (1, 0, 3): [(0, REVERSE), (3, REVERSE)],
+    }
+    for _ in range(2):
+        for route, lanes in expected.items():
+            hops = square.hops(list(route))
+            assert isinstance(hops, tuple)
+            assert [(l.id, lane) for l, lane in hops] == lanes
+            assert square.hops(route) == hops
+        with pytest.raises(TopologyError):
+            square.hops((0, 2))
+        with pytest.raises(TopologyError):
+            square.hops((0, 1, 3))
 
 
 def test_connectivity_accounts_for_down_links(square):
