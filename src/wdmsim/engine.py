@@ -20,8 +20,8 @@ from .errors import ConfigError
 from .probing import (
     CandidateSet,
     ConnectionProber,
-    ProbePolicy,
     candidate_paths,
+    probe_count,
     probe_outcome,
     reroute,
 )
@@ -137,13 +137,6 @@ class SimConfig:
         if self.packet_size < 1 or self.data_rate_mbps <= 0:
             raise ConfigError("packet_size and data_rate_mbps must be positive")
 
-    def probe_policy(self) -> ProbePolicy:
-        return ProbePolicy(
-            probes_per_interval=self.probes_per_interval,
-            update_interval=self.probe_interval,
-            adaptive_scale=self.adaptive_scale,
-        )
-
 
 def build_topology(config: SimConfig) -> Topology:
     if config.topology_file:
@@ -202,7 +195,9 @@ class Simulation:
         self.config = config
         self.topology = topology if topology is not None else build_topology(config)
         self.audit = audit
-        self.policy = config.probe_policy()
+        self.probe_count = probe_count(
+            config.probes_per_interval, config.adaptive_scale, config.aggregate_rate
+        )
         self.m = config.backups_m if config.backups_m is not None else config.candidates_k
         # a router is its edge-cost function, applied by routing.establish
         self._router = (
@@ -306,14 +301,15 @@ class Simulation:
             )
         conn.backups = list(cands.paths[: self.m])
         if self.config.router == ROUTER_RFTR and cands.paths:
-            conn.prober = ConnectionProber(cands, self.policy, self.m)
+            conn.prober = ConnectionProber(
+                cands, self.probe_count, self.config.probe_interval, self.m
+            )
             self._open_probe_window(conn)
 
     def _open_probe_window(self, conn: Connection) -> None:
-        sends = conn.prober.open_windows(self.now, self.config.aggregate_rate)
-        for t, path_index, seq in sends:
+        for t, path_index, seq in conn.prober.open_windows(self.now):
             self.schedule(t, PROBE_SEND, conn_id=conn.id, path_index=path_index, probe_seq=seq)
-        self.schedule(self.now + self.policy.update_interval, PROBE_WINDOW, conn_id=conn.id)
+        self.schedule(self.now + self.config.probe_interval, PROBE_WINDOW, conn_id=conn.id)
 
     def _on_probe_send(self, conn_id: int, path_index: int, probe_seq: int) -> None:
         conn = self.connections.get(conn_id)

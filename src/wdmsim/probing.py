@@ -5,18 +5,18 @@ that are link-disjoint from the primary.  Each update interval it sends a
 small batch of sequence-numbered probes down every candidate; the far end
 answers PACK when the route could currently carry a lightpath and NACK when
 it could not (a hop down, or no admissible wavelength).  The NACKed fraction
-of resolved probes is the route's blocking estimate, and candidates are kept
-sorted ascending by that estimate so that a failure reroutes onto the best
-measured route first.  Sub-optimal candidates keep receiving probes, so the
+of the probes answered before their window closes is the route's blocking
+estimate, and at each close the candidates are ranked ascending by it so
+that a failure reroutes onto the best measured route first.  Sub-optimal candidates keep receiving probes, so the
 ranking tracks load changes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import DuplicateFeedbackError, UnknownSequenceError
+from .errors import DuplicateFeedbackError, LinkDownError, TopologyError, UnknownSequenceError
 from .routing import (
     BACKUP,
     NO_CONVERSION,
@@ -39,10 +39,7 @@ class CandidateSet:
     it is never modified after ``candidate_paths`` builds it.
     """
 
-    src: int
-    dst: int
     paths: list[tuple[int, ...]]
-    k: int
     rtts: tuple[float, ...]
 
 
@@ -104,182 +101,97 @@ def candidate_paths(
     banned = frozenset(primary.link_ids)
     paths = k_shortest_hop_paths(topology, src, dst, k, banned)
     rtts = tuple(2.0 * sum(link.delay for link, _ in topology.hops(path)) for path in paths)
-    return CandidateSet(src=src, dst=dst, paths=paths, k=k, rtts=rtts)
+    return CandidateSet(paths=paths, rtts=rtts)
 
 
-@dataclass
-class ProbePolicy:
-    """How many probes each candidate gets per update interval.
+def probe_count(probes_per_interval: int, adaptive_scale: float, aggregate_rate: float) -> int:
+    """Probes per candidate per window, fixed for a run.
 
-    The effective count shrinks as the offered arrival rate grows, so busy
-    networks spend less capacity on probing; ``adaptive_scale = 0`` turns
-    the adaptation off.  Built by ``SimConfig.probe_policy``, which has
-    validated the three values.
+    The count shrinks as the offered arrival rate grows, so busy networks
+    spend less capacity on probing; ``adaptive_scale = 0`` turns the
+    adaptation off.
     """
-
-    probes_per_interval: int = 10
-    update_interval: float = 0.5
-    adaptive_scale: float = 0.0
-
-    def effective_count(self, arrival_rate: float) -> int:
-        scaled = self.probes_per_interval / (1.0 + self.adaptive_scale * arrival_rate)
-        return max(1, math.floor(scaled))
-
-
-@dataclass
-class ProbeWindow:
-    """Per-candidate tally of one probing interval."""
-
-    path_index: int
-    window_start: float
-    next_seq: int = 0
-    sent: int = 0
-    acked: int = 0
-    nacked: int = 0
-    closed: bool = False
-    pending: set[int] = field(default_factory=set)
-    resolved: set[int] = field(default_factory=set)
-
-    @property
-    def resolved_count(self) -> int:
-        return self.acked + self.nacked
-
-
-def emit_probes(
-    window: ProbeWindow, policy: ProbePolicy, arrival_rate: float, now: float
-) -> list[tuple[float, int]]:
-    """Schedule this window's probes, spread uniformly inside the interval.
-
-    Returns (send_time, sequence_number) pairs and advances the window's
-    counters; sequence numbers are unique and increasing.
-    """
-    if window.closed:
-        raise ValueError("window already closed")
-    count = policy.effective_count(arrival_rate)
-    events = []
-    for i in range(count):
-        t = now + (i + 1) * policy.update_interval / (count + 1)
-        seq = window.next_seq
-        window.next_seq += 1
-        window.pending.add(seq)
-        window.sent += 1
-        events.append((t, seq))
-    return events
-
-
-def record_feedback(window: ProbeWindow, seq: int, outcome: str) -> None:
-    if seq in window.resolved:
-        raise DuplicateFeedbackError(f"feedback for seq {seq} already recorded")
-    if seq not in window.pending:
-        raise UnknownSequenceError(f"seq {seq} was not emitted in this window")
-    window.pending.discard(seq)
-    window.resolved.add(seq)
-    if outcome == PACK:
-        window.acked += 1
-    elif outcome == NACK:
-        window.nacked += 1
-    else:
-        raise ValueError(f"outcome must be {PACK!r} or {NACK!r}, got {outcome!r}")
-
-
-@dataclass(frozen=True)
-class BlockingEstimate:
-    path_index: int
-    bp: float
-    sample_size: int
-
-
-def blocking_probability(window: ProbeWindow) -> BlockingEstimate:
-    """NACKed fraction of resolved probes; no evidence counts as fully blocked."""
-    resolved = window.resolved_count
-    if resolved == 0:
-        return BlockingEstimate(window.path_index, 1.0, 0)
-    return BlockingEstimate(window.path_index, window.nacked / resolved, resolved)
+    scaled = probes_per_interval / (1.0 + adaptive_scale * aggregate_rate)
+    return max(1, math.floor(scaled))
 
 
 def probe_outcome(topology: Topology, route, mode: str = NO_CONVERSION) -> str:
-    """Admissibility test at probe time; never touches the occupancy map."""
+    """Admissibility test at probe time; never touches the occupancy map.
+
+    A missing link or a down hop answers NACK; any other error propagates.
+    """
     try:
-        hops = topology.hops(route)
-    except Exception:
+        fits = assign_wavelength(topology, route, mode) is not None
+    except (TopologyError, LinkDownError):
         return NACK
-    if any(not link.up for link, _ in hops):
-        return NACK
-    if assign_wavelength(topology, route, mode) is None:
-        return NACK
-    return PACK
-
-
-def rank_and_select(
-    estimates: list[BlockingEstimate], candidates: CandidateSet, m: int
-) -> list[tuple[int, ...]]:
-    """Candidates sorted ascending by estimate; ties by hops then route."""
-    if len(estimates) != len(candidates.paths):
-        raise ValueError("one estimate per candidate required")
-    by_index = {e.path_index: e for e in estimates}
-    order = sorted(
-        range(len(candidates.paths)),
-        key=lambda j: (by_index[j].bp, len(candidates.paths[j]), candidates.paths[j]),
-    )
-    return [candidates.paths[j] for j in order[:m]]
+    return PACK if fits else NACK
 
 
 class ConnectionProber:
-    """Window lifecycle for one connection's candidate set.
+    """Probe windows over one connection's candidate set.
 
-    Keeps one live window per candidate and retains just-closed windows
-    until their in-flight feedback lands, so PACK/NACK arriving after a
-    window rollover still finds its sequence number.  ``backups`` always
-    holds the most recent completed ranking; before the first window closes
-    it falls back to candidate order, which equals the ranking under
-    all-sentinel estimates.
+    Every window sends ``count`` probes down each candidate, so probe
+    ``seq`` belongs to window ``seq // count`` on every candidate.  The
+    state is the open window's PACK/NACK tally per candidate plus the
+    in-flight ``(path_index, seq)`` pairs.  Feedback that lands after its
+    window closed is accepted but moves no ranking: a window's estimate is
+    read once, when it closes.
     """
 
-    def __init__(self, candidates: CandidateSet, policy: ProbePolicy, m: int):
+    def __init__(self, candidates: CandidateSet, count: int, interval: float, m: int):
         self.candidates = candidates
-        self.policy = policy
+        self.count = count
+        self.interval = interval
         self.m = m
-        self._windows: list[list[ProbeWindow]] = [[] for _ in candidates.paths]
-        self.backups: list[tuple[int, ...]] = list(candidates.paths[:m])
+        n = len(candidates.paths)
+        self._acks = [0] * n
+        self._nacks = [0] * n
+        self._in_flight: set[tuple[int, int]] = set()
+        self._next_seq = 0  # first seq of the next window
+        self._open_from = 0  # first seq the open window counts; == _next_seq when closed
 
-    def open_windows(self, now: float, arrival_rate: float) -> list[tuple[float, int, int]]:
-        """Open a fresh window per candidate; returns (time, path_index, seq) sends."""
+    def open_windows(self, now: float) -> list[tuple[float, int, int]]:
+        """Open a window on every candidate; returns (time, path_index, seq) sends."""
+        count, interval, first = self.count, self.interval, self._next_seq
+        self._open_from = first
+        self._next_seq = first + count
         sends = []
-        for j, windows in enumerate(self._windows):
-            next_seq = windows[-1].next_seq if windows else 0
-            window = ProbeWindow(path_index=j, window_start=now, next_seq=next_seq)
-            windows.append(window)
-            for t, seq in emit_probes(window, self.policy, arrival_rate, now):
-                sends.append((t, j, seq))
+        for j in range(len(self.candidates.paths)):
+            for i in range(count):
+                seq = first + i
+                sends.append((now + (i + 1) * interval / (count + 1), j, seq))
+                self._in_flight.add((j, seq))
         return sends
 
     def feedback(self, path_index: int, seq: int, outcome: str) -> None:
-        windows = self._windows[path_index]
-        for window in reversed(windows):
-            if seq in window.pending:
-                record_feedback(window, seq, outcome)
-                self._prune(path_index)
-                return
-            if seq in window.resolved:
+        if outcome not in (PACK, NACK):
+            raise ValueError(f"outcome must be {PACK!r} or {NACK!r}, got {outcome!r}")
+        key = (path_index, seq)
+        if key not in self._in_flight:
+            if 0 <= path_index < len(self._acks) and 0 <= seq < self._next_seq:
                 raise DuplicateFeedbackError(f"feedback for seq {seq} already recorded")
-        raise UnknownSequenceError(f"seq {seq} unknown on path {path_index}")
+            raise UnknownSequenceError(f"seq {seq} unknown on path {path_index}")
+        self._in_flight.remove(key)
+        if seq >= self._open_from:
+            tally = self._acks if outcome == PACK else self._nacks
+            tally[path_index] += 1
+
+    def estimates(self) -> list[float]:
+        """Open window's NACKed fraction of resolved probes; no evidence counts as 1.0."""
+        return [
+            nack / (ack + nack) if ack + nack else 1.0
+            for ack, nack in zip(self._acks, self._nacks)
+        ]
 
     def close_and_rank(self) -> list[tuple[int, ...]]:
-        """Close every live window, re-rank, and return the new backup list."""
-        estimates = []
-        for j, windows in enumerate(self._windows):
-            if windows and not windows[-1].closed:
-                windows[-1].closed = True
-                estimates.append(blocking_probability(windows[-1]))
-            else:
-                estimates.append(BlockingEstimate(j, 1.0, 0))
-            self._prune(j)
-        self.backups = rank_and_select(estimates, self.candidates, self.m)
-        return self.backups
-
-    def _prune(self, path_index: int) -> None:
-        windows = self._windows[path_index]
-        windows[:] = [w for w in windows if not (w.closed and not w.pending)] or windows[-1:]
+        """Close the open window; candidates ascending by (estimate, hops, route), best m."""
+        estimates = self.estimates()
+        paths = self.candidates.paths
+        order = sorted(range(len(paths)), key=lambda j: (estimates[j], len(paths[j]), paths[j]))
+        self._acks = [0] * len(paths)
+        self._nacks = [0] * len(paths)
+        self._open_from = self._next_seq
+        return [paths[j] for j in order[: self.m]]
 
 
 def reroute(

@@ -9,6 +9,7 @@ exactly with Dijkstra's incremental accumulation.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 from wdmsim.topology import Link, Topology, set_link_state
 
@@ -109,3 +110,19 @@ def random_topology(rng: random.Random, max_nodes: int = 8) -> Topology:
         if rng.random() < 0.1:
             set_link_state(link, up=False)
     return topology
+
+
+def rank_by_feedback(paths, outcomes, m: int):
+    """Best m routes by exact NACK fraction of (path_index, outcome) feedback.
+
+    A route with no feedback counts as fully blocked; ties break by hop
+    count, then by route.
+    """
+    nacks = [0] * len(paths)
+    resolved = [0] * len(paths)
+    for j, outcome in outcomes:
+        resolved[j] += 1
+        nacks[j] += outcome == "nack"
+    estimate = [Fraction(n, r) if r else Fraction(1) for n, r in zip(nacks, resolved)]
+    ranked = sorted(range(len(paths)), key=lambda j: (estimate[j], len(paths[j]), paths[j]))
+    return [paths[j] for j in ranked][:m]

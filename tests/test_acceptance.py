@@ -26,13 +26,10 @@ from wdmsim.engine import (
 from wdmsim.probing import (
     NACK,
     PACK,
-    ProbePolicy,
-    ProbeWindow,
-    blocking_probability,
+    CandidateSet,
+    ConnectionProber,
     candidate_paths,
-    emit_probes,
     k_shortest_hop_paths,
-    record_feedback,
 )
 from wdmsim.routing import establish_primary, link_cost, loaded_edge_cost
 from wdmsim.topology import Link, parse_topology
@@ -43,6 +40,11 @@ def announce(capsys, number, title, ok, detail, elapsed, budget):
     with capsys.disabled():
         print(f"[{verdict}] criterion {number} ({title}): {detail} "
               f"[{elapsed:.2f}s / budget {budget:.0f}s]")
+
+
+def one_route_prober(probes):
+    """A prober over one candidate route, ``probes`` probes per window."""
+    return ConnectionProber(CandidateSet(paths=[(0, 1)], rtts=(0.0,)), probes, 0.5, m=1)
 
 
 # -- 1: cost formula fidelity -------------------------------------------------
@@ -80,12 +82,11 @@ def test_criterion_1_formula_fidelity(capsys):
     assert three.load_index(0) == float(Fraction(2, 3))
 
     # NACK fraction over resolved probes, plus the no-evidence sentinel
-    window = ProbeWindow(path_index=0, window_start=0.0)
-    emit_probes(window, ProbePolicy(probes_per_interval=10), 0.0, 0.0)
-    for seq in range(10):
-        record_feedback(window, seq, NACK if seq < 3 else PACK)
-    assert blocking_probability(window).bp == float(Fraction(3, 10))
-    assert blocking_probability(ProbeWindow(path_index=1, window_start=0.0)).bp == 1.0
+    prober = one_route_prober(10)
+    for _, j, seq in prober.open_windows(0.0):
+        prober.feedback(j, seq, NACK if seq < 3 else PACK)
+    assert prober.estimates() == [float(Fraction(3, 10))]
+    assert one_route_prober(10).estimates() == [1.0]
 
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and elapsed < 1.0
@@ -147,19 +148,20 @@ def test_criterion_3_estimator_convergence(capsys):
     t0 = time.perf_counter()
     N = 100
     windows_per_p = 1000
-    policy = ProbePolicy(probes_per_interval=N)
     results = {}
     for p in (0.1, 0.5, 0.9):
         rng = random.Random(int(p * 1000) ^ 0x5EED)
         sigma = math.sqrt(p * (1 - p) / N)
         hits = 0
-        for _ in range(windows_per_p):
-            window = ProbeWindow(path_index=0, window_start=0.0)
-            for _, seq in emit_probes(window, policy, 0.0, 0.0):
-                record_feedback(window, seq, NACK if rng.random() < p else PACK)
-            estimate = blocking_probability(window)
-            assert estimate.sample_size == N
-            if abs(estimate.bp - p) <= 3 * sigma:
+        prober = one_route_prober(N)
+        for w in range(windows_per_p):
+            sends = prober.open_windows(0.5 * w)
+            assert len(sends) == N
+            for _, j, seq in sends:
+                prober.feedback(j, seq, NACK if rng.random() < p else PACK)
+            [estimate] = prober.estimates()
+            prober.close_and_rank()
+            if abs(estimate - p) <= 3 * sigma:
                 hits += 1
         results[p] = hits / windows_per_p
 

@@ -3,24 +3,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import k_best_disjoint, random_topology
-from wdmsim.engine import SimConfig
+from oracles import k_best_disjoint, random_topology, rank_by_feedback
+from wdmsim.engine import SimConfig, Simulation
 from wdmsim.errors import ConfigError, DuplicateFeedbackError, UnknownSequenceError
 from wdmsim.probing import (
     NACK,
     PACK,
-    BlockingEstimate,
     CandidateSet,
     ConnectionProber,
-    ProbePolicy,
-    ProbeWindow,
-    blocking_probability,
     candidate_paths,
-    emit_probes,
     k_shortest_hop_paths,
+    probe_count,
     probe_outcome,
-    rank_and_select,
-    record_feedback,
     reroute,
 )
 from wdmsim.routing import establish_primary, establish_baseline
@@ -120,16 +114,25 @@ def test_candidates_share_no_link_with_primary(seed):
         assert not (used & primary_links)
 
 
-# -- probe policy and windows -------------------------------------------------
+# -- probe count and windows -------------------------------------------------
+
+def make_prober(paths=((0, 1, 9), (0, 2, 9)), probes=4, m=2, interval=0.5):
+    cands = CandidateSet(paths=[tuple(p) for p in paths], rtts=(0.0,) * len(paths))
+    return ConnectionProber(cands, probes, interval, m=m)
+
 
 def test_effective_count_adapts_to_load():
-    policy = ProbePolicy(probes_per_interval=10, adaptive_scale=1.0)
-    assert policy.effective_count(0.0) == 10
-    assert policy.effective_count(1.0) == 5
-    assert policy.effective_count(9.0) == 1
-    assert policy.effective_count(1e9) == 1  # floor at one probe
-    flat = ProbePolicy(probes_per_interval=10, adaptive_scale=0.0)
-    assert flat.effective_count(1e9) == 10
+    assert probe_count(10, 1.0, 0.0) == 10
+    assert probe_count(10, 1.0, 1.0) == 5
+    assert probe_count(10, 1.0, 9.0) == 1
+    assert probe_count(10, 1.0, 1e9) == 1  # floor at one probe
+    assert probe_count(10, 0.0, 1e9) == 10
+
+
+def test_simulation_derives_probe_count_from_aggregate_rate():
+    config = SimConfig(probes_per_interval=10, adaptive_scale=0.5, arrival_rate=0.5,
+                       session_traffics=4)
+    assert Simulation(config).probe_count == 5  # floor(10 / (1 + 0.5 * 2))
 
 
 def test_policy_validation():
@@ -142,43 +145,39 @@ def test_policy_validation():
 
 
 def test_emit_probes_spread_and_accounting():
-    window = ProbeWindow(path_index=0, window_start=2.0)
-    policy = ProbePolicy(probes_per_interval=4, update_interval=0.5)
-    events = emit_probes(window, policy, arrival_rate=0.0, now=2.0)
-    assert [seq for _, seq in events] == [0, 1, 2, 3]
-    assert [t for t, _ in events] == pytest.approx([2.1, 2.2, 2.3, 2.4])
-    assert window.sent == 4 and window.pending == {0, 1, 2, 3}
-    window.closed = True
-    with pytest.raises(ValueError):
-        emit_probes(window, policy, 0.0, 2.5)
+    prober = make_prober(paths=[(0, 1, 9)], probes=4)
+    sends = prober.open_windows(2.0)
+    assert [seq for _, _, seq in sends] == [0, 1, 2, 3]
+    assert [t for t, _, _ in sends] == pytest.approx([2.1, 2.2, 2.3, 2.4])
+    for _, j, seq in sends:  # every emitted probe is in flight exactly once
+        prober.feedback(j, seq, PACK)
+    with pytest.raises(UnknownSequenceError):
+        prober.feedback(0, 4, PACK)
 
 
 def test_feedback_tallies_and_guards():
-    window = ProbeWindow(path_index=0, window_start=0.0)
-    emit_probes(window, ProbePolicy(probes_per_interval=3), 0.0, 0.0)
-    record_feedback(window, 0, PACK)
-    record_feedback(window, 1, NACK)
-    assert (window.acked, window.nacked) == (1, 1)
+    prober = make_prober(paths=[(0, 1, 9)], probes=3)
+    prober.open_windows(0.0)
+    prober.feedback(0, 0, PACK)
+    prober.feedback(0, 1, NACK)
+    assert prober.estimates() == [0.5]
     with pytest.raises(DuplicateFeedbackError):
-        record_feedback(window, 0, PACK)
+        prober.feedback(0, 0, PACK)
     with pytest.raises(UnknownSequenceError):
-        record_feedback(window, 99, PACK)
+        prober.feedback(0, 99, PACK)
+    with pytest.raises(UnknownSequenceError):
+        prober.feedback(1, 2, PACK)  # no such path
     with pytest.raises(ValueError):
-        record_feedback(window, 2, "maybe")
+        prober.feedback(0, 2, "maybe")
+    assert prober.estimates() == [0.5]
 
 
 def test_blocking_probability_fraction_and_sentinel():
-    window = ProbeWindow(path_index=2, window_start=0.0)
-    emit_probes(window, ProbePolicy(probes_per_interval=10), 0.0, 0.0)
-    for seq in range(7):
-        record_feedback(window, seq, PACK)
-    for seq in range(7, 10):
-        record_feedback(window, seq, NACK)
-    est = blocking_probability(window)
-    assert est == BlockingEstimate(2, 3 / 10, 10)
-
-    empty = ProbeWindow(path_index=1, window_start=0.0)
-    assert blocking_probability(empty) == BlockingEstimate(1, 1.0, 0)
+    prober = make_prober(paths=[(0, 1, 9)], probes=10)
+    for _, j, seq in prober.open_windows(0.0):
+        prober.feedback(j, seq, PACK if seq < 7 else NACK)
+    assert prober.estimates() == [3 / 10]
+    assert make_prober(paths=[(0, 1, 9)]).estimates() == [1.0]
 
 
 # -- probe outcome ------------------------------------------------------------
@@ -196,6 +195,14 @@ def test_probe_outcome_sees_wavelength_exhaustion():
     assert probe_outcome(topo, (0, 1, 2)) == NACK
 
 
+def test_probe_outcome_nacks_only_route_faults(square):
+    assert probe_outcome(square, (0, 2)) == NACK  # no link between 0 and 2
+    set_link_state(square.links[1], up=False)
+    assert probe_outcome(square, (0, 1, 2)) == NACK
+    with pytest.raises(TypeError):  # a defect is not a blocked route
+        probe_outcome(square, (0, "x"))
+
+
 def test_probe_outcome_never_mutates(square):
     before = square.occupancy_snapshot()
     probe_outcome(square, (0, 1, 2))
@@ -205,59 +212,53 @@ def test_probe_outcome_never_mutates(square):
     assert square.occupancy_snapshot() == before
 
 
-# -- ranking ------------------------------------------------------------------
+# -- ranking and prober lifecycle --------------------------------------------
 
-def C(*paths):
-    return CandidateSet(src=0, dst=9, paths=[tuple(p) for p in paths], k=len(paths),
-                        rtts=(0.0,) * len(paths))
+def answer(prober, now, nacks_by_path):
+    """Open a window; path j NACKs its first nacks_by_path[j] probes, PACKs the rest."""
+    for _, j, seq in prober.open_windows(now):
+        prober.feedback(j, seq, NACK if seq % prober.count < nacks_by_path[j] else PACK)
 
 
 def test_rank_orders_by_estimate():
-    cands = C([0, 1, 9], [0, 2, 9], [0, 3, 9])
-    estimates = [
-        BlockingEstimate(0, 0.6, 10),
-        BlockingEstimate(1, 0.1, 10),
-        BlockingEstimate(2, 0.3, 10),
-    ]
-    assert rank_and_select(estimates, cands, m=3) == [(0, 2, 9), (0, 3, 9), (0, 1, 9)]
-    assert rank_and_select(estimates, cands, m=1) == [(0, 2, 9)]
+    paths = ([0, 1, 9], [0, 2, 9], [0, 3, 9])
+    prober = make_prober(paths, probes=10, m=3)
+    answer(prober, 0.0, [6, 1, 3])
+    assert prober.estimates() == [0.6, 0.1, 0.3]
+    assert prober.close_and_rank() == [(0, 2, 9), (0, 3, 9), (0, 1, 9)]
+    prober = make_prober(paths, probes=10, m=1)
+    answer(prober, 0.0, [6, 1, 3])
+    assert prober.close_and_rank() == [(0, 2, 9)]
 
 
 def test_rank_breaks_ties_by_hops_then_route():
-    cands = C([0, 4, 2, 9], [0, 3, 9], [0, 1, 9])
-    estimates = [BlockingEstimate(j, 0.5, 4) for j in range(3)]
-    assert rank_and_select(estimates, cands, m=3) == [(0, 1, 9), (0, 3, 9), (0, 4, 2, 9)]
+    prober = make_prober(([0, 4, 2, 9], [0, 3, 9], [0, 1, 9]), probes=4, m=3)
+    answer(prober, 0.0, [2, 2, 2])
+    assert prober.estimates() == [0.5, 0.5, 0.5]
+    assert prober.close_and_rank() == [(0, 1, 9), (0, 3, 9), (0, 4, 2, 9)]
 
 
 def test_rank_sentinel_never_beats_measured_success():
-    cands = C([0, 1, 9], [0, 2, 9])
-    estimates = [BlockingEstimate(0, 1.0, 0), BlockingEstimate(1, 0.9, 10)]
-    assert rank_and_select(estimates, cands, m=2)[0] == (0, 2, 9)
-
-
-def test_rank_requires_full_estimate_cover():
-    cands = C([0, 1, 9], [0, 2, 9])
-    with pytest.raises(ValueError):
-        rank_and_select([BlockingEstimate(0, 0.0, 5)], cands, m=2)
-
-
-# -- prober lifecycle ---------------------------------------------------------
-
-def make_prober(paths=((0, 1, 9), (0, 2, 9)), probes=4, m=2):
-    cands = CandidateSet(src=0, dst=9, paths=[tuple(p) for p in paths], k=len(paths),
-                         rtts=(0.0,) * len(paths))
-    policy = ProbePolicy(probes_per_interval=probes, update_interval=0.5)
-    return ConnectionProber(cands, policy, m=m)
+    prober = make_prober(([0, 1, 9], [0, 2, 9]), probes=10)
+    for _, j, seq in prober.open_windows(0.0):
+        if j == 1:  # path 0 never answers: sentinel 1.0
+            prober.feedback(j, seq, NACK if seq < 9 else PACK)
+    assert prober.estimates() == [1.0, 0.9]
+    assert prober.close_and_rank()[0] == (0, 2, 9)
 
 
 def test_prober_initial_backups_follow_candidate_order():
-    prober = make_prober()
-    assert prober.backups == [(0, 1, 9), (0, 2, 9)]
+    # before the first window closes, a connection's backups are its first m candidates
+    sim = Simulation(SimConfig(candidates_k=3, backups_m=2))
+    sim._on_arrival(0, 2, holding=1.0)
+    conn = sim.connections[0]
+    assert conn.prober.candidates.paths == [(0, 4, 3, 2), (0, 7, 6, 2), (0, 4, 5, 6, 2)]
+    assert conn.backups == [(0, 4, 3, 2), (0, 7, 6, 2)]
 
 
 def test_prober_reranks_on_measured_blocking():
     prober = make_prober()
-    sends = prober.open_windows(0.0, arrival_rate=0.0)
+    sends = prober.open_windows(0.0)
     assert len(sends) == 8  # 4 probes x 2 candidates
     for _, j, seq in sends:
         prober.feedback(j, seq, NACK if j == 0 else PACK)
@@ -267,11 +268,11 @@ def test_prober_reranks_on_measured_blocking():
 
 def test_prober_sequences_continue_across_windows():
     prober = make_prober()
-    first = prober.open_windows(0.0, 0.0)
+    first = prober.open_windows(0.0)
     for _, j, seq in first:
         prober.feedback(j, seq, PACK)
     prober.close_and_rank()
-    second = prober.open_windows(0.5, 0.0)
+    second = prober.open_windows(0.5)
     first_seqs = {(j, s) for _, j, s in first}
     second_seqs = {(j, s) for _, j, s in second}
     assert not (first_seqs & second_seqs)
@@ -279,36 +280,63 @@ def test_prober_sequences_continue_across_windows():
 
 def test_prober_accepts_feedback_after_rollover():
     prober = make_prober()
-    first = prober.open_windows(0.0, 0.0)
+    first = prober.open_windows(0.0)
     prober.close_and_rank()  # closes with everything still in flight
-    prober.open_windows(0.5, 0.0)
+    prober.open_windows(0.5)
     for _, j, seq in first[:-1]:  # late PACK/NACK still lands
         prober.feedback(j, seq, PACK)
-    # a replay on a still-retained window (one probe in flight) is a duplicate
+    assert prober.estimates() == [1.0, 1.0]  # ... but moves no open-window estimate
+    # a replay of an answered probe is a duplicate, whether or not others are in flight
     resolved_on_pending_path = next(s for s in first[:-1] if s[1] == first[-1][1])
     with pytest.raises(DuplicateFeedbackError):
         prober.feedback(resolved_on_pending_path[1], resolved_on_pending_path[2], PACK)
     prober.feedback(first[-1][1], first[-1][2], PACK)
-    # fully-resolved windows are discarded; replays then look unknown
-    with pytest.raises(UnknownSequenceError):
+    # once every probe of the closed window is answered, replays are still duplicates
+    with pytest.raises(DuplicateFeedbackError):
         prober.feedback(first[-1][1], first[-1][2], PACK)
+    with pytest.raises(UnknownSequenceError):
+        prober.feedback(2, first[-1][2], PACK)  # a path index never probed
 
 
 def test_prober_keeps_probing_suboptimal_candidates():
     prober = make_prober(m=1)
-    prober.open_windows(0.0, 0.0)
-    prober.close_and_rank()
-    assert len(prober.backups) == 1
-    sends = prober.open_windows(0.5, 0.0)
+    prober.open_windows(0.0)
+    assert len(prober.close_and_rank()) == 1
+    sends = prober.open_windows(0.5)
     probed_paths = {j for _, j, _ in sends}
     assert probed_paths == {0, 1}  # both candidates, not just the chosen one
 
 
 def test_prober_all_sentinel_rank_keeps_candidate_order():
     prober = make_prober()
-    prober.open_windows(0.0, 0.0)
+    prober.open_windows(0.0)
     backups = prober.close_and_rank()  # no feedback resolved: all sentinels
     assert backups == [(0, 1, 9), (0, 2, 9)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_prober_ranking_matches_on_time_oracle(data):
+    # route j is 0 -> (hops_j intermediate nodes) -> 9; equal hop counts tie-break by route
+    hop_counts = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="hops")
+    paths = [(0, *(10 * (j + 1) + h for h in range(n)), 9) for j, n in enumerate(hop_counts)]
+    count = data.draw(st.integers(1, 4), label="count")
+    m = data.draw(st.integers(0, len(paths)), label="m")
+    prober = make_prober(paths, probes=count, m=m)
+    late = []  # feedback of the previous window, landing after it closed
+    for w in range(data.draw(st.integers(1, 4), label="windows")):
+        on_time, next_late = [], []
+        for _, j, seq in prober.open_windows(0.5 * w):
+            outcome = data.draw(st.sampled_from([PACK, NACK]))
+            (on_time if data.draw(st.booleans()) else next_late).append((j, seq, outcome))
+        for j, seq, outcome in data.draw(st.permutations(late + on_time), label="landing"):
+            prober.feedback(j, seq, outcome)
+        late = next_late
+        want = rank_by_feedback(paths, [(j, outcome) for j, _, outcome in on_time], m)
+        assert prober.close_and_rank() == want
+    for j, seq, outcome in late:
+        prober.feedback(j, seq, outcome)
+    assert prober.estimates() == [1.0] * len(paths)
 
 
 # -- reroute ------------------------------------------------------------------
