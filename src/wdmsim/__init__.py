@@ -17,6 +17,7 @@ from .errors import (
     ChannelFreeError,
     ConfigError,
     DuplicateFeedbackError,
+    InvariantError,
     LinkDownError,
     NoSuchNodeError,
     NotOwnerError,
@@ -34,6 +35,7 @@ __all__ = [
     "ChannelFreeError",
     "ConfigError",
     "DuplicateFeedbackError",
+    "InvariantError",
     "LinkDownError",
     "MetricsReport",
     "NoSuchNodeError",

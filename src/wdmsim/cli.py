@@ -17,10 +17,10 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from .config import (
+    ROUTER_BOTH,
     SWEEP_NONE,
     Diagnostic,
     Scenario,
-    _ROUTER_ALIASES,
     parse_config,
     unique_seeds,
     validate_scenario,
@@ -31,10 +31,9 @@ from .errors import SimError
 
 @dataclass
 class RunOutcome:
-    router: str
+    """One run; its router, seed and label are the report's own fields."""
+
     sweep_value: float | None
-    seed: int
-    label: str
     report: metrics_mod.MetricsReport
 
 
@@ -53,7 +52,7 @@ def _execute(scenario: Scenario, router: str, sweep_value, seed: int) -> RunOutc
     config = scenario.config_for(router, sweep_value, seed)
     report = run(config)
     report.scenario = scenario.run_label(router, sweep_value, seed)
-    return RunOutcome(router, sweep_value, seed, report.scenario, report)
+    return RunOutcome(sweep_value, report)
 
 
 def _aggregate(scenario: Scenario, router: str, sweep_value, outcomes: list[RunOutcome]) -> dict:
@@ -87,18 +86,18 @@ def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResul
             outcomes = list(pool.map(lambda j: _execute(scenario, *j), jobs))
     else:
         outcomes = [_execute(scenario, *job) for job in jobs]
-    outcomes.sort(key=lambda o: (o.router, o.sweep_value if o.sweep_value is not None else 0, o.seed))
+    outcomes.sort(key=lambda o: (o.report.router, o.sweep_value or 0, o.report.seed))
 
     aggregate_rows = []
     for router in scenario.routers():
         for value in sweep_values:
-            group = [o for o in outcomes if o.router == router and o.sweep_value == value]
+            group = [o for o in outcomes if o.report.router == router and o.sweep_value == value]
             aggregate_rows.append(_aggregate(scenario, router, value, group))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for outcome in outcomes:
         metrics_mod.write_timeseries_csv(
-            outcome.report, out_dir / f"timeseries_{_sanitize(outcome.label)}.csv"
+            outcome.report, out_dir / f"timeseries_{_sanitize(outcome.report.scenario)}.csv"
         )
     if len(jobs) > 1:
         metrics_mod.write_summary_csv(
@@ -120,13 +119,10 @@ def _load_scenario(args) -> Scenario:
     scenario = parse_config(text)
     if args.topology:
         scenario.base = replace(scenario.base, topology_file=args.topology)
-    if args.router:
-        alias = _ROUTER_ALIASES.get(args.router)
-        if alias is None:
-            raise SimError(f"unknown router {args.router!r}")
-        scenario.router = alias
-        if alias != "both":
-            scenario.base = replace(scenario.base, router=alias)
+    if args.router:  # argparse choices: rftr | baseline | both
+        scenario.router = args.router
+        if args.router != ROUTER_BOTH:
+            scenario.base = replace(scenario.base, router=args.router)
     if args.seed:
         scenario.seeds = unique_seeds(list(args.seed), "--seed")
     return scenario
@@ -149,7 +145,7 @@ def _cmd_run(args) -> int:
         return 2
     scenario.sweep_param = SWEEP_NONE
     scenario.sweep_values = []
-    if scenario.router == "both":
+    if scenario.router == ROUTER_BOTH:
         print("error: run takes a single router; use sweep to compare", file=sys.stderr)
         return 2
     result = run_scenario(scenario, args.out, workers=1)

@@ -9,7 +9,9 @@ a different experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from types import NoneType, UnionType
+from typing import get_args, get_origin, get_type_hints
 
 from .engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig, build_topology
 from .errors import ConfigError, TopologyError
@@ -27,31 +29,12 @@ _ROUTER_ALIASES = {
     "both": ROUTER_BOTH,
 }
 
-_INT_KEYS = {
-    "wavelengths",
-    "packet_size",
-    "session_traffics",
-    "max_requests",
-    "candidates_k",
-    "backups_m",
-    "probes_per_interval",
-    "seed",
+# SimConfig's fields are the schema: config key -> field name, field -> type
+_FIELD_OF_KEY = {
+    ("topology" if f.name == "topology_file" else f.name): f.name for f in fields(SimConfig)
 }
-_FLOAT_KEYS = {
-    "link_delay_ms",
-    "load_threshold",
-    "conversion_time",
-    "arrival_rate",
-    "holding_time",
-    "data_rate_mbps",
-    "sample_interval",
-    "probe_interval",
-    "adaptive_scale",
-}
-_STR_KEYS = {"name", "topology", "conversion_mode", "router"}
-_LIST_KEYS = {"seeds", "sweep", "failures", "repairs"}
-
-KNOWN_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | _LIST_KEYS
+_FIELD_TYPES = get_type_hints(SimConfig)
+KNOWN_KEYS = set(_FIELD_OF_KEY) | {"name", "seeds", "sweep"}
 
 
 @dataclass
@@ -117,6 +100,19 @@ def _parse_schedule(value: str, key: str) -> list[tuple[float, int]]:
     return entries
 
 
+def _field_value(key: str, value: str, hint):
+    """``value`` cast to the field type ``hint``; ``X | None`` reads as ``X``."""
+    if isinstance(hint, UnionType):
+        hint = next(arg for arg in get_args(hint) if arg is not NoneType)
+    if get_origin(hint) is list:
+        return _parse_schedule(value, key)
+    try:
+        return hint(value)
+    except ValueError:
+        noun = "integer" if hint is int else "number"
+        raise ConfigError(f"{key}: expected {noun}, got {value!r}") from None
+
+
 def parse_config(text: str) -> Scenario:
     values: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -136,26 +132,9 @@ def parse_config(text: str) -> Scenario:
 
     base_kwargs = {}
     for key, value in values.items():
-        if key in _INT_KEYS:
-            try:
-                base_kwargs[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"{key}: expected integer, got {value!r}") from None
-        elif key in _FLOAT_KEYS:
-            try:
-                base_kwargs[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"{key}: expected number, got {value!r}") from None
-
-    if "topology" in values:
-        base_kwargs["topology_file"] = values["topology"]
-    if "conversion_mode" in values:
-        base_kwargs["conversion_mode"] = values["conversion_mode"]
-    if "failures" in values:
-        base_kwargs["failures"] = _parse_schedule(values["failures"], "failures")
-    if "repairs" in values:
-        base_kwargs["repairs"] = _parse_schedule(values["repairs"], "repairs")
-
+        name = _FIELD_OF_KEY.get(key)
+        if name is not None and key != "router":  # a router may be "both", a scenario value
+            base_kwargs[name] = _field_value(key, value, _FIELD_TYPES[name])
     router = ROUTER_RFTR
     if "router" in values:
         alias = values["router"].strip().lower()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 
 from . import metrics as metrics_mod
-from .errors import ConfigError
+from .errors import ConfigError, InvariantError
 from .probing import (
     CandidateSet,
     ConnectionProber,
@@ -46,12 +46,6 @@ LINK_REPAIR = "link_repair"
 SAMPLE_TICK = "sample_tick"
 PROBE_WINDOW = "probe_window"  # window rollover heartbeat, one per connection
 
-# connection states
-ACTIVE = "active"
-RESTORED = "restored"
-DROPPED = "dropped"
-COMPLETED = "completed"
-
 ROUTER_RFTR = "rftr"
 ROUTER_BASELINE = "baseline"
 
@@ -63,11 +57,9 @@ class Connection:
     dst: int
     arrival: float
     holding: float
-    state: str = ACTIVE
     current: Lightpath | None = None
     backups: list[tuple[int, ...]] = field(default_factory=list)
     prober: ConnectionProber | None = None
-    drop_time: float | None = None
 
 
 @dataclass
@@ -207,8 +199,8 @@ class Simulation:
         )
         self.rng = random.Random(config.seed)
         self.now = 0.0
-        # live (ACTIVE/RESTORED) connections only; a blocked one is never added
-        # and a departure or drop removes its entry
+        # live connections only; a blocked one is never added and a
+        # departure or drop removes its entry
         self.connections: dict[int, Connection] = {}
         # (src, dst, primary link ids) -> candidates; exact for the whole run
         # because candidates are hop-count routes that ignore link state
@@ -245,22 +237,14 @@ class Simulation:
         handlers = self._HANDLERS
         while heap:
             time, _, kind, payload = heapq.heappop(heap)
-            assert time >= self.now - 1e-12, "event clock went backwards"
+            if time < self.now - 1e-12:
+                raise InvariantError("event clock went backwards")
             self.now = max(self.now, time)
             handlers[kind](self, **payload)
 
-        if self.audit:
-            assert self.topology.occupancy_snapshot() == self._initial_occupancy, (
-                "channel leak: occupancy differs from the pre-run state"
-            )
-        report = self.collector.finalize(
-            scenario="",
-            seed=self.config.seed,
-            router=self.config.router,
-            rate_mbps=self.config.data_rate_mbps,
-            sources=self.config.session_traffics,
-        )
-        return report
+        if self.audit and self.topology.occupancy_snapshot() != self._initial_occupancy:
+            raise InvariantError("channel leak: occupancy differs from the pre-run state")
+        return self.collector.finalize()
 
     def _check_link_id(self, link_id: int) -> None:
         if not 0 <= link_id < len(self.topology.links):
@@ -290,8 +274,8 @@ class Simulation:
             current=result.lightpath,
         )
         self.connections[conn.id] = conn
-        self._assert_continuity(result.lightpath)
-        self.collector.on_accepted(conn, result.setup_delay, result.lightpath.path_delay, self.now)
+        self._check_continuity(result.lightpath)
+        self.collector.on_accepted(conn, result.lightpath.path_delay, self.now)
         self.schedule(self.now + conn.holding, DEPARTURE, conn_id=conn.id)
         key = (src, dst, frozenset(result.lightpath.link_ids))
         cands = self._candidates.get(key)
@@ -348,7 +332,6 @@ class Simulation:
         if conn is None:
             return  # stale departure for a dropped session
         release_lightpath(self.topology, conn.current)
-        conn.state = COMPLETED
         self.collector.on_completed(conn, self.now)
 
     def _on_link_failure(self, link_id: int) -> None:
@@ -364,7 +347,6 @@ class Simulation:
         for conn in affected:
             new_lp = reroute(
                 self.topology,
-                conn,
                 conn.backups,
                 self.config.conversion_mode,
                 self.config.conversion_time,
@@ -372,17 +354,14 @@ class Simulation:
             )
             if new_lp is None:
                 del self.connections[conn.id]
-                conn.state = DROPPED
                 conn.current = None
-                conn.drop_time = self.now
                 self.collector.on_dropped(conn, self.now)
             else:
-                conn.state = RESTORED
                 conn.current = new_lp
-                self._assert_continuity(new_lp)
+                self._check_continuity(new_lp)
                 self.collector.on_restored(conn, new_lp.path_delay, self.now)
         if self.audit:
-            self._assert_failure_safety()
+            self._check_failure_safety()
 
     def _on_link_repair(self, link_id: int) -> None:
         set_link_state(self.topology.links[link_id], True)
@@ -404,18 +383,17 @@ class Simulation:
         PROBE_WINDOW: _on_probe_window,
     }
 
-    # -- invariant checks ---------------------------------------------------
+    # -- invariant checks: explicit raises, so they hold under ``python -O`` --
 
-    def _assert_continuity(self, lp: Lightpath) -> None:
-        if self.config.conversion_mode == NO_CONVERSION and lp.wavelengths:
-            assert len(set(lp.wavelengths)) == 1, "wavelength continuity violated"
+    def _check_continuity(self, lp: Lightpath) -> None:
+        if self.config.conversion_mode == NO_CONVERSION and len(set(lp.wavelengths)) > 1:
+            raise InvariantError("wavelength continuity violated")
 
-    def _assert_failure_safety(self) -> None:
+    def _check_failure_safety(self) -> None:
         down = {l.id for l in self.topology.links if not l.up}
         for conn in self.connections.values():
-            assert not (down & set(conn.current.link_ids)), (
-                f"connection {conn.id} rides a down link"
-            )
+            if down & set(conn.current.link_ids):
+                raise InvariantError(f"connection {conn.id} rides a down link")
 
 
 def run(

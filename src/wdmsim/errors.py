@@ -47,3 +47,7 @@ class DuplicateFeedbackError(SimError):
 
 class ConfigError(SimError):
     """Scenario configuration is malformed or out of range."""
+
+
+class InvariantError(SimError):
+    """A simulator invariant broke mid-run: a defect in the engine, never a bad input."""

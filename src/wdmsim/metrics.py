@@ -48,26 +48,20 @@ class MetricsReport:
     series: list[tuple[float, float, int, float]] = field(default_factory=list)
 
 
-def packets_for(connection, config) -> int:
-    """Payload packets delivered over the connection's carried duration.
+def packets_for(carried_s: float, config) -> int:
+    """Payload packets a session delivers in ``carried_s`` seconds.
 
     ``config`` supplies ``data_rate_mbps`` (per session) and ``packet_size`` (bytes).
     """
-    if connection.state == "blocked":
-        return 0
-    if connection.state == "dropped":
-        carried = connection.drop_time - connection.arrival
-    else:
-        carried = connection.holding
-    return int(config.data_rate_mbps * 1e6 * carried // (config.packet_size * 8))
+    return int(config.data_rate_mbps * 1e6 * carried_s // (config.packet_size * 8))
 
 
 def sample_utilization(topology: Topology) -> float:
     """Occupied fraction of the channels on up links, both lanes counted."""
-    total = topology.total_channel_count(up_only=True)
+    total = topology.total_channel_count()
     if total == 0:
         return 0.0
-    return topology.occupied_channel_count(up_only=True) / total
+    return topology.occupied_channel_count() / total
 
 
 class MetricsCollector:
@@ -97,9 +91,10 @@ class MetricsCollector:
     def on_blocked(self):
         self.blocked += 1
 
-    def on_accepted(self, conn, setup_delay: float, path_delay: float, now: float):
+    def on_accepted(self, conn, path_delay: float, now: float):
+        """``path_delay`` is the primary's setup delay and its first delay epoch."""
         self.accepted += 1
-        self.setup_delay_sum += setup_delay
+        self.setup_delay_sum += path_delay
         self._epochs[conn.id] = (path_delay, now)
 
     def on_restored(self, conn, new_path_delay: float, now: float):
@@ -110,12 +105,12 @@ class MetricsCollector:
     def on_completed(self, conn, now: float):
         self.completed += 1
         self._close_epoch(conn.id, now)
-        self.packets += packets_for(conn, self.config)
+        self.packets += packets_for(conn.holding, self.config)
 
     def on_dropped(self, conn, now: float):
         self.dropped += 1
         self._close_epoch(conn.id, now)
-        self.packets += packets_for(conn, self.config)
+        self.packets += packets_for(now - conn.arrival, self.config)
 
     def on_probe_sent(self):
         self.probes_sent += 1
@@ -137,13 +132,13 @@ class MetricsCollector:
         self.delay_weighted_sum += delay * duration
         self.carried_duration_sum += duration
 
-    def finalize(self, scenario: str, seed: int, router: str, rate_mbps: float, sources: int) -> MetricsReport:
+    def finalize(self) -> MetricsReport:
+        """The run's report; ``scenario`` stays empty until the caller labels the run."""
         report = MetricsReport(
-            scenario=scenario,
-            seed=seed,
-            router=router,
-            rate_mbps=rate_mbps,
-            sources=sources,
+            seed=self.config.seed,
+            router=self.config.router,
+            rate_mbps=self.config.data_rate_mbps,
+            sources=self.config.session_traffics,
             offered=self.offered,
             accepted=self.accepted,
             blocked=self.blocked,

@@ -196,7 +196,6 @@ class ConnectionProber:
 
 def reroute(
     topology: Topology,
-    connection,
     backups: list[tuple[int, ...]],
     mode: str,
     conversion_time: float,
@@ -204,21 +203,18 @@ def reroute(
 ) -> Lightpath | None:
     """Restore onto the first viable ranked backup, else recompute, else drop.
 
+    A backup with a down hop or no admissible wavelength is skipped.
     ``fallback_establish(role)`` runs the owning router's fresh path setup
-    when every ranked backup fails its liveness or wavelength check.
-    Returns the restoring lightpath, or None when the connection drops.
+    when every ranked backup fails.  Returns the restoring lightpath, or
+    None when the connection drops.
     """
     for route in backups:
-        hops = topology.hops(route)
-        if any(not link.up for link, _ in hops):
+        try:
+            lp = establish_lightpath(topology, route, mode, conversion_time, role=BACKUP)
+        except LinkDownError:
             continue
-        established = establish_lightpath(
-            topology, list(route), mode, conversion_time, role=BACKUP
-        )
-        if established is not None:
-            return established[0]
+        if lp is not None:
+            return lp
     if fallback_establish is not None:
-        result = fallback_establish(BACKUP)
-        if not result.blocked:
-            return result.lightpath
+        return fallback_establish(BACKUP).lightpath
     return None

@@ -156,7 +156,6 @@ class Lightpath:
 class RouteResult:
     lightpath: Lightpath | None
     total_cost: float
-    setup_delay: float
 
     @property
     def blocked(self) -> bool:
@@ -169,27 +168,24 @@ def establish_lightpath(
     mode: str,
     conversion_time: float,
     role: str = PRIMARY,
-    lp_id: int | None = None,
-) -> tuple[Lightpath, float] | None:
+) -> Lightpath | None:
     """Assign wavelengths and occupy channels atomically along ``route``.
 
-    Returns (lightpath, setup_delay) or None when no wavelength fits; in
-    that case the occupancy map is left untouched.
+    Returns the lightpath, whose ``path_delay`` is its setup delay, or None
+    when no wavelength fits; in that case the occupancy map is left
+    untouched.  A down hop raises ``LinkDownError``.
     """
     wavelengths = assign_wavelength(topology, route, mode)
     if wavelengths is None:
         return None
     hops = topology.hops(route)
-    if lp_id is None:
-        lp_id = topology.next_lightpath_id()
-    lp = Lightpath(id=lp_id, route=list(route), wavelengths=wavelengths, role=role)
+    lp = Lightpath(id=topology.next_lightpath_id(), route=list(route),
+                   wavelengths=wavelengths, role=role)
     for (link, lane), w in zip(hops, wavelengths):
-        link.occupy(lane, w, lp_id)
+        link.occupy(lane, w, lp.id)
         lp.claims.append((link.id, lane, w))
-    changes = lp.wavelength_changes()
-    setup_delay = sum(link.delay for link, _ in hops) + conversion_time * changes
-    lp.path_delay = setup_delay
-    return lp, setup_delay
+    lp.path_delay = sum(link.delay for link, _ in hops) + conversion_time * lp.wavelength_changes()
+    return lp
 
 
 def release_lightpath(topology: Topology, lp: Lightpath) -> None:
@@ -210,13 +206,9 @@ def establish(
     """Least-cost route under ``edge_cost`` plus atomic channel occupation."""
     found = least_cost_path(topology, src, dst, edge_cost)
     if found is None:
-        return RouteResult(None, math.inf, 0.0)
+        return RouteResult(None, math.inf)
     route, cost = found
-    established = establish_lightpath(topology, route, mode, conversion_time, role)
-    if established is None:
-        return RouteResult(None, cost, 0.0)
-    lp, setup_delay = established
-    return RouteResult(lp, cost, setup_delay)
+    return RouteResult(establish_lightpath(topology, route, mode, conversion_time, role), cost)
 
 
 def establish_primary(topology: Topology, src: int, dst: int, lt: float, **kwargs) -> RouteResult:

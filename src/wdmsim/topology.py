@@ -192,14 +192,14 @@ class Topology:
         """Hashable copy of every lane's owner map, for purity/leak checks."""
         return tuple((link.id, tuple(link._owners[0]), tuple(link._owners[1])) for link in self.links)
 
-    def total_channel_count(self, up_only: bool = True) -> int:
-        return sum(2 * l.total_channels for l in self.links if l.up or not up_only)
+    def total_channel_count(self) -> int:
+        """Channels on up links, both lanes counted."""
+        return sum(2 * l.total_channels for l in self.links if l.up)
 
-    def occupied_channel_count(self, up_only: bool = True) -> int:
+    def occupied_channel_count(self) -> int:
+        """Occupied channels on up links, both lanes counted."""
         return sum(
-            l.occupied_count(FORWARD) + l.occupied_count(REVERSE)
-            for l in self.links
-            if l.up or not up_only
+            l.occupied_count(FORWARD) + l.occupied_count(REVERSE) for l in self.links if l.up
         )
 
     def is_connected(self) -> bool:

@@ -126,3 +126,11 @@ def rank_by_feedback(paths, outcomes, m: int):
     estimate = [Fraction(n, r) if r else Fraction(1) for n, r in zip(nacks, resolved)]
     ranked = sorted(range(len(paths)), key=lambda j: (estimate[j], len(paths[j]), paths[j]))
     return [paths[j] for j in ranked][:m]
+
+
+def erlang_b(a: float, w: int) -> float:
+    """Blocking of an M/M/w/w loss system offered ``a`` Erlangs (stable recursion)."""
+    b = 1.0
+    for k in range(1, w + 1):
+        b = a * b / (k + a * b)
+    return b

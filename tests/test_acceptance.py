@@ -23,6 +23,7 @@ from wdmsim.engine import (
     random_failure_schedule,
     run,
 )
+from wdmsim.errors import InvariantError
 from wdmsim.probing import (
     NACK,
     PACK,
@@ -188,7 +189,7 @@ def test_criterion_4_safety_invariants(capsys):
         sim = Simulation(cfg, audit=True)
         try:
             report = sim.run()
-        except AssertionError:
+        except InvariantError:
             violations += 1
             continue
         if report.accepted + report.blocked != 50 or report.offered != 50:

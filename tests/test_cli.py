@@ -140,11 +140,11 @@ def test_run_scenario_returns_in_memory_results(tmp_path):
     result = run_scenario(scenario, tmp_path / "o")
     assert len(result.runs) == 8
     assert len(result.aggregate_rows) == 4
-    keys = [(r.router, r.sweep_value, r.seed) for r in result.runs]
+    keys = [(r.report.router, r.sweep_value, r.report.seed) for r in result.runs]
     assert keys == sorted(keys)
     # aggregate blocking equals the mean of its member runs
     member = [r.report.blocking_probability for r in result.runs
-              if r.router == "rftr" and r.sweep_value == 2.0]
+              if r.report.router == "rftr" and r.sweep_value == 2.0]
     agg = next(a for a in result.aggregate_rows
                if a["scenario"] == "demo-rftr-rate2")
     assert agg["blocking_probability"] == pytest.approx(sum(member) / len(member))

@@ -1,8 +1,17 @@
+import math
+import os
 import random
 import statistics
+import subprocess
+import sys
+import textwrap
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import wdmsim
+from oracles import erlang_b
 from wdmsim.engine import (
     ROUTER_BASELINE,
     ROUTER_RFTR,
@@ -295,3 +304,41 @@ def test_connections_hold_only_live_sessions():
     report = sim.run()
     assert report.blocked > 0 and report.dropped > 0 and report.restored > 0
     assert sim.connections == {}
+
+
+# -- invariants under python -O ------------------------------------------------
+
+def test_leak_check_raises_under_optimised_python():
+    # -O strips every bare assert; the audit's leak check must still raise
+    code = textwrap.dedent("""
+        import wdmsim.engine as engine
+        from wdmsim.errors import InvariantError
+        assert False, "stripped under -O; reached only without it"
+        engine.release_lightpath = lambda topology, lp: None  # departures leak channels
+        try:
+            engine.run(engine.SimConfig(seed=1, max_requests=20), audit=True)
+        except InvariantError as err:
+            print(f"InvariantError: {err}")
+    """)
+    src = str(Path(wdmsim.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("InvariantError: channel leak")
+
+
+# -- analytic oracle -------------------------------------------------------------
+
+@pytest.mark.parametrize("erlangs, wavelengths", [(1, 2), (2, 4), (6, 8)])
+def test_single_link_blocking_matches_erlang_b(erlangs, wavelengths):
+    # one link, two lanes: each lane gets half the demands, so it is an
+    # M/M/W/W loss system offered `erlangs` and blocks with Erlang-B
+    topology_text = f"nodes 2\nlink 0 1 10 {wavelengths}\n"
+    cfg = SimConfig(router=ROUTER_BASELINE, session_traffics=1, holding_time=1.0,
+                    arrival_rate=2.0 * erlangs, max_requests=5000)
+    blocking = [
+        run(replace(cfg, seed=seed), topology=parse_topology(topology_text)).blocking_probability
+        for seed in range(10)
+    ]
+    stderr = statistics.stdev(blocking) / math.sqrt(len(blocking))
+    assert abs(statistics.mean(blocking) - erlang_b(erlangs, wavelengths)) <= 3 * stderr

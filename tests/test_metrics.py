@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -22,39 +23,47 @@ from wdmsim.topology import FORWARD, parse_topology, set_link_state
 CONFIG = SimConfig(data_rate_mbps=2.0, packet_size=200)
 
 
-def conn(state="completed", arrival=0.0, holding=0.2, drop_time=None):
-    return SimpleNamespace(id=1, state=state, arrival=arrival, holding=holding,
-                           drop_time=drop_time)
+def conn(arrival=0.0, holding=0.2):
+    return SimpleNamespace(id=1, arrival=arrival, holding=holding)
 
 
 # -- per-connection arithmetic ------------------------------------------------
 
 def test_packet_count_for_whole_holding():
     # 2 Mb/s for 0.2 s in 1600-bit packets: exactly 250
-    assert packets_for(conn(), CONFIG) == 250
+    assert packets_for(0.2, CONFIG) == 250
 
 
 def test_packet_count_floors_partial_packets():
-    assert packets_for(conn(holding=0.2001), CONFIG) == 250
-    assert packets_for(conn(holding=0.1999), CONFIG) == 249
+    assert packets_for(0.2001, CONFIG) == 250
+    assert packets_for(0.1999, CONFIG) == 249
 
 
 def test_blocked_connection_carries_nothing():
-    assert packets_for(conn(state="blocked"), CONFIG) == 0
+    # a blocked demand never becomes a connection: it is offered and blocked only
+    collector = MetricsCollector(CONFIG)
+    collector.on_offered()
+    collector.on_blocked()
+    assert collector.finalize().packets_received == 0
+    assert packets_for(0.0, CONFIG) == 0
 
 
 def test_dropped_connection_counts_time_before_failure():
-    c = conn(state="dropped", arrival=1.0, holding=5.0, drop_time=1.1)
+    collector = MetricsCollector(CONFIG)
+    c = conn(arrival=1.0, holding=5.0)
+    collector.on_offered()
+    collector.on_accepted(c, 0.02, now=1.0)
+    collector.on_dropped(c, now=1.1)
     # only 0.1 s carried: floor(2e6 * 0.1 / 1600) = 125
-    assert packets_for(c, CONFIG) == 125
+    assert collector.finalize().packets_received == 125
 
 
 @given(st.floats(0.0, 100.0), st.integers(1, 10**7))
 def test_packet_count_nonnegative_and_monotone(holding, rate):
     config = SimConfig(data_rate_mbps=rate / 1e6, packet_size=200)
-    n = packets_for(conn(holding=holding), config)
+    n = packets_for(holding, config)
     assert n >= 0
-    assert n <= packets_for(conn(holding=holding + 1.0), config)
+    assert n <= packets_for(holding + 1.0, config)
 
 
 def test_blocking_probability_ratio():
@@ -63,13 +72,13 @@ def test_blocking_probability_ratio():
         collector.on_offered()
         if i < 7:
             collector.on_blocked()
-    assert collector.finalize("s", 0, "rftr", 2.0, 4).blocking_probability == 7 / 50
+    assert collector.finalize().blocking_probability == 7 / 50
     # undefined with zero offered demands: the report keeps its 0.0 default
-    assert MetricsCollector(CONFIG).finalize("s", 0, "rftr", 2.0, 4).blocking_probability == 0.0
+    assert MetricsCollector(CONFIG).finalize().blocking_probability == 0.0
 
 
 def test_end_to_end_delay_recomputed_from_links(square):
-    lp, _ = establish_lightpath(square, [0, 1, 2], "none", 0.024)
+    lp = establish_lightpath(square, [0, 1, 2], "none", 0.024)
     assert lp.path_delay == pytest.approx(sum(link.delay for link, _ in square.hops(lp.route)))
     assert lp.path_delay == pytest.approx(0.020)
 
@@ -78,7 +87,7 @@ def test_end_to_end_delay_charges_conversion():
     topo = parse_topology("nodes 3\nlink 0 1 10 2\nlink 1 2 10 2\n")
     topo.links[0].occupy(FORWARD, 0, owner=-1)
     topo.links[1].occupy(FORWARD, 1, owner=-2)
-    lp, _ = establish_lightpath(topo, [0, 1, 2], "full", 0.024)
+    lp = establish_lightpath(topo, [0, 1, 2], "full", 0.024)
     assert lp.path_delay == pytest.approx(0.044)
 
 
@@ -100,14 +109,15 @@ def test_utilization_ignores_down_links(square):
 
 def test_delay_is_duration_weighted_across_restoration():
     collector = MetricsCollector(CONFIG)
-    c = conn(state="completed", holding=10.0)
+    c = conn(holding=10.0)
     collector.on_offered()
-    collector.on_accepted(c, setup_delay=0.02, path_delay=0.02, now=0.0)
+    collector.on_accepted(c, path_delay=0.02, now=0.0)
     # 4 s on a 0.02 s path, then 6 s on a 0.05 s restoration path
     collector.on_restored(c, new_path_delay=0.05, now=4.0)
     collector.on_completed(c, now=10.0)
-    report = collector.finalize("s", 0, "rftr", 2.0, 4)
+    report = collector.finalize()
     assert report.mean_delay == pytest.approx((0.02 * 4 + 0.05 * 6) / 10)
+    assert report.mean_setup_delay == 0.02  # the primary's delay only
     assert report.restored == 1
     assert report.completed == 1
 
@@ -116,11 +126,11 @@ def test_restoring_twice_counts_once():
     collector = MetricsCollector(CONFIG)
     c = conn(holding=9.0)
     collector.on_offered()
-    collector.on_accepted(c, 0.02, 0.02, now=0.0)
+    collector.on_accepted(c, 0.02, now=0.0)
     collector.on_restored(c, 0.03, now=1.0)
     collector.on_restored(c, 0.04, now=2.0)
     collector.on_completed(c, now=9.0)
-    assert collector.finalize("s", 0, "rftr", 2.0, 4).restored == 1
+    assert collector.finalize().restored == 1
 
 
 def test_sample_series_tracks_running_counters(square):
@@ -129,7 +139,7 @@ def test_sample_series_tracks_running_counters(square):
     collector.on_offered()
     collector.on_blocked()
     collector.on_sample(square, 1.0)
-    report = collector.finalize("s", 0, "rftr", 2.0, 4)
+    report = collector.finalize()
     assert report.series[0] == (0.5, 0.0, 0, 0.0)
     assert report.series[1] == (1.0, 1.0, 0, 0.0)
     assert [(t, u) for t, _, _, u in report.series] == [(0.5, 0.0), (1.0, 0.0)]
@@ -143,12 +153,16 @@ def test_probe_counters():
     collector.on_probe_feedback("pack")
     collector.on_probe_feedback("nack")
     collector.on_probe_feedback("nack")
-    report = collector.finalize("s", 0, "rftr", 2.0, 4)
+    report = collector.finalize()
     assert (report.probes_sent, report.probe_packs, report.probe_nacks) == (5, 1, 2)
 
 
 def test_empty_run_finalizes_with_defaults():
-    report = MetricsCollector(CONFIG).finalize("s", 0, "rftr", 2.0, 4)
+    config = replace(CONFIG, seed=5, router="baseline", session_traffics=3)
+    report = MetricsCollector(config).finalize()
+    # the run's identity comes from its config; the caller sets the label
+    assert (report.scenario, report.seed, report.router) == ("", 5, "baseline")
+    assert (report.rate_mbps, report.sources) == (2.0, 3)
     assert report.blocking_probability == 0.0
     assert report.mean_delay == 0.0
     assert report.mean_utilization == 0.0
@@ -158,12 +172,14 @@ def test_empty_run_finalizes_with_defaults():
 # -- CSV shape ----------------------------------------------------------------
 
 def finished_report():
-    collector = MetricsCollector(CONFIG)
+    collector = MetricsCollector(replace(CONFIG, seed=3))
     c = conn(holding=0.2)
     collector.on_offered()
-    collector.on_accepted(c, 0.02, 0.02, now=0.0)
+    collector.on_accepted(c, 0.02, now=0.0)
     collector.on_completed(c, now=0.2)
-    return collector.finalize("demo", 3, "rftr", 2.0, 4)
+    report = collector.finalize()
+    report.scenario = "demo"
+    return report
 
 
 def test_summary_csv_layout(tmp_path):

@@ -342,7 +342,7 @@ def test_prober_ranking_matches_on_time_oracle(data):
 # -- reroute ------------------------------------------------------------------
 
 def test_reroute_takes_first_viable_backup(square):
-    lp = reroute(square, None, [(0, 1, 2), (0, 3, 2)], "none", 0.024)
+    lp = reroute(square, [(0, 1, 2), (0, 3, 2)], "none", 0.024)
     assert lp is not None
     assert lp.route == [0, 1, 2]
     assert lp.role == "backup"
@@ -350,7 +350,7 @@ def test_reroute_takes_first_viable_backup(square):
 
 def test_reroute_skips_down_and_saturated(square):
     set_link_state(square.links[0], up=False)  # kills (0,1,2)
-    lp = reroute(square, None, [(0, 1, 2), (0, 3, 2)], "none", 0.024)
+    lp = reroute(square, [(0, 1, 2), (0, 3, 2)], "none", 0.024)
     assert lp.route == [0, 3, 2]
 
 
@@ -362,7 +362,7 @@ def test_reroute_falls_back_to_fresh_search(square):
         calls.append(role)
         return establish_baseline(square, 0, 2, role=role)
 
-    lp = reroute(square, None, [(0, 1, 2)], "none", 0.024, fallback_establish=fallback)
+    lp = reroute(square, [(0, 1, 2)], "none", 0.024, fallback_establish=fallback)
     assert calls == ["backup"]
     assert lp.route == [0, 3, 2]
 
@@ -374,5 +374,5 @@ def test_reroute_returns_none_when_nothing_fits():
     def fallback(role):
         return establish_baseline(topo, 0, 2, role=role)
 
-    assert reroute(topo, None, [(0, 1, 2)], "none", 0.024,
+    assert reroute(topo, [(0, 1, 2)], "none", 0.024,
                    fallback_establish=fallback) is None

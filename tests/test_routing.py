@@ -250,11 +250,10 @@ def test_unknown_mode_rejected(square):
 
 def test_establish_occupies_and_release_frees(square):
     before = square.occupancy_snapshot()
-    lp, delay = establish_lightpath(square, [0, 1, 2], NO_CONVERSION, 0.024)
+    lp = establish_lightpath(square, [0, 1, 2], NO_CONVERSION, 0.024)
     assert lp.wavelengths == [0, 0]
     assert lp.link_ids == [0, 1]
-    assert delay == pytest.approx(0.020)
-    assert lp.path_delay == delay
+    assert lp.path_delay == pytest.approx(0.020)
     assert square.links[0].owner(FORWARD, 0) == lp.id
     assert square.occupancy_snapshot() != before
     release_lightpath(square, lp)
@@ -273,10 +272,10 @@ def test_setup_delay_charges_conversions():
     topo = parse_topology("nodes 3\nlink 0 1 10 2\nlink 1 2 10 2\n")
     topo.links[0].occupy(FORWARD, 0, owner=-1)
     topo.links[1].occupy(FORWARD, 1, owner=-2)
-    lp, delay = establish_lightpath(topo, [0, 1, 2], FULL_CONVERSION, 0.024)
+    lp = establish_lightpath(topo, [0, 1, 2], FULL_CONVERSION, 0.024)
     assert lp.wavelengths == [1, 0]
     assert lp.wavelength_changes() == 1
-    assert delay == pytest.approx(0.010 + 0.010 + 0.024)
+    assert lp.path_delay == pytest.approx(0.010 + 0.010 + 0.024)
 
 
 def test_establish_primary_end_to_end(square):
@@ -284,7 +283,7 @@ def test_establish_primary_end_to_end(square):
     assert not result.blocked
     assert result.lightpath.route == [0, 1, 2]
     assert result.total_cost == 0.0  # both hops idle: LI = 1, cost 0
-    assert result.setup_delay == pytest.approx(0.020)
+    assert result.lightpath.path_delay == pytest.approx(0.020)
 
 
 def test_establish_primary_blocks_when_saturated():

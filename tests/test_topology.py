@@ -194,8 +194,8 @@ def test_channel_totals(square):
     square.links[0].occupy(FORWARD, 0, owner=1)
     assert square.occupied_channel_count() == 1
     set_link_state(square.links[0], up=False)
-    assert square.total_channel_count(up_only=True) == 3 * 2 * 8
-    assert square.occupied_channel_count(up_only=True) == 0
+    assert square.total_channel_count() == 3 * 2 * 8  # down links no longer count
+    assert square.occupied_channel_count() == 0
 
 
 def test_snapshot_reflects_mutation(square):
