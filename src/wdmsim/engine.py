@@ -4,6 +4,14 @@ Every run is driven by a single seeded RNG consumed only while pre-generating
 the arrival sequence, so identical (config, seed) pairs replay bit-identically.
 Events dequeue in (time, insertion seq) order, which makes simultaneous events
 deterministic too.
+
+Only events that carry a decision are scheduled: the lifecycle (arrival,
+departure, link failure, link repair), each connection's probe-window close,
+and one pending probe send per candidate, which schedules the candidate's next
+slot.  A probe's answer is no event: the prober records when it lands, and a
+window close, departure or drop delivers the answers that landed strictly
+before it.  Sample ticks run while a lifecycle event is pending, so the
+timeseries ends at the same tick whatever the router.
 """
 
 from __future__ import annotations
@@ -34,17 +42,17 @@ from .routing import (
     establish_primary,
     release_lightpath,
 )
-from .topology import Topology, default_topology, read_topology, set_link_state
+from .topology import Topology, default_topology, read_topology
 
 # event kinds
 ARRIVAL = "arrival"
 DEPARTURE = "departure"
 PROBE_SEND = "probe_send"
-FEEDBACK_ARRIVE = "feedback_arrive"
 LINK_FAILURE = "link_failure"
 LINK_REPAIR = "link_repair"
 SAMPLE_TICK = "sample_tick"
 PROBE_WINDOW = "probe_window"  # window rollover heartbeat, one per connection
+LIFECYCLE = frozenset({ARRIVAL, DEPARTURE, LINK_FAILURE, LINK_REPAIR})
 
 ROUTER_RFTR = "rftr"
 ROUTER_BASELINE = "baseline"
@@ -162,19 +170,6 @@ def generate_arrivals(
     return arrivals
 
 
-def random_failure_schedule(
-    topology: Topology, seed: int, tmax: float, count: int = 1
-) -> list[tuple[float, int]]:
-    """Seeded helper for reproducible single/multi link-failure schedules."""
-    rng = random.Random(seed ^ 0xFA11)
-    schedule = []
-    for _ in range(count):
-        t = rng.uniform(0.0, tmax)
-        link = rng.randrange(len(topology.links))
-        schedule.append((t, link))
-    return sorted(schedule)
-
-
 class Simulation:
     """Single-threaded event loop over one topology instance.
 
@@ -208,6 +203,7 @@ class Simulation:
         self.collector = metrics_mod.MetricsCollector(config)
         self._heap: list[tuple[float, int, str, dict]] = []
         self._eseq = itertools.count()
+        self._lifecycle_pending = 0
         self._cid = itertools.count()
         self._initial_occupancy = None
         # Pre-generated workload, exposed so scripted scenarios can pin
@@ -217,6 +213,8 @@ class Simulation:
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, time: float, kind: str, **payload) -> None:
+        if kind in LIFECYCLE:
+            self._lifecycle_pending += 1
         heapq.heappush(self._heap, (time, next(self._eseq), kind, payload))
 
     # -- run ----------------------------------------------------------------
@@ -225,30 +223,29 @@ class Simulation:
         self._initial_occupancy = self.topology.occupancy_snapshot()
         for t, src, dst, holding in self.arrivals:
             self.schedule(t, ARRIVAL, src=src, dst=dst, holding=holding)
-        for t, link_id in self.config.failures:
-            self._check_link_id(link_id)
-            self.schedule(t, LINK_FAILURE, link_id=link_id)
-        for t, link_id in self.config.repairs:
-            self._check_link_id(link_id)
-            self.schedule(t, LINK_REPAIR, link_id=link_id)
+        for kind, events in ((LINK_FAILURE, self.config.failures),
+                             (LINK_REPAIR, self.config.repairs)):
+            for t, link_id in events:
+                if not 0 <= link_id < len(self.topology.links):
+                    raise ConfigError(f"unknown link {link_id} in failure schedule")
+                self.schedule(t, kind, link_id=link_id)
         self.schedule(self.config.sample_interval, SAMPLE_TICK)
 
         heap = self._heap
         handlers = self._HANDLERS
         while heap:
             time, _, kind, payload = heapq.heappop(heap)
+            if kind in LIFECYCLE:
+                self._lifecycle_pending -= 1
             if time < self.now - 1e-12:
                 raise InvariantError("event clock went backwards")
-            self.now = max(self.now, time)
+            if time > self.now:
+                self.now = time
             handlers[kind](self, **payload)
 
         if self.audit and self.topology.occupancy_snapshot() != self._initial_occupancy:
             raise InvariantError("channel leak: occupancy differs from the pre-run state")
         return self.collector.finalize()
-
-    def _check_link_id(self, link_id: int) -> None:
-        if not 0 <= link_id < len(self.topology.links):
-            raise ConfigError(f"unknown link {link_id} in failure schedule")
 
     # -- handlers -----------------------------------------------------------
 
@@ -297,33 +294,28 @@ class Simulation:
 
     def _on_probe_send(self, conn_id: int, path_index: int, probe_seq: int) -> None:
         conn = self.connections.get(conn_id)
-        if conn is None or conn.prober is None:
+        if conn is None:
             return  # stale: session ended before the probe went out
-        candidates = conn.prober.candidates
+        prober = conn.prober
         outcome = probe_outcome(
-            self.topology, candidates.paths[path_index], self.config.conversion_mode
+            self.topology, prober.candidates.paths[path_index], self.config.conversion_mode
         )
         self.collector.on_probe_sent()
-        self.schedule(
-            self.now + candidates.rtts[path_index],
-            FEEDBACK_ARRIVE,
-            conn_id=conn_id,
-            path_index=path_index,
-            probe_seq=probe_seq,
-            outcome=outcome,
-        )
+        t = prober.sent(path_index, probe_seq, outcome, self.now)
+        if t is not None:
+            self.schedule(t, PROBE_SEND, conn_id=conn_id, path_index=path_index,
+                          probe_seq=probe_seq + 1)
 
-    def _on_feedback(self, conn_id: int, path_index: int, probe_seq: int, outcome: str) -> None:
-        conn = self.connections.get(conn_id)
-        if conn is None or conn.prober is None:
-            return
-        conn.prober.feedback(path_index, probe_seq, outcome)
-        self.collector.on_probe_feedback(outcome)
+    def _deliver_feedback(self, prober: ConnectionProber) -> None:
+        for path_index, seq, outcome in prober.landed(self.now):
+            prober.feedback(path_index, seq, outcome)
+            self.collector.on_probe_feedback(outcome)
 
     def _on_probe_window(self, conn_id: int) -> None:
         conn = self.connections.get(conn_id)
-        if conn is None or conn.prober is None:
+        if conn is None:
             return
+        self._deliver_feedback(conn.prober)
         conn.backups = conn.prober.close_and_rank()
         self._open_probe_window(conn)
 
@@ -331,12 +323,14 @@ class Simulation:
         conn = self.connections.pop(conn_id, None)
         if conn is None:
             return  # stale departure for a dropped session
+        if conn.prober is not None:
+            self._deliver_feedback(conn.prober)
         release_lightpath(self.topology, conn.current)
         self.collector.on_completed(conn, self.now)
 
     def _on_link_failure(self, link_id: int) -> None:
         link = self.topology.links[link_id]
-        set_link_state(link, False)
+        link.up = False
         affected = sorted(
             (conn for conn in self.connections.values() if link.id in conn.current.link_ids),
             key=lambda c: c.id,
@@ -354,6 +348,8 @@ class Simulation:
             )
             if new_lp is None:
                 del self.connections[conn.id]
+                if conn.prober is not None:
+                    self._deliver_feedback(conn.prober)
                 conn.current = None
                 self.collector.on_dropped(conn, self.now)
             else:
@@ -364,11 +360,11 @@ class Simulation:
             self._check_failure_safety()
 
     def _on_link_repair(self, link_id: int) -> None:
-        set_link_state(self.topology.links[link_id], True)
+        self.topology.links[link_id].up = True
 
     def _on_sample_tick(self) -> None:
         self.collector.on_sample(self.topology, self.now)
-        if self._heap:
+        if self._lifecycle_pending:
             self.schedule(self.now + self.config.sample_interval, SAMPLE_TICK)
 
     # unbound, so a Simulation holds no reference cycle and is freed on last use
@@ -376,7 +372,6 @@ class Simulation:
         ARRIVAL: _on_arrival,
         DEPARTURE: _on_departure,
         PROBE_SEND: _on_probe_send,
-        FEEDBACK_ARRIVE: _on_feedback,
         LINK_FAILURE: _on_link_failure,
         LINK_REPAIR: _on_link_repair,
         SAMPLE_TICK: _on_sample_tick,

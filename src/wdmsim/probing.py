@@ -5,10 +5,10 @@ that are link-disjoint from the primary.  Each update interval it sends a
 small batch of sequence-numbered probes down every candidate; the far end
 answers PACK when the route could currently carry a lightpath and NACK when
 it could not (a hop down, or no admissible wavelength).  The NACKed fraction
-of the probes answered before their window closes is the route's blocking
-estimate, and at each close the candidates are ranked ascending by it so
-that a failure reroutes onto the best measured route first.  Sub-optimal candidates keep receiving probes, so the
-ranking tracks load changes.
+of the probes whose answers land before their window closes is the route's
+blocking estimate, and at each close the candidates are ranked ascending by
+it, so a failure reroutes onto the best measured route first.  Sub-optimal
+candidates keep receiving probes, so the ranking tracks load changes.
 """
 
 from __future__ import annotations
@@ -130,12 +130,12 @@ def probe_outcome(topology: Topology, route, mode: str = NO_CONVERSION) -> str:
 class ConnectionProber:
     """Probe windows over one connection's candidate set.
 
-    Every window sends ``count`` probes down each candidate, so probe
-    ``seq`` belongs to window ``seq // count`` on every candidate.  The
-    state is the open window's PACK/NACK tally per candidate plus the
-    in-flight ``(path_index, seq)`` pairs.  Feedback that lands after its
-    window closed is accepted but moves no ranking: a window's estimate is
-    read once, when it closes.
+    Every window sends ``count`` evenly spaced probes down each candidate,
+    so probe ``seq`` is slot ``seq % count`` of window ``seq // count``.
+    The state is the open window's PACK/NACK tally per candidate, the
+    answered ``(path_index, seq)`` pairs and the undelivered answers with
+    their landing times.  Feedback delivered after its window closed moves
+    no ranking: a window's estimate is read once, when it closes.
     """
 
     def __init__(self, candidates: CandidateSet, count: int, interval: float, m: int):
@@ -146,32 +146,46 @@ class ConnectionProber:
         n = len(candidates.paths)
         self._acks = [0] * n
         self._nacks = [0] * n
-        self._in_flight: set[tuple[int, int]] = set()
+        self._answered: set[tuple[int, int]] = set()
+        self._landing: list[tuple[float, int, int, str]] = []  # (land, path_index, seq, outcome)
+        self._send_times: list[float] = []  # the open window's send time per slot
         self._next_seq = 0  # first seq of the next window
         self._open_from = 0  # first seq the open window counts; == _next_seq when closed
 
     def open_windows(self, now: float) -> list[tuple[float, int, int]]:
-        """Open a window on every candidate; returns (time, path_index, seq) sends."""
+        """Open a window; returns each candidate's first send, ``(time, path_index, seq)``."""
         count, interval, first = self.count, self.interval, self._next_seq
         self._open_from = first
         self._next_seq = first + count
-        sends = []
-        for j in range(len(self.candidates.paths)):
-            for i in range(count):
-                seq = first + i
-                sends.append((now + (i + 1) * interval / (count + 1), j, seq))
-                self._in_flight.add((j, seq))
-        return sends
+        self._send_times = [now + (i + 1) * interval / (count + 1) for i in range(count)]
+        start = self._send_times[0]
+        return [(start, j, first) for j in range(len(self.candidates.paths))]
+
+    def sent(self, path_index: int, seq: int, outcome: str, now: float) -> float | None:
+        """Record a probe sent at ``now``; returns seq + 1's send time, None after the last slot."""
+        self._landing.append((now + self.candidates.rtts[path_index], path_index, seq, outcome))
+        slot = seq % self.count + 1
+        return self._send_times[slot] if slot < self.count else None
+
+    def landed(self, now: float) -> list[tuple[int, int, str]]:
+        """Pop ``(path_index, seq, outcome)`` of each answer landing strictly before ``now``.
+
+        An answer landing at a window close, departure or drop comes after it.
+        """
+        due = [r[1:] for r in self._landing if r[0] < now]
+        if due:
+            self._landing = [r for r in self._landing if r[0] >= now]
+        return due
 
     def feedback(self, path_index: int, seq: int, outcome: str) -> None:
         if outcome not in (PACK, NACK):
             raise ValueError(f"outcome must be {PACK!r} or {NACK!r}, got {outcome!r}")
-        key = (path_index, seq)
-        if key not in self._in_flight:
-            if 0 <= path_index < len(self._acks) and 0 <= seq < self._next_seq:
-                raise DuplicateFeedbackError(f"feedback for seq {seq} already recorded")
+        if not (0 <= path_index < len(self._acks) and 0 <= seq < self._next_seq):
             raise UnknownSequenceError(f"seq {seq} unknown on path {path_index}")
-        self._in_flight.remove(key)
+        key = (path_index, seq)
+        if key in self._answered:
+            raise DuplicateFeedbackError(f"feedback for seq {seq} already recorded")
+        self._answered.add(key)
         if seq >= self._open_from:
             tally = self._acks if outcome == PACK else self._nacks
             tally[path_index] += 1

@@ -78,10 +78,6 @@ class Link:
         """Bitmask of the lane's free wavelengths: bit w is set while w is free."""
         return self._free[lane]
 
-    def free_indices(self, lane: int) -> list[int]:
-        mask = self._free[lane]
-        return [w for w in range(self.total_channels) if mask >> w & 1]
-
     def free_count(self, lane: int) -> int:
         return self._free[lane].bit_count()
 
@@ -214,11 +210,6 @@ class Topology:
                     seen.add(v)
                     queue.append(v)
         return len(seen) == self.num_nodes
-
-
-def set_link_state(link: Link, up: bool) -> None:
-    """Flip link status; occupancy is untouched and repeated calls are no-ops."""
-    link.up = up
 
 
 def parse_topology(text: str) -> Topology:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from wdmsim.topology import Link, Topology, set_link_state
+from wdmsim.topology import Link, Topology
 
 
 def simple_paths(topology: Topology, src: int, dst: int, banned_links=frozenset()):
@@ -108,7 +108,7 @@ def random_topology(rng: random.Random, max_nodes: int = 8) -> Topology:
                 if rng.random() < 0.4:
                     link.occupy(lane, w, owner=-(link.id * 100 + lane * 10 + w + 1))
         if rng.random() < 0.1:
-            set_link_state(link, up=False)
+            link.up = False
     return topology
 
 
@@ -134,3 +134,25 @@ def erlang_b(a: float, w: int) -> float:
     for k in range(1, w + 1):
         b = a * b / (k + a * b)
     return b
+
+
+def random_failure_schedule(
+    topology: Topology, seed: int, tmax: float, count: int = 1
+) -> list[tuple[float, int]]:
+    """Seeded ``count`` link failures, uniform in [0, tmax] over the links, sorted by time."""
+    rng = random.Random(seed ^ 0xFA11)
+    schedule = []
+    for _ in range(count):
+        t = rng.uniform(0.0, tmax)
+        link = rng.randrange(len(topology.links))
+        schedule.append((t, link))
+    return sorted(schedule)
+
+
+def window_probes(prober, now: float) -> list[tuple[int, int]]:
+    """Open a window; every ``(path_index, seq)`` it sends, candidate by candidate.
+
+    ``open_windows`` returns only each candidate's first send, and the
+    window's ``count`` seqs are consecutive from it.
+    """
+    return [(j, seq + i) for _, j, seq in prober.open_windows(now) for i in range(prober.count)]

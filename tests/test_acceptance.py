@@ -12,7 +12,13 @@ import statistics
 import time
 from fractions import Fraction
 
-from oracles import k_best_disjoint, min_cost_route, random_topology
+from oracles import (
+    k_best_disjoint,
+    min_cost_route,
+    random_failure_schedule,
+    random_topology,
+    window_probes,
+)
 from wdmsim.cli import run_scenario
 from wdmsim.config import parse_config
 from wdmsim.engine import (
@@ -20,7 +26,6 @@ from wdmsim.engine import (
     ROUTER_RFTR,
     SimConfig,
     Simulation,
-    random_failure_schedule,
     run,
 )
 from wdmsim.errors import InvariantError
@@ -84,7 +89,7 @@ def test_criterion_1_formula_fidelity(capsys):
 
     # NACK fraction over resolved probes, plus the no-evidence sentinel
     prober = one_route_prober(10)
-    for _, j, seq in prober.open_windows(0.0):
+    for j, seq in window_probes(prober, 0.0):
         prober.feedback(j, seq, NACK if seq < 3 else PACK)
     assert prober.estimates() == [float(Fraction(3, 10))]
     assert one_route_prober(10).estimates() == [1.0]
@@ -156,9 +161,9 @@ def test_criterion_3_estimator_convergence(capsys):
         hits = 0
         prober = one_route_prober(N)
         for w in range(windows_per_p):
-            sends = prober.open_windows(0.5 * w)
+            sends = window_probes(prober, 0.5 * w)
             assert len(sends) == N
-            for _, j, seq in sends:
+            for j, seq in sends:
                 prober.feedback(j, seq, NACK if rng.random() < p else PACK)
             [estimate] = prober.estimates()
             prober.close_and_rank()

@@ -5,24 +5,30 @@ import statistics
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import wdmsim
-from oracles import erlang_b
+from oracles import erlang_b, random_failure_schedule
 from wdmsim.engine import (
+    ARRIVAL,
+    DEPARTURE,
+    PROBE_SEND,
+    PROBE_WINDOW,
     ROUTER_BASELINE,
     ROUTER_RFTR,
+    SAMPLE_TICK,
     SimConfig,
     Simulation,
     build_topology,
     generate_arrivals,
-    random_failure_schedule,
     run,
 )
 from wdmsim.errors import ConfigError
+from wdmsim.probing import ConnectionProber
 from wdmsim.topology import parse_topology
 
 SQUARE = "nodes 4\n" + "\n".join(
@@ -197,6 +203,17 @@ def test_sampling_covers_the_run():
     assert len(times) >= 10
 
 
+def test_routers_share_the_sampling_horizon():
+    # enough channels that neither router blocks: both see the same demands
+    # and departures, so only rftr's probe events could stretch its series
+    cfg = SimConfig(wavelengths=16, arrival_rate=2.0, holding_time=0.5, max_requests=200, seed=4)
+    rftr = run(replace(cfg, router=ROUTER_RFTR))
+    baseline = run(replace(cfg, router=ROUTER_BASELINE))
+    assert rftr.blocked == baseline.blocked == 0
+    assert rftr.probes_sent > 0
+    assert [row[0] for row in rftr.series] == [row[0] for row in baseline.series]
+
+
 def test_full_conversion_mode_runs_clean():
     report = run(SimConfig(conversion_mode="full", seed=6, arrival_rate=4.0,
                            wavelengths=2, holding_time=0.5), audit=True)
@@ -304,6 +321,85 @@ def test_connections_hold_only_live_sessions():
     report = sim.run()
     assert report.blocked > 0 and report.dropped > 0 and report.restored > 0
     assert sim.connections == {}
+
+
+# -- event model: only events that carry a decision ----------------------------
+
+def test_reference_run_schedules_only_decision_events(monkeypatch):
+    # the reference rftr scenario: default mesh, 4 sources at 4 calls/s, 5000 demands
+    kinds = Counter()
+    schedule = Simulation.schedule
+
+    def counting(self, time, kind, **payload):
+        kinds[kind] += 1
+        schedule(self, time, kind, **payload)
+
+    monkeypatch.setattr(Simulation, "schedule", counting)
+    cfg = SimConfig(wavelengths=8, arrival_rate=4.0, holding_time=0.5, session_traffics=4,
+                    max_requests=5000, seed=1)
+    report = Simulation(cfg).run()
+    assert set(kinds) == {ARRIVAL, DEPARTURE, PROBE_SEND, PROBE_WINDOW, SAMPLE_TICK}
+    assert "feedback_arrive" not in kinds  # answers are tallied at send, not scheduled
+    assert report.probes_sent == 141_030
+    stale_sends = kinds[PROBE_SEND] - report.probes_sent  # a live send sends one probe
+    ended = report.completed + report.dropped
+    assert 0 <= stale_sends <= cfg.candidates_k * ended  # at most one per candidate
+    assert sum(kinds.values()) <= 175_000
+
+
+# A 0->1 demand at t = 0 on a triangle.  One busy channel on each detour link
+# steers the primary onto the direct link 0-1, leaving the detour [0,2,1] as
+# the only candidate.  One probe per 0.5 s window goes out at 0.25 s into the
+# window, and its answer lands one detour round trip later: 62.5 ms links give
+# exactly 0.25 s, landing on the window's close; 50 ms links land before it.
+TRIANGLE = "nodes 3\nlink 0 1 10 8\nlink 0 2 {ms} 8\nlink 2 1 {ms} 8\n"
+
+
+def landing_run(monkeypatch, detour_ms, holding, failures=()):
+    """(report, estimate of each window at its close) for the triangle demand."""
+    topo = parse_topology(TRIANGLE.format(ms=detour_ms))
+    for link in topo.links[1:]:
+        for lane in (0, 1):
+            link.occupy(lane, 7, owner=-1 - 2 * link.id - lane)
+    estimates = []
+    close = ConnectionProber.close_and_rank
+
+    def recording(prober):
+        estimates.append(prober.estimates())
+        return close(prober)
+
+    monkeypatch.setattr(ConnectionProber, "close_and_rank", recording)
+    cfg = SimConfig(max_requests=1, probes_per_interval=1, probe_interval=0.5,
+                    failures=list(failures))
+    sim = Simulation(cfg, topology=topo, audit=True)
+    sim.arrivals = [(0.0, 0, 1, holding)]
+    return sim.run(), estimates
+
+
+@pytest.mark.parametrize("holding", [1.9, 2.0])
+def test_feedback_landing_at_close_counts_only_in_totals(monkeypatch, holding):
+    # sends at 0.25, 0.75, 1.25, 1.75 land at 0.5, 1.0, 1.5, 2.0: each lands on
+    # its window's close, so no window sees it; the last lands at or after the
+    # departure and counts nowhere
+    report, estimates = landing_run(monkeypatch, 62.5, holding)
+    assert estimates == [[1.0]] * 3
+    assert report.probes_sent == 4
+    assert (report.probe_packs, report.probe_nacks) == (3, 0)
+
+
+def test_feedback_landing_before_close_moves_the_estimate(monkeypatch):
+    report, estimates = landing_run(monkeypatch, 50, 2.0)  # lands 0.05 s before each close
+    assert estimates == [[0.0]] * 3
+    assert (report.probes_sent, report.probe_packs) == (4, 4)
+
+
+def test_feedback_landing_at_drop_counts_nowhere(monkeypatch):
+    # at 1.0 the detour fails, then the primary: the demand drops with the
+    # answer sent at 0.75 landing at that instant
+    report, estimates = landing_run(monkeypatch, 62.5, 2.0, failures=[(1.0, 2), (1.0, 0)])
+    assert report.dropped == 1
+    assert estimates == [[1.0]]
+    assert (report.probes_sent, report.probe_packs, report.probe_nacks) == (2, 1, 0)
 
 
 # -- invariants under python -O ------------------------------------------------

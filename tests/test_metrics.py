@@ -18,7 +18,7 @@ from wdmsim.metrics import (
 )
 from wdmsim.engine import SimConfig
 from wdmsim.routing import establish_lightpath
-from wdmsim.topology import FORWARD, parse_topology, set_link_state
+from wdmsim.topology import FORWARD, parse_topology
 
 CONFIG = SimConfig(data_rate_mbps=2.0, packet_size=200)
 
@@ -101,7 +101,7 @@ def test_utilization_counts_both_lanes(square):
 
 def test_utilization_ignores_down_links(square):
     establish_lightpath(square, [0, 1], "none", 0.024)
-    set_link_state(square.links[0], up=False)
+    square.links[0].up = False
     assert sample_utilization(square) == 0.0  # the only occupied link no longer counts
 
 

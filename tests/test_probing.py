@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import k_best_disjoint, random_topology, rank_by_feedback
+from oracles import k_best_disjoint, random_topology, rank_by_feedback, window_probes
 from wdmsim.engine import SimConfig, Simulation
 from wdmsim.errors import ConfigError, DuplicateFeedbackError, UnknownSequenceError
 from wdmsim.probing import (
@@ -18,7 +18,7 @@ from wdmsim.probing import (
     reroute,
 )
 from wdmsim.routing import establish_primary, establish_baseline
-from wdmsim.topology import FORWARD, parse_topology, set_link_state
+from wdmsim.topology import FORWARD, parse_topology
 
 LT = SimConfig().load_threshold
 
@@ -62,7 +62,7 @@ def test_k_shortest_respects_bans(square):
 
 def test_candidates_ignore_link_state(square):
     # availability is the prober's business: a down link still enumerates
-    set_link_state(square.links[3], up=False)
+    square.links[3].up = False
     assert k_shortest_hop_paths(square, 0, 2, k=3) == [(0, 1, 2), (0, 3, 2)]
 
 
@@ -146,13 +146,29 @@ def test_policy_validation():
 
 def test_emit_probes_spread_and_accounting():
     prober = make_prober(paths=[(0, 1, 9)], probes=4)
-    sends = prober.open_windows(2.0)
+    [(t, j, seq)] = prober.open_windows(2.0)
+    sends = []
+    while t is not None:  # each send names the time of the next one
+        sends.append((t, j, seq))
+        t, seq = prober.sent(j, seq, PACK, t), seq + 1
     assert [seq for _, _, seq in sends] == [0, 1, 2, 3]
     assert [t for t, _, _ in sends] == pytest.approx([2.1, 2.2, 2.3, 2.4])
     for _, j, seq in sends:  # every emitted probe is in flight exactly once
         prober.feedback(j, seq, PACK)
     with pytest.raises(UnknownSequenceError):
         prober.feedback(0, 4, PACK)
+
+
+def test_answers_land_one_round_trip_after_the_send():
+    cands = CandidateSet(paths=[(0, 1, 9), (0, 2, 9)], rtts=(0.25, 0.5))
+    prober = ConnectionProber(cands, 1, 0.5, m=2)
+    assert prober.open_windows(0.0) == [(0.25, 0, 0), (0.25, 1, 0)]
+    assert prober.sent(0, 0, PACK, 0.25) is None  # one slot a window: no next send
+    assert prober.sent(1, 0, NACK, 0.25) is None
+    assert prober.landed(0.5) == []  # landing at 0.5 is not before 0.5
+    assert prober.landed(0.75) == [(0, 0, PACK)]
+    assert prober.landed(0.76) == [(1, 0, NACK)]
+    assert prober.landed(10.0) == []  # each answer is handed over once
 
 
 def test_feedback_tallies_and_guards():
@@ -174,7 +190,7 @@ def test_feedback_tallies_and_guards():
 
 def test_blocking_probability_fraction_and_sentinel():
     prober = make_prober(paths=[(0, 1, 9)], probes=10)
-    for _, j, seq in prober.open_windows(0.0):
+    for j, seq in window_probes(prober, 0.0):
         prober.feedback(j, seq, PACK if seq < 7 else NACK)
     assert prober.estimates() == [3 / 10]
     assert make_prober(paths=[(0, 1, 9)]).estimates() == [1.0]
@@ -184,7 +200,7 @@ def test_blocking_probability_fraction_and_sentinel():
 
 def test_probe_outcome_reports_admissibility(square):
     assert probe_outcome(square, (0, 1, 2)) == PACK
-    set_link_state(square.links[0], up=False)
+    square.links[0].up = False
     assert probe_outcome(square, (0, 1, 2)) == NACK
 
 
@@ -197,7 +213,7 @@ def test_probe_outcome_sees_wavelength_exhaustion():
 
 def test_probe_outcome_nacks_only_route_faults(square):
     assert probe_outcome(square, (0, 2)) == NACK  # no link between 0 and 2
-    set_link_state(square.links[1], up=False)
+    square.links[1].up = False
     assert probe_outcome(square, (0, 1, 2)) == NACK
     with pytest.raises(TypeError):  # a defect is not a blocked route
         probe_outcome(square, (0, "x"))
@@ -206,9 +222,9 @@ def test_probe_outcome_nacks_only_route_faults(square):
 def test_probe_outcome_never_mutates(square):
     before = square.occupancy_snapshot()
     probe_outcome(square, (0, 1, 2))
-    set_link_state(square.links[1], up=False)
+    square.links[1].up = False
     probe_outcome(square, (0, 1, 2))
-    set_link_state(square.links[1], up=True)
+    square.links[1].up = True
     assert square.occupancy_snapshot() == before
 
 
@@ -216,7 +232,7 @@ def test_probe_outcome_never_mutates(square):
 
 def answer(prober, now, nacks_by_path):
     """Open a window; path j NACKs its first nacks_by_path[j] probes, PACKs the rest."""
-    for _, j, seq in prober.open_windows(now):
+    for j, seq in window_probes(prober, now):
         prober.feedback(j, seq, NACK if seq % prober.count < nacks_by_path[j] else PACK)
 
 
@@ -240,7 +256,7 @@ def test_rank_breaks_ties_by_hops_then_route():
 
 def test_rank_sentinel_never_beats_measured_success():
     prober = make_prober(([0, 1, 9], [0, 2, 9]), probes=10)
-    for _, j, seq in prober.open_windows(0.0):
+    for j, seq in window_probes(prober, 0.0):
         if j == 1:  # path 0 never answers: sentinel 1.0
             prober.feedback(j, seq, NACK if seq < 9 else PACK)
     assert prober.estimates() == [1.0, 0.9]
@@ -258,9 +274,9 @@ def test_prober_initial_backups_follow_candidate_order():
 
 def test_prober_reranks_on_measured_blocking():
     prober = make_prober()
-    sends = prober.open_windows(0.0)
+    sends = window_probes(prober, 0.0)
     assert len(sends) == 8  # 4 probes x 2 candidates
-    for _, j, seq in sends:
+    for j, seq in sends:
         prober.feedback(j, seq, NACK if j == 0 else PACK)
     backups = prober.close_and_rank()
     assert backups == [(0, 2, 9), (0, 1, 9)]
@@ -268,34 +284,33 @@ def test_prober_reranks_on_measured_blocking():
 
 def test_prober_sequences_continue_across_windows():
     prober = make_prober()
-    first = prober.open_windows(0.0)
-    for _, j, seq in first:
+    first = window_probes(prober, 0.0)
+    for j, seq in first:
         prober.feedback(j, seq, PACK)
     prober.close_and_rank()
-    second = prober.open_windows(0.5)
-    first_seqs = {(j, s) for _, j, s in first}
-    second_seqs = {(j, s) for _, j, s in second}
-    assert not (first_seqs & second_seqs)
+    second = window_probes(prober, 0.5)
+    assert not (set(first) & set(second))
 
 
 def test_prober_accepts_feedback_after_rollover():
     prober = make_prober()
-    first = prober.open_windows(0.0)
+    first = window_probes(prober, 0.0)
     prober.close_and_rank()  # closes with everything still in flight
     prober.open_windows(0.5)
-    for _, j, seq in first[:-1]:  # late PACK/NACK still lands
+    for j, seq in first[:-1]:  # late PACK/NACK still lands
         prober.feedback(j, seq, PACK)
     assert prober.estimates() == [1.0, 1.0]  # ... but moves no open-window estimate
     # a replay of an answered probe is a duplicate, whether or not others are in flight
-    resolved_on_pending_path = next(s for s in first[:-1] if s[1] == first[-1][1])
+    pending_path, pending_seq = first[-1]
+    resolved_on_pending_path = next(s for s in first[:-1] if s[0] == pending_path)
     with pytest.raises(DuplicateFeedbackError):
-        prober.feedback(resolved_on_pending_path[1], resolved_on_pending_path[2], PACK)
-    prober.feedback(first[-1][1], first[-1][2], PACK)
+        prober.feedback(*resolved_on_pending_path, PACK)
+    prober.feedback(pending_path, pending_seq, PACK)
     # once every probe of the closed window is answered, replays are still duplicates
     with pytest.raises(DuplicateFeedbackError):
-        prober.feedback(first[-1][1], first[-1][2], PACK)
+        prober.feedback(pending_path, pending_seq, PACK)
     with pytest.raises(UnknownSequenceError):
-        prober.feedback(2, first[-1][2], PACK)  # a path index never probed
+        prober.feedback(2, pending_seq, PACK)  # a path index never probed
 
 
 def test_prober_keeps_probing_suboptimal_candidates():
@@ -326,7 +341,7 @@ def test_prober_ranking_matches_on_time_oracle(data):
     late = []  # feedback of the previous window, landing after it closed
     for w in range(data.draw(st.integers(1, 4), label="windows")):
         on_time, next_late = [], []
-        for _, j, seq in prober.open_windows(0.5 * w):
+        for j, seq in window_probes(prober, 0.5 * w):
             outcome = data.draw(st.sampled_from([PACK, NACK]))
             (on_time if data.draw(st.booleans()) else next_late).append((j, seq, outcome))
         for j, seq, outcome in data.draw(st.permutations(late + on_time), label="landing"):
@@ -349,13 +364,13 @@ def test_reroute_takes_first_viable_backup(square):
 
 
 def test_reroute_skips_down_and_saturated(square):
-    set_link_state(square.links[0], up=False)  # kills (0,1,2)
+    square.links[0].up = False  # kills (0,1,2)
     lp = reroute(square, [(0, 1, 2), (0, 3, 2)], "none", 0.024)
     assert lp.route == [0, 3, 2]
 
 
 def test_reroute_falls_back_to_fresh_search(square):
-    set_link_state(square.links[0], up=False)
+    square.links[0].up = False
     calls = []
 
     def fallback(role):

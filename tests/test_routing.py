@@ -28,7 +28,7 @@ from wdmsim.routing import (
     release_lightpath,
     unit_edge_cost,
 )
-from wdmsim.topology import FORWARD, parse_topology, set_link_state
+from wdmsim.topology import FORWARD, parse_topology
 
 LT = SimConfig().load_threshold
 
@@ -87,7 +87,7 @@ def test_unit_cost_only_cares_about_state(square):
     link = square.links[0]
     occupy_forward(link, 8)
     assert unit_edge_cost(link, 0, 1) == 1.0
-    set_link_state(link, up=False)
+    link.up = False
     assert unit_edge_cost(link, 0, 1) == math.inf
 
 
@@ -136,7 +136,7 @@ def test_banned_links_and_nodes(square):
 
 def test_no_route_when_all_down(square):
     for link in square.links:
-        set_link_state(link, up=False)
+        link.up = False
     assert least_cost_path(square, 0, 2, unit_edge_cost) is None
 
 
@@ -213,7 +213,7 @@ def test_free_mask_tracks_owner_map_and_first_fit_oracle(seed, ops):
     """After any occupy/release sequence the mask-based reads equal the owner map's."""
     topo = random_topology(random.Random(seed))
     for link in topo.links:
-        set_link_state(link, up=True)
+        link.up = True
     for i, lane, w in ops:
         link = topo.links[i % len(topo.links)]
         w %= link.total_channels
@@ -223,7 +223,7 @@ def test_free_mask_tracks_owner_map_and_first_fit_oracle(seed, ops):
         else:
             link.release(lane, w, owner=owner)
         free = free_wavelengths(link, lane)
-        assert link.free_indices(lane) == sorted(free)
+        assert link.free_mask(lane) == sum(1 << w for w in free)
         assert link.free_count(lane) == len(free)
         assert link.load_index(lane) == len(free) / link.total_channels
     for src in range(topo.num_nodes):
@@ -236,7 +236,7 @@ def test_free_mask_tracks_owner_map_and_first_fit_oracle(seed, ops):
 
 
 def test_assignment_rejects_down_link(square):
-    set_link_state(square.links[0], up=False)
+    square.links[0].up = False
     with pytest.raises(LinkDownError):
         assign_wavelength(square, [0, 1, 2], NO_CONVERSION)
 
@@ -306,7 +306,7 @@ def test_baseline_prefers_hops_over_load(square):
 
 
 def test_baseline_routes_around_down_link(square):
-    set_link_state(square.links[0], up=False)
+    square.links[0].up = False
     result = establish_baseline(square, 0, 1)
     assert result.lightpath.route == [0, 3, 2, 1]
 

@@ -16,7 +16,6 @@ from wdmsim.topology import (
     Topology,
     default_topology,
     parse_topology,
-    set_link_state,
 )
 
 
@@ -112,10 +111,10 @@ def test_occupy_conflict_and_release_guards(square):
 
 def test_occupy_down_link_refused(square):
     link = square.links[0]
-    set_link_state(link, up=False)
+    link.up = False
     with pytest.raises(LinkDownError):
         link.occupy(FORWARD, 0, owner=1)
-    set_link_state(link, up=True)
+    link.up = True
     link.occupy(FORWARD, 0, owner=1)
 
 
@@ -126,7 +125,7 @@ def test_load_index_free_fraction(square):
         link.occupy(FORWARD, w, owner=1)
     assert link.load_index(FORWARD) == 0.5
     assert link.load_index(REVERSE) == 1.0
-    set_link_state(link, up=False)
+    link.up = False
     assert link.load_index(FORWARD) == 0.0
     assert link.load_index(REVERSE) == 0.0
 
@@ -134,8 +133,8 @@ def test_load_index_free_fraction(square):
 def test_down_link_remembers_occupancy(square):
     link = square.links[0]
     link.occupy(FORWARD, 2, owner=9)
-    set_link_state(link, up=False)
-    set_link_state(link, up=True)
+    link.up = False
+    link.up = True
     assert link.owner(FORWARD, 2) == 9
 
 
@@ -183,9 +182,9 @@ def test_hops_repeat_equal_and_missing_link_raises_every_time(square):
 
 def test_connectivity_accounts_for_down_links(square):
     assert square.is_connected()
-    set_link_state(square.links[0], up=False)
+    square.links[0].up = False
     assert square.is_connected()  # still a path the other way round
-    set_link_state(square.links[1], up=False)
+    square.links[1].up = False
     assert not square.is_connected()
 
 
@@ -193,7 +192,7 @@ def test_channel_totals(square):
     assert square.total_channel_count() == 4 * 2 * 8
     square.links[0].occupy(FORWARD, 0, owner=1)
     assert square.occupied_channel_count() == 1
-    set_link_state(square.links[0], up=False)
+    square.links[0].up = False
     assert square.total_channel_count() == 3 * 2 * 8  # down links no longer count
     assert square.occupied_channel_count() == 0
 
