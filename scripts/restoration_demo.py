@@ -28,7 +28,7 @@ def scripted_run(seed: int, saturate: bool):
             link = topo.links[link_id]
             for lane in (0, 1):
                 for w in range(link.total_channels):
-                    link.occupy(lane, w, owner=-(100 + link_id * 10 + lane))
+                    link.occupy(lane, w)
     cfg = SimConfig(arrival_rate=50.0, max_requests=1, seed=seed,
                     failures=[(1.0, 0)], router=ROUTER_RFTR)
     sim = Simulation(cfg, topology=topo, audit=True)

@@ -20,7 +20,6 @@ from .errors import (
     InvariantError,
     LinkDownError,
     NoSuchNodeError,
-    NotOwnerError,
     SimError,
     TopologyError,
     TopologyParseError,
@@ -39,7 +38,6 @@ __all__ = [
     "LinkDownError",
     "MetricsReport",
     "NoSuchNodeError",
-    "NotOwnerError",
     "Scenario",
     "SimConfig",
     "SimError",

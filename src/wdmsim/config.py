@@ -22,12 +22,7 @@ SWEEP_SOURCES = "sources"
 
 ROUTER_BOTH = "both"
 
-_ROUTER_ALIASES = {
-    "rftr": ROUTER_RFTR,
-    "baseline": ROUTER_BASELINE,
-    "baseline-shortest-hop": ROUTER_BASELINE,
-    "both": ROUTER_BOTH,
-}
+ROUTERS = (ROUTER_RFTR, ROUTER_BASELINE, ROUTER_BOTH)
 
 # SimConfig's fields are the schema: config key -> field name, field -> type
 _FIELD_OF_KEY = {
@@ -137,10 +132,9 @@ def parse_config(text: str) -> Scenario:
             base_kwargs[name] = _field_value(key, value, _FIELD_TYPES[name])
     router = ROUTER_RFTR
     if "router" in values:
-        alias = values["router"].strip().lower()
-        if alias not in _ROUTER_ALIASES:
+        router = values["router"].strip().lower()
+        if router not in ROUTERS:
             raise ConfigError(f"router: unknown value {values['router']!r}")
-        router = _ROUTER_ALIASES[alias]
     base = SimConfig(**base_kwargs)
     if router != ROUTER_BOTH:
         base = replace(base, router=router)

@@ -132,6 +132,8 @@ class SimConfig:
             raise ConfigError(f"backups_m must be >= 0, got {self.backups_m}")
         if self.link_delay_ms <= 0:
             raise ConfigError(f"link_delay_ms must be positive, got {self.link_delay_ms}")
+        if self.conversion_time < 0:
+            raise ConfigError(f"conversion_time must be >= 0, got {self.conversion_time}")
         if self.probes_per_interval < 1 or self.probe_interval <= 0 or self.adaptive_scale < 0:
             raise ConfigError("invalid probe policy parameters")
         if self.packet_size < 1 or self.data_rate_mbps <= 0:
@@ -243,8 +245,8 @@ class Simulation:
                 self.now = time
             handlers[kind](self, **payload)
 
-        if self.audit and self.topology.occupancy_snapshot() != self._initial_occupancy:
-            raise InvariantError("channel leak: occupancy differs from the pre-run state")
+        if self.audit:
+            self._check_occupancy()
         return self.collector.finalize()
 
     # -- handlers -----------------------------------------------------------
@@ -274,7 +276,7 @@ class Simulation:
         self._check_continuity(result.lightpath)
         self.collector.on_accepted(conn, result.lightpath.path_delay, self.now)
         self.schedule(self.now + conn.holding, DEPARTURE, conn_id=conn.id)
-        key = (src, dst, frozenset(result.lightpath.link_ids))
+        key = (src, dst, result.lightpath.link_ids)
         cands = self._candidates.get(key)
         if cands is None:
             cands = self._candidates[key] = candidate_paths(
@@ -358,6 +360,7 @@ class Simulation:
                 self.collector.on_restored(conn, new_lp.path_delay, self.now)
         if self.audit:
             self._check_failure_safety()
+            self._check_occupancy()
 
     def _on_link_repair(self, link_id: int) -> None:
         self.topology.links[link_id].up = True
@@ -387,8 +390,23 @@ class Simulation:
     def _check_failure_safety(self) -> None:
         down = {l.id for l in self.topology.links if not l.up}
         for conn in self.connections.values():
-            if down & set(conn.current.link_ids):
+            if not down.isdisjoint(conn.current.link_ids):
                 raise InvariantError(f"connection {conn.id} rides a down link")
+
+    def _check_occupancy(self) -> None:
+        """The masks must equal the pre-run masks minus every live lightpath's channels."""
+        expected = {link: list(masks) for link, masks in
+                    zip(self.topology.links, self._initial_occupancy)}
+        for conn in self.connections.values():
+            lp = conn.current
+            for (link, lane), w in zip(self.topology.hops(lp.route), lp.wavelengths):
+                if not expected[link][lane] >> w & 1:
+                    raise InvariantError(f"link {link.id} lane {lane} wavelength {w} held twice")
+                expected[link][lane] &= ~(1 << w)
+        if tuple(map(tuple, expected.values())) != self.topology.occupancy_snapshot():
+            raise InvariantError(
+                "channel leak: occupancy differs from the pre-run state minus the live lightpaths"
+            )
 
 
 def run(

@@ -26,15 +26,11 @@ class LinkDownError(SimError):
 
 
 class ChannelBusyError(SimError):
-    """Attempt to occupy a wavelength channel that already has an owner."""
+    """Attempt to occupy a wavelength channel that is already busy."""
 
 
 class ChannelFreeError(SimError):
     """Attempt to release a wavelength channel that is already free."""
-
-
-class NotOwnerError(SimError):
-    """Release attempted by a lightpath that does not own the channel."""
 
 
 class UnknownSequenceError(SimError):

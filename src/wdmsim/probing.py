@@ -98,8 +98,7 @@ def candidate_paths(
     topology: Topology, src: int, dst: int, primary: Lightpath, k: int
 ) -> CandidateSet:
     """Up to k shortest loop-free routes sharing no link with the primary."""
-    banned = frozenset(primary.link_ids)
-    paths = k_shortest_hop_paths(topology, src, dst, k, banned)
+    paths = k_shortest_hop_paths(topology, src, dst, k, primary.link_ids)
     rtts = tuple(2.0 * sum(link.delay for link, _ in topology.hops(path)) for path in paths)
     return CandidateSet(paths=paths, rtts=rtts)
 

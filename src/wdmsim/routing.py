@@ -16,7 +16,7 @@ blocked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import LinkDownError, NoSuchNodeError
@@ -135,18 +135,13 @@ def assign_wavelength(
 
 @dataclass
 class Lightpath:
-    """An established route with its per-hop wavelength claims."""
+    """An established route and the wavelength it holds on each hop."""
 
-    id: int
     route: list[int]
-    wavelengths: list[int]
+    wavelengths: list[int]  # emptied on release
+    link_ids: frozenset[int]
     role: str = PRIMARY
-    claims: list[tuple[int, int, int]] = field(default_factory=list)  # (link_id, lane, w)
     path_delay: float = 0.0  # propagation plus conversion charges
-
-    @property
-    def link_ids(self) -> list[int]:
-        return [link_id for link_id, _, _ in self.claims]
 
     def wavelength_changes(self) -> int:
         return sum(1 for prev, cur in zip(self.wavelengths, self.wavelengths[1:]) if prev != cur)
@@ -155,7 +150,6 @@ class Lightpath:
 @dataclass
 class RouteResult:
     lightpath: Lightpath | None
-    total_cost: float
 
     @property
     def blocked(self) -> bool:
@@ -172,26 +166,26 @@ def establish_lightpath(
     """Assign wavelengths and occupy channels atomically along ``route``.
 
     Returns the lightpath, whose ``path_delay`` is its setup delay, or None
-    when no wavelength fits; in that case the occupancy map is left
-    untouched.  A down hop raises ``LinkDownError``.
+    when no wavelength fits; in that case no channel is touched.  A down hop
+    raises ``LinkDownError``.
     """
     wavelengths = assign_wavelength(topology, route, mode)
     if wavelengths is None:
         return None
     hops = topology.hops(route)
-    lp = Lightpath(id=topology.next_lightpath_id(), route=list(route),
-                   wavelengths=wavelengths, role=role)
     for (link, lane), w in zip(hops, wavelengths):
-        link.occupy(lane, w, lp.id)
-        lp.claims.append((link.id, lane, w))
+        link.occupy(lane, w)
+    lp = Lightpath(route=list(route), wavelengths=wavelengths,
+                   link_ids=frozenset(link.id for link, _ in hops), role=role)
     lp.path_delay = sum(link.delay for link, _ in hops) + conversion_time * lp.wavelength_changes()
     return lp
 
 
 def release_lightpath(topology: Topology, lp: Lightpath) -> None:
-    for link_id, lane, w in lp.claims:
-        topology.links[link_id].release(lane, w, lp.id)
-    lp.claims = []
+    """Free the lightpath's channels; releasing it again is a no-op."""
+    for (link, lane), w in zip(topology.hops(lp.route), lp.wavelengths):
+        link.release(lane, w)
+    lp.wavelengths = []
 
 
 def establish(
@@ -206,9 +200,8 @@ def establish(
     """Least-cost route under ``edge_cost`` plus atomic channel occupation."""
     found = least_cost_path(topology, src, dst, edge_cost)
     if found is None:
-        return RouteResult(None, math.inf)
-    route, cost = found
-    return RouteResult(establish_lightpath(topology, route, mode, conversion_time, role), cost)
+        return RouteResult(None)
+    return RouteResult(establish_lightpath(topology, found[0], mode, conversion_time, role))
 
 
 def establish_primary(topology: Topology, src: int, dst: int, lt: float, **kwargs) -> RouteResult:

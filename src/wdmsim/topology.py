@@ -2,10 +2,11 @@
 
 Links are declared once per unordered node pair but carry two independent
 channel lanes, one per travel direction; a lightpath occupies the lane that
-matches its direction of travel.  Channel state is an owner map so that
-exclusivity and ownership can be enforced on every occupy/release, plus a
-free-wavelength bitmask per lane that occupy/release keep in step with it,
-so that free counts and first-fit are integer operations.
+matches its direction of travel.  A lane's only channel state is its
+free-wavelength bitmask, so free counts and first-fit are integer
+operations; occupy refuses a busy channel and release a free one.  Which
+lightpath holds a channel is recorded on the lightpath (route plus
+wavelengths), not on the link.
 
 The graph itself never changes after construction, so each node's sorted
 adjacency is built once and each resolved route's hops are memoised.
@@ -13,14 +14,13 @@ adjacency is built once and each resolved route's hops are memoised.
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import deque
 
 from .errors import (
     ChannelBusyError,
     ChannelFreeError,
     LinkDownError,
-    NotOwnerError,
     TopologyError,
     TopologyParseError,
 )
@@ -35,8 +35,8 @@ class Link:
     def __init__(self, link_id: int, a: int, b: int, delay: float, total_channels: int):
         if a == b:
             raise TopologyError(f"self-loop link at node {a}")
-        if delay <= 0:
-            raise TopologyError(f"link {link_id}: delay must be positive")
+        if not (math.isfinite(delay) and delay > 0):
+            raise TopologyError(f"link {link_id}: delay must be finite and positive")
         if total_channels < 1:
             raise TopologyError(f"link {link_id}: total_channels must be >= 1")
         self.id = link_id
@@ -45,8 +45,6 @@ class Link:
         self.delay = delay
         self.total_channels = total_channels
         self.up = True
-        # one owner slot per wavelength per lane; None means free
-        self._owners = ([None] * total_channels, [None] * total_channels)
         # bit w of _free[lane] is set while wavelength w is free in that lane;
         # only occupy and release write it
         all_free = (1 << total_channels) - 1
@@ -70,10 +68,6 @@ class Link:
             return self.a
         raise TopologyError(f"node {u} is not an endpoint of link {self.id}")
 
-    def owner(self, lane: int, w: int):
-        self._check_wavelength(w)
-        return self._owners[lane][w]
-
     def free_mask(self, lane: int) -> int:
         """Bitmask of the lane's free wavelengths: bit w is set while w is free."""
         return self._free[lane]
@@ -90,29 +84,18 @@ class Link:
             return 0.0
         return self.free_count(lane) / self.total_channels
 
-    def occupy(self, lane: int, w: int, owner) -> None:
+    def occupy(self, lane: int, w: int) -> None:
         self._check_wavelength(w)
-        if owner is None:
-            raise TopologyError(f"link {self.id}: a channel owner cannot be None")
         if not self.up:
             raise LinkDownError(f"link {self.id} is down")
-        if self._owners[lane][w] is not None:
-            raise ChannelBusyError(
-                f"link {self.id} lane {lane} wavelength {w} owned by {self._owners[lane][w]}"
-            )
-        self._owners[lane][w] = owner
+        if not self._free[lane] >> w & 1:
+            raise ChannelBusyError(f"link {self.id} lane {lane} wavelength {w} is busy")
         self._free[lane] &= ~(1 << w)
 
-    def release(self, lane: int, w: int, owner) -> None:
+    def release(self, lane: int, w: int) -> None:
         self._check_wavelength(w)
-        current = self._owners[lane][w]
-        if current is None:
+        if self._free[lane] >> w & 1:
             raise ChannelFreeError(f"link {self.id} lane {lane} wavelength {w} is already free")
-        if current != owner:
-            raise NotOwnerError(
-                f"link {self.id} lane {lane} wavelength {w}: owner is {current}, not {owner}"
-            )
-        self._owners[lane][w] = None
         self._free[lane] |= 1 << w
 
     def _check_wavelength(self, w: int) -> None:
@@ -151,7 +134,6 @@ class Topology:
             for u, incident in enumerate(self.adjacency)
         ]
         self._hops: dict[tuple[int, ...], tuple[tuple[Link, int], ...]] = {}
-        self._lightpath_ids = itertools.count(1)
 
     def has_node(self, n: int) -> bool:
         return 0 <= n < self.num_nodes
@@ -181,12 +163,9 @@ class Topology:
             hops = self._hops[key] = tuple(resolved)
         return hops
 
-    def next_lightpath_id(self) -> int:
-        return next(self._lightpath_ids)
-
-    def occupancy_snapshot(self) -> tuple:
-        """Hashable copy of every lane's owner map, for purity/leak checks."""
-        return tuple((link.id, tuple(link._owners[0]), tuple(link._owners[1])) for link in self.links)
+    def occupancy_snapshot(self) -> tuple[tuple[int, int], ...]:
+        """Every link's (forward, reverse) free masks, in link order."""
+        return tuple(tuple(link._free) for link in self.links)
 
     def total_channel_count(self) -> int:
         """Channels on up links, both lanes counted."""

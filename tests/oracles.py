@@ -59,18 +59,25 @@ def k_best_disjoint(topology: Topology, src: int, dst: int, primary_links, k: in
     return found[:k]
 
 
-def free_wavelengths(link: Link, lane: int) -> set[int]:
-    """Free indices read off the owner map one wavelength at a time."""
-    return {w for w in range(link.total_channels) if link.owner(lane, w) is None}
+def held_channels(topology: Topology) -> set[tuple[int, int, int]]:
+    """(link id, lane, wavelength) of every busy channel, read one mask bit at a time."""
+    return {(link.id, lane, w) for link in topology.links for lane in (0, 1)
+            for w in range(link.total_channels) if not link.free_mask(lane) >> w & 1}
 
 
-def first_fit(topology: Topology, route, mode: str):
-    """Set-based first-fit: the least index free on every hop ("none"), or
-    each hop's own least free index ("full"); None when nothing fits."""
+def free_wavelengths(link: Link, lane: int, held) -> set[int]:
+    """The lane's free indices under a held-channel model."""
+    return {w for w in range(link.total_channels) if (link.id, lane, w) not in held}
+
+
+def first_fit(topology: Topology, route, mode: str, held):
+    """Set-based first-fit under a held-channel model: the least index free
+    on every hop ("none"), or each hop's own least free index ("full"); None
+    when nothing fits."""
     free = []
     for u, v in zip(route, route[1:]):
         link = topology.link_between(u, v)
-        free.append(free_wavelengths(link, link.lane(u, v)))
+        free.append(free_wavelengths(link, link.lane(u, v), held))
     if mode == "none":
         common = set.intersection(*free) if free else set()
         return [min(common)] * len(free) if common else None
@@ -106,7 +113,7 @@ def random_topology(rng: random.Random, max_nodes: int = 8) -> Topology:
         for lane in (0, 1):
             for w in range(link.total_channels):
                 if rng.random() < 0.4:
-                    link.occupy(lane, w, owner=-(link.id * 100 + lane * 10 + w + 1))
+                    link.occupy(lane, w)
         if rng.random() < 0.1:
             link.up = False
     return topology

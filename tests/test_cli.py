@@ -171,6 +171,14 @@ def test_validate_warnings_exit_zero(tmp_path, capsys):
     assert "warning" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("delay", ["nan", "inf"])
+def test_validate_rejects_non_finite_link_delay(tmp_path, capsys, delay):
+    topo = write(tmp_path, "t.txt", f"nodes 3\nlink 0 1 10 2\nlink 1 2 {delay} 2\n")
+    cfg = write(tmp_path, "ok.cfg", f"topology = {topo}\n")
+    assert main(["validate", "--config", cfg]) == 1
+    assert "line 3" in capsys.readouterr().out
+
+
 def test_validate_rejects_parse_errors(tmp_path, capsys):
     cfg = write(tmp_path, "bad.cfg", "sweep = rate 8,2\n")
     assert main(["validate", "--config", cfg]) == 1

@@ -74,6 +74,7 @@ def test_full_scenario_round_trip():
         ("backups_m = -3", "backups_m"),
         ("link_delay_ms = 0", "link_delay_ms"),
         ("link_delay_ms = -5", "link_delay_ms"),
+        ("conversion_time = -5", "conversion_time must be >= 0"),
         ("failures = -1:0", "failures: time"),
         ("failures = 1.0:0, -2.0:0", "failures: time"),
         ("failures = nan:0", "failures: time"),
@@ -94,7 +95,8 @@ def test_unknown_key_error_names_the_line():
 
 
 def test_router_aliases():
-    assert parse_config("router = baseline-shortest-hop").router == ROUTER_BASELINE
+    with pytest.raises(ConfigError):
+        parse_config("router = baseline-shortest-hop")
     assert parse_config("router = RFTR").router == ROUTER_RFTR
 
 

@@ -16,6 +16,7 @@ from oracles import erlang_b, random_failure_schedule
 from wdmsim.engine import (
     ARRIVAL,
     DEPARTURE,
+    LINK_FAILURE,
     PROBE_SEND,
     PROBE_WINDOW,
     ROUTER_BASELINE,
@@ -27,9 +28,9 @@ from wdmsim.engine import (
     generate_arrivals,
     run,
 )
-from wdmsim.errors import ConfigError
+from wdmsim.errors import ConfigError, InvariantError
 from wdmsim.probing import ConnectionProber
-from wdmsim.topology import parse_topology
+from wdmsim.topology import FORWARD, REVERSE, parse_topology
 
 SQUARE = "nodes 4\n" + "\n".join(
     f"link {a} {b} 10 8" for a, b in [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -230,7 +231,7 @@ def scripted_square(seed, saturate=False, router=ROUTER_RFTR, fail_at=1.0):
             link = topo.links[link_id]
             for lane in (0, 1):
                 for w in range(link.total_channels):
-                    link.occupy(lane, w, owner=-(100 + link_id * 10 + lane))
+                    link.occupy(lane, w)
     cfg = SimConfig(arrival_rate=50.0, max_requests=1, seed=seed,
                     failures=[(fail_at, 0)], router=router)
     sim = Simulation(cfg, topology=topo, audit=True)
@@ -360,7 +361,7 @@ def landing_run(monkeypatch, detour_ms, holding, failures=()):
     topo = parse_topology(TRIANGLE.format(ms=detour_ms))
     for link in topo.links[1:]:
         for lane in (0, 1):
-            link.occupy(lane, 7, owner=-1 - 2 * link.id - lane)
+            link.occupy(lane, 7)
     estimates = []
     close = ConnectionProber.close_and_rank
 
@@ -421,6 +422,48 @@ def test_leak_check_raises_under_optimised_python():
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("InvariantError: channel leak")
+
+
+def _free_held(sim):
+    sim.topology.links[0].release(FORWARD, sim.connections[0].current.wavelengths[0])
+
+
+def _occupy_stray(sim):
+    sim.topology.links[3].occupy(REVERSE, 5)
+
+
+def _record_twice(sim):
+    sim.connections[1].current.wavelengths = list(sim.connections[0].current.wavelengths)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (_free_held, "channel leak"),
+    (_occupy_stray, "channel leak"),
+    (_record_twice, "held twice"),
+])
+def test_audit_catches_occupancy_changed_behind_the_engine(tamper, message):
+    # two pinned 0->2 sessions, both on [0,1,2] (wavelengths 0 and 1); just
+    # before link 2 (off their route) fails, the masks or a lightpath's
+    # record change without any lightpath setup or release
+    def two_sessions():
+        cfg = SimConfig(arrival_rate=50.0, max_requests=2, router=ROUTER_BASELINE,
+                        failures=[(1.0, 2)])
+        sim = Simulation(cfg, topology=square_topology(), audit=True)
+        sim.arrivals = [(t, 0, 2, 50.0) for (t, _, _, _) in sim.arrivals]
+        return sim
+
+    assert two_sessions().run().completed == 2  # untouched, the audit passes
+    sim = two_sessions()
+    fail = Simulation._HANDLERS[LINK_FAILURE]
+
+    def tampering_failure(self, link_id):
+        assert [c.current.wavelengths for c in self.connections.values()] == [[0, 0], [1, 1]]
+        tamper(self)
+        fail(self, link_id)
+
+    sim._HANDLERS = {**Simulation._HANDLERS, LINK_FAILURE: tampering_failure}
+    with pytest.raises(InvariantError, match=message):
+        sim.run()
 
 
 # -- analytic oracle -------------------------------------------------------------

@@ -85,8 +85,8 @@ def test_end_to_end_delay_recomputed_from_links(square):
 
 def test_end_to_end_delay_charges_conversion():
     topo = parse_topology("nodes 3\nlink 0 1 10 2\nlink 1 2 10 2\n")
-    topo.links[0].occupy(FORWARD, 0, owner=-1)
-    topo.links[1].occupy(FORWARD, 1, owner=-2)
+    topo.links[0].occupy(FORWARD, 0)
+    topo.links[1].occupy(FORWARD, 1)
     lp = establish_lightpath(topo, [0, 1, 2], "full", 0.024)
     assert lp.path_delay == pytest.approx(0.044)
 

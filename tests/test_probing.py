@@ -207,7 +207,7 @@ def test_probe_outcome_reports_admissibility(square):
 def test_probe_outcome_sees_wavelength_exhaustion():
     topo = parse_topology("nodes 3\nlink 0 1 10 1\nlink 1 2 10 1\n")
     assert probe_outcome(topo, (0, 1, 2)) == PACK
-    topo.links[0].occupy(FORWARD, 0, owner=-1)
+    topo.links[0].occupy(FORWARD, 0)
     assert probe_outcome(topo, (0, 1, 2)) == NACK
 
 
@@ -384,7 +384,7 @@ def test_reroute_falls_back_to_fresh_search(square):
 
 def test_reroute_returns_none_when_nothing_fits():
     topo = parse_topology("nodes 3\nlink 0 1 10 1\nlink 1 2 10 1\n")
-    topo.links[0].occupy(FORWARD, 0, owner=-1)
+    topo.links[0].occupy(FORWARD, 0)
 
     def fallback(role):
         return establish_baseline(topo, 0, 2, role=role)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     first_fit,
     free_wavelengths,
+    held_channels,
     min_cost_route,
     path_cost,
     random_topology,
@@ -28,14 +29,14 @@ from wdmsim.routing import (
     release_lightpath,
     unit_edge_cost,
 )
-from wdmsim.topology import FORWARD, parse_topology
+from wdmsim.topology import FORWARD, REVERSE, parse_topology
 
 LT = SimConfig().load_threshold
 
 
-def occupy_forward(link, count, owner=-1):
+def occupy_forward(link, count):
     for w in range(count):
-        link.occupy(FORWARD, w, owner - w)
+        link.occupy(FORWARD, w)
 
 
 # -- threshold cost -----------------------------------------------------------
@@ -104,7 +105,7 @@ def occupy_towards(topo, u, v, count):
     link = topo.link_between(u, v)
     lane = link.lane(u, v)
     for w in range(count):
-        link.occupy(lane, w, owner=-1000 - w)
+        link.occupy(lane, w)
 
 
 def test_fewer_hops_wins_on_cost_tie():
@@ -185,22 +186,22 @@ def test_returned_route_is_simple_and_priced_correctly(seed):
 def test_continuity_picks_least_common_index(square):
     # hop 0-1 free {2,5}, hop 1-2 free {1,5}: only 5 is common
     for w in (0, 1, 3, 4, 6, 7):
-        square.links[0].occupy(FORWARD, w, owner=-1 - w)
+        square.links[0].occupy(FORWARD, w)
     for w in (0, 2, 3, 4, 6, 7):
-        square.links[1].occupy(FORWARD, w, owner=-11 - w)
+        square.links[1].occupy(FORWARD, w)
     assert assign_wavelength(square, [0, 1, 2], NO_CONVERSION) == [5, 5]
 
 
 def test_disjoint_free_sets_need_conversion():
     topo = parse_topology("nodes 3\nlink 0 1 10 2\nlink 1 2 10 2\n")
-    topo.links[0].occupy(FORWARD, 0, owner=-1)  # 0-1 free {1}
-    topo.links[1].occupy(FORWARD, 1, owner=-2)  # 1-2 free {0}
+    topo.links[0].occupy(FORWARD, 0)  # 0-1 free {1}
+    topo.links[1].occupy(FORWARD, 1)  # 1-2 free {0}
     assert assign_wavelength(topo, [0, 1, 2], NO_CONVERSION) is None
     assert assign_wavelength(topo, [0, 1, 2], FULL_CONVERSION) == [1, 0]
 
 
 def test_full_conversion_first_fit_per_hop(square):
-    square.links[0].occupy(FORWARD, 0, owner=-1)
+    square.links[0].occupy(FORWARD, 0)
     assert assign_wavelength(square, [0, 1, 2], FULL_CONVERSION) == [1, 0]
 
 
@@ -209,20 +210,23 @@ def test_full_conversion_first_fit_per_hop(square):
     st.integers(0, 2**32 - 1),
     st.lists(st.tuples(st.integers(0, 63), st.integers(0, 1), st.integers(0, 3)), max_size=60),
 )
-def test_free_mask_tracks_owner_map_and_first_fit_oracle(seed, ops):
-    """After any occupy/release sequence the mask-based reads equal the owner map's."""
+def test_free_mask_tracks_held_set_and_first_fit_oracle(seed, ops):
+    """After any occupy/release sequence the mask-based reads equal a held-set model's."""
     topo = random_topology(random.Random(seed))
     for link in topo.links:
         link.up = True
+    held = held_channels(topo)  # the random starting occupancy
     for i, lane, w in ops:
         link = topo.links[i % len(topo.links)]
         w %= link.total_channels
-        owner = link.owner(lane, w)
-        if owner is None:
-            link.occupy(lane, w, owner=i + 1)
+        channel = (link.id, lane, w)
+        if channel in held:
+            link.release(lane, w)
+            held.remove(channel)
         else:
-            link.release(lane, w, owner=owner)
-        free = free_wavelengths(link, lane)
+            link.occupy(lane, w)
+            held.add(channel)
+        free = free_wavelengths(link, lane, held)
         assert link.free_mask(lane) == sum(1 << w for w in free)
         assert link.free_count(lane) == len(free)
         assert link.load_index(lane) == len(free) / link.total_channels
@@ -232,7 +236,7 @@ def test_free_mask_tracks_owner_map_and_first_fit_oracle(seed, ops):
                 continue
             for route in itertools.islice(simple_paths(topo, src, dst), 4):
                 for mode in (NO_CONVERSION, FULL_CONVERSION):
-                    assert assign_wavelength(topo, route, mode) == first_fit(topo, route, mode)
+                    assert assign_wavelength(topo, route, mode) == first_fit(topo, route, mode, held)
 
 
 def test_assignment_rejects_down_link(square):
@@ -252,17 +256,30 @@ def test_establish_occupies_and_release_frees(square):
     before = square.occupancy_snapshot()
     lp = establish_lightpath(square, [0, 1, 2], NO_CONVERSION, 0.024)
     assert lp.wavelengths == [0, 0]
-    assert lp.link_ids == [0, 1]
+    assert lp.link_ids == frozenset({0, 1})
     assert lp.path_delay == pytest.approx(0.020)
-    assert square.links[0].owner(FORWARD, 0) == lp.id
+    assert [square.links[i].free_mask(FORWARD) for i in (0, 1)] == [0b11111110] * 2
+    assert square.links[0].free_count(REVERSE) == 8
     assert square.occupancy_snapshot() != before
     release_lightpath(square, lp)
     assert square.occupancy_snapshot() == before
 
 
+def test_second_release_is_a_no_op(square):
+    lp = establish_lightpath(square, [0, 1, 2], NO_CONVERSION, 0.024)
+    release_lightpath(square, lp)
+    other = establish_lightpath(square, [0, 1], NO_CONVERSION, 0.024)  # reuses wavelength 0
+    held = square.occupancy_snapshot()
+    release_lightpath(square, lp)  # must neither raise nor free the other's channel
+    assert square.occupancy_snapshot() == held
+    assert square.links[0].free_mask(FORWARD) == 0b11111110
+    release_lightpath(square, other)
+    assert square.links[0].free_count(FORWARD) == 8
+
+
 def test_establish_returns_none_leaving_state_clean():
     topo = parse_topology("nodes 3\nlink 0 1 10 1\nlink 1 2 10 1\n")
-    topo.links[0].occupy(FORWARD, 0, owner=-1)
+    topo.links[0].occupy(FORWARD, 0)
     before = topo.occupancy_snapshot()
     assert establish_lightpath(topo, [0, 1, 2], NO_CONVERSION, 0.024) is None
     assert topo.occupancy_snapshot() == before
@@ -270,8 +287,8 @@ def test_establish_returns_none_leaving_state_clean():
 
 def test_setup_delay_charges_conversions():
     topo = parse_topology("nodes 3\nlink 0 1 10 2\nlink 1 2 10 2\n")
-    topo.links[0].occupy(FORWARD, 0, owner=-1)
-    topo.links[1].occupy(FORWARD, 1, owner=-2)
+    topo.links[0].occupy(FORWARD, 0)
+    topo.links[1].occupy(FORWARD, 1)
     lp = establish_lightpath(topo, [0, 1, 2], FULL_CONVERSION, 0.024)
     assert lp.wavelengths == [1, 0]
     assert lp.wavelength_changes() == 1
@@ -279,16 +296,17 @@ def test_setup_delay_charges_conversions():
 
 
 def test_establish_primary_end_to_end(square):
+    _, cost = least_cost_path(square, 0, 2, loaded_edge_cost(LT))
     result = establish_primary(square, 0, 2, LT)
     assert not result.blocked
     assert result.lightpath.route == [0, 1, 2]
-    assert result.total_cost == 0.0  # both hops idle: LI = 1, cost 0
+    assert cost == 0.0  # both hops idle: LI = 1, cost 0
     assert result.lightpath.path_delay == pytest.approx(0.020)
 
 
 def test_establish_primary_blocks_when_saturated():
     topo = parse_topology("nodes 2\nlink 0 1 10 1\n")
-    topo.links[0].occupy(FORWARD, 0, owner=-1)
+    topo.links[0].occupy(FORWARD, 0)
     before = topo.occupancy_snapshot()
     result = establish_primary(topo, 0, 1, LT)
     assert result.blocked

@@ -5,7 +5,6 @@ from wdmsim.errors import (
     ChannelBusyError,
     ChannelFreeError,
     LinkDownError,
-    NotOwnerError,
     TopologyError,
     TopologyParseError,
 )
@@ -46,6 +45,8 @@ def test_parse_ignores_comments_and_blank_lines():
         ("nodes 2\nlink 0 1 10\n", "link"),
         ("nodes 2\nfrob 1 2\n", "frob"),
         ("nodes 2\nlink 0 1 10 0\n", "channel"),
+        ("nodes 3\nlink 0 1 10 2\nlink 1 2 nan 2\n", "line 3: link 1: delay must be finite"),
+        ("nodes 3\nlink 0 1 inf 2\nlink 1 2 10 2\n", "line 2: link 0: delay must be finite"),
     ],
 )
 def test_parse_rejects_malformed(text, fragment):
@@ -86,26 +87,27 @@ def test_lane_orientation(square):
 
 def test_lanes_are_independent(square):
     link = square.links[0]
-    link.occupy(FORWARD, 0, owner=7)
+    link.occupy(FORWARD, 0)
     assert link.free_count(FORWARD) == 7
     assert link.free_count(REVERSE) == 8
-    link.occupy(REVERSE, 0, owner=8)
-    assert link.owner(FORWARD, 0) == 7
-    assert link.owner(REVERSE, 0) == 8
+    link.occupy(FORWARD, 1)
+    link.occupy(REVERSE, 0)
+    assert link.free_mask(FORWARD) == 0b11111100
+    assert link.free_mask(REVERSE) == 0b11111110
 
 
 def test_occupy_conflict_and_release_guards(square):
     link = square.links[0]
-    link.occupy(FORWARD, 3, owner=1)
+    link.occupy(FORWARD, 3)
     with pytest.raises(ChannelBusyError):
-        link.occupy(FORWARD, 3, owner=2)
-    with pytest.raises(NotOwnerError):
-        link.release(FORWARD, 3, owner=2)
+        link.occupy(FORWARD, 3)
     with pytest.raises(ChannelFreeError):
-        link.release(FORWARD, 4, owner=1)
+        link.release(FORWARD, 4)
     with pytest.raises(TopologyError):
-        link.occupy(FORWARD, 4, owner=None)  # None is the free marker
-    link.release(FORWARD, 3, owner=1)
+        link.occupy(FORWARD, 8)  # out of range
+    link.release(FORWARD, 3)
+    with pytest.raises(ChannelFreeError):
+        link.release(FORWARD, 3)
     assert link.free_count(FORWARD) == 8
 
 
@@ -113,16 +115,16 @@ def test_occupy_down_link_refused(square):
     link = square.links[0]
     link.up = False
     with pytest.raises(LinkDownError):
-        link.occupy(FORWARD, 0, owner=1)
+        link.occupy(FORWARD, 0)
     link.up = True
-    link.occupy(FORWARD, 0, owner=1)
+    link.occupy(FORWARD, 0)
 
 
 def test_load_index_free_fraction(square):
     link = square.links[0]
     assert link.load_index(FORWARD) == 1.0
     for w in range(4):
-        link.occupy(FORWARD, w, owner=1)
+        link.occupy(FORWARD, w)
     assert link.load_index(FORWARD) == 0.5
     assert link.load_index(REVERSE) == 1.0
     link.up = False
@@ -132,10 +134,12 @@ def test_load_index_free_fraction(square):
 
 def test_down_link_remembers_occupancy(square):
     link = square.links[0]
-    link.occupy(FORWARD, 2, owner=9)
+    link.occupy(FORWARD, 2)
     link.up = False
     link.up = True
-    assert link.owner(FORWARD, 2) == 9
+    assert link.free_mask(FORWARD) == 0b11111011
+    with pytest.raises(ChannelBusyError):
+        link.occupy(FORWARD, 2)
 
 
 # -- topology queries ---------------------------------------------------------
@@ -190,7 +194,7 @@ def test_connectivity_accounts_for_down_links(square):
 
 def test_channel_totals(square):
     assert square.total_channel_count() == 4 * 2 * 8
-    square.links[0].occupy(FORWARD, 0, owner=1)
+    square.links[0].occupy(FORWARD, 0)
     assert square.occupied_channel_count() == 1
     square.links[0].up = False
     assert square.total_channel_count() == 3 * 2 * 8  # down links no longer count
@@ -199,15 +203,10 @@ def test_channel_totals(square):
 
 def test_snapshot_reflects_mutation(square):
     before = square.occupancy_snapshot()
-    square.links[2].occupy(REVERSE, 5, owner=3)
+    square.links[2].occupy(REVERSE, 5)
     assert square.occupancy_snapshot() != before
-    square.links[2].release(REVERSE, 5, owner=3)
+    square.links[2].release(REVERSE, 5)
     assert square.occupancy_snapshot() == before
-
-
-def test_lightpath_ids_monotone(square):
-    ids = [square.next_lightpath_id() for _ in range(5)]
-    assert ids == sorted(ids) and len(set(ids)) == 5
 
 
 def test_duplicate_link_ids_rejected():
@@ -222,18 +221,18 @@ def test_duplicate_link_ids_rejected():
 def test_occupancy_conserved_under_random_churn(ops):
     """free + occupied == total regardless of the occupy/release sequence."""
     link = Link(0, 0, 1, 0.01, 8)
-    held = {}
+    held = set()
     for lane, w in ops:
         if (lane, w) in held:
-            link.release(lane, w, owner=held.pop((lane, w)))
+            link.release(lane, w)
+            held.remove((lane, w))
         else:
-            owner = len(held) + 1
-            link.occupy(lane, w, owner=owner)
-            held[(lane, w)] = owner
+            link.occupy(lane, w)
+            held.add((lane, w))
         for probe_lane in (0, 1):
             assert link.free_count(probe_lane) + link.occupied_count(probe_lane) == 8
-    for (lane, w), owner in held.items():
-        link.release(lane, w, owner=owner)
+    for lane, w in held:
+        link.release(lane, w)
     assert link.free_count(0) == link.free_count(1) == 8
 
 
@@ -241,8 +240,8 @@ def test_occupancy_conserved_under_random_churn(ops):
 def test_load_index_matches_free_fraction(k_fwd, k_rev):
     link = Link(0, 0, 1, 0.01, 8)
     for w in range(k_fwd):
-        link.occupy(FORWARD, w, owner=1)
+        link.occupy(FORWARD, w)
     for w in range(k_rev):
-        link.occupy(REVERSE, w, owner=1)
+        link.occupy(REVERSE, w)
     assert link.load_index(FORWARD) == (8 - k_fwd) / 8
     assert link.load_index(REVERSE) == (8 - k_rev) / 8
