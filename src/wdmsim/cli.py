@@ -105,9 +105,7 @@ def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResul
         )
         metrics_mod.write_summary_csv(aggregate_rows, out_dir / "summary.csv")
     else:
-        metrics_mod.write_summary_csv(
-            [metrics_mod.summary_row(outcomes[0].report)], out_dir / "summary.csv"
-        )
+        metrics_mod.export_csv(outcomes[0].report, out_dir / "summary.csv")
     return ScenarioResult(runs=outcomes, aggregate_rows=aggregate_rows, out_dir=out_dir)
 
 

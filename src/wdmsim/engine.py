@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 
 from . import metrics as metrics_mod
-from .errors import ConfigError, InvariantError
+from .errors import ConfigError, InvariantError, SimError
 from .probing import (
     CandidateSet,
     ConnectionProber,
@@ -222,6 +222,8 @@ class Simulation:
     # -- run ----------------------------------------------------------------
 
     def run(self) -> metrics_mod.MetricsReport:
+        if self._initial_occupancy is not None:
+            raise SimError("a Simulation runs once; build a new one for another run")
         self._initial_occupancy = self.topology.occupancy_snapshot()
         for t, src, dst, holding in self.arrivals:
             self.schedule(t, ARRIVAL, src=src, dst=dst, holding=holding)

@@ -113,11 +113,10 @@ class Topology:
         self.links = list(links)
         self._by_pair: dict[tuple[int, int], Link] = {}
         self.adjacency: list[list[Link]] = [[] for _ in range(num_nodes)]
-        seen_ids = set()
-        for link in self.links:
-            if link.id in seen_ids:
-                raise TopologyError(f"duplicate link id {link.id}")
-            seen_ids.add(link.id)
+        for i, link in enumerate(self.links):
+            # failure schedules and the engine look a link up by its id
+            if link.id != i:
+                raise TopologyError(f"link {link.id} is at position {i}; ids must be 0..n-1 in order")
             for end in (link.a, link.b):
                 if not 0 <= end < num_nodes:
                     raise TopologyError(f"dangling node reference: link {link.id} names node {end}")

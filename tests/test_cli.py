@@ -1,4 +1,5 @@
 import csv
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,9 @@ def read_csv(path):
         return list(csv.DictReader(fh))
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
 # -- run ----------------------------------------------------------------------
 
 def test_run_writes_summary_and_timeseries(tmp_path, capsys):
@@ -41,6 +45,18 @@ def test_run_writes_summary_and_timeseries(tmp_path, capsys):
     assert rows[0]["router"] == "rftr"
     assert (out / "timeseries_scenario-rftr-seed5.csv").exists()
     assert not (out / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("router", ["rftr", "baseline"])
+def test_run_writes_the_golden_artifacts(tmp_path, router):
+    """``wdmsim run --seed 7`` writes exactly the committed bytes of tests/golden/<router>."""
+    out = tmp_path / "out"
+    assert main(["run", "--seed", "7", "--router", router, "--out", str(out)]) == 0
+    golden = GOLDEN / router
+    names = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names
+    for name in names:
+        assert (out / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 def test_run_rejects_multiple_seeds(tmp_path, capsys):

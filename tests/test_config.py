@@ -14,6 +14,7 @@ from wdmsim.config import (
 )
 from wdmsim.engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig
 from wdmsim.errors import ConfigError
+from wdmsim.metrics import SUMMARY_COLUMNS
 
 
 def test_empty_text_gives_stock_scenario():
@@ -170,3 +171,9 @@ def test_readme_config_block_matches_parser():
     assert base.backups_m == base.candidates_k
     example_only = dict(topology_file=None, backups_m=None, failures=[], repairs=[])
     assert replace(base, **example_only) == SimConfig()
+
+
+def test_readme_output_columns_match_summary_csv():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Outputs", 1)[1].split("```", 2)[1]
+    assert block.strip().split(",") == SUMMARY_COLUMNS

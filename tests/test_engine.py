@@ -28,7 +28,7 @@ from wdmsim.engine import (
     generate_arrivals,
     run,
 )
-from wdmsim.errors import ConfigError, InvariantError
+from wdmsim.errors import ConfigError, InvariantError, SimError
 from wdmsim.probing import ConnectionProber
 from wdmsim.topology import FORWARD, REVERSE, parse_topology
 
@@ -145,6 +145,15 @@ def test_replay_is_bit_identical():
     cfg = SimConfig(wavelengths=2, arrival_rate=6.0, holding_time=0.5,
                     max_requests=120, seed=9)
     assert run(cfg) == run(cfg)
+
+
+def test_simulation_runs_once():
+    sim = Simulation(SimConfig(seed=4))
+    report = sim.run()
+    before = replace(report, series=list(report.series))
+    with pytest.raises(SimError, match="runs once"):
+        sim.run()
+    assert report == before  # the refused second run leaves the report as returned
 
 
 def test_different_seeds_differ():

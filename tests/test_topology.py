@@ -215,6 +215,14 @@ def test_duplicate_link_ids_rejected():
         Topology(3, links)
 
 
+@pytest.mark.parametrize("ids", [(1, 0), (5, 7)])
+def test_link_ids_must_be_list_positions(ids):
+    # a failure of link i takes down links[i], so any other numbering is refused
+    links = [Link(ids[0], 0, 1, 0.01, 8), Link(ids[1], 1, 2, 0.01, 8)]
+    with pytest.raises(TopologyError, match="ids must be 0..n-1"):
+        Topology(3, links)
+
+
 # -- properties ---------------------------------------------------------------
 
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 7)), max_size=40))
