@@ -172,6 +172,13 @@ def _cmd_validate(args) -> int:
     return _print_diagnostics(validate_scenario(scenario))
 
 
+def _workers(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wdmsim",
@@ -186,7 +193,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, action="append", help="seed (repeatable)")
         p.add_argument("--router", choices=["rftr", "baseline", "both"], help="router selection")
         p.set_defaults(handler=handler)
-    sub.choices["sweep"].add_argument("--workers", type=int, default=1,
+    sub.choices["sweep"].add_argument("--workers", type=_workers, default=1,
                                       help="parallel run workers (output-identical)")
     return parser
 

@@ -6,12 +6,14 @@ Events dequeue in (time, insertion seq) order, which makes simultaneous events
 deterministic too.
 
 Only events that carry a decision are scheduled: the lifecycle (arrival,
-departure, link failure, link repair), each connection's probe-window close,
-and one pending probe send per candidate, which schedules the candidate's next
-slot.  A probe's answer is no event: the prober records when it lands, and a
-window close, departure or drop delivers the answers that landed strictly
-before it.  Sample ticks run while a lifecycle event is pending, so the
-timeseries ends at the same tick whatever the router.
+departure, link failure, link repair) and one pending probe send per
+candidate, which schedules the candidate's next send, across window
+boundaries, while that falls before the connection's departure.  No event
+closes a probe window or delivers an answer: the prober records both times,
+the next window's first send or a failure rerouting the connection closes
+the window, and a close, departure or drop delivers the answers that landed
+strictly before it.  Sample ticks run while a lifecycle event is pending, so
+the timeseries ends at the same tick whatever the router.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ PROBE_SEND = "probe_send"
 LINK_FAILURE = "link_failure"
 LINK_REPAIR = "link_repair"
 SAMPLE_TICK = "sample_tick"
-PROBE_WINDOW = "probe_window"  # window rollover heartbeat, one per connection
 LIFECYCLE = frozenset({ARRIVAL, DEPARTURE, LINK_FAILURE, LINK_REPAIR})
 
 ROUTER_RFTR = "rftr"
@@ -289,46 +290,43 @@ class Simulation:
             conn.prober = ConnectionProber(
                 cands, self.probe_count, self.config.probe_interval, self.m
             )
-            self._open_probe_window(conn)
+            for t, path_index, seq in conn.prober.open_windows(self.now):
+                self._schedule_send(conn, t, path_index, seq)
 
-    def _open_probe_window(self, conn: Connection) -> None:
-        for t, path_index, seq in conn.prober.open_windows(self.now):
+    def _schedule_send(self, conn: Connection, t: float, path_index: int, seq: int) -> None:
+        if t < conn.arrival + conn.holding:  # at or after the departure it would be stale
             self.schedule(t, PROBE_SEND, conn_id=conn.id, path_index=path_index, probe_seq=seq)
-        self.schedule(self.now + self.config.probe_interval, PROBE_WINDOW, conn_id=conn.id)
 
     def _on_probe_send(self, conn_id: int, path_index: int, probe_seq: int) -> None:
         conn = self.connections.get(conn_id)
         if conn is None:
-            return  # stale: session ended before the probe went out
-        prober = conn.prober
-        outcome = probe_outcome(
-            self.topology, prober.candidates.paths[path_index], self.config.conversion_mode
-        )
+            return  # stale: the connection dropped before the probe went out
+        self._close_window(conn)
+        route = conn.prober.candidates.paths[path_index]
+        outcome = probe_outcome(self.topology, route, self.config.conversion_mode)
         self.collector.on_probe_sent()
-        t = prober.sent(path_index, probe_seq, outcome, self.now)
-        if t is not None:
-            self.schedule(t, PROBE_SEND, conn_id=conn_id, path_index=path_index,
-                          probe_seq=probe_seq + 1)
+        t = conn.prober.sent(path_index, probe_seq, outcome, self.now)
+        self._schedule_send(conn, t, path_index, probe_seq + 1)
 
-    def _deliver_feedback(self, prober: ConnectionProber) -> None:
-        for path_index, seq, outcome in prober.landed(self.now):
+    def _close_window(self, conn: Connection) -> None:
+        """Rank the backups from a probe window that closed before now; open the next."""
+        prober = conn.prober
+        if prober is not None and prober.close_at < self.now:
+            self._deliver_feedback(prober, prober.close_at)
+            conn.backups = prober.close_and_rank()
+            prober.open_windows(prober.close_at)
+
+    def _deliver_feedback(self, prober: ConnectionProber, until: float) -> None:
+        for path_index, seq, outcome in prober.landed(until):
             prober.feedback(path_index, seq, outcome)
             self.collector.on_probe_feedback(outcome)
-
-    def _on_probe_window(self, conn_id: int) -> None:
-        conn = self.connections.get(conn_id)
-        if conn is None:
-            return
-        self._deliver_feedback(conn.prober)
-        conn.backups = conn.prober.close_and_rank()
-        self._open_probe_window(conn)
 
     def _on_departure(self, conn_id: int) -> None:
         conn = self.connections.pop(conn_id, None)
         if conn is None:
             return  # stale departure for a dropped session
         if conn.prober is not None:
-            self._deliver_feedback(conn.prober)
+            self._deliver_feedback(conn.prober, self.now)
         release_lightpath(self.topology, conn.current)
         self.collector.on_completed(conn, self.now)
 
@@ -343,6 +341,7 @@ class Simulation:
         for conn in affected:
             release_lightpath(self.topology, conn.current)
         for conn in affected:
+            self._close_window(conn)
             new_lp = reroute(
                 self.topology,
                 conn.backups,
@@ -353,7 +352,7 @@ class Simulation:
             if new_lp is None:
                 del self.connections[conn.id]
                 if conn.prober is not None:
-                    self._deliver_feedback(conn.prober)
+                    self._deliver_feedback(conn.prober, self.now)
                 conn.current = None
                 self.collector.on_dropped(conn, self.now)
             else:
@@ -380,7 +379,6 @@ class Simulation:
         LINK_FAILURE: _on_link_failure,
         LINK_REPAIR: _on_link_repair,
         SAMPLE_TICK: _on_sample_tick,
-        PROBE_WINDOW: _on_probe_window,
     }
 
     # -- invariant checks: explicit raises, so they hold under ``python -O`` --

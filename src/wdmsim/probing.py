@@ -131,10 +131,11 @@ class ConnectionProber:
 
     Every window sends ``count`` evenly spaced probes down each candidate,
     so probe ``seq`` is slot ``seq % count`` of window ``seq // count``.
-    The state is the open window's PACK/NACK tally per candidate, the
-    answered ``(path_index, seq)`` pairs and the undelivered answers with
-    their landing times.  Feedback delivered after its window closed moves
-    no ranking: a window's estimate is read once, when it closes.
+    The state is the open window's span and PACK/NACK tally per candidate,
+    the answered ``(path_index, seq)`` pairs and the undelivered answers
+    with their landing times.  The owner closes a window once ``close_at``
+    has passed.  Feedback delivered after its window closed moves no
+    ranking: a window's estimate is read once, when it closes.
     """
 
     def __init__(self, candidates: CandidateSet, count: int, interval: float, m: int):
@@ -147,24 +148,24 @@ class ConnectionProber:
         self._nacks = [0] * n
         self._answered: set[tuple[int, int]] = set()
         self._landing: list[tuple[float, int, int, str]] = []  # (land, path_index, seq, outcome)
-        self._send_times: list[float] = []  # the open window's send time per slot
+        self._opened_at, self.close_at = 0.0, math.inf  # the open window's span; none yet
         self._next_seq = 0  # first seq of the next window
         self._open_from = 0  # first seq the open window counts; == _next_seq when closed
 
     def open_windows(self, now: float) -> list[tuple[float, int, int]]:
         """Open a window; returns each candidate's first send, ``(time, path_index, seq)``."""
-        count, interval, first = self.count, self.interval, self._next_seq
-        self._open_from = first
-        self._next_seq = first + count
-        self._send_times = [now + (i + 1) * interval / (count + 1) for i in range(count)]
-        start = self._send_times[0]
+        first = self._open_from = self._next_seq
+        self._next_seq = first + self.count
+        self._opened_at, self.close_at = now, now + self.interval
+        start = now + self.interval / (self.count + 1)
         return [(start, j, first) for j in range(len(self.candidates.paths))]
 
-    def sent(self, path_index: int, seq: int, outcome: str, now: float) -> float | None:
-        """Record a probe sent at ``now``; returns seq + 1's send time, None after the last slot."""
+    def sent(self, path_index: int, seq: int, outcome: str, now: float) -> float:
+        """Record a probe sent at ``now``; returns seq + 1's send time, even in the next window."""
         self._landing.append((now + self.candidates.rtts[path_index], path_index, seq, outcome))
-        slot = seq % self.count + 1
-        return self._send_times[slot] if slot < self.count else None
+        slot = (seq + 1) % self.count
+        opened_at = self.close_at if slot == 0 else self._opened_at
+        return opened_at + (slot + 1) * self.interval / (self.count + 1)
 
     def landed(self, now: float) -> list[tuple[int, int, str]]:
         """Pop ``(path_index, seq, outcome)`` of each answer landing strictly before ``now``.

@@ -142,6 +142,17 @@ def test_parallel_sweep_is_byte_identical(tmp_path):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_sweep_refuses_a_worker_count_below_one(tmp_path, capsys, workers):
+    cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep", "--config", cfg, "--out", str(out), "--workers", workers])
+    assert exit_info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_failed_sweep_leaves_no_partial_summary(tmp_path, capsys):
     cfg = write(tmp_path, "bad.cfg", SWEEP_CFG + "failures = 1.0:99\n")
     out = tmp_path / "out"

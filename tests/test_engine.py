@@ -18,7 +18,6 @@ from wdmsim.engine import (
     DEPARTURE,
     LINK_FAILURE,
     PROBE_SEND,
-    PROBE_WINDOW,
     ROUTER_BASELINE,
     ROUTER_RFTR,
     SAMPLE_TICK,
@@ -335,8 +334,8 @@ def test_connections_hold_only_live_sessions():
 
 # -- event model: only events that carry a decision ----------------------------
 
-def test_reference_run_schedules_only_decision_events(monkeypatch):
-    # the reference rftr scenario: default mesh, 4 sources at 4 calls/s, 5000 demands
+def counted_kinds(monkeypatch) -> Counter:
+    """Count every event scheduled from now on, by kind."""
     kinds = Counter()
     schedule = Simulation.schedule
 
@@ -345,16 +344,21 @@ def test_reference_run_schedules_only_decision_events(monkeypatch):
         schedule(self, time, kind, **payload)
 
     monkeypatch.setattr(Simulation, "schedule", counting)
+    return kinds
+
+
+def test_reference_run_schedules_only_decision_events(monkeypatch):
+    # the reference rftr scenario: default mesh, 4 sources at 4 calls/s, 5000 demands
+    kinds = counted_kinds(monkeypatch)
     cfg = SimConfig(wavelengths=8, arrival_rate=4.0, holding_time=0.5, session_traffics=4,
                     max_requests=5000, seed=1)
     report = Simulation(cfg).run()
-    assert set(kinds) == {ARRIVAL, DEPARTURE, PROBE_SEND, PROBE_WINDOW, SAMPLE_TICK}
+    assert set(kinds) == {ARRIVAL, DEPARTURE, PROBE_SEND, SAMPLE_TICK}
     assert "feedback_arrive" not in kinds  # answers are tallied at send, not scheduled
     assert report.probes_sent == 141_030
-    stale_sends = kinds[PROBE_SEND] - report.probes_sent  # a live send sends one probe
-    ended = report.completed + report.dropped
-    assert 0 <= stale_sends <= cfg.candidates_k * ended  # at most one per candidate
-    assert sum(kinds.values()) <= 175_000
+    # no drops here, so every scheduled send goes out: none falls past its departure
+    assert kinds[PROBE_SEND] == report.probes_sent
+    assert sum(kinds.values()) <= 152_000
 
 
 # A 0->1 demand at t = 0 on a triangle.  One busy channel on each detour link
@@ -410,6 +414,49 @@ def test_feedback_landing_at_drop_counts_nowhere(monkeypatch):
     assert report.dropped == 1
     assert estimates == [[1.0]]
     assert (report.probes_sent, report.probe_packs, report.probe_nacks) == (2, 1, 0)
+
+
+# A 0->1 demand at t = 0 on a diamond: the direct link 0-1 carries the primary
+# and the detours [0,2,1] and [0,3,1] are the candidates, in that order.  Every
+# channel of link 0-2 is busy, so the first window (one probe at 0.25 s,
+# answers back at 0.29 s) ranks [0,3,1] first; the next window's first send
+# is at 0.75 s.
+DIAMOND = ("nodes 4\nlink 0 1 10 8\nlink 0 2 10 8\nlink 2 1 10 8\n"
+           "link 0 3 10 8\nlink 3 1 10 8\n")
+
+
+def test_failure_between_close_and_next_send_reroutes_on_the_closed_window(monkeypatch):
+    topo = parse_topology(DIAMOND)
+    for w in range(8):
+        topo.links[1].occupy(FORWARD, w)
+    for link in topo.links[3:]:  # one busy channel steers the primary off [0,3,1]
+        link.occupy(FORWARD, 7)
+    tried = []
+    reroute = wdmsim.engine.reroute
+
+    def recording(topology, backups, *args, **kwargs):
+        tried.append(list(backups))
+        return reroute(topology, backups, *args, **kwargs)
+
+    monkeypatch.setattr(wdmsim.engine, "reroute", recording)
+    cfg = SimConfig(max_requests=1, probes_per_interval=1, probe_interval=0.5,
+                    failures=[(0.6, 0)])
+    sim = Simulation(cfg, topology=topo, audit=True)
+    sim.arrivals = [(0.0, 0, 1, 2.0)]
+    report = sim.run()
+    # the window closed at 0.5; no send of the next one went out before 0.6
+    assert tried == [[(0, 3, 1), (0, 2, 1)]]
+    assert report.restored == 1 and report.dropped == 0
+    assert report.probe_packs >= 1 and report.probe_nacks >= 1
+
+
+@pytest.mark.parametrize("holding", [0.2, 0.25])
+def test_session_ending_by_its_first_slot_sends_no_probe(monkeypatch, holding):
+    # the first send would be at 0.25 s: at or after the departure, none is scheduled
+    kinds = counted_kinds(monkeypatch)
+    report, estimates = landing_run(monkeypatch, 50, holding)
+    assert kinds[PROBE_SEND] == 0
+    assert report.probes_sent == 0 and estimates == []
 
 
 # -- invariants under python -O ------------------------------------------------

@@ -148,11 +148,13 @@ def test_emit_probes_spread_and_accounting():
     prober = make_prober(paths=[(0, 1, 9)], probes=4)
     [(t, j, seq)] = prober.open_windows(2.0)
     sends = []
-    while t is not None:  # each send names the time of the next one
+    for _ in range(prober.count):  # each send names the time of the next one
         sends.append((t, j, seq))
         t, seq = prober.sent(j, seq, PACK, t), seq + 1
     assert [seq for _, _, seq in sends] == [0, 1, 2, 3]
     assert [t for t, _, _ in sends] == pytest.approx([2.1, 2.2, 2.3, 2.4])
+    # the last slot names the next window's first send: its close at 2.5 plus one spacing
+    assert (t, seq) == (pytest.approx(2.6), 4)
     for _, j, seq in sends:  # every emitted probe is in flight exactly once
         prober.feedback(j, seq, PACK)
     with pytest.raises(UnknownSequenceError):
@@ -163,8 +165,9 @@ def test_answers_land_one_round_trip_after_the_send():
     cands = CandidateSet(paths=[(0, 1, 9), (0, 2, 9)], rtts=(0.25, 0.5))
     prober = ConnectionProber(cands, 1, 0.5, m=2)
     assert prober.open_windows(0.0) == [(0.25, 0, 0), (0.25, 1, 0)]
-    assert prober.sent(0, 0, PACK, 0.25) is None  # one slot a window: no next send
-    assert prober.sent(1, 0, NACK, 0.25) is None
+    # one slot a window: the next send is the next window's, 0.25 s after its 0.5 s open
+    assert prober.sent(0, 0, PACK, 0.25) == 0.75
+    assert prober.sent(1, 0, NACK, 0.25) == 0.75
     assert prober.landed(0.5) == []  # landing at 0.5 is not before 0.5
     assert prober.landed(0.75) == [(0, 0, PACK)]
     assert prober.landed(0.76) == [(1, 0, NACK)]
