@@ -16,14 +16,12 @@ from .errors import (
     ChannelBusyError,
     ChannelFreeError,
     ConfigError,
-    DuplicateFeedbackError,
     InvariantError,
     LinkDownError,
     NoSuchNodeError,
     SimError,
     TopologyError,
     TopologyParseError,
-    UnknownSequenceError,
 )
 from .metrics import MetricsReport
 
@@ -33,7 +31,6 @@ __all__ = [
     "ChannelBusyError",
     "ChannelFreeError",
     "ConfigError",
-    "DuplicateFeedbackError",
     "InvariantError",
     "LinkDownError",
     "MetricsReport",
@@ -44,7 +41,6 @@ __all__ = [
     "Simulation",
     "TopologyError",
     "TopologyParseError",
-    "UnknownSequenceError",
     "build_topology",
     "parse_config",
     "run",

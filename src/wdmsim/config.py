@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig, build_topology
+from .engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig, build_topology, unknown_schedule_links
 from .errors import ConfigError, TopologyError
 
 SWEEP_NONE = "none"
@@ -160,8 +160,12 @@ def parse_config(text: str) -> Scenario:
                 raise ConfigError("sweep: sources values must be positive integers")
             scenario.sweep_param = parts[0]
             scenario.sweep_values = sweep_values
+            labels = {}
             for value in sweep_values:
                 scenario.config_for(base.router, value, base.seed).validate()
+                first = labels.setdefault(scenario.run_label(base.router, value), value)
+                if first != value:  # both runs would write the same files
+                    raise ConfigError(f"sweep: values {first!r} and {value!r} share a run label")
         else:
             raise ConfigError(f"sweep: unknown parameter {parts[0]!r}")
     return scenario
@@ -188,9 +192,5 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
         diagnostics.append(
             Diagnostic("warning", "topology is disconnected; most demands will block")
         )
-    n_links = len(topology.links)
-    for label, schedule in (("failures", scenario.base.failures), ("repairs", scenario.base.repairs)):
-        for _, link_id in schedule:
-            if not 0 <= link_id < n_links:
-                diagnostics.append(Diagnostic("error", f"{label}: unknown link {link_id}"))
-    return diagnostics
+    unknown = unknown_schedule_links(scenario.base, topology)
+    return diagnostics + [Diagnostic("error", message) for message in unknown]

@@ -9,11 +9,11 @@ Only events that carry a decision are scheduled: the lifecycle (arrival,
 departure, link failure, link repair) and one pending probe send per
 candidate, which schedules the candidate's next send, across window
 boundaries, while that falls before the connection's departure.  No event
-closes a probe window or delivers an answer: the prober records both times,
-the next window's first send or a failure rerouting the connection closes
-the window, and a close, departure or drop delivers the answers that landed
-strictly before it.  Sample ticks run while a lifecycle event is pending, so
-the timeseries ends at the same tick whatever the router.
+closes a probe window or delivers an answer: the prober tallies each answer
+when its probe is sent, the next window's first send or a failure rerouting
+the connection closes the window, and a departure or drop counts the answers
+that landed strictly before it.  Sample ticks run while a lifecycle event is
+pending, so the timeseries ends at the same tick whatever the router.
 """
 
 from __future__ import annotations
@@ -147,6 +147,13 @@ def build_topology(config: SimConfig) -> Topology:
     return default_topology(channels=config.wavelengths, delay_ms=config.link_delay_ms)
 
 
+def unknown_schedule_links(config: SimConfig, topology: Topology) -> list[str]:
+    """One message per failure or repair naming a link id the topology lacks."""
+    return [f"{label}: unknown link {link_id}"
+            for label, schedule in (("failures", config.failures), ("repairs", config.repairs))
+            for _, link_id in schedule if not 0 <= link_id < len(topology.links)]
+
+
 def generate_arrivals(
     config: SimConfig, rng: random.Random, num_nodes: int
 ) -> list[tuple[float, int, int, float]]:
@@ -184,6 +191,9 @@ class Simulation:
         config.validate()
         self.config = config
         self.topology = topology if topology is not None else build_topology(config)
+        unknown = unknown_schedule_links(config, self.topology)
+        if unknown:
+            raise ConfigError(unknown[0])
         self.audit = audit
         self.probe_count = probe_count(
             config.probes_per_interval, config.adaptive_scale, config.aggregate_rate
@@ -231,8 +241,6 @@ class Simulation:
         for kind, events in ((LINK_FAILURE, self.config.failures),
                              (LINK_REPAIR, self.config.repairs)):
             for t, link_id in events:
-                if not 0 <= link_id < len(self.topology.links):
-                    raise ConfigError(f"unknown link {link_id} in failure schedule")
                 self.schedule(t, kind, link_id=link_id)
         self.schedule(self.config.sample_interval, SAMPLE_TICK)
 
@@ -290,14 +298,14 @@ class Simulation:
             conn.prober = ConnectionProber(
                 cands, self.probe_count, self.config.probe_interval, self.m
             )
-            for t, path_index, seq in conn.prober.open_windows(self.now):
-                self._schedule_send(conn, t, path_index, seq)
+            for t, path_index, slot in conn.prober.open_windows(self.now):
+                self._schedule_send(conn, t, path_index, slot)
 
-    def _schedule_send(self, conn: Connection, t: float, path_index: int, seq: int) -> None:
+    def _schedule_send(self, conn: Connection, t: float, path_index: int, slot: int) -> None:
         if t < conn.arrival + conn.holding:  # at or after the departure it would be stale
-            self.schedule(t, PROBE_SEND, conn_id=conn.id, path_index=path_index, probe_seq=seq)
+            self.schedule(t, PROBE_SEND, conn_id=conn.id, path_index=path_index, slot=slot)
 
-    def _on_probe_send(self, conn_id: int, path_index: int, probe_seq: int) -> None:
+    def _on_probe_send(self, conn_id: int, path_index: int, slot: int) -> None:
         conn = self.connections.get(conn_id)
         if conn is None:
             return  # stale: the connection dropped before the probe went out
@@ -305,28 +313,27 @@ class Simulation:
         route = conn.prober.candidates.paths[path_index]
         outcome = probe_outcome(self.topology, route, self.config.conversion_mode)
         self.collector.on_probe_sent()
-        t = conn.prober.sent(path_index, probe_seq, outcome, self.now)
-        self._schedule_send(conn, t, path_index, probe_seq + 1)
+        t = conn.prober.sent(path_index, slot, outcome, self.now)
+        self._schedule_send(conn, t, path_index, (slot + 1) % conn.prober.count)
 
     def _close_window(self, conn: Connection) -> None:
         """Rank the backups from a probe window that closed before now; open the next."""
         prober = conn.prober
         if prober is not None and prober.close_at < self.now:
-            self._deliver_feedback(prober, prober.close_at)
             conn.backups = prober.close_and_rank()
             prober.open_windows(prober.close_at)
 
-    def _deliver_feedback(self, prober: ConnectionProber, until: float) -> None:
-        for path_index, seq, outcome in prober.landed(until):
-            prober.feedback(path_index, seq, outcome)
-            self.collector.on_probe_feedback(outcome)
+    def _count_answers(self, conn: Connection) -> None:
+        """Count the probe answers that landed before the connection ended now."""
+        if conn.prober is not None:
+            for outcome in conn.prober.landed(self.now):
+                self.collector.on_probe_feedback(outcome)
 
     def _on_departure(self, conn_id: int) -> None:
         conn = self.connections.pop(conn_id, None)
         if conn is None:
             return  # stale departure for a dropped session
-        if conn.prober is not None:
-            self._deliver_feedback(conn.prober, self.now)
+        self._count_answers(conn)
         release_lightpath(self.topology, conn.current)
         self.collector.on_completed(conn, self.now)
 
@@ -351,8 +358,7 @@ class Simulation:
             )
             if new_lp is None:
                 del self.connections[conn.id]
-                if conn.prober is not None:
-                    self._deliver_feedback(conn.prober, self.now)
+                self._count_answers(conn)
                 conn.current = None
                 self.collector.on_dropped(conn, self.now)
             else:

@@ -33,14 +33,6 @@ class ChannelFreeError(SimError):
     """Attempt to release a wavelength channel that is already free."""
 
 
-class UnknownSequenceError(SimError):
-    """Probe feedback referenced a sequence number never emitted."""
-
-
-class DuplicateFeedbackError(SimError):
-    """Probe feedback arrived twice for the same sequence number."""
-
-
 class ConfigError(SimError):
     """Scenario configuration is malformed or out of range."""
 

@@ -160,16 +160,14 @@ def write_summary_csv(rows: list[dict], destination) -> None:
     with open(destination, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=SUMMARY_COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
 
 
 def write_timeseries_csv(report: MetricsReport, destination) -> None:
     with open(destination, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMESERIES_COLUMNS)
-        for t, bp, packets, utilization in report.series:
-            writer.writerow([t, bp, packets, utilization])
+        writer.writerows(report.series)
 
 
 def export_csv(report: MetricsReport, destination) -> None:

@@ -2,13 +2,14 @@
 
 For every established connection the source keeps a set of candidate routes
 that are link-disjoint from the primary.  Each update interval it sends a
-small batch of sequence-numbered probes down every candidate; the far end
-answers PACK when the route could currently carry a lightpath and NACK when
-it could not (a hop down, or no admissible wavelength).  The NACKed fraction
-of the probes whose answers land before their window closes is the route's
-blocking estimate, and at each close the candidates are ranked ascending by
-it, so a failure reroutes onto the best measured route first.  Sub-optimal
-candidates keep receiving probes, so the ranking tracks load changes.
+small batch of probes down every candidate; the far end answers PACK when
+the route could currently carry a lightpath and NACK when it could not (a
+hop down, or no admissible wavelength).  An answer is fixed when its probe
+is sent and is tallied then, in the window it lands in before the close.
+The NACKed fraction of those answers is the route's blocking estimate, and
+at each close the candidates are ranked ascending by it, so a failure
+reroutes onto the best measured route first.  Sub-optimal candidates keep
+receiving probes, so the ranking tracks load changes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DuplicateFeedbackError, LinkDownError, TopologyError, UnknownSequenceError
+from .errors import LinkDownError, TopologyError
 from .routing import (
     BACKUP,
     NO_CONVERSION,
@@ -130,12 +131,11 @@ class ConnectionProber:
     """Probe windows over one connection's candidate set.
 
     Every window sends ``count`` evenly spaced probes down each candidate,
-    so probe ``seq`` is slot ``seq % count`` of window ``seq // count``.
-    The state is the open window's span and PACK/NACK tally per candidate,
-    the answered ``(path_index, seq)`` pairs and the undelivered answers
-    with their landing times.  The owner closes a window once ``close_at``
-    has passed.  Feedback delivered after its window closed moves no
-    ranking: a window's estimate is read once, when it closes.
+    one per slot.  ``sent`` tallies a probe's answer into the open window's
+    PACK/NACK counts when it lands strictly before ``close_at``, and keeps
+    every answer's landing time for ``landed``.  The owner closes a window
+    once ``close_at`` has passed: a window's estimate is read once, when it
+    closes, so an answer landing at or after the close moves no ranking.
     """
 
     def __init__(self, candidates: CandidateSet, count: int, interval: float, m: int):
@@ -146,49 +146,32 @@ class ConnectionProber:
         n = len(candidates.paths)
         self._acks = [0] * n
         self._nacks = [0] * n
-        self._answered: set[tuple[int, int]] = set()
-        self._landing: list[tuple[float, int, int, str]] = []  # (land, path_index, seq, outcome)
+        self._landing: list[tuple[float, str]] = []  # (land, outcome) of every probe sent
         self._opened_at, self.close_at = 0.0, math.inf  # the open window's span; none yet
-        self._next_seq = 0  # first seq of the next window
-        self._open_from = 0  # first seq the open window counts; == _next_seq when closed
 
     def open_windows(self, now: float) -> list[tuple[float, int, int]]:
-        """Open a window; returns each candidate's first send, ``(time, path_index, seq)``."""
-        first = self._open_from = self._next_seq
-        self._next_seq = first + self.count
+        """Open a window; returns each candidate's first send, ``(time, path_index, slot)``."""
         self._opened_at, self.close_at = now, now + self.interval
         start = now + self.interval / (self.count + 1)
-        return [(start, j, first) for j in range(len(self.candidates.paths))]
+        return [(start, j, 0) for j in range(len(self.candidates.paths))]
 
-    def sent(self, path_index: int, seq: int, outcome: str, now: float) -> float:
-        """Record a probe sent at ``now``; returns seq + 1's send time, even in the next window."""
-        self._landing.append((now + self.candidates.rtts[path_index], path_index, seq, outcome))
-        slot = (seq + 1) % self.count
+    def sent(self, path_index: int, slot: int, outcome: str, now: float) -> float:
+        """Record a probe sent at ``now``; returns the next slot's send, even in the next window."""
+        land = now + self.candidates.rtts[path_index]
+        self._landing.append((land, outcome))
+        if land < self.close_at:
+            self.feedback(path_index, outcome)
+        slot = (slot + 1) % self.count
         opened_at = self.close_at if slot == 0 else self._opened_at
         return opened_at + (slot + 1) * self.interval / (self.count + 1)
 
-    def landed(self, now: float) -> list[tuple[int, int, str]]:
-        """Pop ``(path_index, seq, outcome)`` of each answer landing strictly before ``now``.
+    def landed(self, now: float) -> list[str]:
+        """Outcomes of the answers landing strictly before ``now``, the connection's end."""
+        return [outcome for land, outcome in self._landing if land < now]
 
-        An answer landing at a window close, departure or drop comes after it.
-        """
-        due = [r[1:] for r in self._landing if r[0] < now]
-        if due:
-            self._landing = [r for r in self._landing if r[0] >= now]
-        return due
-
-    def feedback(self, path_index: int, seq: int, outcome: str) -> None:
-        if outcome not in (PACK, NACK):
-            raise ValueError(f"outcome must be {PACK!r} or {NACK!r}, got {outcome!r}")
-        if not (0 <= path_index < len(self._acks) and 0 <= seq < self._next_seq):
-            raise UnknownSequenceError(f"seq {seq} unknown on path {path_index}")
-        key = (path_index, seq)
-        if key in self._answered:
-            raise DuplicateFeedbackError(f"feedback for seq {seq} already recorded")
-        self._answered.add(key)
-        if seq >= self._open_from:
-            tally = self._acks if outcome == PACK else self._nacks
-            tally[path_index] += 1
+    def feedback(self, path_index: int, outcome: str) -> None:
+        tally = self._acks if outcome == PACK else self._nacks
+        tally[path_index] += 1
 
     def estimates(self) -> list[float]:
         """Open window's NACKed fraction of resolved probes; no evidence counts as 1.0."""
@@ -204,7 +187,6 @@ class ConnectionProber:
         order = sorted(range(len(paths)), key=lambda j: (estimates[j], len(paths[j]), paths[j]))
         self._acks = [0] * len(paths)
         self._nacks = [0] * len(paths)
-        self._open_from = self._next_seq
         return [paths[j] for j in order[: self.m]]
 
 

@@ -67,7 +67,7 @@ def least_cost_path(
     finite-cost route exists.
     """
     for n in (src, dst):
-        if not topology.has_node(n):
+        if not 0 <= n < topology.num_nodes:
             raise NoSuchNodeError(f"node {n} not in topology")
     if src == dst:
         raise ValueError("src and dst must differ")

@@ -134,9 +134,6 @@ class Topology:
         ]
         self._hops: dict[tuple[int, ...], tuple[tuple[Link, int], ...]] = {}
 
-    def has_node(self, n: int) -> bool:
-        return 0 <= n < self.num_nodes
-
     def link_between(self, u: int, v: int) -> Link | None:
         return self._by_pair.get((min(u, v), max(u, v)))
 

@@ -8,6 +8,7 @@ exactly with Dijkstra's incremental accumulation.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -143,6 +144,32 @@ def erlang_b(a: float, w: int) -> float:
     return b
 
 
+def erlang_fixed_point(routes, capacity: int) -> float:
+    """Reduced-load (Erlang fixed-point) blocking of a loss network (Kelly 1986).
+
+    ``routes`` lists ``(offered erlangs, resources)``, every resource a trunk
+    group of ``capacity`` circuits.  A resource blocks with Erlang-B of the
+    load its routes offer it, each thinned by the blocking of the route's
+    other resources; a route is carried only if all of its resources admit
+    it.  Returns the route blocking averaged over the offered load.
+    """
+    blocking = {r: 0.0 for _, resources in routes for r in resources}
+    for _ in range(1000):  # repeated substitution; converges in a few dozen rounds here
+        previous = blocking
+        blocking = {
+            r: erlang_b(sum(a * math.prod(1.0 - previous[k] for k in resources if k != r)
+                            for a, resources in routes if r in resources), capacity)
+            for r in previous
+        }
+        if max(abs(blocking[r] - previous[r]) for r in blocking) < 1e-12:
+            break
+    else:
+        raise ArithmeticError("repeated substitution did not converge")
+    lost = sum(a * (1.0 - math.prod(1.0 - blocking[r] for r in resources))
+               for a, resources in routes)
+    return lost / sum(a for a, _ in routes)
+
+
 def random_failure_schedule(
     topology: Topology, seed: int, tmax: float, count: int = 1
 ) -> list[tuple[float, int]]:
@@ -156,10 +183,12 @@ def random_failure_schedule(
     return sorted(schedule)
 
 
-def window_probes(prober, now: float) -> list[tuple[int, int]]:
-    """Open a window; every ``(path_index, seq)`` it sends, candidate by candidate.
+def window_probes(prober, now: float) -> list[tuple[float, int, int]]:
+    """Open a window; every ``(time, path_index, slot)`` it sends, candidate by candidate.
 
-    ``open_windows`` returns only each candidate's first send, and the
-    window's ``count`` seqs are consecutive from it.
+    ``open_windows`` returns only each candidate's first send; slot ``s`` of
+    the window's ``count`` goes out ``s + 1`` spacings after it opens, a
+    spacing being the window's span over ``count + 1``.
     """
-    return [(j, seq + i) for _, j, seq in prober.open_windows(now) for i in range(prober.count)]
+    return [(now + (s + 1) * prober.interval / (prober.count + 1), j, s)
+            for _, j, _ in prober.open_windows(now) for s in range(prober.count)]

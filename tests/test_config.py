@@ -131,6 +131,20 @@ def test_run_labels_are_stable():
     assert plain.run_label(ROUTER_RFTR, None, seed=0) == "x-rftr-seed0"
 
 
+@pytest.mark.parametrize("sweep, values", [
+    ("rate 2.0000001, 2.0000002", "2.0000001 and 2.0000002"),  # both label as rate2
+    ("sources 1000001, 1000002", "1000001.0 and 1000002.0"),  # both label as sources1e+06
+], ids=["rate", "sources"])
+def test_sweep_values_sharing_a_run_label_are_refused(sweep, values):
+    # the second run would overwrite the first's timeseries file and
+    # summary.csv would hold two rows under one label
+    with pytest.raises(ConfigError, match=f"^sweep: values {values} share a run label$"):
+        parse_config(f"sweep = {sweep}\n")
+    labels = {parse_config("sweep = rate 2.5, 2.50001").run_label(ROUTER_RFTR, v)
+              for v in (2.5, 2.50001)}
+    assert labels == {"scenario-rftr-rate2.5", "scenario-rftr-rate2.50001"}
+
+
 def test_routers_expansion():
     assert parse_config("router = both").routers() == [ROUTER_RFTR, ROUTER_BASELINE]
     assert parse_config("router = baseline").routers() == [ROUTER_BASELINE]

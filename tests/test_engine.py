@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import wdmsim
-from oracles import erlang_b, random_failure_schedule
+from oracles import erlang_b, erlang_fixed_point, random_failure_schedule
 from wdmsim.engine import (
     ARRIVAL,
     DEPARTURE,
@@ -307,6 +307,13 @@ def test_unknown_failure_link_rejected():
         run(cfg)
 
 
+@pytest.mark.parametrize("schedule", ["failures", "repairs"])
+def test_unknown_schedule_link_refused_at_construction(schedule):
+    # refused before a run queues anything, naming the schedule that holds it
+    with pytest.raises(ConfigError, match=f"^{schedule}: unknown link 99$"):
+        Simulation(SimConfig(**{schedule: [(1.0, 0), (2.0, 99)]}))
+
+
 def test_restoration_is_reflected_in_mean_delay():
     # primary [0,1,2] is 20 ms; detour [0,3,2] is also 20 ms, so the mean
     # stays 20 ms even after restoration — but setup delay is counted once
@@ -537,3 +544,28 @@ def test_single_link_blocking_matches_erlang_b(erlangs, wavelengths):
     ]
     stderr = statistics.stdev(blocking) / math.sqrt(len(blocking))
     assert abs(statistics.mean(blocking) - erlang_b(erlangs, wavelengths)) <= 3 * stderr
+
+
+@pytest.mark.parametrize("total_rate", [6.0, 9.0, 12.0])
+def test_line_blocking_matches_erlang_fixed_point(total_rate):
+    # a 3-node line with full conversion is a loss network: each direction of
+    # each link is a 4-circuit trunk group, every ordered pair offers
+    # total_rate / 6 Erlangs on its one route, and the reduced-load
+    # approximation is within a few per cent of the simulated blocking
+    line = "nodes 3\nlink 0 1 10 4\nlink 1 2 10 4\n"
+    cfg = SimConfig(router=ROUTER_BASELINE, conversion_mode="full", session_traffics=1,
+                    arrival_rate=total_rate, holding_time=1.0, max_requests=2000,
+                    sample_interval=1000.0)
+    blocking = statistics.mean(
+        run(replace(cfg, seed=seed), topology=parse_topology(line)).blocking_probability
+        for seed in range(20)
+    )
+    routes = []
+    for src in range(3):
+        for dst in range(3):
+            if src != dst:
+                step = 1 if dst > src else -1
+                nodes = range(src, dst + step, step)
+                routes.append((total_rate / 6, tuple(zip(nodes, nodes[1:]))))
+    want = erlang_fixed_point(routes, 4)
+    assert abs(blocking - want) <= 0.1 * want

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import k_best_disjoint, random_topology, rank_by_feedback, window_probes
 from wdmsim.engine import SimConfig, Simulation
-from wdmsim.errors import ConfigError, DuplicateFeedbackError, UnknownSequenceError
+from wdmsim.errors import ConfigError
 from wdmsim.probing import (
     NACK,
     PACK,
@@ -116,9 +116,16 @@ def test_candidates_share_no_link_with_primary(seed):
 
 # -- probe count and windows -------------------------------------------------
 
-def make_prober(paths=((0, 1, 9), (0, 2, 9)), probes=4, m=2, interval=0.5):
-    cands = CandidateSet(paths=[tuple(p) for p in paths], rtts=(0.0,) * len(paths))
+def make_prober(paths=((0, 1, 9), (0, 2, 9)), probes=4, m=2, interval=0.5, rtts=None):
+    rtts = (0.0,) * len(paths) if rtts is None else tuple(rtts)
+    cands = CandidateSet(paths=[tuple(p) for p in paths], rtts=rtts)
     return ConnectionProber(cands, probes, interval, m=m)
+
+
+def send_window(prober, now, outcome_of):
+    """Open a window and send each of its probes; ``outcome_of(path_index, slot)`` answers."""
+    for t, j, slot in window_probes(prober, now):
+        prober.sent(j, slot, outcome_of(j, slot), t)
 
 
 def test_effective_count_adapts_to_load():
@@ -146,19 +153,20 @@ def test_policy_validation():
 
 def test_emit_probes_spread_and_accounting():
     prober = make_prober(paths=[(0, 1, 9)], probes=4)
-    [(t, j, seq)] = prober.open_windows(2.0)
+    [(t, j, slot)] = prober.open_windows(2.0)
     sends = []
     for _ in range(prober.count):  # each send names the time of the next one
-        sends.append((t, j, seq))
-        t, seq = prober.sent(j, seq, PACK, t), seq + 1
-    assert [seq for _, _, seq in sends] == [0, 1, 2, 3]
+        sends.append((t, j, slot))
+        t, slot = prober.sent(j, slot, NACK if slot else PACK, t), (slot + 1) % prober.count
+    assert [slot for _, _, slot in sends] == [0, 1, 2, 3]
     assert [t for t, _, _ in sends] == pytest.approx([2.1, 2.2, 2.3, 2.4])
+    assert sends == [(pytest.approx(t), j, slot) for t, j, slot in window_probes(
+        make_prober(paths=[(0, 1, 9)], probes=4), 2.0)]
     # the last slot names the next window's first send: its close at 2.5 plus one spacing
-    assert (t, seq) == (pytest.approx(2.6), 4)
-    for _, j, seq in sends:  # every emitted probe is in flight exactly once
-        prober.feedback(j, seq, PACK)
-    with pytest.raises(UnknownSequenceError):
-        prober.feedback(0, 4, PACK)
+    assert (t, slot) == (pytest.approx(2.6), 0)
+    # every sent probe's answer is tallied once, in the window it was sent in
+    assert prober.landed(2.5) == [PACK, NACK, NACK, NACK]
+    assert prober.estimates() == [3 / 4]
 
 
 def test_answers_land_one_round_trip_after_the_send():
@@ -169,32 +177,28 @@ def test_answers_land_one_round_trip_after_the_send():
     assert prober.sent(0, 0, PACK, 0.25) == 0.75
     assert prober.sent(1, 0, NACK, 0.25) == 0.75
     assert prober.landed(0.5) == []  # landing at 0.5 is not before 0.5
-    assert prober.landed(0.75) == [(0, 0, PACK)]
-    assert prober.landed(0.76) == [(1, 0, NACK)]
-    assert prober.landed(10.0) == []  # each answer is handed over once
+    assert prober.landed(0.75) == [PACK]
+    assert prober.landed(0.76) == [PACK, NACK]
+    assert prober.landed(10.0) == [PACK, NACK]  # reading the landings consumes none
+    # both land at or after the window's close at 0.5, so neither moves its estimate
+    assert prober.estimates() == [1.0, 1.0]
 
 
-def test_feedback_tallies_and_guards():
-    prober = make_prober(paths=[(0, 1, 9)], probes=3)
+def test_feedback_tallies_the_open_window():
+    prober = make_prober(probes=3)
     prober.open_windows(0.0)
-    prober.feedback(0, 0, PACK)
-    prober.feedback(0, 1, NACK)
-    assert prober.estimates() == [0.5]
-    with pytest.raises(DuplicateFeedbackError):
-        prober.feedback(0, 0, PACK)
-    with pytest.raises(UnknownSequenceError):
-        prober.feedback(0, 99, PACK)
-    with pytest.raises(UnknownSequenceError):
-        prober.feedback(1, 2, PACK)  # no such path
-    with pytest.raises(ValueError):
-        prober.feedback(0, 2, "maybe")
-    assert prober.estimates() == [0.5]
+    prober.feedback(0, PACK)
+    prober.feedback(0, NACK)
+    prober.feedback(1, NACK)
+    assert prober.estimates() == [0.5, 1.0]
+    prober.close_and_rank()
+    prober.open_windows(0.5)
+    assert prober.estimates() == [1.0, 1.0]  # the next window starts from no evidence
 
 
 def test_blocking_probability_fraction_and_sentinel():
     prober = make_prober(paths=[(0, 1, 9)], probes=10)
-    for j, seq in window_probes(prober, 0.0):
-        prober.feedback(j, seq, PACK if seq < 7 else NACK)
+    send_window(prober, 0.0, lambda j, slot: PACK if slot < 7 else NACK)
     assert prober.estimates() == [3 / 10]
     assert make_prober(paths=[(0, 1, 9)]).estimates() == [1.0]
 
@@ -235,8 +239,7 @@ def test_probe_outcome_never_mutates(square):
 
 def answer(prober, now, nacks_by_path):
     """Open a window; path j NACKs its first nacks_by_path[j] probes, PACKs the rest."""
-    for j, seq in window_probes(prober, now):
-        prober.feedback(j, seq, NACK if seq % prober.count < nacks_by_path[j] else PACK)
+    send_window(prober, now, lambda j, slot: NACK if slot < nacks_by_path[j] else PACK)
 
 
 def test_rank_orders_by_estimate():
@@ -258,10 +261,9 @@ def test_rank_breaks_ties_by_hops_then_route():
 
 
 def test_rank_sentinel_never_beats_measured_success():
-    prober = make_prober(([0, 1, 9], [0, 2, 9]), probes=10)
-    for j, seq in window_probes(prober, 0.0):
-        if j == 1:  # path 0 never answers: sentinel 1.0
-            prober.feedback(j, seq, NACK if seq < 9 else PACK)
+    # path 0's answers all land after the close at 0.5: no evidence, sentinel 1.0
+    prober = make_prober(([0, 1, 9], [0, 2, 9]), probes=10, rtts=(0.5, 0.0))
+    send_window(prober, 0.0, lambda j, slot: PACK if j == 0 or slot == 9 else NACK)
     assert prober.estimates() == [1.0, 0.9]
     assert prober.close_and_rank()[0] == (0, 2, 9)
 
@@ -279,41 +281,43 @@ def test_prober_reranks_on_measured_blocking():
     prober = make_prober()
     sends = window_probes(prober, 0.0)
     assert len(sends) == 8  # 4 probes x 2 candidates
-    for j, seq in sends:
-        prober.feedback(j, seq, NACK if j == 0 else PACK)
+    for t, j, slot in sends:
+        prober.sent(j, slot, NACK if j == 0 else PACK, t)
     backups = prober.close_and_rank()
     assert backups == [(0, 2, 9), (0, 1, 9)]
 
 
 def test_prober_sequences_continue_across_windows():
-    prober = make_prober()
-    first = window_probes(prober, 0.0)
-    for j, seq in first:
-        prober.feedback(j, seq, PACK)
-    prober.close_and_rank()
-    second = window_probes(prober, 0.5)
-    assert not (set(first) & set(second))
+    # one chain of sends, each naming the next, runs through the close at 0.6;
+    # the first window's probes PACK and the second's NACK
+    prober = make_prober(paths=[(0, 1, 9)], probes=2, interval=0.6)
+    [(t, j, slot)] = prober.open_windows(0.0)
+    sends, estimates = [], []
+    for _ in range(4):
+        if prober.close_at < t:  # as the owner does at the next window's first send
+            estimates.append(prober.estimates())
+            prober.close_and_rank()
+            prober.open_windows(prober.close_at)
+        sends.append((t, slot))
+        t, slot = prober.sent(j, slot, PACK if t < 0.6 else NACK, t), (slot + 1) % prober.count
+    assert sends == [(pytest.approx(t), s) for t, s in [(0.2, 0), (0.4, 1), (0.8, 0), (1.0, 1)]]
+    estimates.append(prober.estimates())
+    assert estimates == [[0.0], [1.0]]  # each window tallies only its own answers
 
 
 def test_prober_accepts_feedback_after_rollover():
-    prober = make_prober()
-    first = window_probes(prober, 0.0)
-    prober.close_and_rank()  # closes with everything still in flight
+    # answers take 0.15 s on path 0 and 0.35 s on path 1; of the sends at
+    # 0.1 .. 0.4, path 0's first three and path 1's first land before the
+    # close at 0.5 and PACK, and every later one NACKs
+    prober = make_prober(rtts=(0.15, 0.35))
+    on_time = {0: 3, 1: 1}
+    send_window(prober, 0.0, lambda j, slot: PACK if slot < on_time[j] else NACK)
+    assert prober.estimates() == [0.0, 0.0]  # late answers move no estimate
+    prober.close_and_rank()
     prober.open_windows(0.5)
-    for j, seq in first[:-1]:  # late PACK/NACK still lands
-        prober.feedback(j, seq, PACK)
-    assert prober.estimates() == [1.0, 1.0]  # ... but moves no open-window estimate
-    # a replay of an answered probe is a duplicate, whether or not others are in flight
-    pending_path, pending_seq = first[-1]
-    resolved_on_pending_path = next(s for s in first[:-1] if s[0] == pending_path)
-    with pytest.raises(DuplicateFeedbackError):
-        prober.feedback(*resolved_on_pending_path, PACK)
-    prober.feedback(pending_path, pending_seq, PACK)
-    # once every probe of the closed window is answered, replays are still duplicates
-    with pytest.raises(DuplicateFeedbackError):
-        prober.feedback(pending_path, pending_seq, PACK)
-    with pytest.raises(UnknownSequenceError):
-        prober.feedback(2, pending_seq, PACK)  # a path index never probed
+    assert prober.estimates() == [1.0, 1.0]  # ... not even the next window's
+    assert sorted(prober.landed(0.5)) == [PACK] * 4  # but they still land, for the totals
+    assert sorted(prober.landed(0.76)) == [NACK] * 4 + [PACK] * 4
 
 
 def test_prober_keeps_probing_suboptimal_candidates():
@@ -338,23 +342,27 @@ def test_prober_ranking_matches_on_time_oracle(data):
     # route j is 0 -> (hops_j intermediate nodes) -> 9; equal hop counts tie-break by route
     hop_counts = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="hops")
     paths = [(0, *(10 * (j + 1) + h for h in range(n)), 9) for j, n in enumerate(hop_counts)]
+    rtts = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(paths), max_size=len(paths)),
+                     label="rtts")
     count = data.draw(st.integers(1, 4), label="count")
     m = data.draw(st.integers(0, len(paths)), label="m")
-    prober = make_prober(paths, probes=count, m=m)
-    late = []  # feedback of the previous window, landing after it closed
+    prober = make_prober(paths, probes=count, m=m, rtts=rtts)
+    answers = []  # (landing time, outcome) of every probe sent
     for w in range(data.draw(st.integers(1, 4), label="windows")):
-        on_time, next_late = [], []
-        for j, seq in window_probes(prober, 0.5 * w):
+        now = 0.5 * w
+        close_at = now + prober.interval
+        on_time = []  # (path_index, outcome) of the answers landing before the close
+        for t, j, slot in window_probes(prober, now):
             outcome = data.draw(st.sampled_from([PACK, NACK]))
-            (on_time if data.draw(st.booleans()) else next_late).append((j, seq, outcome))
-        for j, seq, outcome in data.draw(st.permutations(late + on_time), label="landing"):
-            prober.feedback(j, seq, outcome)
-        late = next_late
-        want = rank_by_feedback(paths, [(j, outcome) for j, _, outcome in on_time], m)
-        assert prober.close_and_rank() == want
-    for j, seq, outcome in late:
-        prober.feedback(j, seq, outcome)
+            prober.sent(j, slot, outcome, t)
+            answers.append((t + rtts[j], outcome))
+            if t + rtts[j] < close_at:
+                on_time.append((j, outcome))
+        assert prober.close_and_rank() == rank_by_feedback(paths, on_time, m)
     assert prober.estimates() == [1.0] * len(paths)
+    end = data.draw(st.one_of(st.sampled_from([land for land, _ in answers]),
+                              st.floats(0.0, 3.0)), label="end")
+    assert sorted(prober.landed(end)) == sorted(o for land, o in answers if land < end)
 
 
 # -- reroute ------------------------------------------------------------------
