@@ -4,6 +4,12 @@ Each source adds 4 calls/s of offered load, so the {1, 2, 3, 4} sweep
 quadruples the aggregate arrival rate across its range; with 2 wavelengths
 per link the blocking curves rise visibly and the threshold-cost router
 stays below the shortest-hop baseline throughout.
+
+Every run starts from an empty network and lasts 100 requests, so the
+figures include the empty-network transient.  Against 2,000-request runs
+this understates blocking at 4 sources by about 20 % for the threshold-cost
+router (0.060 against 0.075) and about 3 % for the baseline, which flatters
+the router under study.
 """
 
 import argparse
@@ -11,6 +17,7 @@ from pathlib import Path
 
 from wdmsim.cli import run_scenario
 from wdmsim.config import parse_config
+from wdmsim.errors import SimError
 
 CONFIG = """\
 name = sources-sweep
@@ -32,7 +39,10 @@ def main() -> None:
 
     scenario = parse_config(CONFIG)
     scenario.seeds = list(range(args.seeds))
-    result = run_scenario(scenario, Path(args.out), workers=args.workers)
+    try:
+        result = run_scenario(scenario, Path(args.out), workers=args.workers)
+    except SimError as err:
+        parser.error(str(err))
 
     print(f"{'scenario':<28} {'blocking':>9} {'utilization':>12}")
     for row in result.aggregate_rows:

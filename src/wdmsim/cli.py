@@ -26,7 +26,7 @@ from .config import (
     validate_scenario,
 )
 from .engine import run
-from .errors import SimError
+from .errors import ConfigError, SimError
 
 
 @dataclass
@@ -72,7 +72,11 @@ def _aggregate(scenario: Scenario, router: str, sweep_value, outcomes: list[RunO
 
 
 def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResult:
-    """One run per (router, sweep value, seed); write all CSV artifacts."""
+    """One run per (router, sweep value, seed), writing every CSV; needs a seed and a worker."""
+    if not scenario.seeds:
+        raise ConfigError("a scenario needs at least one seed")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     sweep_values = scenario.sweep_values if scenario.sweep_param != SWEEP_NONE else [None]
     jobs = [

@@ -3,7 +3,7 @@
 Every run is driven by a single seeded RNG consumed only while pre-generating
 the arrival sequence, so identical (config, seed) pairs replay bit-identically.
 Events dequeue in (time, insertion seq) order, which makes simultaneous events
-deterministic too.
+deterministic too.  Payloads are positional; a probe send carries its connection.
 
 Only events that carry a decision are scheduled: the lifecycle (arrival,
 departure, link failure, link repair) and one pending probe send per
@@ -183,8 +183,9 @@ def generate_arrivals(
 class Simulation:
     """Single-threaded event loop over one topology instance.
 
-    An event is a heap entry ``(time, seq, kind, payload)``; dispatch looks
-    ``kind`` up in the handler table and passes ``payload`` as keywords.
+    An event is a heap entry ``(time, seq, kind, args)``; dispatch passes
+    ``args`` positionally to ``kind``'s handler.  A probe send carries its
+    ``Connection``, whose ``current`` is None once a failure dropped it.
     """
 
     def __init__(self, config: SimConfig, topology: Topology | None = None, audit: bool = False):
@@ -214,7 +215,7 @@ class Simulation:
         # because candidates are hop-count routes that ignore link state
         self._candidates: dict[tuple[int, int, frozenset[int]], CandidateSet] = {}
         self.collector = metrics_mod.MetricsCollector(config)
-        self._heap: list[tuple[float, int, str, dict]] = []
+        self._heap: list[tuple[float, int, str, tuple]] = []
         self._eseq = itertools.count()
         self._lifecycle_pending = 0
         self._cid = itertools.count()
@@ -225,10 +226,10 @@ class Simulation:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, time: float, kind: str, **payload) -> None:
+    def schedule(self, time: float, kind: str, *args) -> None:
         if kind in LIFECYCLE:
             self._lifecycle_pending += 1
-        heapq.heappush(self._heap, (time, next(self._eseq), kind, payload))
+        heapq.heappush(self._heap, (time, next(self._eseq), kind, args))
 
     # -- run ----------------------------------------------------------------
 
@@ -237,24 +238,24 @@ class Simulation:
             raise SimError("a Simulation runs once; build a new one for another run")
         self._initial_occupancy = self.topology.occupancy_snapshot()
         for t, src, dst, holding in self.arrivals:
-            self.schedule(t, ARRIVAL, src=src, dst=dst, holding=holding)
+            self.schedule(t, ARRIVAL, src, dst, holding)
         for kind, events in ((LINK_FAILURE, self.config.failures),
                              (LINK_REPAIR, self.config.repairs)):
             for t, link_id in events:
-                self.schedule(t, kind, link_id=link_id)
+                self.schedule(t, kind, link_id)
         self.schedule(self.config.sample_interval, SAMPLE_TICK)
 
         heap = self._heap
         handlers = self._HANDLERS
         while heap:
-            time, _, kind, payload = heapq.heappop(heap)
+            time, _, kind, args = heapq.heappop(heap)
             if kind in LIFECYCLE:
                 self._lifecycle_pending -= 1
             if time < self.now - 1e-12:
                 raise InvariantError("event clock went backwards")
             if time > self.now:
                 self.now = time
-            handlers[kind](self, **payload)
+            handlers[kind](self, *args)
 
         if self.audit:
             self._check_occupancy()
@@ -286,7 +287,7 @@ class Simulation:
         self.connections[conn.id] = conn
         self._check_continuity(result.lightpath)
         self.collector.on_accepted(conn, result.lightpath.path_delay, self.now)
-        self.schedule(self.now + conn.holding, DEPARTURE, conn_id=conn.id)
+        self.schedule(self.now + conn.holding, DEPARTURE, conn.id)
         key = (src, dst, result.lightpath.link_ids)
         cands = self._candidates.get(key)
         if cands is None:
@@ -303,18 +304,17 @@ class Simulation:
 
     def _schedule_send(self, conn: Connection, t: float, path_index: int, slot: int) -> None:
         if t < conn.arrival + conn.holding:  # at or after the departure it would be stale
-            self.schedule(t, PROBE_SEND, conn_id=conn.id, path_index=path_index, slot=slot)
+            self.schedule(t, PROBE_SEND, conn, path_index, slot)
 
-    def _on_probe_send(self, conn_id: int, path_index: int, slot: int) -> None:
-        conn = self.connections.get(conn_id)
-        if conn is None:
+    def _on_probe_send(self, conn: Connection, path_index: int, slot: int) -> None:
+        if conn.current is None:
             return  # stale: the connection dropped before the probe went out
         self._close_window(conn)
-        route = conn.prober.candidates.paths[path_index]
-        outcome = probe_outcome(self.topology, route, self.config.conversion_mode)
+        prober = conn.prober
+        outcome = probe_outcome(prober.candidates.hops[path_index], self.config.conversion_mode)
         self.collector.on_probe_sent()
-        t = conn.prober.sent(path_index, slot, outcome, self.now)
-        self._schedule_send(conn, t, path_index, (slot + 1) % conn.prober.count)
+        t = prober.sent(path_index, slot, outcome, self.now)
+        self._schedule_send(conn, t, path_index, (slot + 1) % prober.count)
 
     def _close_window(self, conn: Connection) -> None:
         """Rank the backups from a probe window that closed before now; open the next."""

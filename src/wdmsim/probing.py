@@ -4,12 +4,14 @@ For every established connection the source keeps a set of candidate routes
 that are link-disjoint from the primary.  Each update interval it sends a
 small batch of probes down every candidate; the far end answers PACK when
 the route could currently carry a lightpath and NACK when it could not (a
-hop down, or no admissible wavelength).  An answer is fixed when its probe
-is sent and is tallied then, in the window it lands in before the close.
-The NACKed fraction of those answers is the route's blocking estimate, and
-at each close the candidates are ranked ascending by it, so a failure
-reroutes onto the best measured route first.  Sub-optimal candidates keep
-receiving probes, so the ranking tracks load changes.
+hop down, or no admissible wavelength).  Each candidate's hops are resolved
+once, when its candidate set is built, so a probe only reads their masks.
+An answer is fixed when its probe is sent and is tallied then, in the
+window it lands in before the close.  The NACKed fraction of those answers
+is the route's blocking estimate, and at each close the candidates are
+ranked ascending by it, so a failure reroutes onto the best measured route
+first.  Sub-optimal candidates keep receiving probes, so the ranking
+tracks load changes.
 """
 
 from __future__ import annotations
@@ -17,16 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import LinkDownError, TopologyError
-from .routing import (
-    BACKUP,
-    NO_CONVERSION,
-    Lightpath,
-    assign_wavelength,
-    establish_lightpath,
-    least_cost_path,
-)
-from .topology import Topology
+from .errors import LinkDownError
+from .routing import BACKUP, NO_CONVERSION, Lightpath, establish_lightpath, least_cost_path
+from .topology import Link, Topology
 
 PACK = "pack"
 NACK = "nack"
@@ -34,13 +29,14 @@ NACK = "nack"
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Candidate routes with each route's probe round-trip time, in route order.
+    """Candidate routes with each route's resolved hops and probe round trip, in route order.
 
     Shared by every connection with the same endpoints and primary links, so
     it is never modified after ``candidate_paths`` builds it.
     """
 
     paths: list[tuple[int, ...]]
+    hops: tuple[tuple[tuple[Link, int], ...], ...]  # topology.hops(paths[j])
     rtts: tuple[float, ...]
 
 
@@ -100,8 +96,9 @@ def candidate_paths(
 ) -> CandidateSet:
     """Up to k shortest loop-free routes sharing no link with the primary."""
     paths = k_shortest_hop_paths(topology, src, dst, k, primary.link_ids)
-    rtts = tuple(2.0 * sum(link.delay for link, _ in topology.hops(path)) for path in paths)
-    return CandidateSet(paths=paths, rtts=rtts)
+    hops = tuple(topology.hops(path) for path in paths)
+    rtts = tuple(2.0 * sum(link.delay for link, _ in route) for route in hops)
+    return CandidateSet(paths=paths, hops=hops, rtts=rtts)
 
 
 def probe_count(probes_per_interval: int, adaptive_scale: float, aggregate_rate: float) -> int:
@@ -115,16 +112,20 @@ def probe_count(probes_per_interval: int, adaptive_scale: float, aggregate_rate:
     return max(1, math.floor(scaled))
 
 
-def probe_outcome(topology: Topology, route, mode: str = NO_CONVERSION) -> str:
-    """Admissibility test at probe time; never touches the occupancy map.
+def probe_outcome(hops: tuple[tuple[Link, int], ...], mode: str = NO_CONVERSION) -> str:
+    """Admissibility of a candidate's resolved hops at probe time; reads masks only.
 
-    A missing link or a down hop answers NACK; any other error propagates.
+    A down hop answers NACK.  Without conversion one wavelength must be free
+    on every hop (a nonzero AND of the masks); with full conversion every
+    hop needs some free wavelength.  ``mode`` is checked by the config.
     """
-    try:
-        fits = assign_wavelength(topology, route, mode) is not None
-    except (TopologyError, LinkDownError):
-        return NACK
-    return PACK if fits else NACK
+    common = -1
+    for link, lane in hops:
+        free = link.free_mask(lane)
+        if not (free and link.up):
+            return NACK
+        common &= free
+    return PACK if common or mode != NO_CONVERSION else NACK
 
 
 class ConnectionProber:

@@ -49,8 +49,12 @@ def announce(capsys, number, title, ok, detail, elapsed, budget):
 
 
 def one_route_prober(probes):
-    """A prober over one candidate route, ``probes`` probes per window."""
-    return ConnectionProber(CandidateSet(paths=[(0, 1)], rtts=(0.0,)), probes, 0.5, m=1)
+    """A prober over one candidate route, ``probes`` probes per window.
+
+    A prober reads only paths and round trips, so the route's hops stay unresolved.
+    """
+    cands = CandidateSet(paths=[(0, 1)], hops=((),), rtts=(0.0,))
+    return ConnectionProber(cands, probes, 0.5, m=1)
 
 
 # -- 1: cost formula fidelity -------------------------------------------------

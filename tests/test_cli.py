@@ -1,10 +1,16 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from wdmsim.cli import main, run_scenario
 from wdmsim.config import parse_config
+from wdmsim.errors import ConfigError
+
+ROOT = Path(__file__).resolve().parents[1]
 
 SWEEP_CFG = """\
 name = demo
@@ -151,6 +157,31 @@ def test_sweep_refuses_a_worker_count_below_one(tmp_path, capsys, workers):
     assert exit_info.value.code == 2
     assert "--workers" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seeds, workers", [([], 1), ([1], 0), ([1], -3)])
+def test_run_scenario_refuses_no_seeds_and_no_workers(tmp_path, seeds, workers):
+    scenario = parse_config(SWEEP_CFG)
+    scenario.seeds = seeds
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError):
+        run_scenario(scenario, out, workers=workers)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("script, flag, message", [
+    ("sources_sweep.py", "--seeds", "a scenario needs at least one seed"),
+    ("rate_sweep.py", "--workers", "workers must be >= 1, got 0"),
+])
+def test_study_scripts_refuse_no_seeds_and_no_workers(tmp_path, script, flag, message):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), flag, "0", "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 2
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_failed_sweep_leaves_no_partial_summary(tmp_path, capsys):

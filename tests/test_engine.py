@@ -346,9 +346,9 @@ def counted_kinds(monkeypatch) -> Counter:
     kinds = Counter()
     schedule = Simulation.schedule
 
-    def counting(self, time, kind, **payload):
+    def counting(self, time, kind, *args):
         kinds[kind] += 1
-        schedule(self, time, kind, **payload)
+        schedule(self, time, kind, *args)
 
     monkeypatch.setattr(Simulation, "schedule", counting)
     return kinds
@@ -421,6 +421,25 @@ def test_feedback_landing_at_drop_counts_nowhere(monkeypatch):
     assert report.dropped == 1
     assert estimates == [[1.0]]
     assert (report.probes_sent, report.probe_packs, report.probe_nacks) == (2, 1, 0)
+
+
+def test_send_queued_before_a_drop_is_ignored(monkeypatch):
+    # the send at 0.75 queues the next for 1.25; the demand drops at 1.0, so
+    # that send pops for a connection with no lightpath and probes nothing
+    kinds = counted_kinds(monkeypatch)
+    sends = []
+    sent = ConnectionProber.sent
+
+    def recording(prober, path_index, slot, outcome, now):
+        sends.append(now)
+        return sent(prober, path_index, slot, outcome, now)
+
+    monkeypatch.setattr(ConnectionProber, "sent", recording)
+    report, _ = landing_run(monkeypatch, 62.5, 2.0, failures=[(1.0, 2), (1.0, 0)])
+    assert report.dropped == 1
+    assert kinds[PROBE_SEND] == 3
+    assert sends == [0.25, 0.75]
+    assert report.probes_sent == 2
 
 
 # A 0->1 demand at t = 0 on a diamond: the direct link 0-1 carries the primary

@@ -17,8 +17,14 @@ from wdmsim.probing import (
     probe_outcome,
     reroute,
 )
-from wdmsim.routing import establish_primary, establish_baseline
-from wdmsim.topology import FORWARD, parse_topology
+from wdmsim.routing import (
+    CONVERSION_MODES,
+    FULL_CONVERSION,
+    assign_wavelength,
+    establish_baseline,
+    establish_primary,
+)
+from wdmsim.topology import FORWARD, REVERSE, default_topology, parse_topology
 
 LT = SimConfig().load_threshold
 
@@ -94,6 +100,7 @@ def test_candidate_rtts_are_twice_the_hop_delays():
     )
     assert cands.rtts == expected
     assert len(set(expected)) == 3  # a misaligned RTT would show
+    assert cands.hops == tuple(topo.hops(p) for p in cands.paths)
 
 
 @settings(max_examples=40, deadline=None)
@@ -117,8 +124,9 @@ def test_candidates_share_no_link_with_primary(seed):
 # -- probe count and windows -------------------------------------------------
 
 def make_prober(paths=((0, 1, 9), (0, 2, 9)), probes=4, m=2, interval=0.5, rtts=None):
+    # a prober reads only paths and round trips, so the routes' hops stay unresolved
     rtts = (0.0,) * len(paths) if rtts is None else tuple(rtts)
-    cands = CandidateSet(paths=[tuple(p) for p in paths], rtts=rtts)
+    cands = CandidateSet(paths=[tuple(p) for p in paths], hops=((),) * len(paths), rtts=rtts)
     return ConnectionProber(cands, probes, interval, m=m)
 
 
@@ -170,7 +178,7 @@ def test_emit_probes_spread_and_accounting():
 
 
 def test_answers_land_one_round_trip_after_the_send():
-    cands = CandidateSet(paths=[(0, 1, 9), (0, 2, 9)], rtts=(0.25, 0.5))
+    cands = CandidateSet(paths=[(0, 1, 9), (0, 2, 9)], hops=((), ()), rtts=(0.25, 0.5))
     prober = ConnectionProber(cands, 1, 0.5, m=2)
     assert prober.open_windows(0.0) == [(0.25, 0, 0), (0.25, 1, 0)]
     # one slot a window: the next send is the next window's, 0.25 s after its 0.5 s open
@@ -206,33 +214,55 @@ def test_blocking_probability_fraction_and_sentinel():
 # -- probe outcome ------------------------------------------------------------
 
 def test_probe_outcome_reports_admissibility(square):
-    assert probe_outcome(square, (0, 1, 2)) == PACK
+    assert probe_outcome(square.hops((0, 1, 2))) == PACK
     square.links[0].up = False
-    assert probe_outcome(square, (0, 1, 2)) == NACK
+    assert probe_outcome(square.hops((0, 1, 2))) == NACK
 
 
 def test_probe_outcome_sees_wavelength_exhaustion():
     topo = parse_topology("nodes 3\nlink 0 1 10 1\nlink 1 2 10 1\n")
-    assert probe_outcome(topo, (0, 1, 2)) == PACK
+    assert probe_outcome(topo.hops((0, 1, 2))) == PACK
     topo.links[0].occupy(FORWARD, 0)
-    assert probe_outcome(topo, (0, 1, 2)) == NACK
+    assert probe_outcome(topo.hops((0, 1, 2))) == NACK
 
 
 def test_probe_outcome_nacks_only_route_faults(square):
-    assert probe_outcome(square, (0, 2)) == NACK  # no link between 0 and 2
+    # a missing link or a non-node fails in topology.hops, when candidates are built
+    hops = square.hops((0, 1, 2))
     square.links[1].up = False
-    assert probe_outcome(square, (0, 1, 2)) == NACK
-    with pytest.raises(TypeError):  # a defect is not a blocked route
-        probe_outcome(square, (0, "x"))
+    assert probe_outcome(hops) == NACK
+    assert probe_outcome(hops, FULL_CONVERSION) == NACK
 
 
 def test_probe_outcome_never_mutates(square):
     before = square.occupancy_snapshot()
-    probe_outcome(square, (0, 1, 2))
+    probe_outcome(square.hops((0, 1, 2)))
     square.links[1].up = False
-    probe_outcome(square, (0, 1, 2))
+    probe_outcome(square.hops((0, 1, 2)))
     square.links[1].up = True
     assert square.occupancy_snapshot() == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 4))
+def test_probe_outcome_matches_wavelength_assignment(seed, channels):
+    # PACK exactly when no hop is down and first-fit assignment finds a wavelength
+    rng = random.Random(seed)
+    topo = default_topology(channels=channels)
+    for link in topo.links:
+        for lane in (FORWARD, REVERSE):
+            for w in range(channels):
+                if rng.random() < 0.4:
+                    link.occupy(lane, w)
+        link.up = rng.random() > 0.15
+    src = rng.randrange(topo.num_nodes)
+    dst = (src + 1 + rng.randrange(topo.num_nodes - 1)) % topo.num_nodes
+    for route in k_shortest_hop_paths(topo, src, dst, k=4):
+        hops = topo.hops(route)
+        for mode in CONVERSION_MODES:
+            admits = (all(link.up for link, _ in hops)
+                      and assign_wavelength(topo, route, mode) is not None)
+            assert probe_outcome(hops, mode) == (PACK if admits else NACK)
 
 
 # -- ranking and prober lifecycle --------------------------------------------

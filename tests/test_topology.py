@@ -161,8 +161,11 @@ def test_hops_maps_route_to_lanes(square):
     assert [(l.id, lane) for l, lane in hops] == [(0, FORWARD), (1, FORWARD)]
     hops_rev = square.hops((2, 1, 0))
     assert [(l.id, lane) for l, lane in hops_rev] == [(1, REVERSE), (0, REVERSE)]
+    # candidates are resolved here, once: a bad route fails at build, not at a probe
     with pytest.raises(TopologyError):
         square.hops((0, 2))
+    with pytest.raises(TypeError):  # a defect is not a blocked route
+        square.hops((0, "x"))
 
 
 def test_hops_repeat_equal_and_missing_link_raises_every_time(square):
