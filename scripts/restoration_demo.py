@@ -40,6 +40,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", type=int, default=50, help="number of seeded runs")
     args = parser.parse_args()
+    if args.seeds < 1:
+        parser.error(f"--seeds must be >= 1, got {args.seeds}")
 
     for label, saturate in (("idle detour", False), ("saturated detour", True)):
         restored = dropped = packs = nacks = 0

@@ -211,8 +211,8 @@ class Simulation:
         # live connections only; a blocked one is never added and a
         # departure or drop removes its entry
         self.connections: dict[int, Connection] = {}
-        # (src, dst, primary link ids) -> candidates; exact for the whole run
-        # because candidates are hop-count routes that ignore link state
+        # (src, dst, primary link ids) -> candidates on this topology's links;
+        # the routes themselves come from the per-graph memo in probing
         self._candidates: dict[tuple[int, int, frozenset[int]], CandidateSet] = {}
         self.collector = metrics_mod.MetricsCollector(config)
         self._heap: list[tuple[float, int, str, tuple]] = []

@@ -12,6 +12,11 @@ is the route's blocking estimate, and at each close the candidates are
 ranked ascending by it, so a failure reroutes onto the best measured route
 first.  Sub-optimal candidates keep receiving probes, so the ranking
 tracks load changes.
+
+Candidate routes are hop-count routes that read no link state, so they are
+a function of the graph alone: they are memoised per ``Topology.graph`` for
+the life of the process and shared by every run on that graph.  Their hops
+and round trips belong to one topology's links and are cached per run.
 """
 
 from __future__ import annotations
@@ -52,12 +57,36 @@ def _min_hop_path(topology, src, dst, banned_links, banned_nodes):
     return None if found is None else tuple(found[0])
 
 
+# (graph, {(src, dst, k, banned links): routes}) for the graph last asked
+# about; a call reads the pair once, so a sweep's threads need no lock
+_routes: tuple[tuple, dict] = ((), {})
+
+
 def k_shortest_hop_paths(
     topology: Topology,
     src: int,
     dst: int,
     k: int,
     banned_links: frozenset[int] = frozenset(),
+) -> list[tuple[int, ...]]:
+    """Yen's k shortest hop paths, memoised per graph; returns a fresh list.
+
+    The memo holds one graph at a time: asking about another graph replaces it.
+    """
+    global _routes
+    graph, memo = _routes
+    if graph != topology.graph:
+        graph, memo = _routes = topology.graph, {}
+    banned = frozenset(banned_links)
+    key = (src, dst, k, banned)
+    routes = memo.get(key)
+    if routes is None:
+        routes = memo[key] = tuple(_yen(topology, src, dst, k, banned))
+    return list(routes)
+
+
+def _yen(
+    topology: Topology, src: int, dst: int, k: int, banned_links: frozenset[int]
 ) -> list[tuple[int, ...]]:
     """Yen's algorithm ordered by (hop count, route), loop-free throughout."""
     first = _min_hop_path(topology, src, dst, banned_links, frozenset())

@@ -106,9 +106,8 @@ def assign_wavelength(
     Without conversion every hop must share one wavelength (continuity);
     with full conversion each hop independently takes its lowest free index.
     Returns the per-hop wavelength list, or None when no assignment exists.
+    ``mode`` is checked by the config.
     """
-    if mode not in CONVERSION_MODES:
-        raise ValueError(f"unknown conversion mode {mode!r}")
     hops = topology.hops(route)
     for link, _ in hops:
         if not link.up:

@@ -10,6 +10,9 @@ wavelengths), not on the link.
 
 The graph itself never changes after construction, so each node's sorted
 adjacency is built once and each resolved route's hops are memoised.
+``Topology.graph`` is the structure alone (node count and link endpoints):
+``probing`` memoises its hop-count candidate routes per graph for the life
+of the process, and their hops and round trips per run.
 """
 
 from __future__ import annotations
@@ -111,6 +114,8 @@ class Topology:
             raise TopologyError("topology needs at least one node")
         self.num_nodes = num_nodes
         self.links = list(links)
+        # the structure alone: what a hop-count route search reads
+        self.graph = (num_nodes, tuple((link.a, link.b) for link in self.links))
         self._by_pair: dict[tuple[int, int], Link] = {}
         self.adjacency: list[list[Link]] = [[] for _ in range(num_nodes)]
         for i, link in enumerate(self.links):

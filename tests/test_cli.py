@@ -172,11 +172,16 @@ def test_run_scenario_refuses_no_seeds_and_no_workers(tmp_path, seeds, workers):
 @pytest.mark.parametrize("script, flag, message", [
     ("sources_sweep.py", "--seeds", "a scenario needs at least one seed"),
     ("rate_sweep.py", "--workers", "workers must be >= 1, got 0"),
+    ("restoration_demo.py", "--seeds", "--seeds must be >= 1, got 0"),
+    ("restoration_demo.py", "--seeds=-3", "--seeds must be >= 1, got -3"),
 ])
 def test_study_scripts_refuse_no_seeds_and_no_workers(tmp_path, script, flag, message):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [flag] if "=" in flag else [flag, "0"]
+    if script != "restoration_demo.py":  # the demo only prints
+        argv += ["--out", str(tmp_path / "o")]
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), flag, "0", "--out", str(tmp_path / "o")],
+        [sys.executable, str(ROOT / "scripts" / script), *argv],
         capture_output=True, text=True, env=env, check=False)
     assert done.returncode == 2
     assert message in done.stderr

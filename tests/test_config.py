@@ -76,6 +76,7 @@ def test_full_scenario_round_trip():
         ("link_delay_ms = 0", "link_delay_ms"),
         ("link_delay_ms = -5", "link_delay_ms"),
         ("conversion_time = -5", "conversion_time must be >= 0"),
+        ("conversion_mode = sparse", "conversion_mode must be one of"),
         ("failures = -1:0", "failures: time"),
         ("failures = 1.0:0, -2.0:0", "failures: time"),
         ("failures = nan:0", "failures: time"),

@@ -1,9 +1,12 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import k_best_disjoint, random_topology, rank_by_feedback, window_probes
+from wdmsim import probing
 from wdmsim.engine import SimConfig, Simulation
 from wdmsim.errors import ConfigError
 from wdmsim.probing import (
@@ -85,6 +88,95 @@ def test_k_shortest_matches_exhaustive_k_best(seed, k):
     got = k_shortest_hop_paths(topo, src, dst, k, banned)
     want = k_best_disjoint(topo, src, dst, banned, k)
     assert got == want
+
+
+# -- the per-graph route memo ---------------------------------------------------
+
+@pytest.fixture
+def yen_calls(monkeypatch):
+    """An empty route memo, and the arguments of every uncached Yen search."""
+    calls = []
+    search = probing._yen
+    monkeypatch.setattr(probing, "_routes", ((), {}))
+    monkeypatch.setattr(probing, "_yen", lambda *args: calls.append(args) or search(*args))
+    return calls
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_memoised_routes_equal_uncached_yen(seed):
+    # several queries per graph, so a key missing k, the endpoints or the
+    # bans shows as a wrong hit; successive examples change the graph
+    rng = random.Random(seed)
+    topo = random_topology(rng)
+    for _ in range(6):
+        src = rng.randrange(topo.num_nodes)
+        dst = (src + 1 + rng.randrange(topo.num_nodes - 1)) % topo.num_nodes
+        k = rng.randint(1, 4)
+        banned = frozenset(link.id for link in topo.links if rng.random() < 0.25)
+        for bans in (frozenset(), banned):
+            assert k_shortest_hop_paths(topo, src, dst, k, bans) == \
+                probing._yen(topo, src, dst, k, bans)
+
+
+def test_topologies_with_one_graph_share_routes(yen_calls):
+    stock = default_topology()
+    other = default_topology(channels=2, delay_ms=3.0)
+    other.links[4].up = False
+    other.links[0].occupy(FORWARD, 1)
+    assert other.graph == stock.graph
+    queries = [(0, 2, 3, frozenset()), (0, 2, 3, frozenset({0, 1})), (5, 3, 2, frozenset())]
+    first = [k_shortest_hop_paths(stock, *q) for q in queries]
+    assert len(yen_calls) == len(queries)
+    assert [k_shortest_hop_paths(other, *q) for q in queries] == first
+    assert len(yen_calls) == len(queries)  # every answer came from the memo
+
+
+# the 4-node ring of the ``square`` fixture with its link 3-0 moved to 1-3
+MOVED = "nodes 4\nlink 0 1 10 8\nlink 1 2 10 8\nlink 2 3 10 8\nlink 1 3 10 8\n"
+
+
+def test_a_moved_link_never_gets_the_other_graphs_routes(square, yen_calls):
+    moved = parse_topology(MOVED)
+    assert moved.num_nodes == square.num_nodes and moved.graph != square.graph
+    assert k_shortest_hop_paths(square, 0, 2, 3) == [(0, 1, 2), (0, 3, 2)]
+    assert k_shortest_hop_paths(moved, 0, 2, 3) == [(0, 1, 2), (0, 1, 3, 2)]
+    assert k_shortest_hop_paths(square, 0, 2, 3) == [(0, 1, 2), (0, 3, 2)]
+    assert len(yen_calls) == 3  # each change of graph replaces the memo
+
+
+def test_threads_switching_graphs_get_their_own_graphs_routes(square):
+    # every call on the other graph replaces the memo under the other threads
+    queries = [(topo, src, dst, k) for topo in (square, parse_topology(MOVED))
+               for src in range(4) for dst in range(4) if src != dst for k in (1, 3)]
+    want = [probing._yen(*query, frozenset()) for query in queries]
+    wrong = []
+
+    def ask(offset):
+        for i in range(400):
+            j = (7 * i + offset) % len(queries)
+            if k_shortest_hop_paths(*queries[j]) != want[j]:
+                wrong.append(queries[j])
+
+    threads = [threading.Thread(target=ask, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+def test_a_returned_route_list_is_the_callers_own(square):
+    routes = k_shortest_hop_paths(square, 0, 2, 3)
+    routes.reverse()
+    routes.append((0, 2))
+    assert k_shortest_hop_paths(square, 0, 2, 3) == [(0, 1, 2), (0, 3, 2)]
 
 
 def test_candidate_rtts_are_twice_the_hop_delays():

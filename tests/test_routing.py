@@ -245,11 +245,6 @@ def test_assignment_rejects_down_link(square):
         assign_wavelength(square, [0, 1, 2], NO_CONVERSION)
 
 
-def test_unknown_mode_rejected(square):
-    with pytest.raises(ValueError):
-        assign_wavelength(square, [0, 1], "sparse")
-
-
 # -- establish / release ------------------------------------------------------
 
 def test_establish_occupies_and_release_frees(square):
