@@ -200,7 +200,8 @@ class Simulation:
             config.probes_per_interval, config.adaptive_scale, config.aggregate_rate
         )
         self.m = config.backups_m if config.backups_m is not None else config.candidates_k
-        # a router is its edge-cost function, applied by routing.establish
+        # rftr routes by Dijkstra over load-aware costs, the baseline by the
+        # memoised least-hop route over up links
         self._router = (
             partial(establish_primary, lt=config.load_threshold)
             if config.router == ROUTER_RFTR
@@ -212,7 +213,7 @@ class Simulation:
         # departure or drop removes its entry
         self.connections: dict[int, Connection] = {}
         # (src, dst, primary link ids) -> candidates on this topology's links;
-        # the routes themselves come from the per-graph memo in probing
+        # the routes themselves come from the per-graph memo in routing
         self._candidates: dict[tuple[int, int, frozenset[int]], CandidateSet] = {}
         self.collector = metrics_mod.MetricsCollector(config)
         self._heap: list[tuple[float, int, str, tuple]] = []

@@ -14,9 +14,10 @@ first.  Sub-optimal candidates keep receiving probes, so the ranking
 tracks load changes.
 
 Candidate routes are hop-count routes that read no link state, so they are
-a function of the graph alone: they are memoised per ``Topology.graph`` for
-the life of the process and shared by every run on that graph.  Their hops
-and round trips belong to one topology's links and are cached per run.
+a function of the graph alone: they live in ``routing``'s per-graph memo of
+hop-count routes, beside the baseline router's, for the life of the process
+and are shared by every run on that graph.  Their hops and round trips
+belong to one topology's links and are cached per run.
 """
 
 from __future__ import annotations
@@ -25,7 +26,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import LinkDownError
-from .routing import BACKUP, NO_CONVERSION, Lightpath, establish_lightpath, least_cost_path
+from .routing import (
+    BACKUP,
+    NO_CONVERSION,
+    Lightpath,
+    establish_lightpath,
+    hop_route_memo,
+    min_hop_path,
+)
 from .topology import Link, Topology
 
 PACK = "pack"
@@ -45,23 +53,6 @@ class CandidateSet:
     rtts: tuple[float, ...]
 
 
-def _min_hop_path(topology, src, dst, banned_links, banned_nodes):
-    found = least_cost_path(
-        topology,
-        src,
-        dst,
-        lambda link, u, v: 1.0,  # pure hop count; up/down is probed, not assumed
-        banned_links=frozenset(banned_links),
-        banned_nodes=frozenset(banned_nodes),
-    )
-    return None if found is None else tuple(found[0])
-
-
-# (graph, {(src, dst, k, banned links): routes}) for the graph last asked
-# about; a call reads the pair once, so a sweep's threads need no lock
-_routes: tuple[tuple, dict] = ((), {})
-
-
 def k_shortest_hop_paths(
     topology: Topology,
     src: int,
@@ -69,14 +60,8 @@ def k_shortest_hop_paths(
     k: int,
     banned_links: frozenset[int] = frozenset(),
 ) -> list[tuple[int, ...]]:
-    """Yen's k shortest hop paths, memoised per graph; returns a fresh list.
-
-    The memo holds one graph at a time: asking about another graph replaces it.
-    """
-    global _routes
-    graph, memo = _routes
-    if graph != topology.graph:
-        graph, memo = _routes = topology.graph, {}
+    """Yen's k shortest hop paths, memoised per graph; returns a fresh list."""
+    memo = hop_route_memo(topology)
     banned = frozenset(banned_links)
     key = (src, dst, k, banned)
     routes = memo.get(key)
@@ -89,8 +74,8 @@ def _yen(
     topology: Topology, src: int, dst: int, k: int, banned_links: frozenset[int]
 ) -> list[tuple[int, ...]]:
     """Yen's algorithm ordered by (hop count, route), loop-free throughout."""
-    first = _min_hop_path(topology, src, dst, banned_links, frozenset())
-    if first is None:
+    first = min_hop_path(topology, src, dst, banned_links)
+    if first is None or k < 1:
         return []
     accepted = [first]
     candidates: dict[tuple[int, ...], None] = {}
@@ -104,9 +89,7 @@ def _yen(
                 if path[: i + 1] == root and len(path) > i + 1:
                     link = topology.link_between(path[i], path[i + 1])
                     spur_banned.add(link.id)
-            spur_path = _min_hop_path(
-                topology, spur, dst, spur_banned, frozenset(root[:-1])
-            )
+            spur_path = min_hop_path(topology, spur, dst, spur_banned, frozenset(root[:-1]))
             if spur_path is None:
                 continue
             total = root[:-1] + spur_path

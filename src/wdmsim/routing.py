@@ -10,7 +10,13 @@ channels in the travel lane):
 where LT is a configurable load threshold.  The piecewise form is kept
 branch-for-branch as given, including the jump at LI = LT.  A saturated or
 down lane is unusable, so a demand whose every route crosses such a lane is
-blocked.
+blocked.  Only these load-aware costs run Dijkstra per demand.
+
+Hop-count routes read no link state, so they are a function of the graph
+alone.  One memo per ``Topology.graph`` holds them for the life of the
+process: ``probing`` keeps Yen's candidate routes there, and the baseline
+router its least-hop routes, keyed with the down links a route was found to
+cross.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ def loaded_edge_cost(lt: float):
 
 
 def unit_edge_cost(link: Link, u: int, v: int) -> float:
-    """Hop-count costs for the baseline router; down links are unusable."""
+    """Hop-count costs over up links; only tests use it, as the oracle for ``baseline_route``."""
     return 1.0 if link.up else math.inf
 
 
@@ -96,6 +102,64 @@ def least_cost_path(
                 best[v] = candidate
                 heappush(heap, candidate)
     return None
+
+
+def min_hop_path(
+    topology: Topology,
+    src: int,
+    dst: int,
+    banned_links: frozenset[int] = frozenset(),
+    banned_nodes: frozenset[int] = frozenset(),
+) -> tuple[int, ...] | None:
+    """Least-hop route avoiding the bans; reads no link state, not even ``up``."""
+    found = least_cost_path(topology, src, dst, lambda link, u, v: 1.0, banned_links, banned_nodes)
+    return None if found is None else tuple(found[0])
+
+
+# (graph, {key: value}) for the graph last asked about; a call reads the pair
+# once, so a sweep's threads need no lock
+_hop_routes: tuple[tuple, dict] = ((), {})
+
+
+def hop_route_memo(topology: Topology) -> dict:
+    """The memo of hop-count routes on ``topology.graph``; another graph replaces it.
+
+    Keys are ``(src, dst, banned links)`` for a least-hop route and
+    ``(src, dst, k, banned links)`` for Yen's k shortest routes.
+    """
+    global _hop_routes
+    graph, memo = _hop_routes
+    if graph != topology.graph:
+        memo = {}
+        _hop_routes = (topology.graph, memo)
+    return memo
+
+
+def baseline_route(topology: Topology, src: int, dst: int) -> tuple[int, ...] | None:
+    """The route ``least_cost_path`` finds under ``unit_edge_cost``, from the memo.
+
+    Starting with no bans, look up the least-hop route avoiding the bans; if
+    it crosses down links, ban those too and look up again.  The bans stay
+    inside the down set, so a route that is least among the routes avoiding
+    them, and crosses no down link, is least among the routes over up links
+    in the same (hops, route) order.  An entry keeps its route's link ids, so
+    a hit reads only that route's ``up`` flags.
+    """
+    memo = hop_route_memo(topology)
+    links = topology.links
+    banned: frozenset[int] = frozenset()
+    while True:
+        key = (src, dst, banned)
+        entry = memo.get(key)
+        if entry is None:
+            route = min_hop_path(topology, src, dst, banned)
+            ids = () if route is None else tuple(link.id for link, _ in topology.hops(route))
+            entry = memo[key] = (route, ids)
+        route, ids = entry
+        down = [i for i in ids if not links[i].up]
+        if not down:
+            return route
+        banned = banned.union(down)
 
 
 def assign_wavelength(
@@ -208,6 +272,16 @@ def establish_primary(topology: Topology, src: int, dst: int, lt: float, **kwarg
     return establish(topology, src, dst, loaded_edge_cost(lt), **kwargs)
 
 
-def establish_baseline(topology: Topology, src: int, dst: int, **kwargs) -> RouteResult:
-    """The shortest-hop reference router: ``establish`` under ``unit_edge_cost``."""
-    return establish(topology, src, dst, unit_edge_cost, **kwargs)
+def establish_baseline(
+    topology: Topology,
+    src: int,
+    dst: int,
+    mode: str = NO_CONVERSION,
+    conversion_time: float = 0.024,
+    role: str = PRIMARY,
+) -> RouteResult:
+    """The shortest-hop reference router: ``establish`` over ``baseline_route``."""
+    route = baseline_route(topology, src, dst)
+    if route is None:
+        return RouteResult(None)
+    return RouteResult(establish_lightpath(topology, route, mode, conversion_time, role))

@@ -11,8 +11,9 @@ wavelengths), not on the link.
 The graph itself never changes after construction, so each node's sorted
 adjacency is built once and each resolved route's hops are memoised.
 ``Topology.graph`` is the structure alone (node count and link endpoints):
-``probing`` memoises its hop-count candidate routes per graph for the life
-of the process, and their hops and round trips per run.
+``routing`` memoises hop-count routes per graph for the life of the
+process, both Yen's candidates for ``probing`` and the baseline router's
+routes; the candidates' hops and round trips are cached per run.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import k_best_disjoint, random_topology, rank_by_feedback, window_probes
-from wdmsim import probing
+from wdmsim import probing, routing
 from wdmsim.engine import SimConfig, Simulation
 from wdmsim.errors import ConfigError
 from wdmsim.probing import (
@@ -24,8 +24,11 @@ from wdmsim.routing import (
     CONVERSION_MODES,
     FULL_CONVERSION,
     assign_wavelength,
+    baseline_route,
     establish_baseline,
     establish_primary,
+    least_cost_path,
+    unit_edge_cost,
 )
 from wdmsim.topology import FORWARD, REVERSE, default_topology, parse_topology
 
@@ -97,7 +100,7 @@ def yen_calls(monkeypatch):
     """An empty route memo, and the arguments of every uncached Yen search."""
     calls = []
     search = probing._yen
-    monkeypatch.setattr(probing, "_routes", ((), {}))
+    monkeypatch.setattr(routing, "_hop_routes", ((), {}))
     monkeypatch.setattr(probing, "_yen", lambda *args: calls.append(args) or search(*args))
     return calls
 
@@ -170,6 +173,51 @@ def test_threads_switching_graphs_get_their_own_graphs_routes(square):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
+
+
+def test_threads_mixing_baseline_and_yen_lookups_get_uncached_answers():
+    # one memo holds both key shapes; two topologies of one graph differ in
+    # their down links, and the other graph keeps replacing the memo
+    stock, same_graph, moved = default_topology(), default_topology(), parse_topology(MOVED)
+    stock.links[8].up = False
+    same_graph.links[0].up = same_graph.links[1].up = False
+    moved.links[3].up = False
+    queries = []
+    for topo in (stock, same_graph, moved):
+        pairs = [(s, d) for s in range(topo.num_nodes) for d in range(topo.num_nodes) if s != d]
+        for src, dst in pairs:
+            if topo is not same_graph:
+                for k in (1, 3):
+                    want = probing._yen(topo, src, dst, k, frozenset())
+                    queries.append((k_shortest_hop_paths, (topo, src, dst, k), want))
+            found = least_cost_path(topo, src, dst, unit_edge_cost)
+            queries.append((baseline_route, (topo, src, dst), found and tuple(found[0])))
+    random.Random(0).shuffle(queries)  # so each thread keeps switching graphs
+    wrong = []
+
+    def ask(offset):
+        for i in range(600):
+            ask_for, args, want = queries[(7 * i + offset) % len(queries)]
+            if ask_for(*args) != want:
+                wrong.append(args)
+
+    threads = [threading.Thread(target=ask, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_no_route_is_asked_for_below_one(mesh8, k):
+    assert k_shortest_hop_paths(mesh8, 0, 2, k) == []
 
 
 def test_a_returned_route_list_is_the_callers_own(square):

@@ -14,6 +14,7 @@ from oracles import (
     random_topology,
     simple_paths,
 )
+from wdmsim import routing
 from wdmsim.engine import SimConfig
 from wdmsim.errors import ConfigError, LinkDownError, NoSuchNodeError
 from wdmsim.routing import (
@@ -29,7 +30,7 @@ from wdmsim.routing import (
     release_lightpath,
     unit_edge_cost,
 )
-from wdmsim.topology import FORWARD, REVERSE, parse_topology
+from wdmsim.topology import FORWARD, REVERSE, default_topology, parse_topology
 
 LT = SimConfig().load_threshold
 
@@ -322,6 +323,76 @@ def test_baseline_routes_around_down_link(square):
     square.links[0].up = False
     result = establish_baseline(square, 0, 1)
     assert result.lightpath.route == [0, 3, 2, 1]
+
+
+# -- the baseline's memoised least-hop routes -----------------------------------
+
+def idle(topology):
+    """Free every channel, so a route found is a route established."""
+    for link in topology.links:
+        for lane in (FORWARD, REVERSE):
+            for w in range(link.total_channels):
+                if not link.free_mask(lane) >> w & 1:
+                    link.release(lane, w)
+    return topology
+
+
+def baseline_route_of(topology, src, dst):
+    result = establish_baseline(topology, src, dst)
+    if result.blocked:
+        return None
+    release_lightpath(topology, result.lightpath)
+    return result.lightpath.route
+
+
+def unit_cost_route(topology, src, dst):
+    found = least_cost_path(topology, src, dst, unit_edge_cost)
+    return None if found is None else found[0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_baseline_route_is_unit_cost_dijkstras_as_links_fail_and_heal(seed):
+    # up flags flip between calls on one topology, so a memoised route served
+    # with a down hop, or one kept after a link it avoided came back up,
+    # shows as a wrong answer
+    rng = random.Random(seed)
+    topo = idle(random_topology(rng))
+    for _ in range(12):
+        for link in topo.links:
+            if rng.random() < 0.3:
+                link.up = not link.up
+        for _ in range(4):
+            src = rng.randrange(topo.num_nodes)
+            dst = (src + 1 + rng.randrange(topo.num_nodes - 1)) % topo.num_nodes
+            assert baseline_route_of(topo, src, dst) == unit_cost_route(topo, src, dst)
+
+
+def test_topologies_of_one_graph_get_their_own_down_links_routes():
+    stock, other = default_topology(), default_topology(channels=2)
+    assert stock.graph == other.graph
+    stock.links[8].up = False  # 0-4
+    other.links[0].up = other.links[1].up = False  # 0-1, 1-2
+    pairs = [(s, d) for s in range(8) for d in range(8) if s != d]
+    for src, dst in pairs + pairs:
+        for topo in (stock, other):
+            assert baseline_route_of(topo, src, dst) == unit_cost_route(topo, src, dst)
+    assert baseline_route_of(stock, 0, 2) != baseline_route_of(other, 0, 2)
+
+
+def test_a_repeated_baseline_demand_runs_no_route_search(square, monkeypatch):
+    monkeypatch.setattr(routing, "_hop_routes", ((), {}))
+    calls = []
+    search = routing.least_cost_path
+    monkeypatch.setattr(routing, "least_cost_path",
+                        lambda *args, **kwargs: calls.append(args) or search(*args, **kwargs))
+    square.links[0].up = False
+    assert baseline_route_of(square, 0, 1) == [0, 3, 2, 1]
+    assert len(calls) == 2  # the direct route, then the route avoiding its down link
+    assert baseline_route_of(square, 0, 1) == [0, 3, 2, 1]
+    square.links[0].up = True
+    assert baseline_route_of(square, 0, 1) == [0, 1]
+    assert len(calls) == 2
 
 
 @settings(max_examples=30, deadline=None)
