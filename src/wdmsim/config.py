@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig, build_topology, unknown_schedule_links
+from .engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig, build_topology, topology_errors
 from .errors import ConfigError, TopologyError
 
 SWEEP_NONE = "none"
@@ -178,7 +178,7 @@ class Diagnostic:
 
 
 def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
-    """Static checks that need the topology: its shape, schedule links, connectivity.
+    """Static checks that need the topology: its shape, node count, schedule links, connectivity.
 
     Schedule times were checked by ``SimConfig.validate`` when the scenario parsed.
     """
@@ -192,5 +192,5 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
         diagnostics.append(
             Diagnostic("warning", "topology is disconnected; most demands will block")
         )
-    unknown = unknown_schedule_links(scenario.base, topology)
-    return diagnostics + [Diagnostic("error", message) for message in unknown]
+    return diagnostics + [Diagnostic("error", message)
+                          for message in topology_errors(scenario.base, topology)]

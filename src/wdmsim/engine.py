@@ -13,7 +13,8 @@ closes a probe window or delivers an answer: the prober tallies each answer
 when its probe is sent, the next window's first send or a failure rerouting
 the connection closes the window, and a departure or drop counts the answers
 that landed strictly before it.  Sample ticks run while a lifecycle event is
-pending, so the timeseries ends at the same tick whatever the router.
+pending, so the timeseries ends at the same tick whatever the router.  Each
+run binds its router once; a fresh setup, restoration included, goes through it.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .probing import (
 from .routing import (
     CONVERSION_MODES,
     NO_CONVERSION,
-    PRIMARY,
     Lightpath,
     establish_baseline,
     establish_primary,
@@ -147,11 +147,14 @@ def build_topology(config: SimConfig) -> Topology:
     return default_topology(channels=config.wavelengths, delay_ms=config.link_delay_ms)
 
 
-def unknown_schedule_links(config: SimConfig, topology: Topology) -> list[str]:
-    """One message per failure or repair naming a link id the topology lacks."""
-    return [f"{label}: unknown link {link_id}"
-            for label, schedule in (("failures", config.failures), ("repairs", config.repairs))
-            for _, link_id in schedule if not 0 <= link_id < len(topology.links)]
+def topology_errors(config: SimConfig, topology: Topology) -> list[str]:
+    """One message per reason the topology cannot run the config: fewer than two
+    nodes to draw traffic between, or a failure or repair naming a link id it lacks."""
+    errors = ["need at least two nodes to generate traffic"] if topology.num_nodes < 2 else []
+    errors += [f"{label}: unknown link {link_id}"
+               for label, schedule in (("failures", config.failures), ("repairs", config.repairs))
+               for _, link_id in schedule if not 0 <= link_id < len(topology.links)]
+    return errors
 
 
 def generate_arrivals(
@@ -161,11 +164,10 @@ def generate_arrivals(
 
     ``config.max_requests`` demands; interarrival gaps are exponential at
     the aggregate rate (the per-source generators superpose into one
-    stream); endpoints are uniform over ordered pairs with src != dst;
-    holding times are exponential with mean ``config.holding_time``.
+    stream); endpoints are uniform over ordered pairs with src != dst
+    (``topology_errors`` refuses fewer than two nodes); holding times are
+    exponential with mean ``config.holding_time``.
     """
-    if num_nodes < 2:
-        raise ConfigError("need at least two nodes to generate traffic")
     arrivals = []
     now = 0.0
     rate = config.aggregate_rate
@@ -192,21 +194,24 @@ class Simulation:
         config.validate()
         self.config = config
         self.topology = topology if topology is not None else build_topology(config)
-        unknown = unknown_schedule_links(config, self.topology)
-        if unknown:
-            raise ConfigError(unknown[0])
+        errors = topology_errors(config, self.topology)
+        if errors:
+            raise ConfigError(errors[0])
         self.audit = audit
         self.probe_count = probe_count(
             config.probes_per_interval, config.adaptive_scale, config.aggregate_rate
         )
         self.m = config.backups_m if config.backups_m is not None else config.candidates_k
         # rftr routes by Dijkstra over load-aware costs, the baseline by the
-        # memoised least-hop route over up links
-        self._router = (
+        # memoised least-hop route over up links; bound to the topology, not
+        # to self, so a Simulation holds no reference cycle
+        router = (
             partial(establish_primary, lt=config.load_threshold)
             if config.router == ROUTER_RFTR
             else establish_baseline
         )
+        self._establish = partial(router, self.topology, mode=config.conversion_mode,
+                                  conversion_time=config.conversion_time)
         self.rng = random.Random(config.seed)
         self.now = 0.0
         # live connections only; a blocked one is never added and a
@@ -263,16 +268,6 @@ class Simulation:
         return self.collector.finalize()
 
     # -- handlers -----------------------------------------------------------
-
-    def _establish(self, src: int, dst: int, role: str = PRIMARY):
-        return self._router(
-            self.topology,
-            src,
-            dst,
-            mode=self.config.conversion_mode,
-            conversion_time=self.config.conversion_time,
-            role=role,
-        )
 
     def _on_arrival(self, src: int, dst: int, holding: float) -> None:
         conn_id = next(self._cid)

@@ -22,7 +22,7 @@ class NoSuchNodeError(SimError):
 
 
 class LinkDownError(SimError):
-    """Operation requires an up link but the link is failed."""
+    """``Link.occupy`` was asked for a channel of a down link."""
 
 
 class ChannelBusyError(SimError):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field, fields
 
-from .topology import Topology
+from .topology import FORWARD, REVERSE, Topology
 
 
 @dataclass
@@ -60,10 +60,12 @@ def packets_for(carried_s: float, config) -> int:
 
 def sample_utilization(topology: Topology) -> float:
     """Occupied fraction of the channels on up links, both lanes counted."""
-    total = topology.total_channel_count()
+    up = [link for link in topology.links if link.up]
+    total = sum(2 * link.total_channels for link in up)
     if total == 0:
         return 0.0
-    return topology.occupied_channel_count() / total
+    free = sum(link.free_count(FORWARD) + link.free_count(REVERSE) for link in up)
+    return (total - free) / total
 
 
 class MetricsCollector:

@@ -3,9 +3,10 @@
 For every established connection the source keeps a set of candidate routes
 that are link-disjoint from the primary.  Each update interval it sends a
 small batch of probes down every candidate; the far end answers PACK when
-the route could currently carry a lightpath and NACK when it could not (a
-hop down, or no admissible wavelength).  Each candidate's hops are resolved
-once, when its candidate set is built, so a probe only reads their masks.
+the route could currently carry a lightpath and NACK when it could not (no
+admissible wavelength; a down hop offers none, since its ``free_mask`` reads
+0).  Each candidate's hops are resolved once, when its candidate set is
+built, so a probe only reads their masks.
 An answer is fixed when its probe is sent and is tallied then, in the
 window it lands in before the close.  The NACKed fraction of those answers
 is the route's blocking estimate, and at each close the candidates are
@@ -25,7 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import LinkDownError
 from .routing import (
     BACKUP,
     NO_CONVERSION,
@@ -127,14 +127,15 @@ def probe_count(probes_per_interval: int, adaptive_scale: float, aggregate_rate:
 def probe_outcome(hops: tuple[tuple[Link, int], ...], mode: str = NO_CONVERSION) -> str:
     """Admissibility of a candidate's resolved hops at probe time; reads masks only.
 
-    A down hop answers NACK.  Without conversion one wavelength must be free
-    on every hop (a nonzero AND of the masks); with full conversion every
-    hop needs some free wavelength.  ``mode`` is checked by the config.
+    Without conversion one wavelength must be free on every hop (a nonzero
+    AND of the masks); with full conversion every hop needs some free
+    wavelength.  A down hop's mask is 0, so it answers NACK.  ``mode`` is
+    checked by the config.
     """
     common = -1
     for link, lane in hops:
         free = link.free_mask(lane)
-        if not (free and link.up):
+        if not free:
             return NACK
         common &= free
     return PACK if common or mode != NO_CONVERSION else NACK
@@ -212,16 +213,13 @@ def reroute(
 ) -> Lightpath | None:
     """Restore onto the first viable ranked backup, else recompute, else drop.
 
-    A backup with a down hop or no admissible wavelength is skipped.
+    A backup with no admissible wavelength, a down hop included, is skipped.
     ``fallback_establish(role)`` runs the owning router's fresh path setup
     when every ranked backup fails.  Returns the restoring lightpath, or
     None when the connection drops.
     """
     for route in backups:
-        try:
-            lp = establish_lightpath(topology, route, mode, conversion_time, role=BACKUP)
-        except LinkDownError:
-            continue
+        lp = establish_lightpath(topology, route, mode, conversion_time, role=BACKUP)
         if lp is not None:
             return lp
     if fallback_establish is not None:

@@ -8,9 +8,11 @@ channels in the travel lane):
     cost = infinity  if LI = 0
 
 where LT is a configurable load threshold.  The piecewise form is kept
-branch-for-branch as given, including the jump at LI = LT.  A saturated or
-down lane is unusable, so a demand whose every route crosses such a lane is
-blocked.  Only these load-aware costs run Dijkstra per demand.
+branch-for-branch as given, including the jump at LI = LT.  A down link
+offers no free wavelength (``Link.free_mask`` reads 0), so like a saturated
+lane it is unusable, and a demand whose every route crosses one is blocked.
+Only these load-aware costs run Dijkstra per demand.  Every router sets its
+lightpath up through ``establish_lightpath``.
 
 Hop-count routes read no link state, so they are a function of the graph
 alone.  One memo per ``Topology.graph`` holds them for the life of the
@@ -25,7 +27,7 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import LinkDownError, NoSuchNodeError
+from .errors import NoSuchNodeError
 from .topology import Link, Topology
 
 NO_CONVERSION = "none"
@@ -51,11 +53,6 @@ def loaded_edge_cost(lt: float):
         return link_cost(link.load_index(link.lane(u, v)), lt)
 
     return cost
-
-
-def unit_edge_cost(link: Link, u: int, v: int) -> float:
-    """Hop-count costs over up links; only tests use it, as the oracle for ``baseline_route``."""
-    return 1.0 if link.up else math.inf
 
 
 def least_cost_path(
@@ -136,7 +133,7 @@ def hop_route_memo(topology: Topology) -> dict:
 
 
 def baseline_route(topology: Topology, src: int, dst: int) -> tuple[int, ...] | None:
-    """The route ``least_cost_path`` finds under ``unit_edge_cost``, from the memo.
+    """The least-hop route over up links that ``least_cost_path`` finds, from the memo.
 
     Starting with no bans, look up the least-hop route avoiding the bans; if
     it crosses down links, ban those too and look up again.  The bans stay
@@ -169,13 +166,11 @@ def assign_wavelength(
 
     Without conversion every hop must share one wavelength (continuity);
     with full conversion each hop independently takes its lowest free index.
-    Returns the per-hop wavelength list, or None when no assignment exists.
-    ``mode`` is checked by the config.
+    Returns the per-hop wavelength list, or None when no assignment exists,
+    as on a route with a down hop, whose mask reads 0.  ``mode`` is checked
+    by the config.
     """
     hops = topology.hops(route)
-    for link, _ in hops:
-        if not link.up:
-            raise LinkDownError(f"link {link.id} on route {route} is down")
     # the lowest set bit of a free mask is its lowest free wavelength index
     if mode == NO_CONVERSION:
         if not hops:
@@ -229,8 +224,8 @@ def establish_lightpath(
     """Assign wavelengths and occupy channels atomically along ``route``.
 
     Returns the lightpath, whose ``path_delay`` is its setup delay, or None
-    when no wavelength fits; in that case no channel is touched.  A down hop
-    raises ``LinkDownError``.
+    when no wavelength fits, a down hop included; in that case no channel is
+    touched.
     """
     wavelengths = assign_wavelength(topology, route, mode)
     if wavelengths is None:
@@ -251,37 +246,23 @@ def release_lightpath(topology: Topology, lp: Lightpath) -> None:
     lp.wavelengths = []
 
 
-def establish(
-    topology: Topology,
-    src: int,
-    dst: int,
-    edge_cost,
-    mode: str = NO_CONVERSION,
-    conversion_time: float = 0.024,
-    role: str = PRIMARY,
+def _established(
+    topology: Topology, route: list[int] | tuple[int, ...] | None, mode: str = NO_CONVERSION,
+    conversion_time: float = 0.024, role: str = PRIMARY,
 ) -> RouteResult:
-    """Least-cost route under ``edge_cost`` plus atomic channel occupation."""
-    found = least_cost_path(topology, src, dst, edge_cost)
-    if found is None:
-        return RouteResult(None)
-    return RouteResult(establish_lightpath(topology, found[0], mode, conversion_time, role))
-
-
-def establish_primary(topology: Topology, src: int, dst: int, lt: float, **kwargs) -> RouteResult:
-    """The threshold-cost router: ``establish`` under ``loaded_edge_cost(lt)``."""
-    return establish(topology, src, dst, loaded_edge_cost(lt), **kwargs)
-
-
-def establish_baseline(
-    topology: Topology,
-    src: int,
-    dst: int,
-    mode: str = NO_CONVERSION,
-    conversion_time: float = 0.024,
-    role: str = PRIMARY,
-) -> RouteResult:
-    """The shortest-hop reference router: ``establish`` over ``baseline_route``."""
-    route = baseline_route(topology, src, dst)
+    """Blocked without a route, else ``establish_lightpath`` along it; both routers
+    pass their ``**setup`` (mode, conversion_time, role) through."""
     if route is None:
         return RouteResult(None)
     return RouteResult(establish_lightpath(topology, route, mode, conversion_time, role))
+
+
+def establish_primary(topology: Topology, src: int, dst: int, lt: float, **setup) -> RouteResult:
+    """The threshold-cost router: the least-cost route under ``loaded_edge_cost(lt)``."""
+    found = least_cost_path(topology, src, dst, loaded_edge_cost(lt))
+    return _established(topology, None if found is None else found[0], **setup)
+
+
+def establish_baseline(topology: Topology, src: int, dst: int, **setup) -> RouteResult:
+    """The shortest-hop reference router: the least-hop route over up links."""
+    return _established(topology, baseline_route(topology, src, dst), **setup)

@@ -4,9 +4,13 @@ Links are declared once per unordered node pair but carry two independent
 channel lanes, one per travel direction; a lightpath occupies the lane that
 matches its direction of travel.  A lane's only channel state is its
 free-wavelength bitmask, so free counts and first-fit are integer
-operations; occupy refuses a busy channel and release a free one.  Which
-lightpath holds a channel is recorded on the lightpath (route plus
-wavelengths), not on the link.
+operations; occupy refuses a busy channel, or any channel of a down link,
+and release a free one.  Which lightpath holds a channel is recorded on the
+lightpath (route plus wavelengths), not on the link.
+
+A down link offers no free wavelength (``free_mask`` reads 0), so readers of
+channel state need no up check; the raw masks are kept, so a repaired link
+gets its held channels back and ``occupancy_snapshot`` shows real occupancy.
 
 The graph itself never changes after construction, so each node's sorted
 adjacency is built once and each resolved route's hops are memoised.
@@ -73,19 +77,14 @@ class Link:
         raise TopologyError(f"node {u} is not an endpoint of link {self.id}")
 
     def free_mask(self, lane: int) -> int:
-        """Bitmask of the lane's free wavelengths: bit w is set while w is free."""
-        return self._free[lane]
+        """Bitmask of the lane's free wavelengths (bit w set while w is free); 0 while down."""
+        return self._free[lane] if self.up else 0
 
     def free_count(self, lane: int) -> int:
-        return self._free[lane].bit_count()
+        return self.free_mask(lane).bit_count()
 
-    def occupied_count(self, lane: int) -> int:
-        return self.total_channels - self.free_count(lane)
-
-    def load_index(self, lane: int = FORWARD) -> float:
-        """Fraction of free channels in the lane; a down link reports 0."""
-        if not self.up:
-            return 0.0
+    def load_index(self, lane: int) -> float:
+        """Fraction of usable channels in the lane; a down link reports 0."""
         return self.free_count(lane) / self.total_channels
 
     def occupy(self, lane: int, w: int) -> None:
@@ -166,18 +165,8 @@ class Topology:
         return hops
 
     def occupancy_snapshot(self) -> tuple[tuple[int, int], ...]:
-        """Every link's (forward, reverse) free masks, in link order."""
+        """Every link's (forward, reverse) free masks, in link order, down links included."""
         return tuple(tuple(link._free) for link in self.links)
-
-    def total_channel_count(self) -> int:
-        """Channels on up links, both lanes counted."""
-        return sum(2 * l.total_channels for l in self.links if l.up)
-
-    def occupied_channel_count(self) -> int:
-        """Occupied channels on up links, both lanes counted."""
-        return sum(
-            l.occupied_count(FORWARD) + l.occupied_count(REVERSE) for l in self.links if l.up
-        )
 
     def is_connected(self) -> bool:
         if self.num_nodes == 1:

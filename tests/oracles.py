@@ -29,6 +29,11 @@ def simple_paths(topology: Topology, src: int, dst: int, banned_links=frozenset(
             stack.append((nxt, route + (nxt,)))
 
 
+def unit_edge_cost(link: Link, u: int, v: int) -> float:
+    """Hop-count costs over up links: under it ``least_cost_path`` is the baseline's route."""
+    return 1.0 if link.up else math.inf
+
+
 def path_cost(topology: Topology, route, edge_cost) -> float:
     total = 0.0
     for u, v in zip(route, route[1:]):
@@ -61,7 +66,8 @@ def k_best_disjoint(topology: Topology, src: int, dst: int, primary_links, k: in
 
 
 def held_channels(topology: Topology) -> set[tuple[int, int, int]]:
-    """(link id, lane, wavelength) of every busy channel, read one mask bit at a time."""
+    """(link id, lane, wavelength) of every channel not offered as free (busy, or on a
+    down link), read one mask bit at a time."""
     return {(link.id, lane, w) for link in topology.links for lane in (0, 1)
             for w in range(link.total_channels) if not link.free_mask(lane) >> w & 1}
 

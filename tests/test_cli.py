@@ -242,6 +242,16 @@ def test_validate_rejects_non_finite_link_delay(tmp_path, capsys, delay):
     assert "line 3" in capsys.readouterr().out
 
 
+def test_validate_and_run_refuse_a_one_node_topology(tmp_path, capsys):
+    topo = write(tmp_path, "one.txt", "nodes 1\n")
+    assert main(["validate", "--topology", topo]) == 1
+    assert "error: need at least two nodes" in capsys.readouterr().out
+    with pytest.raises(ConfigError, match="at least two nodes"):
+        run_scenario(parse_config(f"topology = {topo}\n"), tmp_path / "out", workers=1)
+    assert main(["run", "--topology", topo, "--out", str(tmp_path / "cli")]) == 1
+    assert "at least two nodes" in capsys.readouterr().err
+
+
 def test_validate_rejects_parse_errors(tmp_path, capsys):
     cfg = write(tmp_path, "bad.cfg", "sweep = rate 8,2\n")
     assert main(["validate", "--config", cfg]) == 1

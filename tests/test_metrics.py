@@ -101,8 +101,12 @@ def test_utilization_counts_both_lanes(square):
 
 def test_utilization_ignores_down_links(square):
     establish_lightpath(square, [0, 1], "none", 0.024)
+    assert sample_utilization(square) == 1 / 64
     square.links[0].up = False
     assert sample_utilization(square) == 0.0  # the only occupied link no longer counts
+    # the down link stays out of both the total and the occupied count
+    square.links[1].occupy(FORWARD, 0)
+    assert sample_utilization(square) == 1 / 48
 
 
 # -- collector lifecycle ------------------------------------------------------

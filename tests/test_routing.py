@@ -13,10 +13,11 @@ from oracles import (
     path_cost,
     random_topology,
     simple_paths,
+    unit_edge_cost,
 )
 from wdmsim import routing
 from wdmsim.engine import SimConfig
-from wdmsim.errors import ConfigError, LinkDownError, NoSuchNodeError
+from wdmsim.errors import ConfigError, NoSuchNodeError
 from wdmsim.routing import (
     FULL_CONVERSION,
     NO_CONVERSION,
@@ -28,7 +29,6 @@ from wdmsim.routing import (
     link_cost,
     loaded_edge_cost,
     release_lightpath,
-    unit_edge_cost,
 )
 from wdmsim.topology import FORWARD, REVERSE, default_topology, parse_topology
 
@@ -241,9 +241,10 @@ def test_free_mask_tracks_held_set_and_first_fit_oracle(seed, ops):
 
 
 def test_assignment_rejects_down_link(square):
+    # a down link offers no free wavelength, so nothing fits in either mode
     square.links[0].up = False
-    with pytest.raises(LinkDownError):
-        assign_wavelength(square, [0, 1, 2], NO_CONVERSION)
+    for mode in (NO_CONVERSION, FULL_CONVERSION):
+        assert assign_wavelength(square, [0, 1, 2], mode) is None
 
 
 # -- establish / release ------------------------------------------------------
@@ -279,6 +280,15 @@ def test_establish_returns_none_leaving_state_clean():
     before = topo.occupancy_snapshot()
     assert establish_lightpath(topo, [0, 1, 2], NO_CONVERSION, 0.024) is None
     assert topo.occupancy_snapshot() == before
+
+
+@pytest.mark.parametrize("mode", [NO_CONVERSION, FULL_CONVERSION])
+def test_establish_over_down_hop_returns_none_leaving_state_clean(square, mode):
+    square.links[2].occupy(REVERSE, 3)  # held channels of the down link stay held
+    square.links[1].up = False
+    before = square.occupancy_snapshot()
+    assert establish_lightpath(square, [0, 1, 2, 3], mode, 0.024) is None
+    assert square.occupancy_snapshot() == before
 
 
 def test_setup_delay_charges_conversions():
@@ -328,11 +338,11 @@ def test_baseline_routes_around_down_link(square):
 # -- the baseline's memoised least-hop routes -----------------------------------
 
 def idle(topology):
-    """Free every channel, so a route found is a route established."""
-    for link in topology.links:
-        for lane in (FORWARD, REVERSE):
+    """Free every channel, down links' too, so a route found is a route established."""
+    for link, masks in zip(topology.links, topology.occupancy_snapshot()):
+        for lane, free in enumerate(masks):
             for w in range(link.total_channels):
-                if not link.free_mask(lane) >> w & 1:
+                if not free >> w & 1:
                     link.release(lane, w)
     return topology
 
