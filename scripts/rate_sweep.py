@@ -35,13 +35,12 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="out/rate_sweep", help="output directory")
     parser.add_argument("--seeds", type=int, default=20, help="number of seeds")
-    parser.add_argument("--workers", type=int, default=4)
     args = parser.parse_args()
 
     scenario = parse_config(CONFIG)
     scenario.seeds = list(range(args.seeds))
     try:
-        result = run_scenario(scenario, Path(args.out), workers=args.workers)
+        result = run_scenario(scenario, Path(args.out))
     except SimError as err:
         parser.error(str(err))
 

@@ -3,7 +3,8 @@
 Artifacts land under ``--out``: ``summary.csv`` (one aggregate row per
 router and sweep value), ``runs.csv`` (one row per individual run when
 sweeping), and ``timeseries_<run-id>.csv`` per run.  Outputs are
-byte-identical across repeat invocations, including with parallel workers.
+byte-identical across repeat invocations.  Runs go one after another on one
+thread: threads only took turns on the interpreter lock, and were slower.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -48,13 +48,6 @@ def _sanitize(label: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]+", "_", label)
 
 
-def _execute(scenario: Scenario, router: str, sweep_value, seed: int) -> RunOutcome:
-    config = scenario.config_for(router, sweep_value, seed)
-    report = run(config)
-    report.scenario = scenario.run_label(router, sweep_value, seed)
-    return RunOutcome(sweep_value, report)
-
-
 def _aggregate(scenario: Scenario, router: str, sweep_value, outcomes: list[RunOutcome]) -> dict:
     """Mean of every numeric metric across seeds, in sorted-seed order."""
     rows = [metrics_mod.summary_row(o.report) for o in outcomes]
@@ -72,24 +65,23 @@ def _aggregate(scenario: Scenario, router: str, sweep_value, outcomes: list[RunO
 
 
 def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResult:
-    """One run per (router, sweep value, seed), writing every CSV; needs a seed and a worker."""
+    """One run per (router, sweep value, seed) on the calling thread, writing every CSV.
+
+    Needs a seed.  ``workers`` changes nothing: it stays, refused below 1, only
+    because ``perfbench/workloads.py`` passes ``workers=wl.threads``."""
     if not scenario.seeds:
         raise ConfigError("a scenario needs at least one seed")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     sweep_values = scenario.sweep_values if scenario.sweep_param != SWEEP_NONE else [None]
-    jobs = [
-        (router, value, seed)
-        for router in scenario.routers()
-        for value in sweep_values
-        for seed in scenario.seeds
-    ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(lambda j: _execute(scenario, *j), jobs))
-    else:
-        outcomes = [_execute(scenario, *job) for job in jobs]
+    outcomes = []
+    for router in scenario.routers():
+        for value in sweep_values:
+            for seed in scenario.seeds:
+                report = run(scenario.config_for(router, value, seed))
+                report.scenario = scenario.run_label(router, value, seed)
+                outcomes.append(RunOutcome(value, report))
     outcomes.sort(key=lambda o: (o.report.router, o.sweep_value or 0, o.report.seed))
 
     aggregate_rows = []
@@ -103,7 +95,7 @@ def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResul
         metrics_mod.write_timeseries_csv(
             outcome.report, out_dir / f"timeseries_{_sanitize(outcome.report.scenario)}.csv"
         )
-    if len(jobs) > 1:
+    if len(outcomes) > 1:
         metrics_mod.write_summary_csv(
             [metrics_mod.summary_row(o.report) for o in outcomes], out_dir / "runs.csv"
         )
@@ -150,7 +142,7 @@ def _cmd_run(args) -> int:
     if scenario.router == ROUTER_BOTH:
         print("error: run takes a single router; use sweep to compare", file=sys.stderr)
         return 2
-    result = run_scenario(scenario, args.out, workers=1)
+    result = run_scenario(scenario, args.out)
     report = result.runs[0].report
     print(f"{report.scenario}: offered={report.offered} accepted={report.accepted} "
           f"blocked={report.blocked} restored={report.restored} dropped={report.dropped} "
@@ -161,7 +153,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
-    result = run_scenario(scenario, args.out, workers=args.workers)
+    result = run_scenario(scenario, args.out)
     print(f"{len(result.runs)} runs, {len(result.aggregate_rows)} aggregate rows "
           f"-> {result.out_dir / 'summary.csv'}")
     return 0
@@ -174,13 +166,6 @@ def _cmd_validate(args) -> int:
         print(f"error: {err}")
         return 1
     return _print_diagnostics(validate_scenario(scenario))
-
-
-def _workers(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -197,8 +182,6 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, action="append", help="seed (repeatable)")
         p.add_argument("--router", choices=["rftr", "baseline", "both"], help="router selection")
         p.set_defaults(handler=handler)
-    sub.choices["sweep"].add_argument("--workers", type=_workers, default=1,
-                                      help="parallel run workers (output-identical)")
     return parser
 
 

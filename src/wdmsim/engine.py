@@ -15,6 +15,7 @@ the connection closes the window, and a departure or drop counts the answers
 that landed strictly before it.  Sample ticks run while a lifecycle event is
 pending, so the timeseries ends at the same tick whatever the router.  Each
 run binds its router once; a fresh setup, restoration included, goes through it.
+A baseline connection, never probed, gets its backups when a failure first hits it.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .probing import (
     CandidateSet,
     ConnectionProber,
     candidate_paths,
+    k_shortest_hop_paths,
     probe_count,
     probe_outcome,
     reroute,
@@ -67,7 +69,7 @@ class Connection:
     arrival: float
     holding: float
     current: Lightpath | None = None
-    backups: list[tuple[int, ...]] = field(default_factory=list)
+    backups: list[tuple[int, ...]] | None = None  # baseline: None until a failure hits it
     prober: ConnectionProber | None = None
 
 
@@ -284,17 +286,17 @@ class Simulation:
         self._check_continuity(result.lightpath)
         self.collector.on_accepted(conn, result.lightpath.path_delay, self.now)
         self.schedule(self.now + conn.holding, DEPARTURE, conn.id)
+        if self.config.router != ROUTER_RFTR:
+            return  # the baseline never probes; a failure looks its backups up
         key = (src, dst, result.lightpath.link_ids)
         cands = self._candidates.get(key)
         if cands is None:
             cands = self._candidates[key] = candidate_paths(
-                self.topology, src, dst, result.lightpath, self.config.candidates_k
-            )
+                self.topology, src, dst, result.lightpath, self.config.candidates_k)
         conn.backups = list(cands.paths[: self.m])
-        if self.config.router == ROUTER_RFTR and cands.paths:
-            conn.prober = ConnectionProber(
-                cands, self.probe_count, self.config.probe_interval, self.m
-            )
+        if cands.paths:
+            conn.prober = ConnectionProber(cands, self.probe_count,
+                                           self.config.probe_interval, self.m)
             for t, path_index, slot in conn.prober.open_windows(self.now):
                 self._schedule_send(conn, t, path_index, slot)
 
@@ -345,10 +347,12 @@ class Simulation:
             release_lightpath(self.topology, conn.current)
         for conn in affected:
             self._close_window(conn)
+            if conn.backups is None:  # a baseline connection, on its original primary
+                conn.backups = k_shortest_hop_paths(self.topology, conn.src, conn.dst,
+                                                    self.config.candidates_k,
+                                                    conn.current.link_ids)[: self.m]
             new_lp = reroute(
-                self.topology,
-                conn.backups,
-                self.config.conversion_mode,
+                self.topology, conn.backups, self.config.conversion_mode,
                 self.config.conversion_time,
                 fallback_establish=lambda role, c=conn: self._establish(c.src, c.dst, role=role),
             )
@@ -401,7 +405,7 @@ class Simulation:
                     zip(self.topology.links, self._initial_occupancy)}
         for conn in self.connections.values():
             lp = conn.current
-            for (link, lane), w in zip(self.topology.hops(lp.route), lp.wavelengths):
+            for (link, lane), w in zip(lp.hops, lp.wavelengths):
                 if not expected[link][lane] >> w & 1:
                     raise InvariantError(f"link {link.id} lane {lane} wavelength {w} held twice")
                 expected[link][lane] &= ~(1 << w)

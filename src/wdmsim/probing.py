@@ -34,7 +34,7 @@ from .routing import (
     hop_route_memo,
     min_hop_path,
 )
-from .topology import Link, Topology
+from .topology import Hops, Link, Topology
 
 PACK = "pack"
 NACK = "nack"
@@ -49,7 +49,7 @@ class CandidateSet:
     """
 
     paths: list[tuple[int, ...]]
-    hops: tuple[tuple[tuple[Link, int], ...], ...]  # topology.hops(paths[j])
+    hops: tuple[Hops, ...]  # topology.hops(paths[j])
     rtts: tuple[float, ...]
 
 
@@ -109,7 +109,7 @@ def candidate_paths(
     """Up to k shortest loop-free routes sharing no link with the primary."""
     paths = k_shortest_hop_paths(topology, src, dst, k, primary.link_ids)
     hops = tuple(topology.hops(path) for path in paths)
-    rtts = tuple(2.0 * sum(link.delay for link, _ in route) for route in hops)
+    rtts = tuple(2.0 * route.delay for route in hops)
     return CandidateSet(paths=paths, hops=hops, rtts=rtts)
 
 

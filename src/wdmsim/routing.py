@@ -12,13 +12,13 @@ branch-for-branch as given, including the jump at LI = LT.  A down link
 offers no free wavelength (``Link.free_mask`` reads 0), so like a saturated
 lane it is unusable, and a demand whose every route crosses one is blocked.
 Only these load-aware costs run Dijkstra per demand.  Every router sets its
-lightpath up through ``establish_lightpath``.
+lightpath up through ``establish_lightpath``, which keeps the route's hops.
 
 Hop-count routes read no link state, so they are a function of the graph
 alone.  One memo per ``Topology.graph`` holds them for the life of the
 process: ``probing`` keeps Yen's candidate routes there, and the baseline
 router its least-hop routes, keyed with the down links a route was found to
-cross.
+cross, and the baseline's backups, which a failure looks up on demand.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import NoSuchNodeError
-from .topology import Link, Topology
+from .topology import Hops, Link, Topology
 
 NO_CONVERSION = "none"
 FULL_CONVERSION = "full"
@@ -114,7 +114,7 @@ def min_hop_path(
 
 
 # (graph, {key: value}) for the graph last asked about; a call reads the pair
-# once, so a sweep's threads need no lock
+# once, so callers on several threads need no lock
 _hop_routes: tuple[tuple, dict] = ((), {})
 
 
@@ -150,7 +150,7 @@ def baseline_route(topology: Topology, src: int, dst: int) -> tuple[int, ...] | 
         entry = memo.get(key)
         if entry is None:
             route = min_hop_path(topology, src, dst, banned)
-            ids = () if route is None else tuple(link.id for link, _ in topology.hops(route))
+            ids = () if route is None else topology.hops(route).link_ids
             entry = memo[key] = (route, ids)
         route, ids = entry
         down = [i for i in ids if not links[i].up]
@@ -162,7 +162,12 @@ def baseline_route(topology: Topology, src: int, dst: int) -> tuple[int, ...] | 
 def assign_wavelength(
     topology: Topology, route: list[int], mode: str = NO_CONVERSION
 ) -> list[int] | None:
-    """First-fit wavelength assignment along ``route``.
+    """First-fit wavelength assignment along ``route``: ``first_fit`` of its hops."""
+    return first_fit(topology.hops(route), mode)
+
+
+def first_fit(hops: Hops, mode: str) -> list[int] | None:
+    """First-fit wavelength assignment along resolved hops.
 
     Without conversion every hop must share one wavelength (continuity);
     with full conversion each hop independently takes its lowest free index.
@@ -170,7 +175,6 @@ def assign_wavelength(
     as on a route with a down hop, whose mask reads 0.  ``mode`` is checked
     by the config.
     """
-    hops = topology.hops(route)
     # the lowest set bit of a free mask is its lowest free wavelength index
     if mode == NO_CONVERSION:
         if not hops:
@@ -193,9 +197,10 @@ def assign_wavelength(
 
 @dataclass
 class Lightpath:
-    """An established route and the wavelength it holds on each hop."""
+    """An established route, its resolved hops and the wavelength it holds on each hop."""
 
     route: list[int]
+    hops: Hops  # topology.hops(route), resolved once at setup
     wavelengths: list[int]  # emptied on release
     link_ids: frozenset[int]
     role: str = PRIMARY
@@ -227,21 +232,20 @@ def establish_lightpath(
     when no wavelength fits, a down hop included; in that case no channel is
     touched.
     """
-    wavelengths = assign_wavelength(topology, route, mode)
+    hops = topology.hops(route)
+    wavelengths = first_fit(hops, mode)
     if wavelengths is None:
         return None
-    hops = topology.hops(route)
     for (link, lane), w in zip(hops, wavelengths):
         link.occupy(lane, w)
-    lp = Lightpath(route=list(route), wavelengths=wavelengths,
-                   link_ids=frozenset(link.id for link, _ in hops), role=role)
-    lp.path_delay = sum(link.delay for link, _ in hops) + conversion_time * lp.wavelength_changes()
+    lp = Lightpath(list(route), hops, wavelengths, hops.link_ids, role)
+    lp.path_delay = hops.delay + conversion_time * lp.wavelength_changes()
     return lp
 
 
 def release_lightpath(topology: Topology, lp: Lightpath) -> None:
     """Free the lightpath's channels; releasing it again is a no-op."""
-    for (link, lane), w in zip(topology.hops(lp.route), lp.wavelengths):
+    for (link, lane), w in zip(lp.hops, lp.wavelengths):
         link.release(lane, w)
     lp.wavelengths = []
 

@@ -12,12 +12,10 @@ A down link offers no free wavelength (``free_mask`` reads 0), so readers of
 channel state need no up check; the raw masks are kept, so a repaired link
 gets its held channels back and ``occupancy_snapshot`` shows real occupancy.
 
-The graph itself never changes after construction, so each node's sorted
-adjacency is built once and each resolved route's hops are memoised.
-``Topology.graph`` is the structure alone (node count and link endpoints):
-``routing`` memoises hop-count routes per graph for the life of the
-process, both Yen's candidates for ``probing`` and the baseline router's
-routes; the candidates' hops and round trips are cached per run.
+The graph never changes after construction, so each node's sorted adjacency
+is built once and each route is resolved once, into ``Hops`` that also carry
+its link ids and delay.  ``Topology.graph`` is the structure alone (node
+count and link endpoints), on which ``routing`` memoises hop-count routes.
 """
 
 from __future__ import annotations
@@ -106,6 +104,17 @@ class Link:
             raise TopologyError(f"wavelength {w} out of range for link {self.id}")
 
 
+class Hops(tuple):
+    """A resolved route's (link, lane) pairs, its ``link_ids`` and its ``delay``,
+    the left-to-right sum of its link delays."""
+
+    def __new__(cls, pairs):
+        hops = super().__new__(cls, pairs)
+        hops.link_ids = frozenset(link.id for link, _ in hops)
+        hops.delay = sum(link.delay for link, _ in hops)
+        return hops
+
+
 class Topology:
     """Validated network graph with deterministic adjacency ordering."""
 
@@ -137,7 +146,7 @@ class Topology:
             tuple(sorted(((link.other_end(u), link) for link in incident), key=lambda p: p[0]))
             for u, incident in enumerate(self.adjacency)
         ]
-        self._hops: dict[tuple[int, ...], tuple[tuple[Link, int], ...]] = {}
+        self._hops: dict[tuple[int, ...], Hops] = {}
 
     def link_between(self, u: int, v: int) -> Link | None:
         return self._by_pair.get((min(u, v), max(u, v)))
@@ -146,7 +155,7 @@ class Topology:
         """(neighbor, link) pairs in ascending neighbor order."""
         return self._neighbors[u]
 
-    def hops(self, route: list[int] | tuple[int, ...]) -> tuple[tuple[Link, int], ...]:
+    def hops(self, route: list[int] | tuple[int, ...]) -> Hops:
         """Resolve a node sequence into (link, lane) hops.
 
         A resolved route is memoised; one with a missing link raises
@@ -161,7 +170,7 @@ class Topology:
                 if link is None:
                     raise TopologyError(f"no link between {u} and {v}")
                 resolved.append((link, link.lane(u, v)))
-            hops = self._hops[key] = tuple(resolved)
+            hops = self._hops[key] = Hops(resolved)
         return hops
 
     def occupancy_snapshot(self) -> tuple[tuple[int, int], ...]:

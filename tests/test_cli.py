@@ -2,10 +2,12 @@ import csv
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+import wdmsim.cli
 from wdmsim.cli import main, run_scenario
 from wdmsim.config import parse_config
 from wdmsim.errors import ConfigError
@@ -139,24 +141,32 @@ def test_sweep_rejects_duplicate_seed_flags(tmp_path, capsys):
 
 
 def test_parallel_sweep_is_byte_identical(tmp_path):
+    # a repeat sweep, and run_scenario asked for 4 workers, write what the first sweep wrote
     cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG)
-    serial, parallel = tmp_path / "serial", tmp_path / "parallel"
-    assert main(["sweep", "--config", cfg, "--out", str(serial)]) == 0
-    assert main(["sweep", "--config", cfg, "--out", str(parallel),
-                 "--workers", "4"]) == 0
-    for name in sorted(p.name for p in serial.iterdir()):
-        assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+    first, repeat, asked = tmp_path / "first", tmp_path / "repeat", tmp_path / "asked"
+    assert main(["sweep", "--config", cfg, "--out", str(first)]) == 0
+    assert main(["sweep", "--config", cfg, "--out", str(repeat)]) == 0
+    run_scenario(parse_config(SWEEP_CFG), asked, workers=4)
+    names = sorted(p.name for p in first.iterdir())
+    for out in (repeat, asked):
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (first / name).read_bytes() == (out / name).read_bytes()
 
 
-@pytest.mark.parametrize("workers", ["0", "-3", "two"])
-def test_sweep_refuses_a_worker_count_below_one(tmp_path, capsys, workers):
-    cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG)
-    out = tmp_path / "out"
-    with pytest.raises(SystemExit) as exit_info:
-        main(["sweep", "--config", cfg, "--out", str(out), "--workers", workers])
-    assert exit_info.value.code == 2
-    assert "--workers" in capsys.readouterr().err
-    assert not out.exists()
+def test_run_scenario_runs_every_simulation_on_the_calling_thread(tmp_path, monkeypatch):
+    seen = []
+    simulate = wdmsim.cli.run
+
+    def recording(config):
+        seen.append((threading.get_ident(), threading.active_count()))
+        return simulate(config)
+
+    monkeypatch.setattr(wdmsim.cli, "run", recording)
+    before = threading.active_count()
+    result = run_scenario(parse_config(SWEEP_CFG), tmp_path / "out", workers=2)
+    assert len(seen) == len(result.runs) == 8
+    assert set(seen) == {(threading.get_ident(), before)}
 
 
 @pytest.mark.parametrize("seeds, workers", [([], 1), ([1], 0), ([1], -3)])
@@ -171,7 +181,6 @@ def test_run_scenario_refuses_no_seeds_and_no_workers(tmp_path, seeds, workers):
 
 @pytest.mark.parametrize("script, flag, message", [
     ("sources_sweep.py", "--seeds", "a scenario needs at least one seed"),
-    ("rate_sweep.py", "--workers", "workers must be >= 1, got 0"),
     ("restoration_demo.py", "--seeds", "--seeds must be >= 1, got 0"),
     ("restoration_demo.py", "--seeds=-3", "--seeds must be >= 1, got -3"),
 ])

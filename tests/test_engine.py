@@ -329,6 +329,23 @@ def test_baseline_restores_too():
     assert report.probes_sent == 0
 
 
+def count_yen_calls(monkeypatch) -> list:
+    """Record every k-shortest route lookup the engine or candidate building makes."""
+    calls = []
+    for module in (wdmsim.engine, wdmsim.probing):
+        lookup = module.k_shortest_hop_paths
+        monkeypatch.setattr(module, "k_shortest_hop_paths",
+                            lambda *args, lookup=lookup: calls.append(args) or lookup(*args))
+    return calls
+
+
+def test_a_failure_free_baseline_run_looks_up_no_backups(monkeypatch):
+    calls = count_yen_calls(monkeypatch)
+    report = run(SimConfig(router=ROUTER_BASELINE, seed=2, max_requests=200), audit=True)
+    assert report.accepted > 0
+    assert calls == []
+
+
 def test_connections_hold_only_live_sessions():
     # blocks, drops and departures all leave the live-connection map empty
     cfg = SimConfig(wavelengths=2, arrival_rate=6.0, holding_time=0.5, max_requests=300,
@@ -474,6 +491,34 @@ def test_failure_between_close_and_next_send_reroutes_on_the_closed_window(monke
     assert tried == [[(0, 3, 1), (0, 2, 1)]]
     assert report.restored == 1 and report.dropped == 0
     assert report.probe_packs >= 1 and report.probe_nacks >= 1
+
+
+# A 0->1 demand on a diamond: the baseline's primary is the direct link 0-1,
+# and the detours [0,2,1] and [0,3,1] are disjoint from it.  The first failure
+# moves the connection onto [0,2,1] while 0-1 is down; the second, after 0-1
+# is back, cuts [0,2,1].  Backups disjoint from [0,2,1] would start with the
+# repaired [0,1]; those disjoint from the original primary go to [0,3,1].
+def test_baseline_backups_stay_disjoint_from_the_original_primary(monkeypatch):
+    tried, restored_onto = [], []
+    reroute = wdmsim.engine.reroute
+
+    def recording(topology, backups, *args, **kwargs):
+        tried.append(list(backups))
+        lp = reroute(topology, backups, *args, **kwargs)
+        restored_onto.append(lp.route)
+        return lp
+
+    monkeypatch.setattr(wdmsim.engine, "reroute", recording)
+    calls = count_yen_calls(monkeypatch)
+    cfg = SimConfig(router=ROUTER_BASELINE, max_requests=1,
+                    failures=[(1.0, 0), (2.0, 1)], repairs=[(1.5, 0)])
+    sim = Simulation(cfg, topology=parse_topology(DIAMOND), audit=True)
+    sim.arrivals = [(0.0, 0, 1, 5.0)]
+    report = sim.run()
+    assert tried == [[(0, 2, 1), (0, 3, 1)]] * 2
+    assert restored_onto == [[0, 2, 1], [0, 3, 1]]
+    assert report.restored == 1 and report.dropped == 0  # one connection, restored twice
+    assert len(calls) == 1  # derived once, at the first failure
 
 
 @pytest.mark.parametrize("holding", [0.2, 0.25])

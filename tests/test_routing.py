@@ -30,7 +30,7 @@ from wdmsim.routing import (
     loaded_edge_cost,
     release_lightpath,
 )
-from wdmsim.topology import FORWARD, REVERSE, default_topology, parse_topology
+from wdmsim.topology import FORWARD, REVERSE, Topology, default_topology, parse_topology
 
 LT = SimConfig().load_threshold
 
@@ -299,6 +299,24 @@ def test_setup_delay_charges_conversions():
     assert lp.wavelengths == [1, 0]
     assert lp.wavelength_changes() == 1
     assert lp.path_delay == pytest.approx(0.010 + 0.010 + 0.024)
+
+
+@pytest.mark.parametrize("mode", [NO_CONVERSION, FULL_CONVERSION])
+def test_a_lightpath_resolves_its_route_once(monkeypatch, mode):
+    # delays that do not sum exactly, and a busy wavelength 0 on the first
+    # hop, so full conversion charges one change
+    topo = parse_topology("nodes 4\nlink 0 1 1.1 2\nlink 1 2 2.2 2\nlink 2 3 3.3 2\n")
+    topo.links[0].occupy(FORWARD, 0)
+    resolve = Topology.hops
+    calls = []
+    monkeypatch.setattr(Topology, "hops",
+                        lambda self, route: calls.append(tuple(route)) or resolve(self, route))
+    lp = establish_lightpath(topo, [0, 1, 2, 3], mode, 0.024)
+    assert lp.wavelength_changes() == (1 if mode == FULL_CONVERSION else 0)
+    # propagation is the left-to-right sum of the link delays, as an exact float
+    assert lp.path_delay == sum(link.delay for link in topo.links) + 0.024 * lp.wavelength_changes()
+    release_lightpath(topo, lp)
+    assert calls == [(0, 1, 2, 3)]
 
 
 def test_establish_primary_end_to_end(square):
