@@ -147,7 +147,7 @@ def parse_config(text: str) -> Scenario:
         scenario.seeds = [base.seed]
 
     if "sweep" in values:
-        parts = values["sweep"].split(None, 1)
+        parts = values["sweep"].split(None, 1) or [""]  # an empty value names nothing
         if parts[0] == SWEEP_NONE and len(parts) == 1:
             pass
         elif parts[0] in (SWEEP_RATE, SWEEP_SOURCES):
@@ -156,7 +156,7 @@ def parse_config(text: str) -> Scenario:
             sweep_values = _parse_number_list(parts[1], "sweep", float)
             if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
                 raise ConfigError("sweep: values must be strictly increasing")
-            if parts[0] == SWEEP_SOURCES and any(v != int(v) or v < 1 for v in sweep_values):
+            if parts[0] == SWEEP_SOURCES and any(not v.is_integer() or v < 1 for v in sweep_values):
                 raise ConfigError("sweep: sources values must be positive integers")
             scenario.sweep_param = parts[0]
             scenario.sweep_values = sweep_values

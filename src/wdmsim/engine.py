@@ -33,7 +33,6 @@ from .probing import (
     CandidateSet,
     ConnectionProber,
     candidate_paths,
-    k_shortest_hop_paths,
     probe_count,
     probe_outcome,
     reroute,
@@ -44,6 +43,7 @@ from .routing import (
     Lightpath,
     establish_baseline,
     establish_primary,
+    k_shortest_hop_paths,
     release_lightpath,
 )
 from .topology import Topology, default_topology, read_topology

@@ -14,11 +14,10 @@ ranked ascending by it, so a failure reroutes onto the best measured route
 first.  Sub-optimal candidates keep receiving probes, so the ranking
 tracks load changes.
 
-Candidate routes are hop-count routes that read no link state, so they are
-a function of the graph alone: they live in ``routing``'s per-graph memo of
-hop-count routes, beside the baseline router's, for the life of the process
-and are shared by every run on that graph.  Their hops and round trips
-belong to one topology's links and are cached per run.
+The candidates are Yen's k shortest hop routes avoiding the primary's
+links, from ``routing.k_shortest_hop_paths``, whose per-graph memo every run
+on that graph shares.  Their hops and round trips belong to one topology's
+links and are cached per run.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from .routing import (
     NO_CONVERSION,
     Lightpath,
     establish_lightpath,
-    hop_route_memo,
-    min_hop_path,
+    k_shortest_hop_paths,
 )
 from .topology import Hops, Link, Topology
 
@@ -51,56 +49,6 @@ class CandidateSet:
     paths: list[tuple[int, ...]]
     hops: tuple[Hops, ...]  # topology.hops(paths[j])
     rtts: tuple[float, ...]
-
-
-def k_shortest_hop_paths(
-    topology: Topology,
-    src: int,
-    dst: int,
-    k: int,
-    banned_links: frozenset[int] = frozenset(),
-) -> list[tuple[int, ...]]:
-    """Yen's k shortest hop paths, memoised per graph; returns a fresh list."""
-    memo = hop_route_memo(topology)
-    banned = frozenset(banned_links)
-    key = (src, dst, k, banned)
-    routes = memo.get(key)
-    if routes is None:
-        routes = memo[key] = tuple(_yen(topology, src, dst, k, banned))
-    return list(routes)
-
-
-def _yen(
-    topology: Topology, src: int, dst: int, k: int, banned_links: frozenset[int]
-) -> list[tuple[int, ...]]:
-    """Yen's algorithm ordered by (hop count, route), loop-free throughout."""
-    first = min_hop_path(topology, src, dst, banned_links)
-    if first is None or k < 1:
-        return []
-    accepted = [first]
-    candidates: dict[tuple[int, ...], None] = {}
-    while len(accepted) < k:
-        prev = accepted[-1]
-        for i in range(len(prev) - 1):
-            root = prev[: i + 1]
-            spur = prev[i]
-            spur_banned = set(banned_links)
-            for path in accepted:
-                if path[: i + 1] == root and len(path) > i + 1:
-                    link = topology.link_between(path[i], path[i + 1])
-                    spur_banned.add(link.id)
-            spur_path = min_hop_path(topology, spur, dst, spur_banned, frozenset(root[:-1]))
-            if spur_path is None:
-                continue
-            total = root[:-1] + spur_path
-            if total not in candidates and total not in accepted:
-                candidates[total] = None
-        if not candidates:
-            break
-        best = min(candidates, key=lambda p: (len(p), p))
-        del candidates[best]
-        accepted.append(best)
-    return accepted
 
 
 def candidate_paths(

@@ -15,10 +15,11 @@ Only these load-aware costs run Dijkstra per demand.  Every router sets its
 lightpath up through ``establish_lightpath``, which keeps the route's hops.
 
 Hop-count routes read no link state, so they are a function of the graph
-alone.  One memo per ``Topology.graph`` holds them for the life of the
-process: ``probing`` keeps Yen's candidate routes there, and the baseline
-router its least-hop routes, keyed with the down links a route was found to
-cross, and the baseline's backups, which a failure looks up on demand.
+alone.  Yen's k shortest hop routes (Yen, 1971) are memoised per
+``Topology.graph`` for the life of the process, keyed by (src, dst, k,
+banned links).  They serve rftr's probed candidates, the baseline's backups,
+which a failure looks up on demand, and the baseline's primary: Yen's first
+route, with the down links it was found to cross banned.
 """
 
 from __future__ import annotations
@@ -113,49 +114,81 @@ def min_hop_path(
     return None if found is None else tuple(found[0])
 
 
-# (graph, {key: value}) for the graph last asked about; a call reads the pair
-# once, so callers on several threads need no lock
+# (graph, {(src, dst, k, banned links): routes}) for the graph last asked about
 _hop_routes: tuple[tuple, dict] = ((), {})
 
 
-def hop_route_memo(topology: Topology) -> dict:
-    """The memo of hop-count routes on ``topology.graph``; another graph replaces it.
-
-    Keys are ``(src, dst, banned links)`` for a least-hop route and
-    ``(src, dst, k, banned links)`` for Yen's k shortest routes.
-    """
+def k_shortest_hop_paths(
+    topology: Topology,
+    src: int,
+    dst: int,
+    k: int,
+    banned_links: frozenset[int] = frozenset(),
+) -> list[tuple[int, ...]]:
+    """Yen's k shortest hop paths, memoised per graph (another replaces it); a fresh list."""
     global _hop_routes
     graph, memo = _hop_routes
     if graph != topology.graph:
         memo = {}
         _hop_routes = (topology.graph, memo)
-    return memo
+    banned = frozenset(banned_links)
+    key = (src, dst, k, banned)
+    routes = memo.get(key)
+    if routes is None:
+        routes = memo[key] = tuple(_yen(topology, src, dst, k, banned))
+    return list(routes)
+
+
+def _yen(
+    topology: Topology, src: int, dst: int, k: int, banned_links: frozenset[int]
+) -> list[tuple[int, ...]]:
+    """Yen's algorithm ordered by (hop count, route), loop-free throughout."""
+    first = min_hop_path(topology, src, dst, banned_links)
+    if first is None or k < 1:
+        return []
+    accepted = [first]
+    candidates: dict[tuple[int, ...], None] = {}
+    while len(accepted) < k:
+        prev = accepted[-1]
+        for i in range(len(prev) - 1):
+            root = prev[: i + 1]
+            spur = prev[i]
+            spur_banned = set(banned_links)
+            for path in accepted:
+                if path[: i + 1] == root and len(path) > i + 1:
+                    link = topology.link_between(path[i], path[i + 1])
+                    spur_banned.add(link.id)
+            spur_path = min_hop_path(topology, spur, dst, spur_banned, frozenset(root[:-1]))
+            if spur_path is None:
+                continue
+            total = root[:-1] + spur_path
+            if total not in candidates and total not in accepted:
+                candidates[total] = None
+        if not candidates:
+            break
+        best = min(candidates, key=lambda p: (len(p), p))
+        del candidates[best]
+        accepted.append(best)
+    return accepted
 
 
 def baseline_route(topology: Topology, src: int, dst: int) -> tuple[int, ...] | None:
-    """The least-hop route over up links that ``least_cost_path`` finds, from the memo.
+    """The least-hop route over up links that ``least_cost_path`` finds: Yen's first route.
 
-    Starting with no bans, look up the least-hop route avoiding the bans; if
-    it crosses down links, ban those too and look up again.  The bans stay
-    inside the down set, so a route that is least among the routes avoiding
-    them, and crosses no down link, is least among the routes over up links
-    in the same (hops, route) order.  An entry keeps its route's link ids, so
-    a hit reads only that route's ``up`` flags.
+    Starting with no bans, look up the first of Yen's routes avoiding the
+    bans, which is ``min_hop_path``'s; if it crosses down links, ban those
+    too and look up again.  The bans stay inside the down set, so a route
+    that is least among the routes avoiding them, and crosses no down link,
+    is least among the routes over up links in the same (hops, route) order.
     """
-    memo = hop_route_memo(topology)
-    links = topology.links
     banned: frozenset[int] = frozenset()
     while True:
-        key = (src, dst, banned)
-        entry = memo.get(key)
-        if entry is None:
-            route = min_hop_path(topology, src, dst, banned)
-            ids = () if route is None else topology.hops(route).link_ids
-            entry = memo[key] = (route, ids)
-        route, ids = entry
-        down = [i for i in ids if not links[i].up]
+        routes = k_shortest_hop_paths(topology, src, dst, 1, banned)
+        if not routes:
+            return None
+        down = [link.id for link, _ in topology.hops(routes[0]) if not link.up]
         if not down:
-            return route
+            return routes[0]
         banned = banned.union(down)
 
 

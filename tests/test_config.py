@@ -2,6 +2,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wdmsim.config import (
     KNOWN_KEYS,
@@ -12,8 +13,8 @@ from wdmsim.config import (
     parse_config,
     validate_scenario,
 )
-from wdmsim.engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig
-from wdmsim.errors import ConfigError
+from wdmsim.engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig, Simulation
+from wdmsim.errors import ConfigError, SimError
 from wdmsim.metrics import SUMMARY_COLUMNS
 
 
@@ -63,6 +64,10 @@ def test_full_scenario_round_trip():
         ("sweep = rate 4,2", "increasing"),
         ("sweep = sources 1,2.5", "positive integers"),
         ("sweep = holding 1,2", "unknown parameter"),
+        ("sweep =", "unknown parameter"),
+        ("sweep = sources inf", "positive integers"),
+        ("sweep = sources 1e400", "positive integers"),
+        ("sweep = sources nan", "positive integers"),
         ("seeds =", "empty"),
         ("failures = 5.0", "time:link"),
         ("max_requests = many", "integer"),
@@ -192,3 +197,69 @@ def test_readme_output_columns_match_summary_csv():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Outputs", 1)[1].split("```", 2)[1]
     assert block.strip().split(",") == SUMMARY_COLUMNS
+
+
+# -- the parse boundary under random texts -------------------------------------
+
+# every value is small, so a text that parses runs in milliseconds; ``topology``
+# is left out, since a file path meets the file system, not the parser.  Each
+# valid value is drawn eight times as often as each bad one, so that texts get
+# past the earlier keys' checks to the later ones.
+_BAD = ["", "nan", "inf", "-inf", "1e400", "x"]
+
+
+def _values(*valid: str, bad: tuple[str, ...] = ()):
+    return st.sampled_from(list(valid) * 8 + list(bad) + _BAD)
+
+
+_INTS = _values("1", "2", "8", bad=("0", "-1"))
+_FLOATS = _values("0.5", "2", bad=("0", "-1"))
+_SCHEDULES = _values("1.0:3", "0.5:0, 1.0:1, 2.0:3", "0.5:0, 1.0:0",
+                     bad=("1.0:99", "nan:0", "inf:1", "-1:0", "1.0:x", "1.0"))
+_VALUES = {
+    "name": _values("fuzz"),
+    "router": _values("rftr", "baseline", "both", bad=("ospf",)),
+    "conversion_mode": _values("none", "full", bad=("sparse",)),
+    "seeds": _values("1", "1, 2", bad=("1, 1", "2.5")),
+    "sweep": _values("none", "rate 1, 2", "sources 1, 3",
+                     bad=("sources 2.5", "rate 2, 1", "rate nan", "rate 1, inf", "sources inf",
+                          "sources nan", "sources 1e400", "sources", "holding 1")),
+    "failures": _SCHEDULES,
+    "repairs": _SCHEDULES,
+    **{key: _INTS for key in ("wavelengths", "session_traffics", "packet_size", "max_requests",
+                              "candidates_k", "backups_m", "probes_per_interval", "seed")},
+    **{key: _FLOATS for key in ("link_delay_ms", "load_threshold", "conversion_time",
+                                "arrival_rate", "holding_time", "data_rate_mbps",
+                                "sample_interval", "probe_interval", "adaptive_scale")},
+}
+# the keys that carry lists, whose parsing branches most, are drawn more often
+_LIST_KEYS = ("failures", "repairs", "seeds", "sweep")
+_KEYS = st.tuples(
+    st.lists(st.sampled_from(sorted(set(_VALUES) - set(_LIST_KEYS))), max_size=5, unique=True),
+    st.lists(st.sampled_from(_LIST_KEYS), max_size=4, unique=True),
+).map(lambda pair: pair[0] + pair[1])
+_TEXTS = _KEYS.flatmap(lambda keys: st.tuples(*(_VALUES[key] for key in keys)).map(
+    lambda values: "\n".join(f"{k} = {v}" for k, v in zip(keys, values))))
+
+
+def test_the_fuzz_draws_every_key_but_the_topology_file():
+    assert set(_VALUES) == KNOWN_KEYS - {"topology"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_TEXTS)
+def test_a_text_is_refused_with_a_sim_error_or_runs_to_a_balanced_report(text):
+    try:
+        scenario = parse_config(text)
+    except SimError:
+        return
+    for router in scenario.routers():
+        for value in scenario.sweep_values or [None]:
+            for seed in scenario.seeds:
+                try:
+                    sim = Simulation(scenario.config_for(router, value, seed), audit=True)
+                except SimError:
+                    continue
+                report = sim.run()
+                assert report.offered == report.accepted + report.blocked
+                assert report.completed + report.dropped == report.accepted

@@ -63,6 +63,9 @@ def test_config_defaults_validate():
         {"candidates_k": 0},
         {"probes_per_interval": 0},
         {"data_rate_mbps": 0.0},
+        {"load_threshold": 0.0},
+        {"probe_interval": 0.0},
+        {"adaptive_scale": -1.0},
     ],
 )
 def test_config_rejects_bad_values(overrides):
@@ -70,7 +73,7 @@ def test_config_rejects_bad_values(overrides):
         SimConfig(**overrides).validate()
 
 
-def test_traffic_model_aggregates_sources():
+def test_aggregate_rate_is_the_per_source_rate_times_the_sources():
     assert SimConfig(arrival_rate=0.5, session_traffics=4).aggregate_rate == 2.0
     assert SimConfig(arrival_rate=0.5, session_traffics=3).aggregate_rate == 1.5
 

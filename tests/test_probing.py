@@ -12,9 +12,8 @@ from oracles import (
     unit_edge_cost,
     window_probes,
 )
-from wdmsim import probing, routing
+from wdmsim import routing
 from wdmsim.engine import SimConfig, Simulation
-from wdmsim.errors import ConfigError
 from wdmsim.probing import (
     NACK,
     PACK,
@@ -104,9 +103,9 @@ def test_k_shortest_matches_exhaustive_k_best(seed, k):
 def yen_calls(monkeypatch):
     """An empty route memo, and the arguments of every uncached Yen search."""
     calls = []
-    search = probing._yen
+    search = routing._yen
     monkeypatch.setattr(routing, "_hop_routes", ((), {}))
-    monkeypatch.setattr(probing, "_yen", lambda *args: calls.append(args) or search(*args))
+    monkeypatch.setattr(routing, "_yen", lambda *args: calls.append(args) or search(*args))
     return calls
 
 
@@ -124,7 +123,7 @@ def test_memoised_routes_equal_uncached_yen(seed):
         banned = frozenset(link.id for link in topo.links if rng.random() < 0.25)
         for bans in (frozenset(), banned):
             assert k_shortest_hop_paths(topo, src, dst, k, bans) == \
-                probing._yen(topo, src, dst, k, bans)
+                routing._yen(topo, src, dst, k, bans)
 
 
 def test_topologies_with_one_graph_share_routes(yen_calls):
@@ -144,6 +143,14 @@ def test_topologies_with_one_graph_share_routes(yen_calls):
 MOVED = "nodes 4\nlink 0 1 10 8\nlink 1 2 10 8\nlink 2 3 10 8\nlink 1 3 10 8\n"
 
 
+def test_a_baseline_route_is_yens_first_route_from_the_same_memo(mesh8, yen_calls):
+    pairs = [(s, d) for s in range(8) for d in range(8) if s != d]
+    routes = [baseline_route(mesh8, s, d) for s, d in pairs]
+    assert len(yen_calls) == len(pairs)
+    assert [k_shortest_hop_paths(mesh8, s, d, 1) for s, d in pairs] == [[r] for r in routes]
+    assert len(yen_calls) == len(pairs)  # every answer came from the baseline's searches
+
+
 def test_a_moved_link_never_gets_the_other_graphs_routes(square, yen_calls):
     moved = parse_topology(MOVED)
     assert moved.num_nodes == square.num_nodes and moved.graph != square.graph
@@ -157,7 +164,7 @@ def test_threads_switching_graphs_get_their_own_graphs_routes(square):
     # every call on the other graph replaces the memo under the other threads
     queries = [(topo, src, dst, k) for topo in (square, parse_topology(MOVED))
                for src in range(4) for dst in range(4) if src != dst for k in (1, 3)]
-    want = [probing._yen(*query, frozenset()) for query in queries]
+    want = [routing._yen(*query, frozenset()) for query in queries]
     wrong = []
 
     def ask(offset):
@@ -181,8 +188,9 @@ def test_threads_switching_graphs_get_their_own_graphs_routes(square):
 
 
 def test_threads_mixing_baseline_and_yen_lookups_get_uncached_answers():
-    # one memo holds both key shapes; two topologies of one graph differ in
-    # their down links, and the other graph keeps replacing the memo
+    # the baseline reads Yen's first route from the same memo; two topologies
+    # of one graph differ in their down links, and the other graph keeps
+    # replacing the memo
     stock, same_graph, moved = default_topology(), default_topology(), parse_topology(MOVED)
     stock.links[8].up = False
     same_graph.links[0].up = same_graph.links[1].up = False
@@ -193,7 +201,7 @@ def test_threads_mixing_baseline_and_yen_lookups_get_uncached_answers():
         for src, dst in pairs:
             if topo is not same_graph:
                 for k in (1, 3):
-                    want = probing._yen(topo, src, dst, k, frozenset())
+                    want = routing._yen(topo, src, dst, k, frozenset())
                     queries.append((k_shortest_hop_paths, (topo, src, dst, k), want))
             found = least_cost_path(topo, src, dst, unit_edge_cost)
             queries.append((baseline_route, (topo, src, dst), found and tuple(found[0])))
@@ -295,16 +303,7 @@ def test_simulation_derives_probe_count_from_aggregate_rate():
     assert Simulation(config).probe_count == 5  # floor(10 / (1 + 0.5 * 2))
 
 
-def test_policy_validation():
-    with pytest.raises(ConfigError):
-        SimConfig(probes_per_interval=0).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(probe_interval=0.0).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(adaptive_scale=-1.0).validate()
-
-
-def test_emit_probes_spread_and_accounting():
+def test_a_window_spaces_its_sends_evenly_and_tallies_each_answer_once():
     prober = make_prober(paths=[(0, 1, 9)], probes=4)
     [(t, j, slot)] = prober.open_windows(2.0)
     sends = []
@@ -349,7 +348,7 @@ def test_feedback_tallies_the_open_window():
     assert prober.estimates() == [1.0, 1.0]  # the next window starts from no evidence
 
 
-def test_blocking_probability_fraction_and_sentinel():
+def test_estimate_is_the_nacked_fraction_and_one_without_answers():
     prober = make_prober(paths=[(0, 1, 9)], probes=10)
     send_window(prober, 0.0, lambda j, slot: PACK if slot < 7 else NACK)
     assert prober.estimates() == [3 / 10]

@@ -17,7 +17,7 @@ from oracles import (
 )
 from wdmsim import routing
 from wdmsim.engine import SimConfig
-from wdmsim.errors import ConfigError, NoSuchNodeError
+from wdmsim.errors import NoSuchNodeError
 from wdmsim.routing import (
     FULL_CONVERSION,
     NO_CONVERSION,
@@ -68,13 +68,6 @@ def test_link_cost_total_and_bounded(li, lt):
         assert c == 1.0 + li
     else:
         assert c == 1.0 - li
-
-
-def test_cost_params_validation():
-    with pytest.raises(ConfigError):
-        SimConfig(load_threshold=0.0).validate()
-    with pytest.raises(ConfigError):
-        SimConfig(load_threshold=1.0).validate()
 
 
 def test_loaded_cost_uses_travel_lane(square):
