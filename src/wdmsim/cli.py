@@ -10,9 +10,11 @@ thread: threads only took turns on the interpreter lock, and were slower.
 from __future__ import annotations
 
 import argparse
+import operator
 import re
 import sys
 from dataclasses import dataclass, replace
+from functools import reduce
 from pathlib import Path
 
 from . import metrics as metrics_mod
@@ -49,7 +51,7 @@ def _sanitize(label: str) -> str:
 
 
 def _aggregate(scenario: Scenario, router: str, sweep_value, outcomes: list[RunOutcome]) -> dict:
-    """Mean of every numeric metric across seeds, in sorted-seed order."""
+    """Mean of every numeric metric across seeds, summed left to right in sorted-seed order."""
     rows = [metrics_mod.summary_row(o.report) for o in outcomes]
     n = len(rows)
     agg = dict(rows[0])
@@ -60,7 +62,7 @@ def _aggregate(scenario: Scenario, router: str, sweep_value, outcomes: list[RunO
         if key in ("scenario", "router", "seed", "n_seeds"):
             continue
         values = [row[key] for row in rows]
-        agg[key] = sum(values) / n
+        agg[key] = reduce(operator.add, values, 0) / n
     return agg
 
 

@@ -142,6 +142,8 @@ def parse_config(text: str) -> Scenario:
 
     scenario = Scenario(name=values.get("name", "scenario"), base=base, router=router)
     if "seeds" in values:
+        if "seed" in values:
+            raise ConfigError("seed and seeds: give one or the other")
         scenario.seeds = unique_seeds(_parse_number_list(values["seeds"], "seeds", int), "seeds")
     elif "seed" in values:
         scenario.seeds = [base.seed]
@@ -185,7 +187,7 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
     diagnostics: list[Diagnostic] = []
     try:
         topology = build_topology(scenario.base)
-    except (TopologyError, OSError) as err:
+    except TopologyError as err:
         diagnostics.append(Diagnostic("error", f"topology: {err}"))
         return diagnostics
     if not topology.is_connected():

@@ -15,7 +15,8 @@ the connection closes the window, and a departure or drop counts the answers
 that landed strictly before it.  Sample ticks run while a lifecycle event is
 pending, so the timeseries ends at the same tick whatever the router.  Each
 run binds its router once; a fresh setup, restoration included, goes through it.
-A baseline connection, never probed, gets its backups when a failure first hits it.
+A connection's backups are ranked when a probe window closes; until then a
+failure looks them up, for either router, against the primary it still rides.
 """
 
 from __future__ import annotations
@@ -28,9 +29,8 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 
 from . import metrics as metrics_mod
-from .errors import ConfigError, InvariantError, SimError
+from .errors import ConfigError, InvariantError, SimError, TopologyError
 from .probing import (
-    CandidateSet,
     ConnectionProber,
     candidate_paths,
     probe_count,
@@ -69,7 +69,7 @@ class Connection:
     arrival: float
     holding: float
     current: Lightpath | None = None
-    backups: list[tuple[int, ...]] | None = None  # baseline: None until a failure hits it
+    backups: list[tuple[int, ...]] | None = None  # None until a window ranks or a failure looks up
     prober: ConnectionProber | None = None
 
 
@@ -144,8 +144,13 @@ class SimConfig:
 
 
 def build_topology(config: SimConfig) -> Topology:
+    """The config's topology file, refused as a ``TopologyError`` if unreadable, else the mesh."""
     if config.topology_file:
-        return read_topology(config.topology_file)
+        try:
+            return read_topology(config.topology_file)
+        except (OSError, UnicodeDecodeError) as err:
+            reason = err.strerror if isinstance(err, OSError) else "not UTF-8 text"
+            raise TopologyError(f"topology file {config.topology_file}: {reason}") from None
     return default_topology(channels=config.wavelengths, delay_ms=config.link_delay_ms)
 
 
@@ -219,9 +224,6 @@ class Simulation:
         # live connections only; a blocked one is never added and a
         # departure or drop removes its entry
         self.connections: dict[int, Connection] = {}
-        # (src, dst, primary link ids) -> candidates on this topology's links;
-        # the routes themselves come from the per-graph memo in routing
-        self._candidates: dict[tuple[int, int, frozenset[int]], CandidateSet] = {}
         self.collector = metrics_mod.MetricsCollector(config)
         self._heap: list[tuple[float, int, str, tuple]] = []
         self._eseq = itertools.count()
@@ -287,14 +289,9 @@ class Simulation:
         self.collector.on_accepted(conn, result.lightpath.path_delay, self.now)
         self.schedule(self.now + conn.holding, DEPARTURE, conn.id)
         if self.config.router != ROUTER_RFTR:
-            return  # the baseline never probes; a failure looks its backups up
-        key = (src, dst, result.lightpath.link_ids)
-        cands = self._candidates.get(key)
-        if cands is None:
-            cands = self._candidates[key] = candidate_paths(
-                self.topology, src, dst, result.lightpath, self.config.candidates_k)
-        conn.backups = list(cands.paths[: self.m])
-        if cands.paths:
+            return  # the baseline never probes
+        cands = candidate_paths(self.topology, src, dst, result.lightpath, self.config.candidates_k)
+        if cands:
             conn.prober = ConnectionProber(cands, self.probe_count,
                                            self.config.probe_interval, self.m)
             for t, path_index, slot in conn.prober.open_windows(self.now):
@@ -309,7 +306,7 @@ class Simulation:
             return  # stale: the connection dropped before the probe went out
         self._close_window(conn)
         prober = conn.prober
-        outcome = probe_outcome(prober.candidates.hops[path_index], self.config.conversion_mode)
+        outcome = probe_outcome(prober.candidates[path_index], self.config.conversion_mode)
         self.collector.on_probe_sent()
         t = prober.sent(path_index, slot, outcome, self.now)
         self._schedule_send(conn, t, path_index, (slot + 1) % prober.count)
@@ -332,25 +329,25 @@ class Simulation:
         if conn is None:
             return  # stale departure for a dropped session
         self._count_answers(conn)
-        release_lightpath(self.topology, conn.current)
+        release_lightpath(conn.current)
         self.collector.on_completed(conn, self.now)
 
     def _on_link_failure(self, link_id: int) -> None:
         link = self.topology.links[link_id]
         link.up = False
         affected = sorted(
-            (conn for conn in self.connections.values() if link.id in conn.current.link_ids),
+            (conn for conn in self.connections.values() if link.id in conn.current.hops.link_ids),
             key=lambda c: c.id,
         )
         # release every broken lightpath first so peers can reuse the capacity
         for conn in affected:
-            release_lightpath(self.topology, conn.current)
+            release_lightpath(conn.current)
         for conn in affected:
             self._close_window(conn)
-            if conn.backups is None:  # a baseline connection, on its original primary
+            if conn.backups is None:  # unranked, so still on its original primary
                 conn.backups = k_shortest_hop_paths(self.topology, conn.src, conn.dst,
                                                     self.config.candidates_k,
-                                                    conn.current.link_ids)[: self.m]
+                                                    conn.current.hops.link_ids)[: self.m]
             new_lp = reroute(
                 self.topology, conn.backups, self.config.conversion_mode,
                 self.config.conversion_time,
@@ -396,7 +393,7 @@ class Simulation:
     def _check_failure_safety(self) -> None:
         down = {l.id for l in self.topology.links if not l.up}
         for conn in self.connections.values():
-            if not down.isdisjoint(conn.current.link_ids):
+            if not down.isdisjoint(conn.current.hops.link_ids):
                 raise InvariantError(f"connection {conn.id} rides a down link")
 
     def _check_occupancy(self) -> None:

@@ -18,7 +18,9 @@ the failure instant.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass, field, fields
+from functools import reduce
 
 from .topology import FORWARD, REVERSE, Topology
 
@@ -143,7 +145,9 @@ class MetricsCollector:
         if report.accepted:
             report.mean_setup_delay = self.setup_delay_sum / report.accepted
         if report.series:
-            report.mean_utilization = sum(u for *_, u in report.series) / len(report.series)
+            # summed left to right: sum() compensates from Python 3.12 on
+            utilizations = (u for *_, u in report.series)
+            report.mean_utilization = reduce(operator.add, utilizations, 0) / len(report.series)
         return report
 
 

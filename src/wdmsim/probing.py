@@ -5,8 +5,8 @@ that are link-disjoint from the primary.  Each update interval it sends a
 small batch of probes down every candidate; the far end answers PACK when
 the route could currently carry a lightpath and NACK when it could not (no
 admissible wavelength; a down hop offers none, since its ``free_mask`` reads
-0).  Each candidate's hops are resolved once, when its candidate set is
-built, so a probe only reads their masks.
+0).  A candidate is its route's memoised ``Hops``: a probe reads only their
+masks, and its answer lands one round trip, twice their delay, later.
 An answer is fixed when its probe is sent and is tallied then, in the
 window it lands in before the close.  The NACKed fraction of those answers
 is the route's blocking estimate, and at each close the candidates are
@@ -16,14 +16,12 @@ tracks load changes.
 
 The candidates are Yen's k shortest hop routes avoiding the primary's
 links, from ``routing.k_shortest_hop_paths``, whose per-graph memo every run
-on that graph shares.  Their hops and round trips belong to one topology's
-links and are cached per run.
+on that graph shares; ``Topology.hops`` resolves each once per topology.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .routing import (
     BACKUP,
@@ -38,27 +36,12 @@ PACK = "pack"
 NACK = "nack"
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """Candidate routes with each route's resolved hops and probe round trip, in route order.
-
-    Shared by every connection with the same endpoints and primary links, so
-    it is never modified after ``candidate_paths`` builds it.
-    """
-
-    paths: list[tuple[int, ...]]
-    hops: tuple[Hops, ...]  # topology.hops(paths[j])
-    rtts: tuple[float, ...]
-
-
 def candidate_paths(
     topology: Topology, src: int, dst: int, primary: Lightpath, k: int
-) -> CandidateSet:
-    """Up to k shortest loop-free routes sharing no link with the primary."""
-    paths = k_shortest_hop_paths(topology, src, dst, k, primary.link_ids)
-    hops = tuple(topology.hops(path) for path in paths)
-    rtts = tuple(2.0 * route.delay for route in hops)
-    return CandidateSet(paths=paths, hops=hops, rtts=rtts)
+) -> tuple[Hops, ...]:
+    """Up to k shortest loop-free routes sharing no link with the primary, resolved."""
+    routes = k_shortest_hop_paths(topology, src, dst, k, primary.hops.link_ids)
+    return tuple(topology.hops(route) for route in routes)
 
 
 def probe_count(probes_per_interval: int, adaptive_scale: float, aggregate_rate: float) -> int:
@@ -100,12 +83,12 @@ class ConnectionProber:
     closes, so an answer landing at or after the close moves no ranking.
     """
 
-    def __init__(self, candidates: CandidateSet, count: int, interval: float, m: int):
+    def __init__(self, candidates: tuple[Hops, ...], count: int, interval: float, m: int):
         self.candidates = candidates
         self.count = count
         self.interval = interval
         self.m = m
-        n = len(candidates.paths)
+        n = len(candidates)
         self._acks = [0] * n
         self._nacks = [0] * n
         self._landing: list[tuple[float, str]] = []  # (land, outcome) of every probe sent
@@ -115,11 +98,11 @@ class ConnectionProber:
         """Open a window; returns each candidate's first send, ``(time, path_index, slot)``."""
         self._opened_at, self.close_at = now, now + self.interval
         start = now + self.interval / (self.count + 1)
-        return [(start, j, 0) for j in range(len(self.candidates.paths))]
+        return [(start, j, 0) for j in range(len(self.candidates))]
 
     def sent(self, path_index: int, slot: int, outcome: str, now: float) -> float:
         """Record a probe sent at ``now``; returns the next slot's send, even in the next window."""
-        land = now + self.candidates.rtts[path_index]
+        land = now + 2.0 * self.candidates[path_index].delay
         self._landing.append((land, outcome))
         if land < self.close_at:
             self.feedback(path_index, outcome)
@@ -145,11 +128,11 @@ class ConnectionProber:
     def close_and_rank(self) -> list[tuple[int, ...]]:
         """Close the open window; candidates ascending by (estimate, hops, route), best m."""
         estimates = self.estimates()
-        paths = self.candidates.paths
-        order = sorted(range(len(paths)), key=lambda j: (estimates[j], len(paths[j]), paths[j]))
-        self._acks = [0] * len(paths)
-        self._nacks = [0] * len(paths)
-        return [paths[j] for j in order[: self.m]]
+        routes = [hops.route for hops in self.candidates]
+        order = sorted(range(len(routes)), key=lambda j: (estimates[j], len(routes[j]), routes[j]))
+        self._acks = [0] * len(routes)
+        self._nacks = [0] * len(routes)
+        return [routes[j] for j in order[: self.m]]
 
 
 def reroute(

@@ -17,8 +17,8 @@ lightpath up through ``establish_lightpath``, which keeps the route's hops.
 Hop-count routes read no link state, so they are a function of the graph
 alone.  Yen's k shortest hop routes (Yen, 1971) are memoised per
 ``Topology.graph`` for the life of the process, keyed by (src, dst, k,
-banned links).  They serve rftr's probed candidates, the baseline's backups,
-which a failure looks up on demand, and the baseline's primary: Yen's first
+banned links).  They serve rftr's probed candidates, the unranked backups a
+failure looks up for either router, and the baseline's primary: Yen's first
 route, with the down links it was found to cross banned.
 """
 
@@ -230,12 +230,10 @@ def first_fit(hops: Hops, mode: str) -> list[int] | None:
 
 @dataclass
 class Lightpath:
-    """An established route, its resolved hops and the wavelength it holds on each hop."""
+    """An established route's resolved hops and the wavelength it holds on each hop."""
 
-    route: list[int]
     hops: Hops  # topology.hops(route), resolved once at setup
     wavelengths: list[int]  # emptied on release
-    link_ids: frozenset[int]
     role: str = PRIMARY
     path_delay: float = 0.0  # propagation plus conversion charges
 
@@ -271,12 +269,12 @@ def establish_lightpath(
         return None
     for (link, lane), w in zip(hops, wavelengths):
         link.occupy(lane, w)
-    lp = Lightpath(list(route), hops, wavelengths, hops.link_ids, role)
+    lp = Lightpath(hops, wavelengths, role)
     lp.path_delay = hops.delay + conversion_time * lp.wavelength_changes()
     return lp
 
 
-def release_lightpath(topology: Topology, lp: Lightpath) -> None:
+def release_lightpath(lp: Lightpath) -> None:
     """Free the lightpath's channels; releasing it again is a no-op."""
     for (link, lane), w in zip(lp.hops, lp.wavelengths):
         link.release(lane, w)

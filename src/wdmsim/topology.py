@@ -6,22 +6,24 @@ matches its direction of travel.  A lane's only channel state is its
 free-wavelength bitmask, so free counts and first-fit are integer
 operations; occupy refuses a busy channel, or any channel of a down link,
 and release a free one.  Which lightpath holds a channel is recorded on the
-lightpath (route plus wavelengths), not on the link.
+lightpath (hops plus wavelengths), not on the link.
 
 A down link offers no free wavelength (``free_mask`` reads 0), so readers of
 channel state need no up check; the raw masks are kept, so a repaired link
 gets its held channels back and ``occupancy_snapshot`` shows real occupancy.
 
 The graph never changes after construction, so each node's sorted adjacency
-is built once and each route is resolved once, into ``Hops`` that also carry
-its link ids and delay.  ``Topology.graph`` is the structure alone (node
+is built once and each route is resolved once, into ``Hops``, its one record:
+nodes, link ids and delay.  ``Topology.graph`` is the structure alone (node
 count and link endpoints), on which ``routing`` memoises hop-count routes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
+from functools import reduce
 
 from .errors import (
     ChannelBusyError,
@@ -105,13 +107,14 @@ class Link:
 
 
 class Hops(tuple):
-    """A resolved route's (link, lane) pairs, its ``link_ids`` and its ``delay``,
-    the left-to-right sum of its link delays."""
+    """A resolved route's (link, lane) pairs, its node tuple ``route``, its
+    ``link_ids`` and its ``delay``, the left-to-right sum of its link delays."""
 
-    def __new__(cls, pairs):
+    def __new__(cls, pairs, route: tuple[int, ...]):
         hops = super().__new__(cls, pairs)
+        hops.route = route
         hops.link_ids = frozenset(link.id for link, _ in hops)
-        hops.delay = sum(link.delay for link, _ in hops)
+        hops.delay = reduce(operator.add, (link.delay for link, _ in hops), 0)
         return hops
 
 
@@ -170,7 +173,7 @@ class Topology:
                 if link is None:
                     raise TopologyError(f"no link between {u} and {v}")
                 resolved.append((link, link.lane(u, v)))
-            hops = self._hops[key] = Hops(resolved)
+            hops = self._hops[key] = Hops(resolved, key)
         return hops
 
     def occupancy_snapshot(self) -> tuple[tuple[int, int], ...]:

@@ -12,7 +12,7 @@ import math
 import random
 from fractions import Fraction
 
-from wdmsim.topology import Link, Topology
+from wdmsim.topology import Hops, Link, Topology
 
 
 def simple_paths(topology: Topology, src: int, dst: int, banned_links=frozenset()):
@@ -187,6 +187,16 @@ def random_failure_schedule(
         link = rng.randrange(len(topology.links))
         schedule.append((t, link))
     return sorted(schedule)
+
+
+def hops_of(route, delay: float = 0.0) -> Hops:
+    """``Hops`` of ``route`` with the given ``delay``, all on one link (none for 0).
+
+    A prober reads only a candidate's route and delay, so the link need not
+    join the route's nodes.
+    """
+    pairs = [(Link(0, route[0], route[-1], delay, 1), 0)] if delay else []
+    return Hops(pairs, tuple(route))
 
 
 def window_probes(prober, now: float) -> list[tuple[float, int, int]]:

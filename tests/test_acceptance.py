@@ -13,6 +13,7 @@ import time
 from fractions import Fraction
 
 from oracles import (
+    hops_of,
     k_best_disjoint,
     min_cost_route,
     random_failure_schedule,
@@ -32,7 +33,6 @@ from wdmsim.errors import InvariantError
 from wdmsim.probing import (
     NACK,
     PACK,
-    CandidateSet,
     ConnectionProber,
     candidate_paths,
     k_shortest_hop_paths,
@@ -49,12 +49,8 @@ def announce(capsys, number, title, ok, detail, elapsed, budget):
 
 
 def one_route_prober(probes):
-    """A prober over one candidate route, ``probes`` probes per window.
-
-    A prober reads only paths and round trips, so the route's hops stay unresolved.
-    """
-    cands = CandidateSet(paths=[(0, 1)], hops=((),), rtts=(0.0,))
-    return ConnectionProber(cands, probes, 0.5, m=1)
+    """A prober over one candidate route with no delay, ``probes`` probes per window."""
+    return ConnectionProber((hops_of((0, 1)),), probes, 0.5, m=1)
 
 
 # -- 1: cost formula fidelity -------------------------------------------------
@@ -130,7 +126,7 @@ def test_criterion_2_routing_oracle_equivalence(capsys):
         else:
             assert cost == want[1]  # exact float equality
             if not result.blocked:
-                assert tuple(result.lightpath.route) == want[0]
+                assert result.lightpath.hops.route == want[0]
         route_checks += 1
 
         k = rng.randint(1, 4)
@@ -138,8 +134,8 @@ def test_criterion_2_routing_oracle_equivalence(capsys):
             banned = frozenset(l.id for l in topo.links if rng.random() < 0.3)
         else:
             cands = candidate_paths(topo, src, dst, result.lightpath, k)
-            banned = frozenset(result.lightpath.link_ids)
-            assert cands.paths == k_best_disjoint(topo, src, dst, banned, k)
+            banned = result.lightpath.hops.link_ids
+            assert [hops.route for hops in cands] == k_best_disjoint(topo, src, dst, banned, k)
         assert k_shortest_hop_paths(topo, src, dst, k, banned) == \
             k_best_disjoint(topo, src, dst, banned, k)
         candidate_checks += 1

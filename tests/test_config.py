@@ -87,6 +87,7 @@ def test_full_scenario_round_trip():
         ("failures = nan:0", "failures: time"),
         ("repairs = inf:0", "repairs: time"),
         ("seeds = 1,1", "duplicate seed"),
+        ("seed = 3\nseeds = 1, 2", "seed and seeds"),
     ],
 )
 def test_bad_configs_rejected(text, fragment):
@@ -186,7 +187,9 @@ def test_readme_config_block_matches_parser():
     block = readme.split("## Config files", 1)[1].split("```", 2)[1]
     keys = {line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line}
     assert keys == KNOWN_KEYS
-    base = parse_config(block).base
+    # seed and seeds exclude each other, so the block parses without its seeds line
+    base = parse_config("\n".join(line for line in block.splitlines()
+                                   if not line.startswith("seeds"))).base
     # numeric keys are documented at their defaults; backups_m's default is candidates_k
     assert base.backups_m == base.candidates_k
     example_only = dict(topology_file=None, backups_m=None, failures=[], repairs=[])
@@ -201,11 +204,13 @@ def test_readme_output_columns_match_summary_csv():
 
 # -- the parse boundary under random texts -------------------------------------
 
-# every value is small, so a text that parses runs in milliseconds; ``topology``
-# is left out, since a file path meets the file system, not the parser.  Each
+# every value is small, so a text that parses runs in milliseconds.  Each
 # valid value is drawn eight times as often as each bad one, so that texts get
 # past the earlier keys' checks to the later ones.
 _BAD = ["", "nan", "inf", "-inf", "1e400", "x"]
+# a valid ``topology`` value: the fuzz test writes RING5 and puts its path here
+_RING5_FILE = "<ring5 file>"
+RING5 = "nodes 5\n" + "".join(f"link {i} {(i + 1) % 5} 10 4\n" for i in range(5))
 
 
 def _values(*valid: str, bad: tuple[str, ...] = ()):
@@ -218,6 +223,7 @@ _SCHEDULES = _values("1.0:3", "0.5:0, 1.0:1, 2.0:3", "0.5:0, 1.0:0",
                      bad=("1.0:99", "nan:0", "inf:1", "-1:0", "1.0:x", "1.0"))
 _VALUES = {
     "name": _values("fuzz"),
+    "topology": _values(_RING5_FILE, bad=("/nonexistent/x.topo",)),
     "router": _values("rftr", "baseline", "both", bad=("ospf",)),
     "conversion_mode": _values("none", "full", bad=("sparse",)),
     "seeds": _values("1", "1, 2", bad=("1, 1", "2.5")),
@@ -242,15 +248,22 @@ _TEXTS = _KEYS.flatmap(lambda keys: st.tuples(*(_VALUES[key] for key in keys)).m
     lambda values: "\n".join(f"{k} = {v}" for k, v in zip(keys, values))))
 
 
-def test_the_fuzz_draws_every_key_but_the_topology_file():
-    assert set(_VALUES) == KNOWN_KEYS - {"topology"}
+def test_the_fuzz_draws_every_key():
+    assert set(_VALUES) == KNOWN_KEYS
+
+
+@pytest.fixture(scope="module")
+def ring5_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "ring5.topo"
+    path.write_text(RING5, encoding="utf-8")
+    return path
 
 
 @settings(max_examples=300, deadline=None)
-@given(_TEXTS)
-def test_a_text_is_refused_with_a_sim_error_or_runs_to_a_balanced_report(text):
+@given(text=_TEXTS)
+def test_a_text_is_refused_with_a_sim_error_or_runs_to_a_balanced_report(ring5_file, text):
     try:
-        scenario = parse_config(text)
+        scenario = parse_config(text.replace(_RING5_FILE, str(ring5_file)))
     except SimError:
         return
     for router in scenario.routers():

@@ -27,7 +27,7 @@ from wdmsim.engine import (
     generate_arrivals,
     run,
 )
-from wdmsim.errors import ConfigError, InvariantError, SimError
+from wdmsim.errors import ConfigError, InvariantError, SimError, TopologyError
 from wdmsim.probing import ConnectionProber
 from wdmsim.topology import FORWARD, REVERSE, parse_topology
 
@@ -86,6 +86,18 @@ def test_build_topology_prefers_file(tmp_path):
     default = build_topology(SimConfig(wavelengths=4))
     assert default.num_nodes == 8
     assert default.links[0].total_channels == 4
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "latin-1"])
+def test_an_unreadable_topology_file_is_a_topology_error(tmp_path, kind):
+    path = tmp_path / "x.topo"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes(b"# caf\xe9\n" + CHAIN.encode())
+    with pytest.raises(TopologyError) as err:
+        Simulation(SimConfig(topology_file=str(path)))
+    assert str(path) in str(err.value)
 
 
 # -- workload generation ------------------------------------------------------
@@ -496,32 +508,43 @@ def test_failure_between_close_and_next_send_reroutes_on_the_closed_window(monke
     assert report.probe_packs >= 1 and report.probe_nacks >= 1
 
 
-# A 0->1 demand on a diamond: the baseline's primary is the direct link 0-1,
+# A 0->1 demand on a diamond: either router's primary is the direct link 0-1,
 # and the detours [0,2,1] and [0,3,1] are disjoint from it.  The first failure
 # moves the connection onto [0,2,1] while 0-1 is down; the second, after 0-1
 # is back, cuts [0,2,1].  Backups disjoint from [0,2,1] would start with the
 # repaired [0,1]; those disjoint from the original primary go to [0,3,1].
-def test_baseline_backups_stay_disjoint_from_the_original_primary(monkeypatch):
+# rftr's schedule ends inside its first probe window (closing at 0.5 s), so
+# no ranking moves its backups: both routers take them from one lookup.
+DIAMOND_SCHEDULES = {  # router -> (failures, repairs)
+    ROUTER_BASELINE: ([(1.0, 0), (2.0, 1)], [(1.5, 0)]),
+    ROUTER_RFTR: ([(0.1, 0), (0.3, 1)], [(0.2, 0)]),
+}
+
+
+@pytest.mark.parametrize("router", [ROUTER_BASELINE, ROUTER_RFTR])
+def test_unranked_backups_stay_disjoint_from_the_original_primary(monkeypatch, router):
     tried, restored_onto = [], []
     reroute = wdmsim.engine.reroute
 
     def recording(topology, backups, *args, **kwargs):
         tried.append(list(backups))
         lp = reroute(topology, backups, *args, **kwargs)
-        restored_onto.append(lp.route)
+        restored_onto.append(lp.hops.route)
         return lp
 
     monkeypatch.setattr(wdmsim.engine, "reroute", recording)
     calls = count_yen_calls(monkeypatch)
-    cfg = SimConfig(router=ROUTER_BASELINE, max_requests=1,
-                    failures=[(1.0, 0), (2.0, 1)], repairs=[(1.5, 0)])
+    failures, repairs = DIAMOND_SCHEDULES[router]
+    cfg = SimConfig(router=router, max_requests=1, failures=failures, repairs=repairs)
     sim = Simulation(cfg, topology=parse_topology(DIAMOND), audit=True)
     sim.arrivals = [(0.0, 0, 1, 5.0)]
     report = sim.run()
     assert tried == [[(0, 2, 1), (0, 3, 1)]] * 2
-    assert restored_onto == [[0, 2, 1], [0, 3, 1]]
+    assert restored_onto == [(0, 2, 1), (0, 3, 1)]
     assert report.restored == 1 and report.dropped == 0  # one connection, restored twice
-    assert len(calls) == 1  # derived once, at the first failure
+    # every lookup bans the original primary's link; the baseline's is at the
+    # first failure, rftr's at setup, for its candidates, and at the first failure
+    assert [call[4] for call in calls] == [frozenset({0})] * (2 if router == ROUTER_RFTR else 1)
 
 
 @pytest.mark.parametrize("holding", [0.2, 0.25])
@@ -541,7 +564,7 @@ def test_leak_check_raises_under_optimised_python():
         import wdmsim.engine as engine
         from wdmsim.errors import InvariantError
         assert False, "stripped under -O; reached only without it"
-        engine.release_lightpath = lambda topology, lp: None  # departures leak channels
+        engine.release_lightpath = lambda lp: None  # departures leak channels
         try:
             engine.run(engine.SimConfig(seed=1, max_requests=20), audit=True)
         except InvariantError as err:

@@ -79,7 +79,7 @@ def test_blocking_probability_ratio():
 
 def test_end_to_end_delay_recomputed_from_links(square):
     lp = establish_lightpath(square, [0, 1, 2], "none", 0.024)
-    assert lp.path_delay == pytest.approx(sum(link.delay for link, _ in square.hops(lp.route)))
+    assert lp.path_delay == pytest.approx(sum(link.delay for link, _ in lp.hops))
     assert lp.path_delay == pytest.approx(0.020)
 
 

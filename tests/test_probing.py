@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    hops_of,
     k_best_disjoint,
     random_topology,
     rank_by_feedback,
@@ -17,7 +18,6 @@ from wdmsim.engine import SimConfig, Simulation
 from wdmsim.probing import (
     NACK,
     PACK,
-    CandidateSet,
     ConnectionProber,
     candidate_paths,
     k_shortest_hop_paths,
@@ -48,16 +48,16 @@ RING8 = "nodes 8\n" + "\n".join(
 def test_ring_complement_is_only_disjoint_candidate():
     topo = parse_topology(RING8)
     primary = establish_primary(topo, 0, 1, LT).lightpath
-    assert primary.route == [0, 1]
+    assert primary.hops.route == (0, 1)
     cands = candidate_paths(topo, 0, 1, primary, k=2)
-    assert cands.paths == [(0, 7, 6, 5, 4, 3, 2, 1)]
+    assert [hops.route for hops in cands] == [(0, 7, 6, 5, 4, 3, 2, 1)]
 
 
 def test_single_disjoint_route(two_route):
     primary = establish_primary(two_route, 0, 1, LT).lightpath
-    assert primary.route == [0, 2, 1]
+    assert primary.hops.route == (0, 2, 1)
     cands = candidate_paths(two_route, 0, 1, primary, k=3)
-    assert cands.paths == [(0, 3, 1)]
+    assert [hops.route for hops in cands] == [(0, 3, 1)]
 
 
 def test_k_shortest_ordering(mesh8):
@@ -247,13 +247,17 @@ def test_candidate_rtts_are_twice_the_hop_delays():
     )
     primary = establish_baseline(topo, 0, 4).lightpath
     cands = candidate_paths(topo, 0, 4, primary, k=3)
-    assert len(cands.paths) == 3
-    expected = tuple(
-        2.0 * sum(topo.link_between(u, v).delay for u, v in zip(p, p[1:])) for p in cands.paths
-    )
-    assert cands.rtts == expected
-    assert len(set(expected)) == 3  # a misaligned RTT would show
-    assert cands.hops == tuple(topo.hops(p) for p in cands.paths)
+    routes = k_shortest_hop_paths(topo, 0, 4, 3, primary.hops.link_ids)
+    assert len(cands) == len(routes) == 3
+    delays = [sum(topo.link_between(u, v).delay for u, v in zip(r, r[1:])) for r in routes]
+    for j, route in enumerate(routes):
+        assert cands[j] is topo.hops(route)  # the memoised record, not a copy
+        assert (cands[j].route, cands[j].delay) == (route, delays[j])
+    assert len(set(delays)) == 3  # a misaligned round trip would show
+    prober = ConnectionProber(cands, 1, 0.5, m=3)
+    for j in range(3):
+        prober.sent(j, 0, PACK, 0.0)
+    assert [land for land, _ in prober._landing] == [2.0 * delay for delay in delays]
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,18 +272,17 @@ def test_candidates_share_no_link_with_primary(seed):
         return
     primary = result.lightpath
     cands = candidate_paths(topo, src, dst, primary, k=3)
-    primary_links = set(primary.link_ids)
-    for route in cands.paths:
-        used = {link.id for link, _ in topo.hops(route)}
-        assert not (used & primary_links)
+    for hops in cands:
+        used = {link.id for link, _ in hops}
+        assert not (used & primary.hops.link_ids)
 
 
 # -- probe count and windows -------------------------------------------------
 
-def make_prober(paths=((0, 1, 9), (0, 2, 9)), probes=4, m=2, interval=0.5, rtts=None):
-    # a prober reads only paths and round trips, so the routes' hops stay unresolved
-    rtts = (0.0,) * len(paths) if rtts is None else tuple(rtts)
-    cands = CandidateSet(paths=[tuple(p) for p in paths], hops=((),) * len(paths), rtts=rtts)
+def make_prober(paths=((0, 1, 9), (0, 2, 9)), probes=4, m=2, interval=0.5, delays=None):
+    """A prober over ``paths``, whose answers take twice each path's delay (0 by default)."""
+    delays = (0.0,) * len(paths) if delays is None else delays
+    cands = tuple(hops_of(path, delay) for path, delay in zip(paths, delays))
     return ConnectionProber(cands, probes, interval, m=m)
 
 
@@ -322,8 +325,7 @@ def test_a_window_spaces_its_sends_evenly_and_tallies_each_answer_once():
 
 
 def test_answers_land_one_round_trip_after_the_send():
-    cands = CandidateSet(paths=[(0, 1, 9), (0, 2, 9)], hops=((), ()), rtts=(0.25, 0.5))
-    prober = ConnectionProber(cands, 1, 0.5, m=2)
+    prober = make_prober(probes=1, delays=(0.125, 0.25))
     assert prober.open_windows(0.0) == [(0.25, 0, 0), (0.25, 1, 0)]
     # one slot a window: the next send is the next window's, 0.25 s after its 0.5 s open
     assert prober.sent(0, 0, PACK, 0.25) == 0.75
@@ -436,19 +438,23 @@ def test_rank_breaks_ties_by_hops_then_route():
 
 def test_rank_sentinel_never_beats_measured_success():
     # path 0's answers all land after the close at 0.5: no evidence, sentinel 1.0
-    prober = make_prober(([0, 1, 9], [0, 2, 9]), probes=10, rtts=(0.5, 0.0))
+    prober = make_prober(([0, 1, 9], [0, 2, 9]), probes=10, delays=(0.25, 0.0))
     send_window(prober, 0.0, lambda j, slot: PACK if j == 0 or slot == 9 else NACK)
     assert prober.estimates() == [1.0, 0.9]
     assert prober.close_and_rank()[0] == (0, 2, 9)
 
 
 def test_prober_initial_backups_follow_candidate_order():
-    # before the first window closes, a connection's backups are its first m candidates
+    # before the first window closes, a failure restores onto the first m candidates
     sim = Simulation(SimConfig(candidates_k=3, backups_m=2))
     sim._on_arrival(0, 2, holding=1.0)
     conn = sim.connections[0]
-    assert conn.prober.candidates.paths == [(0, 4, 3, 2), (0, 7, 6, 2), (0, 4, 5, 6, 2)]
-    assert conn.backups == [(0, 4, 3, 2), (0, 7, 6, 2)]
+    routes = [(0, 4, 3, 2), (0, 7, 6, 2), (0, 4, 5, 6, 2)]
+    assert conn.prober.candidates == tuple(sim.topology.hops(route) for route in routes)
+    assert conn.backups is None  # nothing ranked yet
+    sim._on_link_failure(sim.topology.link_between(0, 1).id)  # the primary is (0, 1, 2)
+    assert conn.backups == routes[:2]
+    assert conn.current.hops.route == routes[0]
 
 
 def test_prober_reranks_on_measured_blocking():
@@ -483,7 +489,7 @@ def test_prober_accepts_feedback_after_rollover():
     # answers take 0.15 s on path 0 and 0.35 s on path 1; of the sends at
     # 0.1 .. 0.4, path 0's first three and path 1's first land before the
     # close at 0.5 and PACK, and every later one NACKs
-    prober = make_prober(rtts=(0.15, 0.35))
+    prober = make_prober(delays=(0.075, 0.175))
     on_time = {0: 3, 1: 1}
     send_window(prober, 0.0, lambda j, slot: PACK if slot < on_time[j] else NACK)
     assert prober.estimates() == [0.0, 0.0]  # late answers move no estimate
@@ -516,11 +522,12 @@ def test_prober_ranking_matches_on_time_oracle(data):
     # route j is 0 -> (hops_j intermediate nodes) -> 9; equal hop counts tie-break by route
     hop_counts = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="hops")
     paths = [(0, *(10 * (j + 1) + h for h in range(n)), 9) for j, n in enumerate(hop_counts)]
-    rtts = data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(paths), max_size=len(paths)),
-                     label="rtts")
+    delays = data.draw(st.lists(st.floats(0.0, 0.5), min_size=len(paths), max_size=len(paths)),
+                       label="delays")
+    rtts = [2.0 * delay for delay in delays]
     count = data.draw(st.integers(1, 4), label="count")
     m = data.draw(st.integers(0, len(paths)), label="m")
-    prober = make_prober(paths, probes=count, m=m, rtts=rtts)
+    prober = make_prober(paths, probes=count, m=m, delays=delays)
     answers = []  # (landing time, outcome) of every probe sent
     for w in range(data.draw(st.integers(1, 4), label="windows")):
         now = 0.5 * w
@@ -544,14 +551,14 @@ def test_prober_ranking_matches_on_time_oracle(data):
 def test_reroute_takes_first_viable_backup(square):
     lp = reroute(square, [(0, 1, 2), (0, 3, 2)], "none", 0.024)
     assert lp is not None
-    assert lp.route == [0, 1, 2]
+    assert lp.hops.route == (0, 1, 2)
     assert lp.role == "backup"
 
 
 def test_reroute_skips_down_and_saturated(square):
     square.links[0].up = False  # kills (0,1,2)
     lp = reroute(square, [(0, 1, 2), (0, 3, 2)], "none", 0.024)
-    assert lp.route == [0, 3, 2]
+    assert lp.hops.route == (0, 3, 2)
 
 
 def test_reroute_falls_back_to_fresh_search(square):
@@ -564,7 +571,7 @@ def test_reroute_falls_back_to_fresh_search(square):
 
     lp = reroute(square, [(0, 1, 2)], "none", 0.024, fallback_establish=fallback)
     assert calls == ["backup"]
-    assert lp.route == [0, 3, 2]
+    assert lp.hops.route == (0, 3, 2)
 
 
 def test_reroute_returns_none_when_nothing_fits():

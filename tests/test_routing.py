@@ -246,24 +246,24 @@ def test_establish_occupies_and_release_frees(square):
     before = square.occupancy_snapshot()
     lp = establish_lightpath(square, [0, 1, 2], NO_CONVERSION, 0.024)
     assert lp.wavelengths == [0, 0]
-    assert lp.link_ids == frozenset({0, 1})
+    assert lp.hops.link_ids == frozenset({0, 1})
     assert lp.path_delay == pytest.approx(0.020)
     assert [square.links[i].free_mask(FORWARD) for i in (0, 1)] == [0b11111110] * 2
     assert square.links[0].free_count(REVERSE) == 8
     assert square.occupancy_snapshot() != before
-    release_lightpath(square, lp)
+    release_lightpath(lp)
     assert square.occupancy_snapshot() == before
 
 
 def test_second_release_is_a_no_op(square):
     lp = establish_lightpath(square, [0, 1, 2], NO_CONVERSION, 0.024)
-    release_lightpath(square, lp)
+    release_lightpath(lp)
     other = establish_lightpath(square, [0, 1], NO_CONVERSION, 0.024)  # reuses wavelength 0
     held = square.occupancy_snapshot()
-    release_lightpath(square, lp)  # must neither raise nor free the other's channel
+    release_lightpath(lp)  # must neither raise nor free the other's channel
     assert square.occupancy_snapshot() == held
     assert square.links[0].free_mask(FORWARD) == 0b11111110
-    release_lightpath(square, other)
+    release_lightpath(other)
     assert square.links[0].free_count(FORWARD) == 8
 
 
@@ -308,7 +308,7 @@ def test_a_lightpath_resolves_its_route_once(monkeypatch, mode):
     assert lp.wavelength_changes() == (1 if mode == FULL_CONVERSION else 0)
     # propagation is the left-to-right sum of the link delays, as an exact float
     assert lp.path_delay == sum(link.delay for link in topo.links) + 0.024 * lp.wavelength_changes()
-    release_lightpath(topo, lp)
+    release_lightpath(lp)
     assert calls == [(0, 1, 2, 3)]
 
 
@@ -316,7 +316,7 @@ def test_establish_primary_end_to_end(square):
     _, cost = least_cost_path(square, 0, 2, loaded_edge_cost(LT))
     result = establish_primary(square, 0, 2, LT)
     assert not result.blocked
-    assert result.lightpath.route == [0, 1, 2]
+    assert result.lightpath.hops.route == (0, 1, 2)
     assert cost == 0.0  # both hops idle: LI = 1, cost 0
     assert result.lightpath.path_delay == pytest.approx(0.020)
 
@@ -334,16 +334,16 @@ def test_baseline_prefers_hops_over_load(square):
     # 0->1 nearly saturated: threshold router detours, baseline stays direct
     occupy_forward(square.links[0], 7)
     direct = establish_baseline(square, 0, 1)
-    assert direct.lightpath.route == [0, 1]
-    release_lightpath(square, direct.lightpath)
+    assert direct.lightpath.hops.route == (0, 1)
+    release_lightpath(direct.lightpath)
     loaded = establish_primary(square, 0, 1, LT)
-    assert loaded.lightpath.route == [0, 3, 2, 1]
+    assert loaded.lightpath.hops.route == (0, 3, 2, 1)
 
 
 def test_baseline_routes_around_down_link(square):
     square.links[0].up = False
     result = establish_baseline(square, 0, 1)
-    assert result.lightpath.route == [0, 3, 2, 1]
+    assert result.lightpath.hops.route == (0, 3, 2, 1)
 
 
 # -- the baseline's memoised least-hop routes -----------------------------------
@@ -362,8 +362,8 @@ def baseline_route_of(topology, src, dst):
     result = establish_baseline(topology, src, dst)
     if result.blocked:
         return None
-    release_lightpath(topology, result.lightpath)
-    return result.lightpath.route
+    release_lightpath(result.lightpath)
+    return list(result.lightpath.hops.route)
 
 
 def unit_cost_route(topology, src, dst):
@@ -430,5 +430,5 @@ def test_establish_release_is_idempotent_on_occupancy(seed):
         if not result.blocked:
             established.append(result.lightpath)
     for lp in reversed(established):
-        release_lightpath(topo, lp)
+        release_lightpath(lp)
     assert topo.occupancy_snapshot() == before
