@@ -15,8 +15,11 @@ the connection closes the window, and a departure or drop counts the answers
 that landed strictly before it.  Sample ticks run while a lifecycle event is
 pending, so the timeseries ends at the same tick whatever the router.  Each
 run binds its router once; a fresh setup, restoration included, goes through it.
-A connection's backups are ranked when a probe window closes; until then a
-failure looks them up, for either router, against the primary it still rides.
+A connection's backups are its candidates' ``Hops``, ranked when a probe window
+closes; until then a failure looks them up with ``candidate_paths``, for either
+router, against the primary it still rides.  ``m`` is applied in one place, where
+restoration tries the backups.  ``Simulation.run`` refuses a pinned arrival it
+cannot run (a bad time, holding or endpoint) before it schedules anything.
 """
 
 from __future__ import annotations
@@ -43,10 +46,9 @@ from .routing import (
     Lightpath,
     establish_baseline,
     establish_primary,
-    k_shortest_hop_paths,
     release_lightpath,
 )
-from .topology import Topology, default_topology, read_topology
+from .topology import Hops, Topology, default_topology, read_topology
 
 # event kinds
 ARRIVAL = "arrival"
@@ -69,7 +71,8 @@ class Connection:
     arrival: float
     holding: float
     current: Lightpath | None = None
-    backups: list[tuple[int, ...]] | None = None  # None until a window ranks or a failure looks up
+    # candidates' own records, best first; None until a window ranks or a failure looks up
+    backups: list[Hops] | tuple[Hops, ...] | None = None
     prober: ConnectionProber | None = None
 
 
@@ -246,6 +249,7 @@ class Simulation:
     def run(self) -> metrics_mod.MetricsReport:
         if self._initial_occupancy is not None:
             raise SimError("a Simulation runs once; build a new one for another run")
+        self._check_arrivals()
         self._initial_occupancy = self.topology.occupancy_snapshot()
         for t, src, dst, holding in self.arrivals:
             self.schedule(t, ARRIVAL, src, dst, holding)
@@ -271,6 +275,17 @@ class Simulation:
             self._check_occupancy()
         return self.collector.finalize()
 
+    def _check_arrivals(self) -> None:
+        """Refuse, as a ``ConfigError``, a pinned arrival the run cannot carry out."""
+        nodes, inf = range(self.topology.num_nodes), math.inf
+        for i, (t, src, dst, holding) in enumerate(self.arrivals):
+            # chained comparisons also refuse nan, which compares false
+            if not (0 <= t < inf and 0 < holding < inf and src != dst
+                    and src in nodes and dst in nodes):
+                raise ConfigError(
+                    f"arrival {i}: (time, src, dst, holding) = {(t, src, dst, holding)} needs "
+                    "a finite time >= 0, a finite holding > 0 and two distinct nodes")
+
     # -- handlers -----------------------------------------------------------
 
     def _on_arrival(self, src: int, dst: int, holding: float) -> None:
@@ -292,8 +307,7 @@ class Simulation:
             return  # the baseline never probes
         cands = candidate_paths(self.topology, src, dst, result.lightpath, self.config.candidates_k)
         if cands:
-            conn.prober = ConnectionProber(cands, self.probe_count,
-                                           self.config.probe_interval, self.m)
+            conn.prober = ConnectionProber(cands, self.probe_count, self.config.probe_interval)
             for t, path_index, slot in conn.prober.open_windows(self.now):
                 self._schedule_send(conn, t, path_index, slot)
 
@@ -345,13 +359,11 @@ class Simulation:
         for conn in affected:
             self._close_window(conn)
             if conn.backups is None:  # unranked, so still on its original primary
-                conn.backups = k_shortest_hop_paths(self.topology, conn.src, conn.dst,
-                                                    self.config.candidates_k,
-                                                    conn.current.hops.link_ids)[: self.m]
+                conn.backups = candidate_paths(self.topology, conn.src, conn.dst, conn.current,
+                                               self.config.candidates_k)
             new_lp = reroute(
-                self.topology, conn.backups, self.config.conversion_mode,
-                self.config.conversion_time,
-                fallback_establish=lambda role, c=conn: self._establish(c.src, c.dst, role=role),
+                conn.backups[: self.m], self.config.conversion_mode, self.config.conversion_time,
+                fallback_establish=lambda _, c=conn: self._establish(c.src, c.dst),
             )
             if new_lp is None:
                 del self.connections[conn.id]

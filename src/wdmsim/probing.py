@@ -9,31 +9,28 @@ admissible wavelength; a down hop offers none, since its ``free_mask`` reads
 masks, and its answer lands one round trip, twice their delay, later.
 An answer is fixed when its probe is sent and is tallied then, in the
 window it lands in before the close.  The NACKed fraction of those answers
-is the route's blocking estimate, and at each close the candidates are
-ranked ascending by it, so a failure reroutes onto the best measured route
-first.  Sub-optimal candidates keep receiving probes, so the ranking
-tracks load changes.
+is the route's blocking estimate, and at each close the candidates' own
+``Hops`` are ranked ascending by it; they are the backups, and a failure
+sets up on the best measured one first, resolving nothing.  Sub-optimal
+candidates keep receiving probes, so the ranking tracks load changes.
 
 The candidates are Yen's k shortest hop routes avoiding the primary's
 links, from ``routing.k_shortest_hop_paths``, whose per-graph memo every run
 on that graph shares; ``Topology.hops`` resolves each once per topology.
+``reroute`` hands the fresh setup it falls back on one ignored argument,
+``BACKUP``, only because ``perfbench/layers.py`` wraps it as a one-argument call.
 """
 
 from __future__ import annotations
 
 import math
 
-from .routing import (
-    BACKUP,
-    NO_CONVERSION,
-    Lightpath,
-    establish_lightpath,
-    k_shortest_hop_paths,
-)
+from .routing import NO_CONVERSION, Lightpath, establish_lightpath, k_shortest_hop_paths
 from .topology import Hops, Link, Topology
 
 PACK = "pack"
 NACK = "nack"
+BACKUP = "backup"  # the one argument ``reroute`` passes its fallback
 
 
 def candidate_paths(
@@ -83,11 +80,10 @@ class ConnectionProber:
     closes, so an answer landing at or after the close moves no ranking.
     """
 
-    def __init__(self, candidates: tuple[Hops, ...], count: int, interval: float, m: int):
+    def __init__(self, candidates: tuple[Hops, ...], count: int, interval: float):
         self.candidates = candidates
         self.count = count
         self.interval = interval
-        self.m = m
         n = len(candidates)
         self._acks = [0] * n
         self._nacks = [0] * n
@@ -125,32 +121,30 @@ class ConnectionProber:
             for ack, nack in zip(self._acks, self._nacks)
         ]
 
-    def close_and_rank(self) -> list[tuple[int, ...]]:
-        """Close the open window; candidates ascending by (estimate, hops, route), best m."""
+    def close_and_rank(self) -> list[Hops]:
+        """Close the open window; every candidate ascending by (estimate, hops, route)."""
         estimates = self.estimates()
         routes = [hops.route for hops in self.candidates]
         order = sorted(range(len(routes)), key=lambda j: (estimates[j], len(routes[j]), routes[j]))
         self._acks = [0] * len(routes)
         self._nacks = [0] * len(routes)
-        return [routes[j] for j in order[: self.m]]
+        return [self.candidates[j] for j in order]
 
 
 def reroute(
-    topology: Topology,
-    backups: list[tuple[int, ...]],
-    mode: str,
-    conversion_time: float,
-    fallback_establish=None,
+    backups: list[Hops], mode: str, conversion_time: float, fallback_establish=None
 ) -> Lightpath | None:
     """Restore onto the first viable ranked backup, else recompute, else drop.
 
     A backup with no admissible wavelength, a down hop included, is skipped.
-    ``fallback_establish(role)`` runs the owning router's fresh path setup
-    when every ranked backup fails.  Returns the restoring lightpath, or
-    None when the connection drops.
+    ``fallback_establish(BACKUP)`` runs the owning router's fresh path setup
+    when every ranked backup fails.  It is called with that one positional
+    argument, which the engine's callback ignores, only because the traced
+    benchmark pass wraps the callback as a one-argument function.  Returns
+    the restoring lightpath, or None when the connection drops.
     """
-    for route in backups:
-        lp = establish_lightpath(topology, route, mode, conversion_time, role=BACKUP)
+    for hops in backups:
+        lp = establish_lightpath(hops, mode, conversion_time)
         if lp is not None:
             return lp
     if fallback_establish is not None:

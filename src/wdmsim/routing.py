@@ -11,8 +11,9 @@ where LT is a configurable load threshold.  The piecewise form is kept
 branch-for-branch as given, including the jump at LI = LT.  A down link
 offers no free wavelength (``Link.free_mask`` reads 0), so like a saturated
 lane it is unusable, and a demand whose every route crosses one is blocked.
-Only these load-aware costs run Dijkstra per demand.  Every router sets its
-lightpath up through ``establish_lightpath``, which keeps the route's hops.
+Only these load-aware costs run Dijkstra per demand.  A route is resolved
+into its ``Hops`` once, where its router finds it, and every router sets its
+lightpath up through ``establish_lightpath`` on that record, which it keeps.
 
 Hop-count routes read no link state, so they are a function of the graph
 alone.  Yen's k shortest hop routes (Yen, 1971) are memoised per
@@ -34,9 +35,6 @@ from .topology import Hops, Link, Topology
 NO_CONVERSION = "none"
 FULL_CONVERSION = "full"
 CONVERSION_MODES = (NO_CONVERSION, FULL_CONVERSION)
-
-PRIMARY = "primary"
-BACKUP = "backup"
 
 
 def link_cost(load_index: float, lt: float) -> float:
@@ -63,7 +61,7 @@ def least_cost_path(
     edge_cost,
     banned_links: frozenset[int] = frozenset(),
     banned_nodes: frozenset[int] = frozenset(),
-) -> tuple[list[int], float] | None:
+) -> tuple[tuple[int, ...], float] | None:
     """Dijkstra over ``edge_cost(link, u, v)`` with a total, deterministic order.
 
     Ties on total cost break by fewer hops, then by lexicographically
@@ -87,7 +85,7 @@ def least_cost_path(
             continue
         done.add(u)
         if u == dst:
-            return list(route), cost
+            return route, cost
         for v, link in topology.neighbors(u):
             if v in done or v in banned_nodes or link.id in banned_links:
                 continue
@@ -111,7 +109,7 @@ def min_hop_path(
 ) -> tuple[int, ...] | None:
     """Least-hop route avoiding the bans; reads no link state, not even ``up``."""
     found = least_cost_path(topology, src, dst, lambda link, u, v: 1.0, banned_links, banned_nodes)
-    return None if found is None else tuple(found[0])
+    return None if found is None else found[0]
 
 
 # (graph, {(src, dst, k, banned links): routes}) for the graph last asked about
@@ -172,8 +170,9 @@ def _yen(
     return accepted
 
 
-def baseline_route(topology: Topology, src: int, dst: int) -> tuple[int, ...] | None:
-    """The least-hop route over up links that ``least_cost_path`` finds: Yen's first route.
+def baseline_route(topology: Topology, src: int, dst: int) -> Hops | None:
+    """The least-hop route over up links that ``least_cost_path`` finds: Yen's first
+    route, resolved.
 
     Starting with no bans, look up the first of Yen's routes avoiding the
     bans, which is ``min_hop_path``'s; if it crosses down links, ban those
@@ -186,9 +185,10 @@ def baseline_route(topology: Topology, src: int, dst: int) -> tuple[int, ...] | 
         routes = k_shortest_hop_paths(topology, src, dst, 1, banned)
         if not routes:
             return None
-        down = [link.id for link, _ in topology.hops(routes[0]) if not link.up]
+        hops = topology.hops(routes[0])
+        down = [link.id for link, _ in hops if not link.up]
         if not down:
-            return routes[0]
+            return hops
         banned = banned.union(down)
 
 
@@ -232,9 +232,8 @@ def first_fit(hops: Hops, mode: str) -> list[int] | None:
 class Lightpath:
     """An established route's resolved hops and the wavelength it holds on each hop."""
 
-    hops: Hops  # topology.hops(route), resolved once at setup
+    hops: Hops  # the route's record as its router resolved it
     wavelengths: list[int]  # emptied on release
-    role: str = PRIMARY
     path_delay: float = 0.0  # propagation plus conversion charges
 
     def wavelength_changes(self) -> int:
@@ -250,26 +249,19 @@ class RouteResult:
         return self.lightpath is None
 
 
-def establish_lightpath(
-    topology: Topology,
-    route: list[int],
-    mode: str,
-    conversion_time: float,
-    role: str = PRIMARY,
-) -> Lightpath | None:
-    """Assign wavelengths and occupy channels atomically along ``route``.
+def establish_lightpath(hops: Hops, mode: str, conversion_time: float) -> Lightpath | None:
+    """Assign wavelengths and occupy channels atomically along resolved ``hops``.
 
     Returns the lightpath, whose ``path_delay`` is its setup delay, or None
     when no wavelength fits, a down hop included; in that case no channel is
     touched.
     """
-    hops = topology.hops(route)
     wavelengths = first_fit(hops, mode)
     if wavelengths is None:
         return None
     for (link, lane), w in zip(hops, wavelengths):
         link.occupy(lane, w)
-    lp = Lightpath(hops, wavelengths, role)
+    lp = Lightpath(hops, wavelengths)
     lp.path_delay = hops.delay + conversion_time * lp.wavelength_changes()
     return lp
 
@@ -282,22 +274,21 @@ def release_lightpath(lp: Lightpath) -> None:
 
 
 def _established(
-    topology: Topology, route: list[int] | tuple[int, ...] | None, mode: str = NO_CONVERSION,
-    conversion_time: float = 0.024, role: str = PRIMARY,
+    hops: Hops | None, mode: str = NO_CONVERSION, conversion_time: float = 0.024
 ) -> RouteResult:
     """Blocked without a route, else ``establish_lightpath`` along it; both routers
-    pass their ``**setup`` (mode, conversion_time, role) through."""
-    if route is None:
+    pass their ``**setup`` (mode, conversion_time) through."""
+    if hops is None:
         return RouteResult(None)
-    return RouteResult(establish_lightpath(topology, route, mode, conversion_time, role))
+    return RouteResult(establish_lightpath(hops, mode, conversion_time))
 
 
 def establish_primary(topology: Topology, src: int, dst: int, lt: float, **setup) -> RouteResult:
     """The threshold-cost router: the least-cost route under ``loaded_edge_cost(lt)``."""
     found = least_cost_path(topology, src, dst, loaded_edge_cost(lt))
-    return _established(topology, None if found is None else found[0], **setup)
+    return _established(None if found is None else topology.hops(found[0]), **setup)
 
 
 def establish_baseline(topology: Topology, src: int, dst: int, **setup) -> RouteResult:
     """The shortest-hop reference router: the least-hop route over up links."""
-    return _established(topology, baseline_route(topology, src, dst), **setup)
+    return _established(baseline_route(topology, src, dst), **setup)

@@ -126,8 +126,8 @@ def random_topology(rng: random.Random, max_nodes: int = 8) -> Topology:
     return topology
 
 
-def rank_by_feedback(paths, outcomes, m: int):
-    """Best m routes by exact NACK fraction of (path_index, outcome) feedback.
+def rank_by_feedback(paths, outcomes):
+    """Every route, best first, by exact NACK fraction of (path_index, outcome) feedback.
 
     A route with no feedback counts as fully blocked; ties break by hop
     count, then by route.
@@ -139,7 +139,7 @@ def rank_by_feedback(paths, outcomes, m: int):
         nacks[j] += outcome == "nack"
     estimate = [Fraction(n, r) if r else Fraction(1) for n, r in zip(nacks, resolved)]
     ranked = sorted(range(len(paths)), key=lambda j: (estimate[j], len(paths[j]), paths[j]))
-    return [paths[j] for j in ranked][:m]
+    return [paths[j] for j in ranked]
 
 
 def erlang_b(a: float, w: int) -> float:

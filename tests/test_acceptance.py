@@ -50,7 +50,7 @@ def announce(capsys, number, title, ok, detail, elapsed, budget):
 
 def one_route_prober(probes):
     """A prober over one candidate route with no delay, ``probes`` probes per window."""
-    return ConnectionProber((hops_of((0, 1)),), probes, 0.5, m=1)
+    return ConnectionProber((hops_of((0, 1)),), probes, 0.5)
 
 
 # -- 1: cost formula fidelity -------------------------------------------------

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -29,7 +30,7 @@ from wdmsim.engine import (
 )
 from wdmsim.errors import ConfigError, InvariantError, SimError, TopologyError
 from wdmsim.probing import ConnectionProber
-from wdmsim.topology import FORWARD, REVERSE, parse_topology
+from wdmsim.topology import FORWARD, REVERSE, Topology, parse_topology
 
 SQUARE = "nodes 4\n" + "\n".join(
     f"link {a} {b} 10 8" for a, b in [(0, 1), (1, 2), (2, 3), (3, 0)]
@@ -322,6 +323,32 @@ def test_unknown_failure_link_rejected():
         run(cfg)
 
 
+@pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
+@pytest.mark.parametrize("pinned", [
+    (1.0, 3, 3, 0.5),
+    (1.0, 0, 9, 0.5),  # the default mesh has nodes 0..7
+    (1.0, -1, 2, 0.5),
+    (1.0, 0, 1.5, 0.5),
+    (1.0, 0, 2, -1.0),
+    (1.0, 0, 2, 0.0),
+    (1.0, 0, 2, math.nan),
+    (1.0, 0, 2, math.inf),
+    (math.nan, 0, 2, 0.5),
+    (-1.0, 0, 2, 0.5),
+    (math.inf, 0, 2, 0.5),
+], ids=["same-node", "no-such-node", "negative-node", "fractional-node", "negative-holding",
+        "zero-holding", "nan-holding", "inf-holding", "nan-time", "negative-time", "inf-time"])
+def test_malformed_pinned_arrival_refused_before_anything_runs(router, pinned):
+    sim = Simulation(SimConfig(router=router, max_requests=3, seed=1))
+    good = sim.arrivals[1]
+    sim.arrivals[1] = pinned
+    with pytest.raises(ConfigError, match=rf"^arrival 1: .* = {re.escape(str(pinned))} needs"):
+        sim.run()
+    assert sim._heap == [] and sim.collector.report.offered == 0
+    sim.arrivals[1] = good  # the refused run started nothing, so the mended one runs
+    assert sim.run().offered == 3
+
+
 @pytest.mark.parametrize("schedule", ["failures", "repairs"])
 def test_unknown_schedule_link_refused_at_construction(schedule):
     # refused before a run queues anything, naming the schedule that holds it
@@ -345,12 +372,11 @@ def test_baseline_restores_too():
 
 
 def count_yen_calls(monkeypatch) -> list:
-    """Record every k-shortest route lookup the engine or candidate building makes."""
+    """Record every k-shortest route lookup candidate building makes, for probing or backups."""
     calls = []
-    for module in (wdmsim.engine, wdmsim.probing):
-        lookup = module.k_shortest_hop_paths
-        monkeypatch.setattr(module, "k_shortest_hop_paths",
-                            lambda *args, lookup=lookup: calls.append(args) or lookup(*args))
+    lookup = wdmsim.probing.k_shortest_hop_paths
+    monkeypatch.setattr(wdmsim.probing, "k_shortest_hop_paths",
+                        lambda *args: calls.append(args) or lookup(*args))
     return calls
 
 
@@ -483,18 +509,23 @@ DIAMOND = ("nodes 4\nlink 0 1 10 8\nlink 0 2 10 8\nlink 2 1 10 8\n"
            "link 0 3 10 8\nlink 3 1 10 8\n")
 
 
-def test_failure_between_close_and_next_send_reroutes_on_the_closed_window(monkeypatch):
+def busy_diamond():
     topo = parse_topology(DIAMOND)
     for w in range(8):
         topo.links[1].occupy(FORWARD, w)
     for link in topo.links[3:]:  # one busy channel steers the primary off [0,3,1]
         link.occupy(FORWARD, 7)
+    return topo
+
+
+def test_failure_between_close_and_next_send_reroutes_on_the_closed_window(monkeypatch):
+    topo = busy_diamond()
     tried = []
     reroute = wdmsim.engine.reroute
 
-    def recording(topology, backups, *args, **kwargs):
-        tried.append(list(backups))
-        return reroute(topology, backups, *args, **kwargs)
+    def recording(backups, *args, **kwargs):
+        tried.append([hops.route for hops in backups])
+        return reroute(backups, *args, **kwargs)
 
     monkeypatch.setattr(wdmsim.engine, "reroute", recording)
     cfg = SimConfig(max_requests=1, probes_per_interval=1, probe_interval=0.5,
@@ -506,6 +537,35 @@ def test_failure_between_close_and_next_send_reroutes_on_the_closed_window(monke
     assert tried == [[(0, 3, 1), (0, 2, 1)]]
     assert report.restored == 1 and report.dropped == 0
     assert report.probe_packs >= 1 and report.probe_nacks >= 1
+
+
+def test_a_restore_sets_up_on_the_probers_own_record(monkeypatch):
+    # the failure at 0.6 restores onto [0,3,1], ranked first at the close at
+    # 0.5, using the candidate's own record: nothing is resolved again
+    resolve = Topology.hops
+    failing, resolved = [], []
+    monkeypatch.setattr(Topology, "hops", lambda self, route: (
+        failing and resolved.append(tuple(route))) or resolve(self, route))
+    on_failure = Simulation._HANDLERS[LINK_FAILURE]
+    restores = []
+
+    def failure(sim, link_id):
+        failing.append(link_id)
+        on_failure(sim, link_id)
+        failing.clear()
+        conn = sim.connections[0]
+        restores.append((conn.current.hops, conn.prober.candidates))
+
+    monkeypatch.setitem(Simulation._HANDLERS, LINK_FAILURE, failure)
+    cfg = SimConfig(max_requests=1, probes_per_interval=1, probe_interval=0.5,
+                    failures=[(0.6, 0)])
+    sim = Simulation(cfg, topology=busy_diamond(), audit=True)
+    sim.arrivals = [(0.0, 0, 1, 2.0)]
+    assert sim.run().restored == 1
+    [(hops, candidates)] = restores
+    assert [c.route for c in candidates] == [(0, 2, 1), (0, 3, 1)]
+    assert hops is candidates[1]
+    assert resolved == []
 
 
 # A 0->1 demand on a diamond: either router's primary is the direct link 0-1,
@@ -526,9 +586,9 @@ def test_unranked_backups_stay_disjoint_from_the_original_primary(monkeypatch, r
     tried, restored_onto = [], []
     reroute = wdmsim.engine.reroute
 
-    def recording(topology, backups, *args, **kwargs):
-        tried.append(list(backups))
-        lp = reroute(topology, backups, *args, **kwargs)
+    def recording(backups, *args, **kwargs):
+        tried.append([hops.route for hops in backups])
+        lp = reroute(backups, *args, **kwargs)
         restored_onto.append(lp.hops.route)
         return lp
 

@@ -13,6 +13,7 @@ from oracles import (
     unit_edge_cost,
     window_probes,
 )
+import wdmsim.engine
 from wdmsim import routing
 from wdmsim.engine import SimConfig, Simulation
 from wdmsim.probing import (
@@ -147,7 +148,8 @@ def test_a_baseline_route_is_yens_first_route_from_the_same_memo(mesh8, yen_call
     pairs = [(s, d) for s in range(8) for d in range(8) if s != d]
     routes = [baseline_route(mesh8, s, d) for s, d in pairs]
     assert len(yen_calls) == len(pairs)
-    assert [k_shortest_hop_paths(mesh8, s, d, 1) for s, d in pairs] == [[r] for r in routes]
+    assert [k_shortest_hop_paths(mesh8, s, d, 1) for s, d in pairs] == [[r.route] for r in routes]
+    assert all(r is mesh8.hops(r.route) for r in routes)  # the resolved record, memoised
     assert len(yen_calls) == len(pairs)  # every answer came from the baseline's searches
 
 
@@ -204,7 +206,7 @@ def test_threads_mixing_baseline_and_yen_lookups_get_uncached_answers():
                     want = routing._yen(topo, src, dst, k, frozenset())
                     queries.append((k_shortest_hop_paths, (topo, src, dst, k), want))
             found = least_cost_path(topo, src, dst, unit_edge_cost)
-            queries.append((baseline_route, (topo, src, dst), found and tuple(found[0])))
+            queries.append((baseline_route, (topo, src, dst), found and topo.hops(found[0])))
     random.Random(0).shuffle(queries)  # so each thread keeps switching graphs
     wrong = []
 
@@ -254,7 +256,7 @@ def test_candidate_rtts_are_twice_the_hop_delays():
         assert cands[j] is topo.hops(route)  # the memoised record, not a copy
         assert (cands[j].route, cands[j].delay) == (route, delays[j])
     assert len(set(delays)) == 3  # a misaligned round trip would show
-    prober = ConnectionProber(cands, 1, 0.5, m=3)
+    prober = ConnectionProber(cands, 1, 0.5)
     for j in range(3):
         prober.sent(j, 0, PACK, 0.0)
     assert [land for land, _ in prober._landing] == [2.0 * delay for delay in delays]
@@ -279,11 +281,19 @@ def test_candidates_share_no_link_with_primary(seed):
 
 # -- probe count and windows -------------------------------------------------
 
-def make_prober(paths=((0, 1, 9), (0, 2, 9)), probes=4, m=2, interval=0.5, delays=None):
+def make_prober(paths=((0, 1, 9), (0, 2, 9)), probes=4, interval=0.5, delays=None):
     """A prober over ``paths``, whose answers take twice each path's delay (0 by default)."""
     delays = (0.0,) * len(paths) if delays is None else delays
     cands = tuple(hops_of(path, delay) for path, delay in zip(paths, delays))
-    return ConnectionProber(cands, probes, interval, m=m)
+    return ConnectionProber(cands, probes, interval)
+
+
+def ranked_routes(prober):
+    """Close the open window; the ranked candidates' routes, each checked to be the
+    candidate's own record."""
+    ranked = prober.close_and_rank()
+    assert sorted(map(id, ranked)) == sorted(map(id, prober.candidates))
+    return [hops.route for hops in ranked]
 
 
 def send_window(prober, now, outcome_of):
@@ -420,20 +430,17 @@ def answer(prober, now, nacks_by_path):
 
 def test_rank_orders_by_estimate():
     paths = ([0, 1, 9], [0, 2, 9], [0, 3, 9])
-    prober = make_prober(paths, probes=10, m=3)
+    prober = make_prober(paths, probes=10)
     answer(prober, 0.0, [6, 1, 3])
     assert prober.estimates() == [0.6, 0.1, 0.3]
-    assert prober.close_and_rank() == [(0, 2, 9), (0, 3, 9), (0, 1, 9)]
-    prober = make_prober(paths, probes=10, m=1)
-    answer(prober, 0.0, [6, 1, 3])
-    assert prober.close_and_rank() == [(0, 2, 9)]
+    assert ranked_routes(prober) == [(0, 2, 9), (0, 3, 9), (0, 1, 9)]
 
 
 def test_rank_breaks_ties_by_hops_then_route():
-    prober = make_prober(([0, 4, 2, 9], [0, 3, 9], [0, 1, 9]), probes=4, m=3)
+    prober = make_prober(([0, 4, 2, 9], [0, 3, 9], [0, 1, 9]), probes=4)
     answer(prober, 0.0, [2, 2, 2])
     assert prober.estimates() == [0.5, 0.5, 0.5]
-    assert prober.close_and_rank() == [(0, 1, 9), (0, 3, 9), (0, 4, 2, 9)]
+    assert ranked_routes(prober) == [(0, 1, 9), (0, 3, 9), (0, 4, 2, 9)]
 
 
 def test_rank_sentinel_never_beats_measured_success():
@@ -441,10 +448,10 @@ def test_rank_sentinel_never_beats_measured_success():
     prober = make_prober(([0, 1, 9], [0, 2, 9]), probes=10, delays=(0.25, 0.0))
     send_window(prober, 0.0, lambda j, slot: PACK if j == 0 or slot == 9 else NACK)
     assert prober.estimates() == [1.0, 0.9]
-    assert prober.close_and_rank()[0] == (0, 2, 9)
+    assert ranked_routes(prober) == [(0, 2, 9), (0, 1, 9)]
 
 
-def test_prober_initial_backups_follow_candidate_order():
+def test_prober_initial_backups_follow_candidate_order(monkeypatch):
     # before the first window closes, a failure restores onto the first m candidates
     sim = Simulation(SimConfig(candidates_k=3, backups_m=2))
     sim._on_arrival(0, 2, holding=1.0)
@@ -452,9 +459,15 @@ def test_prober_initial_backups_follow_candidate_order():
     routes = [(0, 4, 3, 2), (0, 7, 6, 2), (0, 4, 5, 6, 2)]
     assert conn.prober.candidates == tuple(sim.topology.hops(route) for route in routes)
     assert conn.backups is None  # nothing ranked yet
+    tried = []
+    reroute = wdmsim.engine.reroute
+    monkeypatch.setattr(wdmsim.engine, "reroute",
+                        lambda backups, *args, **kwargs: tried.append(backups)
+                        or reroute(backups, *args, **kwargs))
     sim._on_link_failure(sim.topology.link_between(0, 1).id)  # the primary is (0, 1, 2)
-    assert conn.backups == routes[:2]
-    assert conn.current.hops.route == routes[0]
+    assert conn.backups == conn.prober.candidates  # the candidates' own records
+    assert [[hops.route for hops in backups] for backups in tried] == [routes[:2]]
+    assert conn.current.hops is conn.prober.candidates[0]
 
 
 def test_prober_reranks_on_measured_blocking():
@@ -463,8 +476,7 @@ def test_prober_reranks_on_measured_blocking():
     assert len(sends) == 8  # 4 probes x 2 candidates
     for t, j, slot in sends:
         prober.sent(j, slot, NACK if j == 0 else PACK, t)
-    backups = prober.close_and_rank()
-    assert backups == [(0, 2, 9), (0, 1, 9)]
+    assert ranked_routes(prober) == [(0, 2, 9), (0, 1, 9)]
 
 
 def test_prober_sequences_continue_across_windows():
@@ -501,9 +513,9 @@ def test_prober_accepts_feedback_after_rollover():
 
 
 def test_prober_keeps_probing_suboptimal_candidates():
-    prober = make_prober(m=1)
+    prober = make_prober()
     prober.open_windows(0.0)
-    assert len(prober.close_and_rank()) == 1
+    assert ranked_routes(prober)[0] == (0, 1, 9)  # the one a failure tries first
     sends = prober.open_windows(0.5)
     probed_paths = {j for _, j, _ in sends}
     assert probed_paths == {0, 1}  # both candidates, not just the chosen one
@@ -512,8 +524,8 @@ def test_prober_keeps_probing_suboptimal_candidates():
 def test_prober_all_sentinel_rank_keeps_candidate_order():
     prober = make_prober()
     prober.open_windows(0.0)
-    backups = prober.close_and_rank()  # no feedback resolved: all sentinels
-    assert backups == [(0, 1, 9), (0, 2, 9)]
+    # no feedback resolved: all sentinels
+    assert ranked_routes(prober) == [(0, 1, 9), (0, 2, 9)]
 
 
 @settings(max_examples=80, deadline=None)
@@ -526,8 +538,7 @@ def test_prober_ranking_matches_on_time_oracle(data):
                        label="delays")
     rtts = [2.0 * delay for delay in delays]
     count = data.draw(st.integers(1, 4), label="count")
-    m = data.draw(st.integers(0, len(paths)), label="m")
-    prober = make_prober(paths, probes=count, m=m, delays=delays)
+    prober = make_prober(paths, probes=count, delays=delays)
     answers = []  # (landing time, outcome) of every probe sent
     for w in range(data.draw(st.integers(1, 4), label="windows")):
         now = 0.5 * w
@@ -539,7 +550,7 @@ def test_prober_ranking_matches_on_time_oracle(data):
             answers.append((t + rtts[j], outcome))
             if t + rtts[j] < close_at:
                 on_time.append((j, outcome))
-        assert prober.close_and_rank() == rank_by_feedback(paths, on_time, m)
+        assert ranked_routes(prober) == rank_by_feedback(paths, on_time)
     assert prober.estimates() == [1.0] * len(paths)
     end = data.draw(st.one_of(st.sampled_from([land for land, _ in answers]),
                               st.floats(0.0, 3.0)), label="end")
@@ -549,28 +560,29 @@ def test_prober_ranking_matches_on_time_oracle(data):
 # -- reroute ------------------------------------------------------------------
 
 def test_reroute_takes_first_viable_backup(square):
-    lp = reroute(square, [(0, 1, 2), (0, 3, 2)], "none", 0.024)
+    backups = [square.hops((0, 1, 2)), square.hops((0, 3, 2))]
+    lp = reroute(backups, "none", 0.024)
     assert lp is not None
-    assert lp.hops.route == (0, 1, 2)
-    assert lp.role == "backup"
+    assert lp.hops is backups[0]
 
 
 def test_reroute_skips_down_and_saturated(square):
     square.links[0].up = False  # kills (0,1,2)
-    lp = reroute(square, [(0, 1, 2), (0, 3, 2)], "none", 0.024)
-    assert lp.hops.route == (0, 3, 2)
+    backups = [square.hops((0, 1, 2)), square.hops((0, 3, 2))]
+    lp = reroute(backups, "none", 0.024)
+    assert lp.hops is backups[1]
 
 
 def test_reroute_falls_back_to_fresh_search(square):
     square.links[0].up = False
     calls = []
 
-    def fallback(role):
-        calls.append(role)
-        return establish_baseline(square, 0, 2, role=role)
+    def fallback(*args):
+        calls.append(args)
+        return establish_baseline(square, 0, 2)
 
-    lp = reroute(square, [(0, 1, 2)], "none", 0.024, fallback_establish=fallback)
-    assert calls == ["backup"]
+    lp = reroute([square.hops((0, 1, 2))], "none", 0.024, fallback_establish=fallback)
+    assert calls == [("backup",)]  # exactly one positional argument
     assert lp.hops.route == (0, 3, 2)
 
 
@@ -578,8 +590,8 @@ def test_reroute_returns_none_when_nothing_fits():
     topo = parse_topology("nodes 3\nlink 0 1 10 1\nlink 1 2 10 1\n")
     topo.links[0].occupy(FORWARD, 0)
 
-    def fallback(role):
-        return establish_baseline(topo, 0, 2, role=role)
+    def fallback(_):
+        return establish_baseline(topo, 0, 2)
 
-    assert reroute(topo, [(0, 1, 2)], "none", 0.024,
+    assert reroute([topo.hops((0, 1, 2))], "none", 0.024,
                    fallback_establish=fallback) is None

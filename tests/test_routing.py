@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,7 +91,7 @@ def test_unit_cost_only_cares_about_state(square):
 
 def test_lexicographic_tie_break(square):
     route, cost = least_cost_path(square, 0, 2, unit_edge_cost)
-    assert route == [0, 1, 2]  # [0,3,2] costs the same; smaller sequence wins
+    assert route == (0, 1, 2)  # [0,3,2] costs the same; smaller sequence wins
     assert cost == 2.0
 
 
@@ -110,21 +111,21 @@ def test_fewer_hops_wins_on_cost_tie():
     occupy_towards(topo, 0, 2, 5)
     occupy_towards(topo, 2, 1, 5)
     route, cost = least_cost_path(topo, 0, 1, loaded_edge_cost(LT))
-    assert route == [0, 1]
+    assert route == (0, 1)
     assert cost == 1.25
 
 
 def test_congestion_forces_detour(square):
     occupy_forward(square.links[0], 8)  # 0->1 saturated
     route, _ = least_cost_path(square, 0, 2, loaded_edge_cost(LT))
-    assert route == [0, 3, 2]
+    assert route == (0, 3, 2)
 
 
 def test_banned_links_and_nodes(square):
     route, _ = least_cost_path(square, 0, 2, unit_edge_cost, banned_links=frozenset({0}))
-    assert route == [0, 3, 2]
+    assert route == (0, 3, 2)
     route2, _ = least_cost_path(square, 0, 2, unit_edge_cost, banned_nodes=frozenset({1}))
-    assert route2 == [0, 3, 2]
+    assert route2 == (0, 3, 2)
     assert least_cost_path(square, 0, 2, unit_edge_cost,
                            banned_nodes=frozenset({1, 3})) is None
 
@@ -157,7 +158,7 @@ def test_least_cost_matches_exhaustive_search(seed):
         else:
             assert got is not None
             assert got[1] == want[1]  # identical accumulation order: exact
-            assert tuple(got[0]) == want[0]
+            assert got[0] == want[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -172,7 +173,7 @@ def test_returned_route_is_simple_and_priced_correctly(seed):
     route, cost = found
     assert len(set(route)) == len(route)
     assert route[0] == src and route[-1] == dst
-    assert cost == path_cost(topo, tuple(route), loaded_edge_cost(LT))
+    assert cost == path_cost(topo, route, loaded_edge_cost(LT))
 
 
 # -- wavelength assignment ----------------------------------------------------
@@ -244,7 +245,7 @@ def test_assignment_rejects_down_link(square):
 
 def test_establish_occupies_and_release_frees(square):
     before = square.occupancy_snapshot()
-    lp = establish_lightpath(square, [0, 1, 2], NO_CONVERSION, 0.024)
+    lp = establish_lightpath(square.hops((0, 1, 2)), NO_CONVERSION, 0.024)
     assert lp.wavelengths == [0, 0]
     assert lp.hops.link_ids == frozenset({0, 1})
     assert lp.path_delay == pytest.approx(0.020)
@@ -256,9 +257,9 @@ def test_establish_occupies_and_release_frees(square):
 
 
 def test_second_release_is_a_no_op(square):
-    lp = establish_lightpath(square, [0, 1, 2], NO_CONVERSION, 0.024)
+    lp = establish_lightpath(square.hops((0, 1, 2)), NO_CONVERSION, 0.024)
     release_lightpath(lp)
-    other = establish_lightpath(square, [0, 1], NO_CONVERSION, 0.024)  # reuses wavelength 0
+    other = establish_lightpath(square.hops((0, 1)), NO_CONVERSION, 0.024)  # reuses wavelength 0
     held = square.occupancy_snapshot()
     release_lightpath(lp)  # must neither raise nor free the other's channel
     assert square.occupancy_snapshot() == held
@@ -271,7 +272,7 @@ def test_establish_returns_none_leaving_state_clean():
     topo = parse_topology("nodes 3\nlink 0 1 10 1\nlink 1 2 10 1\n")
     topo.links[0].occupy(FORWARD, 0)
     before = topo.occupancy_snapshot()
-    assert establish_lightpath(topo, [0, 1, 2], NO_CONVERSION, 0.024) is None
+    assert establish_lightpath(topo.hops((0, 1, 2)), NO_CONVERSION, 0.024) is None
     assert topo.occupancy_snapshot() == before
 
 
@@ -280,7 +281,7 @@ def test_establish_over_down_hop_returns_none_leaving_state_clean(square, mode):
     square.links[2].occupy(REVERSE, 3)  # held channels of the down link stay held
     square.links[1].up = False
     before = square.occupancy_snapshot()
-    assert establish_lightpath(square, [0, 1, 2, 3], mode, 0.024) is None
+    assert establish_lightpath(square.hops((0, 1, 2, 3)), mode, 0.024) is None
     assert square.occupancy_snapshot() == before
 
 
@@ -288,7 +289,7 @@ def test_setup_delay_charges_conversions():
     topo = parse_topology("nodes 3\nlink 0 1 10 2\nlink 1 2 10 2\n")
     topo.links[0].occupy(FORWARD, 0)
     topo.links[1].occupy(FORWARD, 1)
-    lp = establish_lightpath(topo, [0, 1, 2], FULL_CONVERSION, 0.024)
+    lp = establish_lightpath(topo.hops((0, 1, 2)), FULL_CONVERSION, 0.024)
     assert lp.wavelengths == [1, 0]
     assert lp.wavelength_changes() == 1
     assert lp.path_delay == pytest.approx(0.010 + 0.010 + 0.024)
@@ -304,12 +305,29 @@ def test_a_lightpath_resolves_its_route_once(monkeypatch, mode):
     calls = []
     monkeypatch.setattr(Topology, "hops",
                         lambda self, route: calls.append(tuple(route)) or resolve(self, route))
-    lp = establish_lightpath(topo, [0, 1, 2, 3], mode, 0.024)
+    lp = establish_lightpath(topo.hops([0, 1, 2, 3]), mode, 0.024)
     assert lp.wavelength_changes() == (1 if mode == FULL_CONVERSION else 0)
     # propagation is the left-to-right sum of the link delays, as an exact float
     assert lp.path_delay == sum(link.delay for link in topo.links) + 0.024 * lp.wavelength_changes()
     release_lightpath(lp)
     assert calls == [(0, 1, 2, 3)]
+
+
+@pytest.mark.parametrize("router", [establish_baseline, partial(establish_primary, lt=LT)],
+                         ids=["baseline", "primary"])
+def test_a_router_resolves_its_route_once_per_setup(monkeypatch, router):
+    # the router hands the record it resolved to the setup, which resolves nothing
+    topo = default_topology()
+    resolve = Topology.hops
+    calls = []
+    monkeypatch.setattr(Topology, "hops",
+                        lambda self, route: calls.append(tuple(route)) or resolve(self, route))
+    pairs = [(s, d) for s in range(8) for d in range(8) if s != d]
+    for src, dst in pairs:
+        lp = router(topo, src, dst).lightpath
+        assert (lp.hops.route[0], lp.hops.route[-1]) == (src, dst)
+        release_lightpath(lp)
+    assert len(calls) == len(pairs)
 
 
 def test_establish_primary_end_to_end(square):
@@ -363,7 +381,7 @@ def baseline_route_of(topology, src, dst):
     if result.blocked:
         return None
     release_lightpath(result.lightpath)
-    return list(result.lightpath.hops.route)
+    return result.lightpath.hops.route
 
 
 def unit_cost_route(topology, src, dst):
@@ -408,11 +426,11 @@ def test_a_repeated_baseline_demand_runs_no_route_search(square, monkeypatch):
     monkeypatch.setattr(routing, "least_cost_path",
                         lambda *args, **kwargs: calls.append(args) or search(*args, **kwargs))
     square.links[0].up = False
-    assert baseline_route_of(square, 0, 1) == [0, 3, 2, 1]
+    assert baseline_route_of(square, 0, 1) == (0, 3, 2, 1)
     assert len(calls) == 2  # the direct route, then the route avoiding its down link
-    assert baseline_route_of(square, 0, 1) == [0, 3, 2, 1]
+    assert baseline_route_of(square, 0, 1) == (0, 3, 2, 1)
     square.links[0].up = True
-    assert baseline_route_of(square, 0, 1) == [0, 1]
+    assert baseline_route_of(square, 0, 1) == (0, 1)
     assert len(calls) == 2
 
 
