@@ -108,10 +108,12 @@ def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResul
 
 
 def _load_scenario(args) -> Scenario:
+    text = ""
     if args.config:
-        text = Path(args.config).read_text(encoding="utf-8")
-    else:
-        text = ""
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file {args.config}: not UTF-8 text") from None
     scenario = parse_config(text)
     if args.topology:
         scenario.base = replace(scenario.base, topology_file=args.topology)

@@ -12,14 +12,14 @@ boundaries, while that falls before the connection's departure.  No event
 closes a probe window or delivers an answer: the prober tallies each answer
 when its probe is sent, the next window's first send or a failure rerouting
 the connection closes the window, and a departure or drop counts the answers
-that landed strictly before it.  Sample ticks run while a lifecycle event is
-pending, so the timeseries ends at the same tick whatever the router.  Each
+that landed strictly before it.  Sample ticks run while any event is pending,
+so the timeseries ends at the same tick whatever the router.  Each
 run binds its router once; a fresh setup, restoration included, goes through it.
 A connection's backups are its candidates' ``Hops``, ranked when a probe window
 closes; until then a failure looks them up with ``candidate_paths``, for either
 router, against the primary it still rides.  ``m`` is applied in one place, where
-restoration tries the backups.  ``Simulation.run`` refuses a pinned arrival it
-cannot run (a bad time, holding or endpoint) before it schedules anything.
+restoration tries the backups.  Before it schedules anything, ``Simulation.run``
+refuses a replaced ``arrivals`` holding a bad time, holding or endpoint.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ PROBE_SEND = "probe_send"
 LINK_FAILURE = "link_failure"
 LINK_REPAIR = "link_repair"
 SAMPLE_TICK = "sample_tick"
-LIFECYCLE = frozenset({ARRIVAL, DEPARTURE, LINK_FAILURE, LINK_REPAIR})
 
 ROUTER_RFTR = "rftr"
 ROUTER_BASELINE = "baseline"
@@ -169,7 +168,7 @@ def topology_errors(config: SimConfig, topology: Topology) -> list[str]:
 
 def generate_arrivals(
     config: SimConfig, rng: random.Random, num_nodes: int
-) -> list[tuple[float, int, int, float]]:
+) -> tuple[tuple[float, int, int, float], ...]:
     """Pre-draw (time, src, dst, holding) for every demand.
 
     ``config.max_requests`` demands; interarrival gaps are exponential at
@@ -189,7 +188,7 @@ def generate_arrivals(
             dst += 1
         holding = rng.expovariate(1.0 / config.holding_time)
         arrivals.append((now, src, dst, holding))
-    return arrivals
+    return tuple(arrivals)
 
 
 class Simulation:
@@ -230,18 +229,15 @@ class Simulation:
         self.collector = metrics_mod.MetricsCollector(config)
         self._heap: list[tuple[float, int, str, tuple]] = []
         self._eseq = itertools.count()
-        self._lifecycle_pending = 0
         self._cid = itertools.count()
         self._initial_occupancy = None
-        # Pre-generated workload, exposed so scripted scenarios can pin
-        # endpoints or holding times while keeping the seeded arrival clock.
-        self.arrivals = generate_arrivals(config, self.rng, self.topology.num_nodes)
+        # Pre-generated workload; scripted scenarios replace it to pin endpoints
+        # or holding times on the seeded arrival clock, and only then is it checked.
+        self.arrivals = self._drawn = generate_arrivals(config, self.rng, self.topology.num_nodes)
 
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, time: float, kind: str, *args) -> None:
-        if kind in LIFECYCLE:
-            self._lifecycle_pending += 1
         heapq.heappush(self._heap, (time, next(self._eseq), kind, args))
 
     # -- run ----------------------------------------------------------------
@@ -249,7 +245,8 @@ class Simulation:
     def run(self) -> metrics_mod.MetricsReport:
         if self._initial_occupancy is not None:
             raise SimError("a Simulation runs once; build a new one for another run")
-        self._check_arrivals()
+        if self.arrivals is not self._drawn:
+            self._check_arrivals()
         self._initial_occupancy = self.topology.occupancy_snapshot()
         for t, src, dst, holding in self.arrivals:
             self.schedule(t, ARRIVAL, src, dst, holding)
@@ -263,8 +260,6 @@ class Simulation:
         handlers = self._HANDLERS
         while heap:
             time, _, kind, args = heapq.heappop(heap)
-            if kind in LIFECYCLE:
-                self._lifecycle_pending -= 1
             if time < self.now - 1e-12:
                 raise InvariantError("event clock went backwards")
             if time > self.now:
@@ -383,7 +378,9 @@ class Simulation:
 
     def _on_sample_tick(self) -> None:
         self.collector.on_sample(self.topology, self.now)
-        if self._lifecycle_pending:
+        # a send is queued only before its connection's departure, which stays queued
+        # through a drop, so a pending send means a pending lifecycle event
+        if self._heap:
             self.schedule(self.now + self.config.sample_interval, SAMPLE_TICK)
 
     # unbound, so a Simulation holds no reference cycle and is freed on last use

@@ -11,9 +11,11 @@ where LT is a configurable load threshold.  The piecewise form is kept
 branch-for-branch as given, including the jump at LI = LT.  A down link
 offers no free wavelength (``Link.free_mask`` reads 0), so like a saturated
 lane it is unusable, and a demand whose every route crosses one is blocked.
-Only these load-aware costs run Dijkstra per demand.  A route is resolved
-into its ``Hops`` once, where its router finds it, and every router sets its
-lightpath up through ``establish_lightpath`` on that record, which it keeps.
+Dijkstra prices each arc ``Topology.neighbors`` lists by its (link, lane), and
+Yen bans the links of the accepted routes' ``Hops``, so routing never works a
+lane out.  Only the load-aware costs run Dijkstra per demand.  A route is
+resolved into its ``Hops`` once, where its router finds it, and every router
+sets its lightpath up through ``establish_lightpath`` on that record.
 
 Hop-count routes read no link state, so they are a function of the graph
 alone.  Yen's k shortest hop routes (Yen, 1971) are memoised per
@@ -48,8 +50,8 @@ def link_cost(load_index: float, lt: float) -> float:
 def loaded_edge_cost(lt: float):
     """Edge-cost function over the current channel state; ``lt`` is the LT breakpoint."""
 
-    def cost(link: Link, u: int, v: int) -> float:
-        return link_cost(link.load_index(link.lane(u, v)), lt)
+    def cost(link: Link, lane: int) -> float:
+        return link_cost(link.load_index(lane), lt)
 
     return cost
 
@@ -62,7 +64,7 @@ def least_cost_path(
     banned_links: frozenset[int] = frozenset(),
     banned_nodes: frozenset[int] = frozenset(),
 ) -> tuple[tuple[int, ...], float] | None:
-    """Dijkstra over ``edge_cost(link, u, v)`` with a total, deterministic order.
+    """Dijkstra over ``edge_cost(link, lane)`` of each arc, with a total, deterministic order.
 
     Ties on total cost break by fewer hops, then by lexicographically
     smallest node sequence.  Returns (route, cost) or None when no
@@ -86,10 +88,10 @@ def least_cost_path(
         done.add(u)
         if u == dst:
             return route, cost
-        for v, link in topology.neighbors(u):
+        for v, link, lane in topology.neighbors(u):
             if v in done or v in banned_nodes or link.id in banned_links:
                 continue
-            c = edge_cost(link, u, v)
+            c = edge_cost(link, lane)
             if math.isinf(c):
                 continue
             candidate = (cost + c, hops + 1, route + (v,))
@@ -108,7 +110,7 @@ def min_hop_path(
     banned_nodes: frozenset[int] = frozenset(),
 ) -> tuple[int, ...] | None:
     """Least-hop route avoiding the bans; reads no link state, not even ``up``."""
-    found = least_cost_path(topology, src, dst, lambda link, u, v: 1.0, banned_links, banned_nodes)
+    found = least_cost_path(topology, src, dst, lambda link, lane: 1.0, banned_links, banned_nodes)
     return None if found is None else found[0]
 
 
@@ -145,18 +147,18 @@ def _yen(
     if first is None or k < 1:
         return []
     accepted = [first]
+    resolved: list[Hops] = []  # each accepted route, resolved once, when spurs leave it
     candidates: dict[tuple[int, ...], None] = {}
     while len(accepted) < k:
         prev = accepted[-1]
+        resolved.append(topology.hops(prev))
         for i in range(len(prev) - 1):
             root = prev[: i + 1]
-            spur = prev[i]
             spur_banned = set(banned_links)
-            for path in accepted:
-                if path[: i + 1] == root and len(path) > i + 1:
-                    link = topology.link_between(path[i], path[i + 1])
-                    spur_banned.add(link.id)
-            spur_path = min_hop_path(topology, spur, dst, spur_banned, frozenset(root[:-1]))
+            for hops in resolved:
+                if hops.route[: i + 1] == root and len(hops) > i:
+                    spur_banned.add(hops[i][0].id)
+            spur_path = min_hop_path(topology, prev[i], dst, spur_banned, frozenset(root[:-1]))
             if spur_path is None:
                 continue
             total = root[:-1] + spur_path

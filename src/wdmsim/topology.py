@@ -12,10 +12,11 @@ A down link offers no free wavelength (``free_mask`` reads 0), so readers of
 channel state need no up check; the raw masks are kept, so a repaired link
 gets its held channels back and ``occupancy_snapshot`` shows real occupancy.
 
-The graph never changes after construction, so each node's sorted adjacency
-is built once and each route is resolved once, into ``Hops``, its one record:
-nodes, link ids and delay.  ``Topology.graph`` is the structure alone (node
-count and link endpoints), on which ``routing`` memoises hop-count routes.
+The graph never changes after construction, so its arc table, the one map
+from a travel direction (u, v) to its (link, lane), is built once.  It refuses
+duplicate links, lists each node's arcs for ``neighbors`` and resolves each
+route once, into ``Hops``, its one record: nodes, link ids and delay.
+``Topology.graph`` is the structure alone; ``routing`` memoises routes on it.
 """
 
 from __future__ import annotations
@@ -60,21 +61,6 @@ class Link:
 
     def __repr__(self):
         return f"Link({self.id}: {self.a}<->{self.b}, {self.total_channels}ch)"
-
-    def lane(self, u: int, v: int) -> int:
-        """Lane index for travelling u -> v over this link."""
-        if (u, v) == (self.a, self.b):
-            return FORWARD
-        if (u, v) == (self.b, self.a):
-            return REVERSE
-        raise TopologyError(f"link {self.id} does not join {u} and {v}")
-
-    def other_end(self, u: int) -> int:
-        if u == self.a:
-            return self.b
-        if u == self.b:
-            return self.a
-        raise TopologyError(f"node {u} is not an endpoint of link {self.id}")
 
     def free_mask(self, lane: int) -> int:
         """Bitmask of the lane's free wavelengths (bit w set while w is free); 0 while down."""
@@ -128,7 +114,9 @@ class Topology:
         self.links = list(links)
         # the structure alone: what a hop-count route search reads
         self.graph = (num_nodes, tuple((link.a, link.b) for link in self.links))
-        self._by_pair: dict[tuple[int, int], Link] = {}
+        # (u, v) -> (link, lane), for both travel directions of every link
+        self._arcs: dict[tuple[int, int], tuple[Link, int]] = {}
+        # incident links in id order, since ids are checked to run in list order
         self.adjacency: list[list[Link]] = [[] for _ in range(num_nodes)]
         for i, link in enumerate(self.links):
             # failure schedules and the engine look a link up by its id
@@ -137,29 +125,24 @@ class Topology:
             for end in (link.a, link.b):
                 if not 0 <= end < num_nodes:
                     raise TopologyError(f"dangling node reference: link {link.id} names node {end}")
-            pair = (min(link.a, link.b), max(link.a, link.b))
-            if pair in self._by_pair:
-                raise TopologyError(f"duplicate link between {pair[0]} and {pair[1]}")
-            self._by_pair[pair] = link
+            if (link.a, link.b) in self._arcs:
+                lo, hi = sorted((link.a, link.b))
+                raise TopologyError(f"duplicate link between {lo} and {hi}")
+            self._arcs[link.a, link.b] = (link, FORWARD)
+            self._arcs[link.b, link.a] = (link, REVERSE)
             self.adjacency[link.a].append(link)
             self.adjacency[link.b].append(link)
-        for incident in self.adjacency:
-            incident.sort(key=lambda l: l.id)
-        self._neighbors = [
-            tuple(sorted(((link.other_end(u), link) for link in incident), key=lambda p: p[0]))
-            for u, incident in enumerate(self.adjacency)
-        ]
+        self._neighbors: list[list[tuple[int, Link, int]]] = [[] for _ in range(num_nodes)]
+        for (u, v), arc in sorted(self._arcs.items()):
+            self._neighbors[u].append((v, *arc))
         self._hops: dict[tuple[int, ...], Hops] = {}
 
-    def link_between(self, u: int, v: int) -> Link | None:
-        return self._by_pair.get((min(u, v), max(u, v)))
-
-    def neighbors(self, u: int) -> tuple[tuple[int, Link], ...]:
-        """(neighbor, link) pairs in ascending neighbor order."""
+    def neighbors(self, u: int) -> list[tuple[int, Link, int]]:
+        """(neighbor, link, lane) of each arc out of u, in ascending neighbor order."""
         return self._neighbors[u]
 
     def hops(self, route: list[int] | tuple[int, ...]) -> Hops:
-        """Resolve a node sequence into (link, lane) hops.
+        """Resolve a node sequence into the (link, lane) of each of its arcs.
 
         A resolved route is memoised; one with a missing link raises
         ``TopologyError`` on every call.
@@ -167,13 +150,11 @@ class Topology:
         key = tuple(route)
         hops = self._hops.get(key)
         if hops is None:
-            resolved = []
-            for u, v in zip(key, key[1:]):
-                link = self.link_between(u, v)
-                if link is None:
-                    raise TopologyError(f"no link between {u} and {v}")
-                resolved.append((link, link.lane(u, v)))
-            hops = self._hops[key] = Hops(resolved, key)
+            try:
+                hops = self._hops[key] = Hops([self._arcs[arc] for arc in zip(key, key[1:])], key)
+            except KeyError as err:
+                u, v = map(operator.index, err.args[0])  # a non-integer node: TypeError
+                raise TopologyError(f"no link between {u} and {v}") from None
         return hops
 
     def occupancy_snapshot(self) -> tuple[tuple[int, int], ...]:
@@ -187,7 +168,7 @@ class Topology:
         queue = deque([0])
         while queue:
             u = queue.popleft()
-            for v, link in self.neighbors(u):
+            for v, link, _ in self.neighbors(u):
                 if link.up and v not in seen:
                     seen.add(v)
                     queue.append(v)

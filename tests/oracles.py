@@ -1,7 +1,9 @@
 """Brute-force reference implementations used to cross-check the fast paths.
 
 Everything here trades efficiency for obviousness: exhaustive DFS over
-simple paths, explicit sort-and-truncate candidate selection.  Costs are
+simple paths, explicit sort-and-truncate candidate selection.  An arc's link
+and lane are found by scanning ``topology.links`` and reading each link's
+declared ends, never through ``Topology``'s own arc table.  Costs are
 accumulated left-to-right along each path so floating-point sums agree
 exactly with Dijkstra's incremental accumulation.
 """
@@ -12,7 +14,17 @@ import math
 import random
 from fractions import Fraction
 
-from wdmsim.topology import Hops, Link, Topology
+from wdmsim.topology import FORWARD, REVERSE, Hops, Link, Topology
+
+
+def arc(topology: Topology, u: int, v: int) -> tuple[Link, int] | None:
+    """(link, lane) for travel u -> v, by a scan of every link; None if no link joins them."""
+    for link in topology.links:
+        if (link.a, link.b) == (u, v):
+            return link, FORWARD
+        if (link.b, link.a) == (u, v):
+            return link, REVERSE
+    return None
 
 
 def simple_paths(topology: Topology, src: int, dst: int, banned_links=frozenset()):
@@ -23,13 +35,14 @@ def simple_paths(topology: Topology, src: int, dst: int, banned_links=frozenset(
         if node == dst:
             yield route
             continue
-        for nxt, link in topology.neighbors(node):
-            if link.id in banned_links or nxt in route:
+        for nxt in range(topology.num_nodes):
+            found = arc(topology, node, nxt)
+            if found is None or found[0].id in banned_links or nxt in route:
                 continue
             stack.append((nxt, route + (nxt,)))
 
 
-def unit_edge_cost(link: Link, u: int, v: int) -> float:
+def unit_edge_cost(link: Link, lane: int) -> float:
     """Hop-count costs over up links: under it ``least_cost_path`` is the baseline's route."""
     return 1.0 if link.up else math.inf
 
@@ -37,7 +50,7 @@ def unit_edge_cost(link: Link, u: int, v: int) -> float:
 def path_cost(topology: Topology, route, edge_cost) -> float:
     total = 0.0
     for u, v in zip(route, route[1:]):
-        total = total + edge_cost(topology.link_between(u, v), u, v)
+        total = total + edge_cost(*arc(topology, u, v))
     return total
 
 
@@ -83,8 +96,7 @@ def first_fit(topology: Topology, route, mode: str, held):
     when nothing fits."""
     free = []
     for u, v in zip(route, route[1:]):
-        link = topology.link_between(u, v)
-        free.append(free_wavelengths(link, link.lane(u, v), held))
+        free.append(free_wavelengths(*arc(topology, u, v), held))
     if mode == "none":
         common = set.intersection(*free) if free else set()
         return [min(common)] * len(free) if common else None

@@ -100,6 +100,16 @@ def test_run_bad_config_content_fails_cleanly(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "validate"])
+def test_non_utf8_config_file_fails_cleanly(tmp_path, capsys, command):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"seed = 1\n\xff\xfe\x00\x80\n")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    captured = capsys.readouterr()
+    assert f"error: config file {cfg}: not UTF-8 text" in captured.out + captured.err
+    assert not (tmp_path / "out").exists()
+
+
 # -- sweep --------------------------------------------------------------------
 
 def test_sweep_produces_aggregates_and_runs(tmp_path):

@@ -340,13 +340,27 @@ def test_unknown_failure_link_rejected():
         "zero-holding", "nan-holding", "inf-holding", "nan-time", "negative-time", "inf-time"])
 def test_malformed_pinned_arrival_refused_before_anything_runs(router, pinned):
     sim = Simulation(SimConfig(router=router, max_requests=3, seed=1))
-    good = sim.arrivals[1]
-    sim.arrivals[1] = pinned
+    drawn = sim.arrivals
+    sim.arrivals = [drawn[0], pinned, drawn[2]]
     with pytest.raises(ConfigError, match=rf"^arrival 1: .* = {re.escape(str(pinned))} needs"):
         sim.run()
     assert sim._heap == [] and sim.collector.report.offered == 0
-    sim.arrivals[1] = good  # the refused run started nothing, so the mended one runs
+    sim.arrivals = list(drawn)  # the refused run started nothing, so the mended one runs
     assert sim.run().offered == 3
+
+
+@pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
+def test_drawn_arrivals_are_not_rechecked(router, monkeypatch):
+    """Only a replaced workload is checked: the engine draws no arrival it cannot run."""
+    def refuse(self):
+        raise AssertionError("a drawn workload was checked")
+
+    monkeypatch.setattr(Simulation, "_check_arrivals", refuse)
+    assert Simulation(SimConfig(router=router, max_requests=20, seed=1)).run().offered == 20
+    pinned = Simulation(SimConfig(router=router, max_requests=20, seed=1))
+    pinned.arrivals = list(pinned.arrivals)
+    with pytest.raises(AssertionError, match="drawn workload was checked"):
+        pinned.run()
 
 
 @pytest.mark.parametrize("schedule", ["failures", "repairs"])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    arc,
     hops_of,
     k_best_disjoint,
     random_topology,
@@ -251,7 +252,7 @@ def test_candidate_rtts_are_twice_the_hop_delays():
     cands = candidate_paths(topo, 0, 4, primary, k=3)
     routes = k_shortest_hop_paths(topo, 0, 4, 3, primary.hops.link_ids)
     assert len(cands) == len(routes) == 3
-    delays = [sum(topo.link_between(u, v).delay for u, v in zip(r, r[1:])) for r in routes]
+    delays = [sum(arc(topo, u, v)[0].delay for u, v in zip(r, r[1:])) for r in routes]
     for j, route in enumerate(routes):
         assert cands[j] is topo.hops(route)  # the memoised record, not a copy
         assert (cands[j].route, cands[j].delay) == (route, delays[j])
@@ -464,7 +465,7 @@ def test_prober_initial_backups_follow_candidate_order(monkeypatch):
     monkeypatch.setattr(wdmsim.engine, "reroute",
                         lambda backups, *args, **kwargs: tried.append(backups)
                         or reroute(backups, *args, **kwargs))
-    sim._on_link_failure(sim.topology.link_between(0, 1).id)  # the primary is (0, 1, 2)
+    sim._on_link_failure(sim.topology.hops((0, 1))[0][0].id)  # the primary is (0, 1, 2)
     assert conn.backups == conn.prober.candidates  # the candidates' own records
     assert [[hops.route for hops in backups] for backups in tried] == [routes[:2]]
     assert conn.current.hops is conn.prober.candidates[0]

@@ -75,16 +75,16 @@ def test_loaded_cost_uses_travel_lane(square):
     cost = loaded_edge_cost(LT)
     link = square.links[0]
     occupy_forward(link, 8)  # saturate 0 -> 1 only
-    assert cost(link, 0, 1) == math.inf
-    assert cost(link, 1, 0) == 0.0  # reverse lane untouched, LI = 1
+    assert cost(link, FORWARD) == math.inf
+    assert cost(link, REVERSE) == 0.0  # reverse lane untouched, LI = 1
 
 
 def test_unit_cost_only_cares_about_state(square):
     link = square.links[0]
     occupy_forward(link, 8)
-    assert unit_edge_cost(link, 0, 1) == 1.0
+    assert unit_edge_cost(link, FORWARD) == 1.0
     link.up = False
-    assert unit_edge_cost(link, 0, 1) == math.inf
+    assert unit_edge_cost(link, FORWARD) == math.inf
 
 
 # -- shortest path ------------------------------------------------------------
@@ -97,8 +97,7 @@ def test_lexicographic_tie_break(square):
 
 def occupy_towards(topo, u, v, count):
     """Occupy ``count`` channels on the u->v travel lane."""
-    link = topo.link_between(u, v)
-    lane = link.lane(u, v)
+    [(link, lane)] = topo.hops((u, v))
     for w in range(count):
         link.occupy(lane, w)
 

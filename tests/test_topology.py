@@ -79,10 +79,12 @@ def test_default_topology_keeps_link_delay_precision():
 
 def test_lane_orientation(square):
     link = square.links[0]  # 0 -- 1
-    assert link.lane(0, 1) == FORWARD
-    assert link.lane(1, 0) == REVERSE
-    with pytest.raises(TopologyError):
-        link.lane(2, 3)
+    assert square.hops((0, 1)) == ((link, FORWARD),)
+    assert square.hops((1, 0)) == ((link, REVERSE),)
+    assert (1, link, FORWARD) in square.neighbors(0)
+    assert (0, link, REVERSE) in square.neighbors(1)
+    with pytest.raises(TopologyError, match="^no link between 1 and 3$"):
+        square.hops((0, 1, 3))
 
 
 def test_lanes_are_independent(square):
@@ -153,14 +155,18 @@ def test_down_link_remembers_occupancy(square):
 
 def test_neighbors_sorted_and_complete(mesh8):
     nbrs = mesh8.neighbors(0)
-    assert [v for v, _ in nbrs] == sorted(v for v, _ in nbrs)
-    assert {v for v, _ in nbrs} == {1, 4, 7}
+    assert [v for v, _, _ in nbrs] == sorted(v for v, _, _ in nbrs)
+    assert {v for v, _, _ in nbrs} == {1, 4, 7}
 
 
 def test_link_between(square):
-    assert square.link_between(0, 1) is square.links[0]
-    assert square.link_between(1, 0) is square.links[0]
-    assert square.link_between(0, 2) is None
+    """One link joins a node pair from either end; resolving a pair no link joins raises."""
+    assert [(v, link) for v, link, _ in square.neighbors(0)] == [
+        (1, square.links[0]), (3, square.links[3])]
+    assert square.hops((1, 0))[0][0] is square.links[0]
+    for route in ((0, 2), (2, 0)):
+        with pytest.raises(TopologyError, match=f"^no link between {route[0]} and {route[1]}$"):
+            square.hops(route)
 
 
 def test_hops_maps_route_to_lanes(square):
