@@ -193,10 +193,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except SimError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (SimError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,7 @@ from typing import get_args, get_origin, get_type_hints
 
 from .engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig, build_topology, topology_errors
 from .errors import ConfigError, TopologyError
+from .routing import min_hop_path
 
 SWEEP_NONE = "none"
 SWEEP_RATE = "rate"
@@ -183,6 +184,7 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
     """Static checks that need the topology: its shape, node count, schedule links, connectivity.
 
     Schedule times were checked by ``SimConfig.validate`` when the scenario parsed.
+    Connectivity is routing's least-hop search from node 0, which reads no link state.
     """
     diagnostics: list[Diagnostic] = []
     try:
@@ -190,7 +192,7 @@ def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
     except TopologyError as err:
         diagnostics.append(Diagnostic("error", f"topology: {err}"))
         return diagnostics
-    if not topology.is_connected():
+    if any(min_hop_path(topology, 0, v) is None for v in range(1, topology.num_nodes)):
         diagnostics.append(
             Diagnostic("warning", "topology is disconnected; most demands will block")
         )

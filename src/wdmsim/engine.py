@@ -30,6 +30,7 @@ import math
 import random
 from dataclasses import dataclass, field, fields
 from functools import partial
+from numbers import Real
 
 from . import metrics as metrics_mod
 from .errors import ConfigError, InvariantError, SimError, TopologyError
@@ -48,7 +49,7 @@ from .routing import (
     establish_primary,
     release_lightpath,
 )
-from .topology import Hops, Topology, default_topology, read_topology
+from .topology import Hops, Topology, default_topology, parse_topology
 
 # event kinds
 ARRIVAL = "arrival"
@@ -149,10 +150,12 @@ def build_topology(config: SimConfig) -> Topology:
     """The config's topology file, refused as a ``TopologyError`` if unreadable, else the mesh."""
     if config.topology_file:
         try:
-            return read_topology(config.topology_file)
+            with open(config.topology_file, encoding="utf-8") as fh:
+                text = fh.read()
         except (OSError, UnicodeDecodeError) as err:
             reason = err.strerror if isinstance(err, OSError) else "not UTF-8 text"
             raise TopologyError(f"topology file {config.topology_file}: {reason}") from None
+        return parse_topology(text)
     return default_topology(channels=config.wavelengths, delay_ms=config.link_delay_ms)
 
 
@@ -273,12 +276,17 @@ class Simulation:
     def _check_arrivals(self) -> None:
         """Refuse, as a ``ConfigError``, a pinned arrival the run cannot carry out."""
         nodes, inf = range(self.topology.num_nodes), math.inf
-        for i, (t, src, dst, holding) in enumerate(self.arrivals):
-            # chained comparisons also refuse nan, which compares false
-            if not (0 <= t < inf and 0 < holding < inf and src != dst
-                    and src in nodes and dst in nodes):
+        for i, entry in enumerate(self.arrivals):
+            try:
+                t, src, dst, holding = parts = tuple(entry)
+                # by type first (1.0 is "in" a range), then by value; nan compares false
+                ok = (all(map(isinstance, parts, (Real, int, int, Real))) and 0 <= t < inf
+                      and 0 < holding < inf and src != dst and src in nodes and dst in nodes)
+            except (TypeError, ValueError):  # not four fields
+                ok = False
+            if not ok:
                 raise ConfigError(
-                    f"arrival {i}: (time, src, dst, holding) = {(t, src, dst, holding)} needs "
+                    f"arrival {i}: (time, src, dst, holding) = {entry} needs "
                     "a finite time >= 0, a finite holding > 0 and two distinct nodes")
 
     # -- handlers -----------------------------------------------------------

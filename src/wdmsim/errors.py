@@ -6,7 +6,11 @@ class SimError(Exception):
 
 
 class TopologyError(SimError):
-    """A topology invariant was violated (self-loop, duplicate link, dangling node)."""
+    """A topology invariant was violated; ``link_id`` names a link ``Topology`` refused."""
+
+    def __init__(self, message, link_id=None):
+        super().__init__(message)
+        self.link_id = link_id
 
 
 class TopologyParseError(TopologyError):

@@ -16,14 +16,15 @@ The graph never changes after construction, so its arc table, the one map
 from a travel direction (u, v) to its (link, lane), is built once.  It refuses
 duplicate links, lists each node's arcs for ``neighbors`` and resolves each
 route once, into ``Hops``, its one record: nodes, link ids and delay.
-``Topology.graph`` is the structure alone; ``routing`` memoises routes on it.
+``Topology.graph`` is the structure alone; ``routing`` alone searches it, memoising routes.
+``Link`` and ``Topology`` alone check the structure: ``parse_topology`` reports
+any refusal, dangling or duplicate links too, at the refused link's line.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import deque
 from functools import reduce
 
 from .errors import (
@@ -124,10 +125,11 @@ class Topology:
                 raise TopologyError(f"link {link.id} is at position {i}; ids must be 0..n-1 in order")
             for end in (link.a, link.b):
                 if not 0 <= end < num_nodes:
-                    raise TopologyError(f"dangling node reference: link {link.id} names node {end}")
+                    raise TopologyError(
+                        f"dangling node reference: link {link.id} names node {end}", link.id)
             if (link.a, link.b) in self._arcs:
                 lo, hi = sorted((link.a, link.b))
-                raise TopologyError(f"duplicate link between {lo} and {hi}")
+                raise TopologyError(f"duplicate link between {lo} and {hi}", link.id)
             self._arcs[link.a, link.b] = (link, FORWARD)
             self._arcs[link.b, link.a] = (link, REVERSE)
             self.adjacency[link.a].append(link)
@@ -161,19 +163,6 @@ class Topology:
         """Every link's (forward, reverse) free masks, in link order, down links included."""
         return tuple(tuple(link._free) for link in self.links)
 
-    def is_connected(self) -> bool:
-        if self.num_nodes == 1:
-            return True
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v, link, _ in self.neighbors(u):
-                if link.up and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.num_nodes
-
 
 def parse_topology(text: str) -> Topology:
     """Parse a topology document.
@@ -187,8 +176,7 @@ def parse_topology(text: str) -> Topology:
     in memory.
     """
     num_nodes = None
-    raw_links: list[tuple[int, int, int, float, int]] = []
-    seen_pairs: set[tuple[int, int]] = set()
+    links, link_lines = [], []  # each link, and the line that declared it
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -211,35 +199,22 @@ def parse_topology(text: str) -> Topology:
             if len(fields) != 5:
                 raise TopologyParseError("expected: link <a> <b> <delay_ms> <channels>", line_no)
             try:
-                a, b = int(fields[1]), int(fields[2])
-                delay_ms = float(fields[3])
-                channels = int(fields[4])
+                a, b, channels = int(fields[1]), int(fields[2]), int(fields[4])
+                link = Link(len(links), a, b, float(fields[3]) / 1000.0, channels)
             except ValueError:
                 raise TopologyParseError(f"bad link fields {fields[1:]!r}", line_no) from None
-            for end in (a, b):
-                if not 0 <= end < num_nodes:
-                    raise TopologyParseError(f"dangling node reference {end}", line_no)
-            pair = (min(a, b), max(a, b))
-            if pair in seen_pairs:
-                raise TopologyParseError(f"duplicate link between {pair[0]} and {pair[1]}", line_no)
-            seen_pairs.add(pair)
-            raw_links.append((line_no, a, b, delay_ms, channels))
+            except TopologyError as err:
+                raise TopologyParseError(str(err), line_no) from None
+            links.append(link)
+            link_lines.append(line_no)
         else:
             raise TopologyParseError(f"unknown directive {fields[0]!r}", line_no)
     if num_nodes is None:
         raise TopologyParseError("missing nodes header", 1)
-    links = []
-    for i, (line_no, a, b, delay_ms, channels) in enumerate(raw_links):
-        try:
-            links.append(Link(i, a, b, delay_ms / 1000.0, channels))
-        except TopologyError as err:
-            raise TopologyParseError(str(err), line_no) from None
-    return Topology(num_nodes, links)
-
-
-def read_topology(path) -> Topology:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_topology(fh.read())
+    try:
+        return Topology(num_nodes, links)
+    except TopologyError as err:  # a dangling or duplicate link: report its line
+        raise TopologyParseError(str(err), link_lines[err.link_id]) from None
 
 
 # Stand-in 8-node mesh: a bidirectional ring plus three chords.  Average

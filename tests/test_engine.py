@@ -8,6 +8,7 @@ import sys
 import textwrap
 from collections import Counter
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -336,8 +337,17 @@ def test_unknown_failure_link_rejected():
     (math.nan, 0, 2, 0.5),
     (-1.0, 0, 2, 0.5),
     (math.inf, 0, 2, 0.5),
+    (1.0, 1.0, 2, 0.5),  # 1.0 is "in" range(8) but indexes no list
+    (1.0, 0, 2.0, 0.5),
+    (None, 0, 2, 0.5),
+    (1.0, 0, 2, "0.5"),
+    (1.0, 0, 2),
+    (Decimal("1.0"), 0, 2, 0.5),  # the clock adds floats, which a Decimal refuses
+    (1.0, 0, 2, Decimal("0.5")),
 ], ids=["same-node", "no-such-node", "negative-node", "fractional-node", "negative-holding",
-        "zero-holding", "nan-holding", "inf-holding", "nan-time", "negative-time", "inf-time"])
+        "zero-holding", "nan-holding", "inf-holding", "nan-time", "negative-time", "inf-time",
+        "float-src", "float-dst", "none-time", "str-holding", "three-fields",
+        "decimal-time", "decimal-holding"])
 def test_malformed_pinned_arrival_refused_before_anything_runs(router, pinned):
     sim = Simulation(SimConfig(router=router, max_requests=3, seed=1))
     drawn = sim.arrivals

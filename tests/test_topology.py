@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from wdmsim.config import Scenario, validate_scenario
 from wdmsim.errors import (
     ChannelBusyError,
     ChannelFreeError,
@@ -61,11 +62,45 @@ def test_parse_error_carries_line_number():
     assert "line 3" in str(err.value)
 
 
+@pytest.mark.parametrize("bad_link, message", [
+    ("link 5 1 10 8", "dangling node reference: link 1 names node 5"),
+    ("link 1 5 10 8", "dangling node reference: link 1 names node 5"),
+    ("link 0 1 10 8", "duplicate link between 0 and 1"),
+    ("link 1 0 10 8", "duplicate link between 0 and 1"),
+], ids=["dangling-a", "dangling-b", "duplicate", "reversed-duplicate"])
+def test_structural_fault_names_the_declaring_line(bad_link, message):
+    """Topology refuses the link; the parser reports the line that declared it."""
+    text = ("# three nodes\nnodes 3\n\nlink 0 1 10 8\n  # next: the bad link\n\n"
+            f"{bad_link}\nlink 1 2 10 8\n")
+    with pytest.raises(TopologyParseError) as err:
+        parse_topology(text)
+    assert str(err.value) == f"line 7: {message}"
+    assert err.value.line_no == 7
+
+
+def test_link_fault_is_reported_before_a_structural_one():
+    # links are built as their lines are read; Topology checks the structure after
+    with pytest.raises(TopologyParseError, match="^line 4: self-loop link at node 2$"):
+        parse_topology("nodes 3\nlink 0 1 10 8\nlink 1 0 10 8\nlink 2 2 10 8\n")
+
+
+@pytest.mark.parametrize("ends, message", [
+    ((0, 3), "dangling node reference: link 1 names node 3"),
+    ((1, 0), "duplicate link between 0 and 1"),
+], ids=["dangling", "duplicate"])
+def test_topology_names_the_refused_link(ends, message):
+    links = [Link(0, 0, 1, 0.01, 8), Link(1, *ends, 0.01, 8), Link(2, 1, 2, 0.01, 8)]
+    with pytest.raises(TopologyError, match=f"^{message}$") as err:
+        Topology(3, links)
+    assert err.value.link_id == 1
+    assert not isinstance(err.value, TopologyParseError)
+
+
 def test_default_topology_is_ring_with_chords():
     topo = default_topology()
     assert topo.num_nodes == 8
     assert len(topo.links) == 11
-    assert topo.is_connected()
+    assert validate_scenario(Scenario()) == []  # connected: no warning
     assert all(l.total_channels == 8 for l in topo.links)
     assert all(l.delay == pytest.approx(0.010) for l in topo.links)
 
@@ -198,14 +233,6 @@ def test_hops_repeat_equal_and_missing_link_raises_every_time(square):
             square.hops((0, 2))
         with pytest.raises(TopologyError):
             square.hops((0, 1, 3))
-
-
-def test_connectivity_accounts_for_down_links(square):
-    assert square.is_connected()
-    square.links[0].up = False
-    assert square.is_connected()  # still a path the other way round
-    square.links[1].up = False
-    assert not square.is_connected()
 
 
 def test_snapshot_reflects_mutation(square):
