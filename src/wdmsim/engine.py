@@ -7,19 +7,18 @@ deterministic too.  Payloads are positional; a probe send carries its connection
 
 Only events that carry a decision are scheduled: the lifecycle (arrival,
 departure, link failure, link repair) and one pending probe send per
-candidate, which schedules the candidate's next send, across window
-boundaries, while that falls before the connection's departure.  No event
-closes a probe window or delivers an answer: the prober tallies each answer
-when its probe is sent, the next window's first send or a failure rerouting
-the connection closes the window, and a departure or drop counts the answers
-that landed strictly before it.  Sample ticks run while any event is pending,
-so the timeseries ends at the same tick whatever the router.  Each
-run binds its router once; a fresh setup, restoration included, goes through it.
-A connection's backups are its candidates' ``Hops``, ranked when a probe window
-closes; until then a failure looks them up with ``candidate_paths``, for either
-router, against the primary it still rides.  ``m`` is applied in one place, where
-restoration tries the backups.  Before it schedules anything, ``Simulation.run``
-refuses a replaced ``arrivals`` holding a bad time, holding or endpoint.
+candidate.  The engine schedules the sends a connection's ``ConnectionProber``
+names while they fall before the departure; the prober owns the window rule,
+so no event closes a window or delivers an answer, and a departure or drop
+adds the answers that landed before it.  Sample ticks run while any event is
+pending, so the timeseries ends at the same tick whatever the router.  Each
+run binds its router once; a fresh setup, restoration included, goes through
+it.  A probed connection's backups are its prober's ranking; one without a
+prober (the baseline's, or rftr's with no disjoint candidate) looks them up
+with ``candidate_paths`` at its first failure, against the primary it still
+rides.  ``m`` is applied in one place, where restoration tries the backups.
+Before it schedules anything, ``Simulation.run`` refuses a replaced
+``arrivals`` holding a bad time, holding or endpoint.
 """
 
 from __future__ import annotations
@@ -71,8 +70,8 @@ class Connection:
     arrival: float
     holding: float
     current: Lightpath | None = None
-    # candidates' own records, best first; None until a window ranks or a failure looks up
-    backups: list[Hops] | tuple[Hops, ...] | None = None
+    # a connection without a prober: backups looked up at its first failure
+    backups: tuple[Hops, ...] | None = None
     prober: ConnectionProber | None = None
 
 
@@ -311,35 +310,26 @@ class Simulation:
         cands = candidate_paths(self.topology, src, dst, result.lightpath, self.config.candidates_k)
         if cands:
             conn.prober = ConnectionProber(cands, self.probe_count, self.config.probe_interval)
-            for t, path_index, slot in conn.prober.open_windows(self.now):
-                self._schedule_send(conn, t, path_index, slot)
+            t = conn.prober.open_windows(self.now)
+            for path_index in range(len(cands)):
+                self._schedule_send(conn, t, path_index)
 
-    def _schedule_send(self, conn: Connection, t: float, path_index: int, slot: int) -> None:
+    def _schedule_send(self, conn: Connection, t: float, path_index: int) -> None:
         if t < conn.arrival + conn.holding:  # at or after the departure it would be stale
-            self.schedule(t, PROBE_SEND, conn, path_index, slot)
+            self.schedule(t, PROBE_SEND, conn, path_index)
 
-    def _on_probe_send(self, conn: Connection, path_index: int, slot: int) -> None:
+    def _on_probe_send(self, conn: Connection, path_index: int) -> None:
         if conn.current is None:
             return  # stale: the connection dropped before the probe went out
-        self._close_window(conn)
         prober = conn.prober
         outcome = probe_outcome(prober.candidates[path_index], self.config.conversion_mode)
         self.collector.on_probe_sent()
-        t = prober.sent(path_index, slot, outcome, self.now)
-        self._schedule_send(conn, t, path_index, (slot + 1) % prober.count)
-
-    def _close_window(self, conn: Connection) -> None:
-        """Rank the backups from a probe window that closed before now; open the next."""
-        prober = conn.prober
-        if prober is not None and prober.close_at < self.now:
-            conn.backups = prober.close_and_rank()
-            prober.open_windows(prober.close_at)
+        self._schedule_send(conn, prober.sent(path_index, outcome, self.now), path_index)
 
     def _count_answers(self, conn: Connection) -> None:
         """Count the probe answers that landed before the connection ended now."""
         if conn.prober is not None:
-            for outcome in conn.prober.landed(self.now):
-                self.collector.on_probe_feedback(outcome)
+            self.collector.on_probe_feedback(*conn.prober.landed(self.now))
 
     def _on_departure(self, conn_id: int) -> None:
         conn = self.connections.pop(conn_id, None)
@@ -352,20 +342,19 @@ class Simulation:
     def _on_link_failure(self, link_id: int) -> None:
         link = self.topology.links[link_id]
         link.up = False
-        affected = sorted(
-            (conn for conn in self.connections.values() if link.id in conn.current.hops.link_ids),
-            key=lambda c: c.id,
-        )
+        # ids rise in acceptance order, which the dict keeps
+        affected = [conn for conn in self.connections.values()
+                    if link.id in conn.current.hops.link_ids]
         # release every broken lightpath first so peers can reuse the capacity
         for conn in affected:
             release_lightpath(conn.current)
         for conn in affected:
-            self._close_window(conn)
-            if conn.backups is None:  # unranked, so still on its original primary
+            if conn.prober is None and conn.backups is None:  # still on its original primary
                 conn.backups = candidate_paths(self.topology, conn.src, conn.dst, conn.current,
                                                self.config.candidates_k)
+            backups = conn.prober.ranking(self.now) if conn.prober is not None else conn.backups
             new_lp = reroute(
-                conn.backups[: self.m], self.config.conversion_mode, self.config.conversion_time,
+                backups[: self.m], self.config.conversion_mode, self.config.conversion_time,
                 fallback_establish=lambda _, c=conn: self._establish(c.src, c.dst),
             )
             if new_lp is None:

@@ -17,8 +17,11 @@ class TopologyParseError(TopologyError):
     """Malformed topology document; carries the offending line number."""
 
     def __init__(self, message, line_no):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+        super().__init__(message)
+        self.line_no, self.args = line_no, (message, line_no)  # args: what unpickling passes back
+
+    def __str__(self):
+        return f"line {self.line_no}: {self.args[0]}"
 
 
 class NoSuchNodeError(SimError):

@@ -117,11 +117,9 @@ class MetricsCollector:
     def on_probe_sent(self):
         self.report.probes_sent += 1
 
-    def on_probe_feedback(self, outcome: str):
-        if outcome == "pack":
-            self.report.probe_packs += 1
-        else:
-            self.report.probe_nacks += 1
+    def on_probe_feedback(self, packs: int, nacks: int):  # one ended connection's answers
+        self.report.probe_packs += packs
+        self.report.probe_nacks += nacks
 
     def on_sample(self, topology: Topology, now: float):
         report = self.report

@@ -7,12 +7,14 @@ the route could currently carry a lightpath and NACK when it could not (no
 admissible wavelength; a down hop offers none, since its ``free_mask`` reads
 0).  A candidate is its route's memoised ``Hops``: a probe reads only their
 masks, and its answer lands one round trip, twice their delay, later.
-An answer is fixed when its probe is sent and is tallied then, in the
-window it lands in before the close.  The NACKed fraction of those answers
-is the route's blocking estimate, and at each close the candidates' own
-``Hops`` are ranked ascending by it; they are the backups, and a failure
-sets up on the best measured one first, resolving nothing.  Sub-optimal
-candidates keep receiving probes, so the ranking tracks load changes.
+``ConnectionProber`` owns the whole window rule: each candidate's slot and
+next send, the tally of an answer (fixed when its probe is sent, counted in
+the window it lands in before the close), the close, and the answers a
+connection's end counts.  The NACKed fraction of a window's answers is the
+route's blocking estimate, and at each close the candidates' own ``Hops``
+are ranked ascending by it; they are the backups, and a failure sets up on
+the best measured one first, resolving nothing.  Sub-optimal candidates
+keep receiving probes, so the ranking tracks load changes.
 
 The candidates are Yen's k shortest hop routes avoiding the primary's
 links, from ``routing.k_shortest_hop_paths``, whose per-graph memo every run
@@ -70,45 +72,55 @@ def probe_outcome(hops: tuple[tuple[Link, int], ...], mode: str = NO_CONVERSION)
 
 
 class ConnectionProber:
-    """Probe windows over one connection's candidate set.
+    """Probe windows over one connection's candidate set, and their ranking.
 
     Every window sends ``count`` evenly spaced probes down each candidate,
-    one per slot.  ``sent`` tallies a probe's answer into the open window's
-    PACK/NACK counts when it lands strictly before ``close_at``, and keeps
-    every answer's landing time for ``landed``.  The owner closes a window
-    once ``close_at`` has passed: a window's estimate is read once, when it
-    closes, so an answer landing at or after the close moves no ranking.
+    one per slot; the prober keeps each candidate's slot.  ``sent`` tallies
+    a probe's answer into the open window's PACK/NACK counts when it lands
+    strictly before ``close_at``, and keeps every answer's landing time for
+    ``landed``.  A window closes at the first send after ``close_at`` or when
+    a failure asks for the ranking, whichever comes first: its estimate is
+    read once, then, so an answer landing at or after the close moves no
+    ranking.  Until the first close the ranking is the candidate order.
     """
 
     def __init__(self, candidates: tuple[Hops, ...], count: int, interval: float):
         self.candidates = candidates
         self.count = count
         self.interval = interval
-        n = len(candidates)
-        self._acks = [0] * n
-        self._nacks = [0] * n
+        n = len(candidates)  # each candidate's next slot, and the open window's tallies
+        self._slots, self._acks, self._nacks = [0] * n, [0] * n, [0] * n
         self._landing: list[tuple[float, str]] = []  # (land, outcome) of every probe sent
+        self._ranked: list[Hops] | tuple[Hops, ...] = candidates
         self._opened_at, self.close_at = 0.0, math.inf  # the open window's span; none yet
 
-    def open_windows(self, now: float) -> list[tuple[float, int, int]]:
-        """Open a window; returns each candidate's first send, ``(time, path_index, slot)``."""
+    def open_windows(self, now: float) -> float:
+        """Open a window at ``now``; returns its first send, which every candidate shares."""
         self._opened_at, self.close_at = now, now + self.interval
-        start = now + self.interval / (self.count + 1)
-        return [(start, j, 0) for j in range(len(self.candidates))]
+        return now + self.interval / (self.count + 1)
 
-    def sent(self, path_index: int, slot: int, outcome: str, now: float) -> float:
-        """Record a probe sent at ``now``; returns the next slot's send, even in the next window."""
+    def ranking(self, now: float) -> list[Hops] | tuple[Hops, ...]:
+        """The candidates best first at ``now``; ranks a window closed before, opens the next."""
+        if self.close_at < now:
+            self.close_and_rank()
+            self.open_windows(self.close_at)
+        return self._ranked
+
+    def sent(self, path_index: int, outcome: str, now: float) -> float:
+        """Record a probe sent at ``now``; returns the candidate's next send, in any window."""
+        self.ranking(now)
         land = now + 2.0 * self.candidates[path_index].delay
         self._landing.append((land, outcome))
         if land < self.close_at:
             self.feedback(path_index, outcome)
-        slot = (slot + 1) % self.count
+        slot = self._slots[path_index] = (self._slots[path_index] + 1) % self.count
         opened_at = self.close_at if slot == 0 else self._opened_at
         return opened_at + (slot + 1) * self.interval / (self.count + 1)
 
-    def landed(self, now: float) -> list[str]:
-        """Outcomes of the answers landing strictly before ``now``, the connection's end."""
-        return [outcome for land, outcome in self._landing if land < now]
+    def landed(self, end: float) -> tuple[int, int]:
+        """(PACKs, NACKs) of the answers landing strictly before ``end``, the connection's end."""
+        outcomes = [outcome for land, outcome in self._landing if land < end]
+        return outcomes.count(PACK), outcomes.count(NACK)
 
     def feedback(self, path_index: int, outcome: str) -> None:
         tally = self._acks if outcome == PACK else self._nacks
@@ -116,19 +128,17 @@ class ConnectionProber:
 
     def estimates(self) -> list[float]:
         """Open window's NACKed fraction of resolved probes; no evidence counts as 1.0."""
-        return [
-            nack / (ack + nack) if ack + nack else 1.0
-            for ack, nack in zip(self._acks, self._nacks)
-        ]
+        return [nack / (ack + nack) if ack + nack else 1.0
+                for ack, nack in zip(self._acks, self._nacks)]
 
     def close_and_rank(self) -> list[Hops]:
-        """Close the open window; every candidate ascending by (estimate, hops, route)."""
+        """Close the open window; rank every candidate ascending by (estimate, hops, route)."""
         estimates = self.estimates()
         routes = [hops.route for hops in self.candidates]
         order = sorted(range(len(routes)), key=lambda j: (estimates[j], len(routes[j]), routes[j]))
-        self._acks = [0] * len(routes)
-        self._nacks = [0] * len(routes)
-        return [self.candidates[j] for j in order]
+        self._acks, self._nacks = [0] * len(routes), [0] * len(routes)
+        self._ranked = [self.candidates[j] for j in order]
+        return self._ranked
 
 
 def reroute(

@@ -109,8 +109,6 @@ class Topology:
     """Validated network graph with deterministic adjacency ordering."""
 
     def __init__(self, num_nodes: int, links: list[Link]):
-        if num_nodes < 1:
-            raise TopologyError("topology needs at least one node")
         self.num_nodes = num_nodes
         self.links = list(links)
         # the structure alone: what a hop-count route search reads

@@ -214,9 +214,10 @@ def hops_of(route, delay: float = 0.0) -> Hops:
 def window_probes(prober, now: float) -> list[tuple[float, int, int]]:
     """Open a window; every ``(time, path_index, slot)`` it sends, candidate by candidate.
 
-    ``open_windows`` returns only each candidate's first send; slot ``s`` of
-    the window's ``count`` goes out ``s + 1`` spacings after it opens, a
-    spacing being the window's span over ``count + 1``.
+    ``open_windows`` returns only the first send, which every candidate
+    shares; slot ``s`` of the window's ``count`` goes out ``s + 1`` spacings
+    after it opens, a spacing being the window's span over ``count + 1``.
     """
+    prober.open_windows(now)
     return [(now + (s + 1) * prober.interval / (prober.count + 1), j, s)
-            for _, j, _ in prober.open_windows(now) for s in range(prober.count)]
+            for j in range(len(prober.candidates)) for s in range(prober.count)]

@@ -90,7 +90,7 @@ def test_criterion_1_formula_fidelity(capsys):
     # NACK fraction over resolved probes, plus the no-evidence sentinel
     prober = one_route_prober(10)
     for t, j, slot in window_probes(prober, 0.0):
-        prober.sent(j, slot, NACK if slot < 3 else PACK, t)
+        prober.sent(j, NACK if slot < 3 else PACK, t)
     assert prober.estimates() == [float(Fraction(3, 10))]
     assert one_route_prober(10).estimates() == [1.0]
 
@@ -166,7 +166,7 @@ def test_criterion_3_estimator_convergence(capsys):
             sends = window_probes(prober, 0.5 * w)
             assert len(sends) == N
             for t, j, slot in sends:
-                prober.sent(j, slot, NACK if rng.random() < p else PACK, t)
+                prober.sent(j, NACK if rng.random() < p else PACK, t)
             [estimate] = prober.estimates()
             prober.close_and_rank()
             if abs(estimate - p) <= 3 * sigma:

@@ -512,9 +512,9 @@ def test_send_queued_before_a_drop_is_ignored(monkeypatch):
     sends = []
     sent = ConnectionProber.sent
 
-    def recording(prober, path_index, slot, outcome, now):
+    def recording(prober, path_index, outcome, now):
         sends.append(now)
-        return sent(prober, path_index, slot, outcome, now)
+        return sent(prober, path_index, outcome, now)
 
     monkeypatch.setattr(ConnectionProber, "sent", recording)
     report, _ = landing_run(monkeypatch, 62.5, 2.0, failures=[(1.0, 2), (1.0, 0)])
@@ -598,7 +598,8 @@ def test_a_restore_sets_up_on_the_probers_own_record(monkeypatch):
 # is back, cuts [0,2,1].  Backups disjoint from [0,2,1] would start with the
 # repaired [0,1]; those disjoint from the original primary go to [0,3,1].
 # rftr's schedule ends inside its first probe window (closing at 0.5 s), so
-# no ranking moves its backups: both routers take them from one lookup.
+# its backups are its prober's candidates in candidate order: both routers
+# take them from one lookup.
 DIAMOND_SCHEDULES = {  # router -> (failures, repairs)
     ROUTER_BASELINE: ([(1.0, 0), (2.0, 1)], [(1.5, 0)]),
     ROUTER_RFTR: ([(0.1, 0), (0.3, 1)], [(0.2, 0)]),
@@ -626,9 +627,9 @@ def test_unranked_backups_stay_disjoint_from_the_original_primary(monkeypatch, r
     assert tried == [[(0, 2, 1), (0, 3, 1)]] * 2
     assert restored_onto == [(0, 2, 1), (0, 3, 1)]
     assert report.restored == 1 and report.dropped == 0  # one connection, restored twice
-    # every lookup bans the original primary's link; the baseline's is at the
-    # first failure, rftr's at setup, for its candidates, and at the first failure
-    assert [call[4] for call in calls] == [frozenset({0})] * (2 if router == ROUTER_RFTR else 1)
+    # the one lookup bans the original primary's link; the baseline's is at the
+    # first failure, rftr's at setup, for the candidates its prober holds
+    assert [call[4] for call in calls] == [frozenset({0})]
 
 
 @pytest.mark.parametrize("holding", [0.2, 0.25])

@@ -154,9 +154,8 @@ def test_probe_counters():
     collector = MetricsCollector(CONFIG)
     for _ in range(5):
         collector.on_probe_sent()
-    collector.on_probe_feedback("pack")
-    collector.on_probe_feedback("nack")
-    collector.on_probe_feedback("nack")
+    collector.on_probe_feedback(1, 0)  # one call per ended connection: (packs, nacks)
+    collector.on_probe_feedback(0, 2)
     report = collector.finalize()
     assert (report.probes_sent, report.probe_packs, report.probe_nacks) == (5, 1, 2)
 

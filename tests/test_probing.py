@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 import threading
@@ -259,7 +260,7 @@ def test_candidate_rtts_are_twice_the_hop_delays():
     assert len(set(delays)) == 3  # a misaligned round trip would show
     prober = ConnectionProber(cands, 1, 0.5)
     for j in range(3):
-        prober.sent(j, 0, PACK, 0.0)
+        prober.sent(j, PACK, 0.0)
     assert [land for land, _ in prober._landing] == [2.0 * delay for delay in delays]
 
 
@@ -300,7 +301,7 @@ def ranked_routes(prober):
 def send_window(prober, now, outcome_of):
     """Open a window and send each of its probes; ``outcome_of(path_index, slot)`` answers."""
     for t, j, slot in window_probes(prober, now):
-        prober.sent(j, slot, outcome_of(j, slot), t)
+        prober.sent(j, outcome_of(j, slot), t)
 
 
 def test_effective_count_adapts_to_load():
@@ -319,32 +320,30 @@ def test_simulation_derives_probe_count_from_aggregate_rate():
 
 def test_a_window_spaces_its_sends_evenly_and_tallies_each_answer_once():
     prober = make_prober(paths=[(0, 1, 9)], probes=4)
-    [(t, j, slot)] = prober.open_windows(2.0)
-    sends = []
-    for _ in range(prober.count):  # each send names the time of the next one
-        sends.append((t, j, slot))
-        t, slot = prober.sent(j, slot, NACK if slot else PACK, t), (slot + 1) % prober.count
-    assert [slot for _, _, slot in sends] == [0, 1, 2, 3]
+    t, sends = prober.open_windows(2.0), []
+    for slot in range(prober.count):  # each send names the time of the next one
+        sends.append((t, 0, slot))
+        t = prober.sent(0, NACK if slot else PACK, t)
     assert [t for t, _, _ in sends] == pytest.approx([2.1, 2.2, 2.3, 2.4])
     assert sends == [(pytest.approx(t), j, slot) for t, j, slot in window_probes(
         make_prober(paths=[(0, 1, 9)], probes=4), 2.0)]
     # the last slot names the next window's first send: its close at 2.5 plus one spacing
-    assert (t, slot) == (pytest.approx(2.6), 0)
+    assert t == pytest.approx(2.6)
     # every sent probe's answer is tallied once, in the window it was sent in
-    assert prober.landed(2.5) == [PACK, NACK, NACK, NACK]
+    assert prober.landed(2.5) == (1, 3)
     assert prober.estimates() == [3 / 4]
 
 
 def test_answers_land_one_round_trip_after_the_send():
     prober = make_prober(probes=1, delays=(0.125, 0.25))
-    assert prober.open_windows(0.0) == [(0.25, 0, 0), (0.25, 1, 0)]
+    assert prober.open_windows(0.0) == 0.25  # every candidate's first send
     # one slot a window: the next send is the next window's, 0.25 s after its 0.5 s open
-    assert prober.sent(0, 0, PACK, 0.25) == 0.75
-    assert prober.sent(1, 0, NACK, 0.25) == 0.75
-    assert prober.landed(0.5) == []  # landing at 0.5 is not before 0.5
-    assert prober.landed(0.75) == [PACK]
-    assert prober.landed(0.76) == [PACK, NACK]
-    assert prober.landed(10.0) == [PACK, NACK]  # reading the landings consumes none
+    assert prober.sent(0, PACK, 0.25) == 0.75
+    assert prober.sent(1, NACK, 0.25) == 0.75
+    assert prober.landed(0.5) == (0, 0)  # landing at 0.5 is not before 0.5
+    assert prober.landed(0.75) == (1, 0)
+    assert prober.landed(0.76) == (1, 1)
+    assert prober.landed(10.0) == (1, 1)  # reading the landings consumes none
     # both land at or after the window's close at 0.5, so neither moves its estimate
     assert prober.estimates() == [1.0, 1.0]
 
@@ -459,15 +458,17 @@ def test_prober_initial_backups_follow_candidate_order(monkeypatch):
     conn = sim.connections[0]
     routes = [(0, 4, 3, 2), (0, 7, 6, 2), (0, 4, 5, 6, 2)]
     assert conn.prober.candidates == tuple(sim.topology.hops(route) for route in routes)
-    assert conn.backups is None  # nothing ranked yet
+    assert conn.prober.ranking(sim.now) is conn.prober.candidates  # nothing ranked yet
     tried = []
     reroute = wdmsim.engine.reroute
     monkeypatch.setattr(wdmsim.engine, "reroute",
                         lambda backups, *args, **kwargs: tried.append(backups)
                         or reroute(backups, *args, **kwargs))
     sim._on_link_failure(sim.topology.hops((0, 1))[0][0].id)  # the primary is (0, 1, 2)
-    assert conn.backups == conn.prober.candidates  # the candidates' own records
-    assert [[hops.route for hops in backups] for backups in tried] == [routes[:2]]
+    [backups] = tried
+    assert [hops.route for hops in backups] == routes[:2]
+    assert all(map(operator.is_, backups, conn.prober.candidates))  # the candidates' own records
+    assert conn.backups is None  # the prober holds them: no lookup at the failure
     assert conn.current.hops is conn.prober.candidates[0]
 
 
@@ -476,24 +477,25 @@ def test_prober_reranks_on_measured_blocking():
     sends = window_probes(prober, 0.0)
     assert len(sends) == 8  # 4 probes x 2 candidates
     for t, j, slot in sends:
-        prober.sent(j, slot, NACK if j == 0 else PACK, t)
+        prober.sent(j, NACK if j == 0 else PACK, t)
     assert ranked_routes(prober) == [(0, 2, 9), (0, 1, 9)]
 
 
-def test_prober_sequences_continue_across_windows():
-    # one chain of sends, each naming the next, runs through the close at 0.6;
-    # the first window's probes PACK and the second's NACK
+def test_prober_sequences_continue_across_windows(monkeypatch):
+    # one chain of sends, each naming the next, runs through the close at 0.6,
+    # which the next window's first send makes; the first window's probes PACK
+    # and the second's NACK
+    estimates = []
+    close = ConnectionProber.close_and_rank
+    monkeypatch.setattr(ConnectionProber, "close_and_rank",
+                        lambda prober: estimates.append(prober.estimates()) or close(prober))
     prober = make_prober(paths=[(0, 1, 9)], probes=2, interval=0.6)
-    [(t, j, slot)] = prober.open_windows(0.0)
-    sends, estimates = [], []
+    t, sends = prober.open_windows(0.0), []
     for _ in range(4):
-        if prober.close_at < t:  # as the owner does at the next window's first send
-            estimates.append(prober.estimates())
-            prober.close_and_rank()
-            prober.open_windows(prober.close_at)
-        sends.append((t, slot))
-        t, slot = prober.sent(j, slot, PACK if t < 0.6 else NACK, t), (slot + 1) % prober.count
-    assert sends == [(pytest.approx(t), s) for t, s in [(0.2, 0), (0.4, 1), (0.8, 0), (1.0, 1)]]
+        sends.append(t)
+        t = prober.sent(0, PACK if t < 0.6 else NACK, t)
+    assert sends == pytest.approx([0.2, 0.4, 0.8, 1.0])  # slots 0, 1, then 0, 1 again
+    assert prober.close_at == pytest.approx(1.2)  # the send at 0.8 opened the next window
     estimates.append(prober.estimates())
     assert estimates == [[0.0], [1.0]]  # each window tallies only its own answers
 
@@ -509,17 +511,21 @@ def test_prober_accepts_feedback_after_rollover():
     prober.close_and_rank()
     prober.open_windows(0.5)
     assert prober.estimates() == [1.0, 1.0]  # ... not even the next window's
-    assert sorted(prober.landed(0.5)) == [PACK] * 4  # but they still land, for the totals
-    assert sorted(prober.landed(0.76)) == [NACK] * 4 + [PACK] * 4
+    assert prober.landed(0.5) == (4, 0)  # but they still land, for the totals
+    assert prober.landed(0.76) == (4, 4)
 
 
 def test_prober_keeps_probing_suboptimal_candidates():
-    prober = make_prober()
-    prober.open_windows(0.0)
-    assert ranked_routes(prober)[0] == (0, 1, 9)  # the one a failure tries first
-    sends = prober.open_windows(0.5)
-    probed_paths = {j for _, j, _ in sends}
-    assert probed_paths == {0, 1}  # both candidates, not just the chosen one
+    # the candidates share their send instants, and each keeps its own slot
+    prober = make_prober(probes=2, interval=0.6)
+    t = prober.open_windows(0.0)
+    for next_t in (0.4, 0.8):  # the window's second slot, then the next window's first
+        sends = [prober.sent(j, NACK if j == 0 else PACK, t) for j in (0, 1)]
+        assert sends == pytest.approx([next_t, next_t])
+        t = next_t
+    assert prober.ranking(t)[0].route == (0, 2, 9)  # the one a failure tries first
+    # both candidates keep their sends in the next window, not just the chosen one
+    assert [prober.sent(j, PACK, t) for j in (0, 1)] == pytest.approx([1.0, 1.0])
 
 
 def test_prober_all_sentinel_rank_keeps_candidate_order():
@@ -547,7 +553,7 @@ def test_prober_ranking_matches_on_time_oracle(data):
         on_time = []  # (path_index, outcome) of the answers landing before the close
         for t, j, slot in window_probes(prober, now):
             outcome = data.draw(st.sampled_from([PACK, NACK]))
-            prober.sent(j, slot, outcome, t)
+            prober.sent(j, outcome, t)
             answers.append((t + rtts[j], outcome))
             if t + rtts[j] < close_at:
                 on_time.append((j, outcome))
@@ -555,7 +561,8 @@ def test_prober_ranking_matches_on_time_oracle(data):
     assert prober.estimates() == [1.0] * len(paths)
     end = data.draw(st.one_of(st.sampled_from([land for land, _ in answers]),
                               st.floats(0.0, 3.0)), label="end")
-    assert sorted(prober.landed(end)) == sorted(o for land, o in answers if land < end)
+    landed = [outcome for land, outcome in answers if land < end]
+    assert prober.landed(end) == (landed.count(PACK), landed.count(NACK))
 
 
 # -- reroute ------------------------------------------------------------------

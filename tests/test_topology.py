@@ -1,11 +1,15 @@
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
+import wdmsim
 from wdmsim.config import Scenario, validate_scenario
 from wdmsim.errors import (
     ChannelBusyError,
     ChannelFreeError,
     LinkDownError,
+    SimError,
     TopologyError,
     TopologyParseError,
 )
@@ -60,6 +64,36 @@ def test_parse_error_carries_line_number():
     with pytest.raises(TopologyParseError) as err:
         parse_topology("nodes 2\n# fine\nlink 0 9 10 8\n")
     assert "line 3" in str(err.value)
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("nodes 2\n# again\nnodes 3\n", 3, "duplicate nodes header"),
+    ("# size\nnodes 2 3\n", 2, "expected: nodes <count>"),
+    ("nodes two\n", 1, "bad node count 'two'"),
+    ("nodes 2\nlink 0 1 ten 8\n", 2, "bad link fields ['0', '1', 'ten', '8']"),
+    ("# no header\n\n", 1, "missing nodes header"),
+], ids=["duplicate-header", "header-fields", "non-integer-count", "non-numeric-link",
+        "missing-header"])
+def test_parse_refusal_names_its_line(text, line_no, message):
+    with pytest.raises(TopologyParseError) as err:
+        parse_topology(text)
+    assert err.value.line_no == line_no
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+EXPORTED_ERRORS = [error for error in map(vars(wdmsim).get, wdmsim.__all__)
+                   if isinstance(error, type) and issubclass(error, SimError)]
+ERROR_ARGS = {TopologyError: ("refused", 2), TopologyParseError: ("refused", 3)}
+
+
+@pytest.mark.parametrize("cls", EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_exported_error_survives_pickling(cls):
+    # a process pool hands a refusal back to its parent pickled
+    err = cls(*ERROR_ARGS.get(cls, ("refused",)))
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is cls and str(back) == str(err)
+    for attr in ("line_no", "link_id"):
+        assert getattr(back, attr, None) == getattr(err, attr, None)
 
 
 @pytest.mark.parametrize("bad_link, message", [
