@@ -5,6 +5,10 @@ router and sweep value), ``runs.csv`` (one row per individual run when
 sweeping), and ``timeseries_<run-id>.csv`` per run.  Outputs are
 byte-identical across repeat invocations.  Runs go one after another on one
 thread: threads only took turns on the interpreter lock, and were slower.
+A sweep value changes only a run's traffic, never its network, so a sweep
+builds its topology once and every run shares it, with the routes it has
+resolved; between runs every link is set back up and the channels must read
+as built, so no state passes from one run to the next.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from .config import (
     unique_seeds,
     validate_scenario,
 )
-from .engine import run
-from .errors import ConfigError, SimError
+from .engine import build_topology, run
+from .errors import ConfigError, InvariantError, SimError
 
 
 @dataclass
@@ -69,6 +73,10 @@ def _aggregate(scenario: Scenario, router: str, sweep_value, outcomes: list[RunO
 def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResult:
     """One run per (router, sweep value, seed) on the calling thread, writing every CSV.
 
+    The runs share one topology, built from ``scenario.base`` once the first
+    run's config is checked, so a refusal comes in the order a lone run gives
+    it.  After each run every link is set back up, since a failure need not
+    be repaired, and the channels must read as built, or ``InvariantError``.
     Needs a seed.  ``workers`` changes nothing: it stays, refused below 1, only
     because ``perfbench/workloads.py`` passes ``workers=wl.threads``."""
     if not scenario.seeds:
@@ -77,13 +85,20 @@ def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResul
         raise ConfigError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
     sweep_values = scenario.sweep_values if scenario.sweep_param != SWEEP_NONE else [None]
+    keys = [(router, value, seed) for router in scenario.routers()
+            for value in sweep_values for seed in scenario.seeds]
+    scenario.config_for(*keys[0]).validate()
+    topology = build_topology(scenario.base)
+    built = topology.occupancy_snapshot()
     outcomes = []
-    for router in scenario.routers():
-        for value in sweep_values:
-            for seed in scenario.seeds:
-                report = run(scenario.config_for(router, value, seed))
-                report.scenario = scenario.run_label(router, value, seed)
-                outcomes.append(RunOutcome(value, report))
+    for key in keys:
+        report = run(scenario.config_for(*key), topology=topology)
+        report.scenario = scenario.run_label(*key)
+        outcomes.append(RunOutcome(key[1], report))
+        for link in topology.links:
+            link.up = True
+        if topology.occupancy_snapshot() != built:
+            raise InvariantError(f"{report.scenario} left channels held on the shared topology")
     outcomes.sort(key=lambda o: (o.report.router, o.sweep_value or 0, o.report.seed))
 
     aggregate_rows = []

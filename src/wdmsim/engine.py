@@ -13,10 +13,11 @@ so no event closes a window or delivers an answer, and a departure or drop
 adds the answers that landed before it.  Sample ticks run while any event is
 pending, so the timeseries ends at the same tick whatever the router.  Each
 run binds its router once; a fresh setup, restoration included, goes through
-it.  A probed connection's backups are its prober's ranking; one without a
-prober (the baseline's, or rftr's with no disjoint candidate) looks them up
-with ``candidate_paths`` at its first failure, against the primary it still
-rides.  ``m`` is applied in one place, where restoration tries the backups.
+it.  A probed connection's backups are its prober's ranking; an rftr
+connection with no disjoint candidate keeps its empty setup lookup as its
+backups, and a baseline connection looks them up with ``candidate_paths`` at
+its first failure, against the primary it still rides.  ``m`` is applied in
+one place, where restoration tries the backups.
 Before it schedules anything, ``Simulation.run`` refuses a replaced
 ``arrivals`` holding a bad time, holding or endpoint.
 """
@@ -70,7 +71,8 @@ class Connection:
     arrival: float
     holding: float
     current: Lightpath | None = None
-    # a connection without a prober: backups looked up at its first failure
+    # a connection without a prober: rftr's empty lookup at setup, else the
+    # baseline's lookup at its first failure
     backups: tuple[Hops, ...] | None = None
     prober: ConnectionProber | None = None
 
@@ -313,6 +315,8 @@ class Simulation:
             t = conn.prober.open_windows(self.now)
             for path_index in range(len(cands)):
                 self._schedule_send(conn, t, path_index)
+        else:
+            conn.backups = cands  # empty, so a failure need not look them up again
 
     def _schedule_send(self, conn: Connection, t: float, path_index: int) -> None:
         if t < conn.arrival + conn.holding:  # at or after the departure it would be stale

@@ -61,13 +61,13 @@ def packets_for(carried_s: float, config) -> int:
 
 
 def sample_utilization(topology: Topology) -> float:
-    """Occupied fraction of the channels on up links, both lanes counted."""
-    up = [link for link in topology.links if link.up]
-    total = sum(2 * link.total_channels for link in up)
-    if total == 0:
-        return 0.0
-    free = sum(link.free_count(FORWARD) + link.free_count(REVERSE) for link in up)
-    return (total - free) / total
+    """Occupied fraction of the channels on up links, both lanes counted, in one pass."""
+    total = free = 0
+    for link in topology.links:
+        if link.up:
+            total += 2 * link.total_channels
+            free += link.free_mask(FORWARD).bit_count() + link.free_mask(REVERSE).bit_count()
+    return (total - free) / total if total else 0.0
 
 
 class MetricsCollector:

@@ -9,8 +9,9 @@ import pytest
 
 import wdmsim.cli
 from wdmsim.cli import main, run_scenario
-from wdmsim.config import parse_config
-from wdmsim.errors import ConfigError
+from wdmsim.config import Scenario, parse_config
+from wdmsim.engine import SimConfig, run
+from wdmsim.errors import ConfigError, InvariantError, TopologyError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -168,15 +169,75 @@ def test_run_scenario_runs_every_simulation_on_the_calling_thread(tmp_path, monk
     seen = []
     simulate = wdmsim.cli.run
 
-    def recording(config):
+    def recording(config, *, topology):
         seen.append((threading.get_ident(), threading.active_count()))
-        return simulate(config)
+        return simulate(config, topology=topology)
 
     monkeypatch.setattr(wdmsim.cli, "run", recording)
     before = threading.active_count()
     result = run_scenario(parse_config(SWEEP_CFG), tmp_path / "out", workers=2)
     assert len(seen) == len(result.runs) == 8
     assert set(seen) == {(threading.get_ident(), before)}
+
+
+# a 5-node ring with one chord, 2 wavelengths a link
+RING_TOPO = "nodes 5\n" + "".join(
+    f"link {a} {b} 10 2\n" for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+
+
+def test_sweep_runs_share_a_topology_yet_match_fresh_runs(tmp_path):
+    # link 0 fails at 1 s and is never repaired: a run that handed its down
+    # link to the next would change every later run's report
+    topo = write(tmp_path, "ring.topo", RING_TOPO)
+    scenario = parse_config(f"topology = {topo}\nrouter = both\nseeds = 1, 2\n"
+                            "arrival_rate = 4.0\nholding_time = 0.5\nmax_requests = 60\n"
+                            "failures = 1.0:0\n")
+    result = run_scenario(scenario, tmp_path / "out")
+    assert len(result.runs) == 4
+    for outcome in result.runs:
+        report = outcome.report
+        fresh = run(scenario.config_for(report.router, None, report.seed))
+        fresh.scenario = report.scenario
+        assert report == fresh
+    assert sum(o.report.restored + o.report.dropped for o in result.runs) > 0
+
+
+def test_run_scenario_builds_one_topology(tmp_path, monkeypatch):
+    built = []
+    build = wdmsim.cli.build_topology
+    monkeypatch.setattr(wdmsim.cli, "build_topology",
+                        lambda config: built.append(config) or build(config))
+    result = run_scenario(parse_config(SWEEP_CFG), tmp_path / "out")
+    assert len(result.runs) == 8
+    assert len(built) == 1
+
+
+def test_a_run_that_leaks_a_channel_stops_the_sweep(tmp_path, monkeypatch):
+    simulate = wdmsim.cli.run
+
+    def leaking(config, *, topology):
+        report = simulate(config, topology=topology)
+        topology.links[0].occupy(0, 0)
+        return report
+
+    monkeypatch.setattr(wdmsim.cli, "run", leaking)
+    out = tmp_path / "out"
+    with pytest.raises(InvariantError, match="left channels held"):
+        run_scenario(parse_config(SWEEP_CFG), out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("base, error, message", [
+    # checked before the topology is built, as a lone run checks it
+    (SimConfig(wavelengths=0), ConfigError, "wavelengths must be >= 1"),
+    (SimConfig(topology_file="no-such.topo"), TopologyError, "topology file no-such.topo"),
+])
+def test_run_scenario_refuses_in_a_lone_runs_order(tmp_path, monkeypatch, base, error, message):
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "out"
+    with pytest.raises(error, match=message):
+        run_scenario(Scenario(base=base, seeds=[1, 2]), out)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("seeds, workers", [([], 1), ([1], 0), ([1], -3)])

@@ -632,6 +632,21 @@ def test_unranked_backups_stay_disjoint_from_the_original_primary(monkeypatch, r
     assert [call[4] for call in calls] == [frozenset({0})]
 
 
+def test_an_rftr_connection_with_no_disjoint_candidate_looks_up_once(monkeypatch):
+    # on a chain nothing is disjoint from the primary 0-1-2: the failure keeps
+    # the empty setup lookup, falls back to a fresh setup, and drops
+    lookups = []
+    lookup = wdmsim.engine.candidate_paths
+    monkeypatch.setattr(wdmsim.engine, "candidate_paths",
+                        lambda *args: lookups.append(args[1:3]) or lookup(*args))
+    cfg = SimConfig(router=ROUTER_RFTR, max_requests=1, failures=[(1.0, 0)])
+    sim = Simulation(cfg, topology=parse_topology(CHAIN), audit=True)
+    sim.arrivals = [(0.0, 0, 2, 5.0)]
+    report = sim.run()
+    assert lookups == [(0, 2)]
+    assert report.dropped == 1 and report.probes_sent == 0
+
+
 @pytest.mark.parametrize("holding", [0.2, 0.25])
 def test_session_ending_by_its_first_slot_sends_no_probe(monkeypatch, holding):
     # the first send would be at 0.25 s: at or after the departure, none is scheduled
