@@ -7,17 +7,17 @@ deterministic too.  Payloads are positional; a probe send carries its connection
 
 Only events that carry a decision are scheduled: the lifecycle (arrival,
 departure, link failure, link repair) and one pending probe send per
-candidate.  The engine schedules the sends a connection's ``ConnectionProber``
-names while they fall before the departure; the prober owns the window rule,
-so no event closes a window or delivers an answer, and a departure or drop
-adds the answers that landed before it.  Sample ticks run while any event is
-pending, so the timeseries ends at the same tick whatever the router.  Each
-run binds its router once; a fresh setup, restoration included, goes through
-it.  A probed connection's backups are its prober's ranking; an rftr
-connection with no disjoint candidate keeps its empty setup lookup as its
-backups, and a baseline connection looks them up with ``candidate_paths`` at
-its first failure, against the primary it still rides.  ``m`` is applied in
-one place, where restoration tries the backups.
+candidate.  The engine schedules the sends each ``ConnectionProber`` names; the
+prober owns the window rule, so no send falls at or after the departure and no
+event closes a window or delivers an answer.  A departure or drop adds the
+connection's probes and the answers that landed before it.  Sample ticks run
+while any event is pending, so the timeseries ends at the same tick whatever
+the router.  A run reads its conversion mode and binds its router once; a fresh
+setup, restoration included, goes through it.  A probed connection's backups
+are its prober's ranking; an rftr connection with no disjoint candidate keeps
+its empty lookup as its backups, and a baseline connection looks them up with
+``candidate_paths`` at its first failure, against the primary it still rides.
+``m`` is applied where restoration tries the backups.
 Before it schedules anything, ``Simulation.run`` refuses a replaced
 ``arrivals`` holding a bad time, holding or endpoint.
 """
@@ -215,6 +215,7 @@ class Simulation:
             config.probes_per_interval, config.adaptive_scale, config.aggregate_rate
         )
         self.m = config.backups_m if config.backups_m is not None else config.candidates_k
+        self.mode = config.conversion_mode
         # rftr routes by Dijkstra over load-aware costs, the baseline by the
         # memoised least-hop route over up links; bound to the topology, not
         # to self, so a Simulation holds no reference cycle
@@ -223,7 +224,7 @@ class Simulation:
             if config.router == ROUTER_RFTR
             else establish_baseline
         )
-        self._establish = partial(router, self.topology, mode=config.conversion_mode,
+        self._establish = partial(router, self.topology, mode=self.mode,
                                   conversion_time=config.conversion_time)
         self.rng = random.Random(config.seed)
         self.now = 0.0
@@ -264,10 +265,10 @@ class Simulation:
         handlers = self._HANDLERS
         while heap:
             time, _, kind, args = heapq.heappop(heap)
-            if time < self.now - 1e-12:
-                raise InvariantError("event clock went backwards")
             if time > self.now:
                 self.now = time
+            elif time < self.now - 1e-12:
+                raise InvariantError("event clock went backwards")
             handlers[kind](self, *args)
 
         if self.audit:
@@ -311,35 +312,35 @@ class Simulation:
             return  # the baseline never probes
         cands = candidate_paths(self.topology, src, dst, result.lightpath, self.config.candidates_k)
         if cands:
-            conn.prober = ConnectionProber(cands, self.probe_count, self.config.probe_interval)
+            conn.prober = ConnectionProber(cands, self.probe_count, self.config.probe_interval,
+                                           self.now + conn.holding)
             t = conn.prober.open_windows(self.now)
-            for path_index in range(len(cands)):
-                self._schedule_send(conn, t, path_index)
+            if t is not None:
+                for path_index in range(len(cands)):
+                    self.schedule(t, PROBE_SEND, conn, path_index)
         else:
             conn.backups = cands  # empty, so a failure need not look them up again
-
-    def _schedule_send(self, conn: Connection, t: float, path_index: int) -> None:
-        if t < conn.arrival + conn.holding:  # at or after the departure it would be stale
-            self.schedule(t, PROBE_SEND, conn, path_index)
 
     def _on_probe_send(self, conn: Connection, path_index: int) -> None:
         if conn.current is None:
             return  # stale: the connection dropped before the probe went out
         prober = conn.prober
-        outcome = probe_outcome(prober.candidates[path_index], self.config.conversion_mode)
-        self.collector.on_probe_sent()
-        self._schedule_send(conn, prober.sent(path_index, outcome, self.now), path_index)
+        outcome = probe_outcome(prober.candidates[path_index], self.mode)
+        t = prober.sent(path_index, outcome, self.now)
+        if t is not None:
+            self.schedule(t, PROBE_SEND, conn, path_index)
 
-    def _count_answers(self, conn: Connection) -> None:
-        """Count the probe answers that landed before the connection ended now."""
+    def _count_probes(self, conn: Connection) -> None:
+        """Count the probes a connection sent, and the answers that landed before it ended now."""
         if conn.prober is not None:
+            self.collector.on_probe_sent(len(conn.prober.landings))
             self.collector.on_probe_feedback(*conn.prober.landed(self.now))
 
     def _on_departure(self, conn_id: int) -> None:
         conn = self.connections.pop(conn_id, None)
         if conn is None:
             return  # stale departure for a dropped session
-        self._count_answers(conn)
+        self._count_probes(conn)
         release_lightpath(conn.current)
         self.collector.on_completed(conn, self.now)
 
@@ -358,12 +359,12 @@ class Simulation:
                                                self.config.candidates_k)
             backups = conn.prober.ranking(self.now) if conn.prober is not None else conn.backups
             new_lp = reroute(
-                backups[: self.m], self.config.conversion_mode, self.config.conversion_time,
+                backups[: self.m], self.mode, self.config.conversion_time,
                 fallback_establish=lambda _, c=conn: self._establish(c.src, c.dst),
             )
             if new_lp is None:
                 del self.connections[conn.id]
-                self._count_answers(conn)
+                self._count_probes(conn)
                 conn.current = None
                 self.collector.on_dropped(conn, self.now)
             else:
@@ -397,7 +398,7 @@ class Simulation:
     # -- invariant checks: explicit raises, so they hold under ``python -O`` --
 
     def _check_continuity(self, lp: Lightpath) -> None:
-        if self.config.conversion_mode == NO_CONVERSION and len(set(lp.wavelengths)) > 1:
+        if self.mode == NO_CONVERSION and len(set(lp.wavelengths)) > 1:
             raise InvariantError("wavelength continuity violated")
 
     def _check_failure_safety(self) -> None:

@@ -114,8 +114,8 @@ class MetricsCollector:
         self._close_epoch(conn.id, now)
         self.report.packets_received += packets_for(now - conn.arrival, self.config)
 
-    def on_probe_sent(self):
-        self.report.probes_sent += 1
+    def on_probe_sent(self, count: int):  # one ended connection's probes
+        self.report.probes_sent += count
 
     def on_probe_feedback(self, packs: int, nacks: int):  # one ended connection's answers
         self.report.probe_packs += packs

@@ -7,14 +7,14 @@ the route could currently carry a lightpath and NACK when it could not (no
 admissible wavelength; a down hop offers none, since its ``free_mask`` reads
 0).  A candidate is its route's memoised ``Hops``: a probe reads only their
 masks, and its answer lands one round trip, twice their delay, later.
-``ConnectionProber`` owns the whole window rule: each candidate's slot and
-next send, the tally of an answer (fixed when its probe is sent, counted in
-the window it lands in before the close), the close, and the answers a
-connection's end counts.  The NACKed fraction of a window's answers is the
-route's blocking estimate, and at each close the candidates' own ``Hops``
-are ranked ascending by it; they are the backups, and a failure sets up on
-the best measured one first, resolving nothing.  Sub-optimal candidates
-keep receiving probes, so the ranking tracks load changes.
+``ConnectionProber`` owns the window rule: each candidate's round trip, worked
+out once, slot and next send (none at or after the connection's end), an
+answer's tally (fixed at send, in the window it lands in before the close),
+the close, and the probes and answers the connection's end counts.  A window's
+NACKed fraction is the route's blocking estimate; at each close the
+candidates' own ``Hops`` are ranked ascending by it as the backups, and a
+failure sets up on the best first, resolving nothing.  Sub-optimal candidates
+keep being probed, so the ranking tracks load changes.
 
 The candidates are Yen's k shortest hop routes avoiding the primary's
 links, from ``routing.k_shortest_hop_paths``, whose per-graph memo every run
@@ -74,30 +74,34 @@ def probe_outcome(hops: tuple[tuple[Link, int], ...], mode: str = NO_CONVERSION)
 class ConnectionProber:
     """Probe windows over one connection's candidate set, and their ranking.
 
-    Every window sends ``count`` evenly spaced probes down each candidate,
-    one per slot; the prober keeps each candidate's slot.  ``sent`` tallies
-    a probe's answer into the open window's PACK/NACK counts when it lands
-    strictly before ``close_at``, and keeps every answer's landing time for
-    ``landed``.  A window closes at the first send after ``close_at`` or when
-    a failure asks for the ranking, whichever comes first: its estimate is
-    read once, then, so an answer landing at or after the close moves no
-    ranking.  Until the first close the ranking is the candidate order.
+    Every window sends ``count`` evenly spaced probes down each candidate, one
+    per slot, before ``end``; the prober keeps each candidate's slot.  ``sent``
+    tallies a probe's answer into the open window's PACK/NACK counts when it
+    lands strictly before ``close_at``, and keeps its landing in ``landings``.
+    A window closes at the first send after ``close_at`` or when a failure asks
+    for the ranking, whichever comes first: its estimate is read once, then, so
+    an answer landing at or after the close moves no ranking.  Until the first
+    close the ranking is the candidate order.
     """
 
-    def __init__(self, candidates: tuple[Hops, ...], count: int, interval: float):
+    def __init__(self, candidates: tuple[Hops, ...], count: int, interval: float, end: float):
         self.candidates = candidates
         self.count = count
         self.interval = interval
+        self.end = end
+        self._round_trips = [2.0 * hops.delay for hops in candidates]
+        self._offsets = [(s + 1) * interval / (count + 1) for s in range(count)]
         n = len(candidates)  # each candidate's next slot, and the open window's tallies
         self._slots, self._acks, self._nacks = [0] * n, [0] * n, [0] * n
-        self._landing: list[tuple[float, str]] = []  # (land, outcome) of every probe sent
+        self.landings: list[tuple[float, str]] = []  # (land, outcome) of every probe sent
         self._ranked: list[Hops] | tuple[Hops, ...] = candidates
         self._opened_at, self.close_at = 0.0, math.inf  # the open window's span; none yet
 
-    def open_windows(self, now: float) -> float:
-        """Open a window at ``now``; returns its first send, which every candidate shares."""
+    def open_windows(self, now: float) -> float | None:
+        """Open a window at ``now``; returns its first send, every candidate's, if before end."""
         self._opened_at, self.close_at = now, now + self.interval
-        return now + self.interval / (self.count + 1)
+        t = now + self._offsets[0]
+        return t if t < self.end else None
 
     def ranking(self, now: float) -> list[Hops] | tuple[Hops, ...]:
         """The candidates best first at ``now``; ranks a window closed before, opens the next."""
@@ -106,20 +110,21 @@ class ConnectionProber:
             self.open_windows(self.close_at)
         return self._ranked
 
-    def sent(self, path_index: int, outcome: str, now: float) -> float:
-        """Record a probe sent at ``now``; returns the candidate's next send, in any window."""
-        self.ranking(now)
-        land = now + 2.0 * self.candidates[path_index].delay
-        self._landing.append((land, outcome))
+    def sent(self, path_index: int, outcome: str, now: float) -> float | None:
+        """Record a probe sent at ``now``; returns the candidate's next send if before ``end``."""
+        if self.close_at < now:
+            self.ranking(now)
+        land = now + self._round_trips[path_index]
+        self.landings.append((land, outcome))
         if land < self.close_at:
-            self.feedback(path_index, outcome)
+            (self._acks if outcome == PACK else self._nacks)[path_index] += 1  # feedback's tally
         slot = self._slots[path_index] = (self._slots[path_index] + 1) % self.count
-        opened_at = self.close_at if slot == 0 else self._opened_at
-        return opened_at + (slot + 1) * self.interval / (self.count + 1)
+        t = (self.close_at if slot == 0 else self._opened_at) + self._offsets[slot]
+        return t if t < self.end else None
 
     def landed(self, end: float) -> tuple[int, int]:
         """(PACKs, NACKs) of the answers landing strictly before ``end``, the connection's end."""
-        outcomes = [outcome for land, outcome in self._landing if land < end]
+        outcomes = [outcome for land, outcome in self.landings if land < end]
         return outcomes.count(PACK), outcomes.count(NACK)
 
     def feedback(self, path_index: int, outcome: str) -> None:

@@ -8,9 +8,10 @@ channels in the travel lane):
     cost = infinity  if LI = 0
 
 where LT is a configurable load threshold.  The piecewise form is kept
-branch-for-branch as given, including the jump at LI = LT.  A down link
-offers no free wavelength (``Link.free_mask`` reads 0), so like a saturated
-lane it is unusable, and a demand whose every route crosses one is blocked.
+branch-for-branch as given, including the jump at LI = LT, but read off a
+table by free count, built once per (channel total, LT).  A down link offers
+no free wavelength (``Link.free_mask`` reads 0), so like a saturated lane it
+is unusable, and a demand whose every route crosses one is blocked.
 Dijkstra prices each arc ``Topology.neighbors`` lists by its (link, lane), and
 Yen bans the links of the accepted routes' ``Hops``, so routing never works a
 lane out.  Only the load-aware costs run Dijkstra per demand.  A route is
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from heapq import heappop, heappush
 
 from .errors import NoSuchNodeError
@@ -47,11 +49,15 @@ def link_cost(load_index: float, lt: float) -> float:
     return math.inf
 
 
+@lru_cache(maxsize=16)
 def loaded_edge_cost(lt: float):
-    """Edge-cost function over the current channel state; ``lt`` is the LT breakpoint."""
+    """Edge-cost function over the current channel state, memoised per LT breakpoint ``lt``."""
+    tables: dict[int, list[float]] = {}  # channel total w -> link_cost(f / w, lt) by free count f
 
     def cost(link: Link, lane: int) -> float:
-        return link_cost(link.load_index(lane), lt)
+        w = link.total_channels
+        table = tables.get(w) or tables.setdefault(w, [link_cost(f / w, lt) for f in range(w + 1)])
+        return table[link.free_mask(lane).bit_count()]
 
     return cost
 

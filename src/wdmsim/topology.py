@@ -70,10 +70,6 @@ class Link:
     def free_count(self, lane: int) -> int:
         return self.free_mask(lane).bit_count()
 
-    def load_index(self, lane: int) -> float:
-        """Fraction of usable channels in the lane; a down link reports 0."""
-        return self.free_count(lane) / self.total_channels
-
     def occupy(self, lane: int, w: int) -> None:
         self._check_wavelength(w)
         if not self.up:

@@ -50,7 +50,7 @@ def announce(capsys, number, title, ok, detail, elapsed, budget):
 
 def one_route_prober(probes):
     """A prober over one candidate route with no delay, ``probes`` probes per window."""
-    return ConnectionProber((hops_of((0, 1)),), probes, 0.5)
+    return ConnectionProber((hops_of((0, 1)),), probes, 0.5, math.inf)
 
 
 # -- 1: cost formula fidelity -------------------------------------------------
@@ -75,17 +75,22 @@ def test_criterion_1_formula_fidelity(capsys):
             if link_cost(li, lt) != expected:
                 mismatches += 1
 
-    # free-channel fraction: exact dyadic and non-dyadic ratios
+    # free-channel fraction, exact dyadic and non-dyadic, as the tabulated costs
+    # price it at every grid LT (0.5 is 4 of 8 free: the jump)
+    costs = [(loaded_edge_cost(j / 10), j / 10) for j in range(1, 10)]
     link = Link(0, 0, 1, 0.01, 8)
     for occupied in range(9):
         for w in range(occupied):
             link.occupy(0, w)
-        assert link.load_index(0) == float(Fraction(8 - occupied, 8))
+        assert link.free_count(0) == 8 - occupied
+        li = float(Fraction(8 - occupied, 8))
+        assert all(cost(link, 0) == link_cost(li, lt) for cost, lt in costs)
         for w in range(occupied):
             link.release(0, w)
     three = Link(1, 0, 1, 0.01, 3)
     three.occupy(0, 0)
-    assert three.load_index(0) == float(Fraction(2, 3))
+    assert three.free_count(0) == 2
+    assert all(cost(three, 0) == link_cost(float(Fraction(2, 3)), lt) for cost, lt in costs)
 
     # NACK fraction over resolved probes, plus the no-evidence sentinel
     prober = one_route_prober(10)

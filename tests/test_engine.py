@@ -15,6 +15,7 @@ import pytest
 
 import wdmsim
 from oracles import erlang_b, erlang_fixed_point, random_failure_schedule
+from wdmsim import routing
 from wdmsim.engine import (
     ARRIVAL,
     DEPARTURE,
@@ -31,6 +32,7 @@ from wdmsim.engine import (
 )
 from wdmsim.errors import ConfigError, InvariantError, SimError, TopologyError
 from wdmsim.probing import ConnectionProber
+from wdmsim.routing import FULL_CONVERSION, NO_CONVERSION, link_cost
 from wdmsim.topology import FORWARD, REVERSE, Topology, parse_topology
 
 SQUARE = "nodes 4\n" + "\n".join(
@@ -448,6 +450,40 @@ def test_reference_run_schedules_only_decision_events(monkeypatch):
     # no drops here, so every scheduled send goes out: none falls past its departure
     assert kinds[PROBE_SEND] == report.probes_sent
     assert sum(kinds.values()) <= 152_000
+
+
+@pytest.mark.parametrize("mode", [NO_CONVERSION, FULL_CONVERSION])
+def test_every_probe_sent_is_counted_once(monkeypatch, mode):
+    # a drop ends a connection mid-probe: its sends are counted there, as at a departure
+    kinds = counted_kinds(monkeypatch)
+    outcomes = []
+    probe_outcome = wdmsim.engine.probe_outcome
+    monkeypatch.setattr(wdmsim.engine, "probe_outcome",
+                        lambda *args: outcomes.append(None) or probe_outcome(*args))
+    cfg = SimConfig(wavelengths=2, arrival_rate=6.0, holding_time=0.5, max_requests=300,
+                    seed=3, conversion_mode=mode,
+                    failures=[(2.0, 0), (4.0, 9), (6.0, 5)], repairs=[(3.0, 0)])
+    report = Simulation(cfg, audit=True).run()
+    assert report.dropped > 0
+    assert report.probes_sent == len(outcomes) <= kinds[PROBE_SEND]
+
+
+# Links of 2, 4 and 8 channels: a lane's cost table must be its own channel total's.
+MIXED = ("nodes 5\nlink 0 1 10 2\nlink 1 2 10 4\nlink 2 3 10 8\nlink 3 4 10 2\n"
+         "link 4 0 10 4\nlink 0 2 10 8\nlink 1 3 10 2\nlink 2 4 10 4\n")
+
+
+def test_tabulated_costs_route_as_the_formula_does(tmp_path, monkeypatch):
+    path = tmp_path / "mixed.topo"
+    path.write_text(MIXED)
+    cfg = SimConfig(topology_file=str(path), arrival_rate=3.0, holding_time=0.5,
+                    max_requests=400, seed=5, failures=[(4.0, 1), (9.0, 5), (15.0, 3)],
+                    repairs=[(7.0, 1), (12.0, 5)])
+    tabulated = run(cfg, audit=True)
+    assert tabulated.blocked > 0 and tabulated.dropped + tabulated.restored > 0
+    monkeypatch.setattr(routing, "loaded_edge_cost", lambda lt: lambda link, lane: link_cost(
+        link.free_count(lane) / link.total_channels, lt))
+    assert run(cfg, audit=True) == tabulated
 
 
 # A 0->1 demand at t = 0 on a triangle.  One busy channel on each detour link

@@ -152,9 +152,10 @@ def test_sample_series_tracks_running_counters(square):
 
 def test_probe_counters():
     collector = MetricsCollector(CONFIG)
-    for _ in range(5):
-        collector.on_probe_sent()
-    collector.on_probe_feedback(1, 0)  # one call per ended connection: (packs, nacks)
+    # one call of each per ended connection: its probes, then its (packs, nacks)
+    collector.on_probe_sent(3)
+    collector.on_probe_feedback(1, 0)
+    collector.on_probe_sent(2)
     collector.on_probe_feedback(0, 2)
     report = collector.finalize()
     assert (report.probes_sent, report.probe_packs, report.probe_nacks) == (5, 1, 2)

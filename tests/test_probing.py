@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 import sys
@@ -258,10 +259,10 @@ def test_candidate_rtts_are_twice_the_hop_delays():
         assert cands[j] is topo.hops(route)  # the memoised record, not a copy
         assert (cands[j].route, cands[j].delay) == (route, delays[j])
     assert len(set(delays)) == 3  # a misaligned round trip would show
-    prober = ConnectionProber(cands, 1, 0.5)
+    prober = ConnectionProber(cands, 1, 0.5, math.inf)
     for j in range(3):
         prober.sent(j, PACK, 0.0)
-    assert [land for land, _ in prober._landing] == [2.0 * delay for delay in delays]
+    assert [land for land, _ in prober.landings] == [2.0 * delay for delay in delays]
 
 
 @settings(max_examples=40, deadline=None)
@@ -287,7 +288,7 @@ def make_prober(paths=((0, 1, 9), (0, 2, 9)), probes=4, interval=0.5, delays=Non
     """A prober over ``paths``, whose answers take twice each path's delay (0 by default)."""
     delays = (0.0,) * len(paths) if delays is None else delays
     cands = tuple(hops_of(path, delay) for path, delay in zip(paths, delays))
-    return ConnectionProber(cands, probes, interval)
+    return ConnectionProber(cands, probes, interval, math.inf)
 
 
 def ranked_routes(prober):

@@ -4,7 +4,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     first_fit,
@@ -31,7 +31,7 @@ from wdmsim.routing import (
     loaded_edge_cost,
     release_lightpath,
 )
-from wdmsim.topology import FORWARD, REVERSE, Topology, default_topology, parse_topology
+from wdmsim.topology import FORWARD, REVERSE, Link, Topology, default_topology, parse_topology
 
 LT = SimConfig().load_threshold
 
@@ -69,6 +69,22 @@ def test_link_cost_total_and_bounded(li, lt):
         assert c == 1.0 + li
     else:
         assert c == 1.0 - li
+
+
+@given(st.integers(1, 16), st.floats(0.01, 0.99))
+@example(8, LT)
+def test_tabulated_cost_is_the_formula(w, drawn_lt):
+    # every free fraction of w is an LT too, where the formula jumps (0.5 of 8 free)
+    lts = [drawn_lt] + [f / w for f in range(1, w)]
+    link = Link(0, 0, 1, 0.01, w)
+    for free in range(w, -1, -1):
+        costs = [loaded_edge_cost(lt)(link, FORWARD) for lt in lts]
+        assert costs == [link_cost(free / w, lt) for lt in lts]
+        if free:
+            link.occupy(FORWARD, free - 1)
+    assert costs == [math.inf] * len(lts)
+    link.up = False  # a down lane offers no channel, though nothing holds its REVERSE lane
+    assert [loaded_edge_cost(lt)(link, REVERSE) for lt in lts] == [math.inf] * len(lts)
 
 
 def test_loaded_cost_uses_travel_lane(square):
@@ -223,7 +239,8 @@ def test_free_mask_tracks_held_set_and_first_fit_oracle(seed, ops):
         free = free_wavelengths(link, lane, held)
         assert link.free_mask(lane) == sum(1 << w for w in free)
         assert link.free_count(lane) == len(free)
-        assert link.load_index(lane) == len(free) / link.total_channels
+        li = len(free) / link.total_channels
+        assert loaded_edge_cost(LT)(link, lane) == link_cost(li, LT)
     for src in range(topo.num_nodes):
         for dst in range(topo.num_nodes):
             if src == dst:

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import pytest
@@ -13,6 +14,7 @@ from wdmsim.errors import (
     TopologyError,
     TopologyParseError,
 )
+from wdmsim.routing import link_cost, loaded_edge_cost
 from wdmsim.topology import (
     FORWARD,
     REVERSE,
@@ -21,6 +23,8 @@ from wdmsim.topology import (
     default_topology,
     parse_topology,
 )
+
+LT = 0.3
 
 
 # -- parsing ------------------------------------------------------------------
@@ -192,15 +196,20 @@ def test_occupy_down_link_refused(square):
 
 
 def test_load_index_free_fraction(square):
+    # LI is a lane's free count over its channel total; its cost comes off the table
     link = square.links[0]
-    assert link.load_index(FORWARD) == 1.0
+    cost = loaded_edge_cost(LT)
+    assert link.free_count(FORWARD) / link.total_channels == 1.0
+    assert cost(link, FORWARD) == link_cost(1.0, LT) == 0.0
     for w in range(4):
         link.occupy(FORWARD, w)
-    assert link.load_index(FORWARD) == 0.5
-    assert link.load_index(REVERSE) == 1.0
+    assert link.free_count(FORWARD) / link.total_channels == 0.5
+    assert link.free_count(REVERSE) / link.total_channels == 1.0
+    assert cost(link, FORWARD) == link_cost(0.5, LT) == 0.5
+    assert cost(link, REVERSE) == 0.0
     link.up = False
-    assert link.load_index(FORWARD) == 0.0
-    assert link.load_index(REVERSE) == 0.0
+    assert link.free_count(FORWARD) == link.free_count(REVERSE) == 0
+    assert cost(link, FORWARD) == cost(link, REVERSE) == link_cost(0.0, LT) == math.inf
 
 
 def test_down_link_remembers_occupancy(square):
@@ -313,12 +322,15 @@ def test_occupancy_conserved_under_random_churn(ops):
     assert link.free_count(0) == link.free_count(1) == 8
 
 
-@given(st.integers(0, 7), st.integers(0, 7))
-def test_load_index_matches_free_fraction(k_fwd, k_rev):
+@given(st.integers(0, 8), st.integers(0, 8), st.sampled_from([LT, 0.5]))
+def test_load_index_matches_free_fraction(k_fwd, k_rev, lt):
     link = Link(0, 0, 1, 0.01, 8)
     for w in range(k_fwd):
         link.occupy(FORWARD, w)
     for w in range(k_rev):
         link.occupy(REVERSE, w)
-    assert link.load_index(FORWARD) == (8 - k_fwd) / 8
-    assert link.load_index(REVERSE) == (8 - k_rev) / 8
+    assert link.free_count(FORWARD) == 8 - k_fwd
+    assert link.free_count(REVERSE) == 8 - k_rev
+    cost = loaded_edge_cost(lt)
+    assert cost(link, FORWARD) == link_cost((8 - k_fwd) / 8, lt)
+    assert cost(link, REVERSE) == link_cost((8 - k_rev) / 8, lt)
