@@ -5,17 +5,21 @@ the arrival sequence, so identical (config, seed) pairs replay bit-identically.
 Events dequeue in (time, insertion seq) order, which makes simultaneous events
 deterministic too.  Payloads are positional; a probe send carries its connection.
 
-Only events that carry a decision are scheduled: the lifecycle (arrival,
-departure, link failure, link repair) and one pending probe send per
-candidate.  The engine schedules the sends each ``ConnectionProber`` names; the
-prober owns the window rule, so no send falls at or after the departure and no
-event closes a window or delivers an answer.  A departure or drop adds the
-connection's probes and the answers that landed before it.  Sample ticks run
-while any event is pending, so the timeseries ends at the same tick whatever
-the router.  A run reads its conversion mode and binds its router once; a fresh
-setup, restoration included, goes through it.  A probed connection's backups
-are its prober's ranking; an rftr connection with no disjoint candidate keeps
-its empty lookup as its backups, and a baseline connection looks them up with
+Only events that carry a decision exist: the lifecycle (arrival, departure,
+link failure, link repair), one pending probe send per candidate and the
+sample ticks.  The scripted events (arrivals, failures, repairs) are fixed
+before the first one runs, so they wait in a list sorted by (time, seq), with
+the seqs scheduling them would give; the heap holds only what the run
+schedules: departures, probe sends and ticks.  The engine schedules the sends
+each ``ConnectionProber`` names; the prober owns the window rule, so no send
+falls at or after the departure and no event closes a window or delivers an
+answer.  A departure or drop adds the connection's probes and the answers that
+landed before it.  Sample ticks run while any event is pending, scheduled or
+scripted, so the timeseries ends at the same tick whatever the router.  A run
+reads its conversion mode and binds its router once; a fresh setup,
+restoration included, goes through it.  A probed connection's backups are its
+prober's ranking; an rftr connection with no disjoint candidate keeps its
+empty lookup as its backups, and a baseline connection looks them up with
 ``candidate_paths`` at its first failure, against the primary it still rides.
 ``m`` is applied where restoration tries the backups.
 Before it schedules anything, ``Simulation.run`` refuses a replaced
@@ -198,9 +202,11 @@ def generate_arrivals(
 class Simulation:
     """Single-threaded event loop over one topology instance.
 
-    An event is a heap entry ``(time, seq, kind, args)``; dispatch passes
-    ``args`` positionally to ``kind``'s handler.  A probe send carries its
-    ``Connection``, whose ``current`` is None once a failure dropped it.
+    An event is an entry ``(time, seq, kind, args)``; dispatch passes ``args``
+    positionally to ``kind``'s handler.  ``schedule`` pushes a run's decisions
+    onto the heap; the scripted events merge with it by (time, seq), a total
+    order, so they dispatch as if one heap held both.  A probe send carries
+    its ``Connection``, whose ``current`` is None once a failure dropped it.
     """
 
     def __init__(self, config: SimConfig, topology: Topology | None = None, audit: bool = False):
@@ -233,6 +239,8 @@ class Simulation:
         self.connections: dict[int, Connection] = {}
         self.collector = metrics_mod.MetricsCollector(config)
         self._heap: list[tuple[float, int, str, tuple]] = []
+        # the scripted events, latest first, so the next one is popped off the end
+        self._script: list[tuple[float, int, str, tuple]] = []
         self._eseq = itertools.count()
         self._cid = itertools.count()
         self._initial_occupancy = None
@@ -253,18 +261,24 @@ class Simulation:
         if self.arrivals is not self._drawn:
             self._check_arrivals()
         self._initial_occupancy = self.topology.occupancy_snapshot()
-        for t, src, dst, holding in self.arrivals:
-            self.schedule(t, ARRIVAL, src, dst, holding)
-        for kind, events in ((LINK_FAILURE, self.config.failures),
-                             (LINK_REPAIR, self.config.repairs)):
-            for t, link_id in events:
-                self.schedule(t, kind, link_id)
+        # seqs as if scheduled in this order: arrivals, failures, repairs, first tick
+        eseq, script = self._eseq, self._script
+        script += [(t, next(eseq), ARRIVAL, (src, dst, holding))
+                   for t, src, dst, holding in self.arrivals]
+        script += [(t, next(eseq), kind, (link_id,))
+                   for kind, events in ((LINK_FAILURE, self.config.failures),
+                                        (LINK_REPAIR, self.config.repairs))
+                   for t, link_id in events]
+        script.sort(reverse=True)  # seqs are unique, so (time, seq) decides every comparison
         self.schedule(self.config.sample_interval, SAMPLE_TICK)
 
         heap = self._heap
+        pop = heapq.heappop
         handlers = self._HANDLERS
-        while heap:
-            time, _, kind, args = heapq.heappop(heap)
+        while heap or script:
+            # the script's next event goes first when it sorts before the heap's
+            time, _, kind, args = (script.pop() if script and (not heap or script[-1] < heap[0])
+                                   else pop(heap))
             if time > self.now:
                 self.now = time
             elif time < self.now - 1e-12:
@@ -382,7 +396,7 @@ class Simulation:
         self.collector.on_sample(self.topology, self.now)
         # a send is queued only before its connection's departure, which stays queued
         # through a drop, so a pending send means a pending lifecycle event
-        if self._heap:
+        if self._heap or self._script:
             self.schedule(self.now + self.config.sample_interval, SAMPLE_TICK)
 
     # unbound, so a Simulation holds no reference cycle and is freed on last use
@@ -409,15 +423,16 @@ class Simulation:
 
     def _check_occupancy(self) -> None:
         """The masks must equal the pre-run masks minus every live lightpath's channels."""
-        expected = {link: list(masks) for link, masks in
-                    zip(self.topology.links, self._initial_occupancy)}
+        # indexed by link id, which Topology checks runs 0..n-1 in list order
+        expected = list(map(list, self._initial_occupancy))
         for conn in self.connections.values():
             lp = conn.current
             for (link, lane), w in zip(lp.hops, lp.wavelengths):
-                if not expected[link][lane] >> w & 1:
+                masks = expected[link.id]
+                if not masks[lane] >> w & 1:
                     raise InvariantError(f"link {link.id} lane {lane} wavelength {w} held twice")
-                expected[link][lane] &= ~(1 << w)
-        if tuple(map(tuple, expected.values())) != self.topology.occupancy_snapshot():
+                masks[lane] &= ~(1 << w)
+        if tuple(map(tuple, expected)) != self.topology.occupancy_snapshot():
             raise InvariantError(
                 "channel leak: occupancy differs from the pre-run state minus the live lightpaths"
             )

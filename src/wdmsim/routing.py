@@ -269,8 +269,9 @@ def establish_lightpath(hops: Hops, mode: str, conversion_time: float) -> Lightp
         return None
     for (link, lane), w in zip(hops, wavelengths):
         link.occupy(lane, w)
-    lp = Lightpath(hops, wavelengths)
-    lp.path_delay = hops.delay + conversion_time * lp.wavelength_changes()
+    lp = Lightpath(hops, wavelengths, hops.delay)
+    if mode == FULL_CONVERSION:  # a continuous lightpath changes no wavelength
+        lp.path_delay += conversion_time * lp.wavelength_changes()
     return lp
 
 

@@ -67,11 +67,9 @@ class Link:
         """Bitmask of the lane's free wavelengths (bit w set while w is free); 0 while down."""
         return self._free[lane] if self.up else 0
 
-    def free_count(self, lane: int) -> int:
-        return self.free_mask(lane).bit_count()
-
     def occupy(self, lane: int, w: int) -> None:
-        self._check_wavelength(w)
+        if not 0 <= w < self.total_channels:
+            raise TopologyError(f"wavelength {w} out of range for link {self.id}")
         if not self.up:
             raise LinkDownError(f"link {self.id} is down")
         if not self._free[lane] >> w & 1:
@@ -79,14 +77,11 @@ class Link:
         self._free[lane] &= ~(1 << w)
 
     def release(self, lane: int, w: int) -> None:
-        self._check_wavelength(w)
+        if not 0 <= w < self.total_channels:
+            raise TopologyError(f"wavelength {w} out of range for link {self.id}")
         if self._free[lane] >> w & 1:
             raise ChannelFreeError(f"link {self.id} lane {lane} wavelength {w} is already free")
         self._free[lane] |= 1 << w
-
-    def _check_wavelength(self, w: int) -> None:
-        if not 0 <= w < self.total_channels:
-            raise TopologyError(f"wavelength {w} out of range for link {self.id}")
 
 
 class Hops(tuple):

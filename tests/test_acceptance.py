@@ -82,14 +82,14 @@ def test_criterion_1_formula_fidelity(capsys):
     for occupied in range(9):
         for w in range(occupied):
             link.occupy(0, w)
-        assert link.free_count(0) == 8 - occupied
+        assert link.free_mask(0).bit_count() == 8 - occupied
         li = float(Fraction(8 - occupied, 8))
         assert all(cost(link, 0) == link_cost(li, lt) for cost, lt in costs)
         for w in range(occupied):
             link.release(0, w)
     three = Link(1, 0, 1, 0.01, 3)
     three.occupy(0, 0)
-    assert three.free_count(0) == 2
+    assert three.free_mask(0).bit_count() == 2
     assert all(cost(three, 0) == link_cost(float(Fraction(2, 3)), lt) for cost, lt in costs)
 
     # NACK fraction over resolved probes, plus the no-evidence sentinel

@@ -20,6 +20,7 @@ from wdmsim.engine import (
     ARRIVAL,
     DEPARTURE,
     LINK_FAILURE,
+    LINK_REPAIR,
     PROBE_SEND,
     ROUTER_BASELINE,
     ROUTER_RFTR,
@@ -444,12 +445,69 @@ def test_reference_run_schedules_only_decision_events(monkeypatch):
     cfg = SimConfig(wavelengths=8, arrival_rate=4.0, holding_time=0.5, session_traffics=4,
                     max_requests=5000, seed=1)
     report = Simulation(cfg).run()
-    assert set(kinds) == {ARRIVAL, DEPARTURE, PROBE_SEND, SAMPLE_TICK}
+    # the scripted arrivals wait beside the heap; only what the run decides is scheduled
+    assert set(kinds) == {DEPARTURE, PROBE_SEND, SAMPLE_TICK}
     assert "feedback_arrive" not in kinds  # answers are tallied at send, not scheduled
     assert report.probes_sent == 141_030
     # no drops here, so every scheduled send goes out: none falls past its departure
     assert kinds[PROBE_SEND] == report.probes_sent
-    assert sum(kinds.values()) <= 152_000
+    assert sum(kinds.values()) <= 147_000
+
+
+def recorded_dispatches(monkeypatch, kinds) -> list:
+    """Record (kind, time, args) of every dispatched event of the given kinds, in order."""
+    seen = []
+    for kind in kinds:
+        handler = Simulation._HANDLERS[kind]
+        monkeypatch.setitem(Simulation._HANDLERS, kind, lambda self, *args, k=kind, h=handler:
+                            seen.append((k, self.now, args)) or h(self, *args))
+    return seen
+
+
+def scripted_run(router, arrivals, failures, repairs):
+    cfg = SimConfig(router=router, wavelengths=2, arrival_rate=6.0, holding_time=0.5,
+                    max_requests=len(arrivals), seed=4, failures=failures, repairs=repairs)
+    sim = Simulation(cfg, audit=True)
+    sim.arrivals = arrivals
+    return sim.run()
+
+
+@pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
+def test_out_of_order_scripts_run_as_stably_sorted(monkeypatch, router):
+    # two pinned arrivals, two failures and a sample tick share the instant 2.0;
+    # each list is out of time order, the two failures in reverse id order
+    drawn = Simulation(SimConfig(arrival_rate=6.0, max_requests=120, seed=4)).arrivals
+    arrivals = [*reversed(drawn), (2.0, 3, 6, 0.9), (2.0, 6, 3, 0.7)]
+    failures = [(6.0, 5), (2.0, 9), (2.0, 0), (4.0, 3)]
+    repairs = [(5.0, 0), (3.0, 9), (7.0, 3)]
+    by_time = lambda entry: entry[0]  # noqa: E731
+    expected = scripted_run(router, sorted(arrivals, key=by_time),
+                            sorted(failures, key=by_time), sorted(repairs, key=by_time))
+    seen = recorded_dispatches(monkeypatch, (ARRIVAL, LINK_FAILURE, LINK_REPAIR, SAMPLE_TICK))
+    assert scripted_run(router, arrivals, failures, repairs) == expected
+    assert expected.restored + expected.dropped > 0 and expected.blocked > 0
+    # the oracle: (time, list position), arrivals before failures before repairs
+    script = [(t, (ARRIVAL, t, (src, dst, holding))) for t, src, dst, holding in arrivals]
+    script += [(t, (kind, t, (link_id,))) for kind, events in
+               ((LINK_FAILURE, failures), (LINK_REPAIR, repairs)) for t, link_id in events]
+    assert [e for e in seen if e[0] != SAMPLE_TICK] == [e for _, e in sorted(script, key=by_time)]
+    # every scripted event at the tick instant dispatches before the tick
+    at_two = [e for e in seen if e[1] == 2.0]
+    assert at_two == [(ARRIVAL, 2.0, (3, 6, 0.9)), (ARRIVAL, 2.0, (6, 3, 0.7)),
+                      (LINK_FAILURE, 2.0, (9,)), (LINK_FAILURE, 2.0, (0,)), (SAMPLE_TICK, 2.0, ())]
+
+
+@pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
+def test_sample_ticks_wait_for_the_script(router):
+    # every demand has departed long before the repair, which is the last event queued
+    cfg = SimConfig(router=router, max_requests=20, seed=2, failures=[(1.0, 0)],
+                    repairs=[(100.2, 0)])
+    report = Simulation(cfg, audit=True).run()
+    assert report.completed + report.dropped == report.accepted > 0
+    times = [row[0] for row in report.series]
+    assert times[-1] == pytest.approx(100.5) and times[-2] < 100.2
+    assert times == pytest.approx([0.5 * (i + 1) for i in range(len(times))])
+    assert report.series[-1][3] == 0.0  # the repaired mesh carries nothing
 
 
 @pytest.mark.parametrize("mode", [NO_CONVERSION, FULL_CONVERSION])
@@ -482,7 +540,7 @@ def test_tabulated_costs_route_as_the_formula_does(tmp_path, monkeypatch):
     tabulated = run(cfg, audit=True)
     assert tabulated.blocked > 0 and tabulated.dropped + tabulated.restored > 0
     monkeypatch.setattr(routing, "loaded_edge_cost", lambda lt: lambda link, lane: link_cost(
-        link.free_count(lane) / link.total_channels, lt))
+        link.free_mask(lane).bit_count() / link.total_channels, lt))
     assert run(cfg, audit=True) == tabulated
 
 

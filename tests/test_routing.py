@@ -238,7 +238,7 @@ def test_free_mask_tracks_held_set_and_first_fit_oracle(seed, ops):
             held.add(channel)
         free = free_wavelengths(link, lane, held)
         assert link.free_mask(lane) == sum(1 << w for w in free)
-        assert link.free_count(lane) == len(free)
+        assert link.free_mask(lane).bit_count() == len(free)
         li = len(free) / link.total_channels
         assert loaded_edge_cost(LT)(link, lane) == link_cost(li, LT)
     for src in range(topo.num_nodes):
@@ -266,7 +266,7 @@ def test_establish_occupies_and_release_frees(square):
     assert lp.hops.link_ids == frozenset({0, 1})
     assert lp.path_delay == pytest.approx(0.020)
     assert [square.links[i].free_mask(FORWARD) for i in (0, 1)] == [0b11111110] * 2
-    assert square.links[0].free_count(REVERSE) == 8
+    assert square.links[0].free_mask(REVERSE).bit_count() == 8
     assert square.occupancy_snapshot() != before
     release_lightpath(lp)
     assert square.occupancy_snapshot() == before
@@ -281,7 +281,7 @@ def test_second_release_is_a_no_op(square):
     assert square.occupancy_snapshot() == held
     assert square.links[0].free_mask(FORWARD) == 0b11111110
     release_lightpath(other)
-    assert square.links[0].free_count(FORWARD) == 8
+    assert square.links[0].free_mask(FORWARD).bit_count() == 8
 
 
 def test_establish_returns_none_leaving_state_clean():

@@ -163,8 +163,8 @@ def test_lane_orientation(square):
 def test_lanes_are_independent(square):
     link = square.links[0]
     link.occupy(FORWARD, 0)
-    assert link.free_count(FORWARD) == 7
-    assert link.free_count(REVERSE) == 8
+    assert link.free_mask(FORWARD).bit_count() == 7
+    assert link.free_mask(REVERSE).bit_count() == 8
     link.occupy(FORWARD, 1)
     link.occupy(REVERSE, 0)
     assert link.free_mask(FORWARD) == 0b11111100
@@ -183,7 +183,7 @@ def test_occupy_conflict_and_release_guards(square):
     link.release(FORWARD, 3)
     with pytest.raises(ChannelFreeError):
         link.release(FORWARD, 3)
-    assert link.free_count(FORWARD) == 8
+    assert link.free_mask(FORWARD).bit_count() == 8
 
 
 def test_occupy_down_link_refused(square):
@@ -199,16 +199,16 @@ def test_load_index_free_fraction(square):
     # LI is a lane's free count over its channel total; its cost comes off the table
     link = square.links[0]
     cost = loaded_edge_cost(LT)
-    assert link.free_count(FORWARD) / link.total_channels == 1.0
+    assert link.free_mask(FORWARD).bit_count() / link.total_channels == 1.0
     assert cost(link, FORWARD) == link_cost(1.0, LT) == 0.0
     for w in range(4):
         link.occupy(FORWARD, w)
-    assert link.free_count(FORWARD) / link.total_channels == 0.5
-    assert link.free_count(REVERSE) / link.total_channels == 1.0
+    assert link.free_mask(FORWARD).bit_count() / link.total_channels == 0.5
+    assert link.free_mask(REVERSE).bit_count() / link.total_channels == 1.0
     assert cost(link, FORWARD) == link_cost(0.5, LT) == 0.5
     assert cost(link, REVERSE) == 0.0
     link.up = False
-    assert link.free_count(FORWARD) == link.free_count(REVERSE) == 0
+    assert link.free_mask(FORWARD).bit_count() == link.free_mask(REVERSE).bit_count() == 0
     assert cost(link, FORWARD) == cost(link, REVERSE) == link_cost(0.0, LT) == math.inf
 
 
@@ -220,7 +220,7 @@ def test_down_link_remembers_occupancy(square):
     # a down link offers no free wavelength in either lane, but the raw
     # masks, which the audit reads, still show what is held
     assert link.free_mask(FORWARD) == link.free_mask(REVERSE) == 0
-    assert link.free_count(FORWARD) == link.free_count(REVERSE) == 0
+    assert link.free_mask(FORWARD).bit_count() == link.free_mask(REVERSE).bit_count() == 0
     assert square.occupancy_snapshot() == snapshot
     link.up = True
     assert link.free_mask(FORWARD) == 0b11111011
@@ -316,10 +316,10 @@ def test_occupancy_conserved_under_random_churn(ops):
             held.add((lane, w))
         for probe_lane in (0, 1):
             in_lane = sum(1 for lane_held, _ in held if lane_held == probe_lane)
-            assert link.free_count(probe_lane) == 8 - in_lane
+            assert link.free_mask(probe_lane).bit_count() == 8 - in_lane
     for lane, w in held:
         link.release(lane, w)
-    assert link.free_count(0) == link.free_count(1) == 8
+    assert link.free_mask(0).bit_count() == link.free_mask(1).bit_count() == 8
 
 
 @given(st.integers(0, 8), st.integers(0, 8), st.sampled_from([LT, 0.5]))
@@ -329,8 +329,8 @@ def test_load_index_matches_free_fraction(k_fwd, k_rev, lt):
         link.occupy(FORWARD, w)
     for w in range(k_rev):
         link.occupy(REVERSE, w)
-    assert link.free_count(FORWARD) == 8 - k_fwd
-    assert link.free_count(REVERSE) == 8 - k_rev
+    assert link.free_mask(FORWARD).bit_count() == 8 - k_fwd
+    assert link.free_mask(REVERSE).bit_count() == 8 - k_rev
     cost = loaded_edge_cost(lt)
     assert cost(link, FORWARD) == link_cost((8 - k_fwd) / 8, lt)
     assert cost(link, REVERSE) == link_cost((8 - k_rev) / 8, lt)
