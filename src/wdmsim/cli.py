@@ -152,15 +152,12 @@ def _print_diagnostics(diagnostics: list[Diagnostic]) -> int:
 
 def _cmd_run(args) -> int:
     scenario = _load_scenario(args)
-    if len(scenario.seeds) != 1:
-        print("error: run takes exactly one seed; use sweep for multi-seed experiments",
-              file=sys.stderr)
-        return 2
-    scenario.sweep_param = SWEEP_NONE
-    scenario.sweep_values = []
-    if scenario.router == ROUTER_BOTH:
-        print("error: run takes a single router; use sweep to compare", file=sys.stderr)
-        return 2
+    for refused, takes in ((len(scenario.seeds) != 1, "exactly one seed"),
+                           (scenario.router == ROUTER_BOTH, "a single router"),
+                           (scenario.sweep_param != SWEEP_NONE, "no sweep")):
+        if refused:
+            print(f"error: run takes {takes}; use sweep instead", file=sys.stderr)
+            return 2
     result = run_scenario(scenario, args.out)
     report = result.runs[0].report
     print(f"{report.scenario}: offered={report.offered} accepted={report.accepted} "

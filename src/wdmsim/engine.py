@@ -3,7 +3,8 @@
 Every run is driven by a single seeded RNG consumed only while pre-generating
 the arrival sequence, so identical (config, seed) pairs replay bit-identically.
 Events dequeue in (time, insertion seq) order, which makes simultaneous events
-deterministic too.  Payloads are positional; a probe send carries its connection.
+deterministic too.  Payloads are positional; a departure or probe send carries
+its connection.
 
 Only events that carry a decision exist: the lifecycle (arrival, departure,
 link failure, link repair), one pending probe send per candidate and the
@@ -13,15 +14,14 @@ the seqs scheduling them would give; the heap holds only what the run
 schedules: departures, probe sends and ticks.  The engine schedules the sends
 each ``ConnectionProber`` names; the prober owns the window rule, so no send
 falls at or after the departure and no event closes a window or delivers an
-answer.  A departure or drop adds the connection's probes and the answers that
-landed before it.  Sample ticks run while any event is pending, scheduled or
-scripted, so the timeseries ends at the same tick whatever the router.  A run
-reads its conversion mode and binds its router once; a fresh setup,
-restoration included, goes through it.  A probed connection's backups are its
-prober's ranking; an rftr connection with no disjoint candidate keeps its
-empty lookup as its backups, and a baseline connection looks them up with
-``candidate_paths`` at its first failure, against the primary it still rides.
-``m`` is applied where restoration tries the backups.
+answer.  A connection ends one way, by departure or drop: it leaves the live
+map, its ``current`` becomes None and its probes and the answers landed by then
+are counted, so an event queued for it is stale once ``current`` is None.
+Sample ticks run while any event is pending, scheduled or scripted, so the
+timeseries ends at the same tick whatever the router.  A run reads its
+conversion mode and binds its router once; a fresh setup, restoration
+included, goes through it.  Every connection's backups are its prober's
+ranking, and ``m`` is applied where restoration tries them.
 Before it schedules anything, ``Simulation.run`` refuses a replaced
 ``arrivals`` holding a bad time, holding or endpoint.
 """
@@ -53,7 +53,7 @@ from .routing import (
     establish_primary,
     release_lightpath,
 )
-from .topology import Hops, Topology, default_topology, parse_topology
+from .topology import Topology, default_topology, parse_topology
 
 # event kinds
 ARRIVAL = "arrival"
@@ -74,10 +74,7 @@ class Connection:
     dst: int
     arrival: float
     holding: float
-    current: Lightpath | None = None
-    # a connection without a prober: rftr's empty lookup at setup, else the
-    # baseline's lookup at its first failure
-    backups: tuple[Hops, ...] | None = None
+    current: Lightpath | None = None  # None once the connection ended
     prober: ConnectionProber | None = None
 
 
@@ -205,8 +202,8 @@ class Simulation:
     An event is an entry ``(time, seq, kind, args)``; dispatch passes ``args``
     positionally to ``kind``'s handler.  ``schedule`` pushes a run's decisions
     onto the heap; the scripted events merge with it by (time, seq), a total
-    order, so they dispatch as if one heap held both.  A probe send carries
-    its ``Connection``, whose ``current`` is None once a failure dropped it.
+    order, so they dispatch as if one heap held both.  A departure or probe
+    send carries its ``Connection``, whose ``current`` is None once it ended.
     """
 
     def __init__(self, config: SimConfig, topology: Topology | None = None, audit: bool = False):
@@ -234,8 +231,7 @@ class Simulation:
                                   conversion_time=config.conversion_time)
         self.rng = random.Random(config.seed)
         self.now = 0.0
-        # live connections only; a blocked one is never added and a
-        # departure or drop removes its entry
+        # live connections only: a blocked one never enters, and ``_end`` removes the rest
         self.connections: dict[int, Connection] = {}
         self.collector = metrics_mod.MetricsCollector(config)
         self._heap: list[tuple[float, int, str, tuple]] = []
@@ -321,19 +317,22 @@ class Simulation:
         self.connections[conn.id] = conn
         self._check_continuity(result.lightpath)
         self.collector.on_accepted(conn, result.lightpath.path_delay, self.now)
-        self.schedule(self.now + conn.holding, DEPARTURE, conn.id)
-        if self.config.router != ROUTER_RFTR:
-            return  # the baseline never probes
-        cands = candidate_paths(self.topology, src, dst, result.lightpath, self.config.candidates_k)
-        if cands:
-            conn.prober = ConnectionProber(cands, self.probe_count, self.config.probe_interval,
-                                           self.now + conn.holding)
+        self.schedule(self.now + conn.holding, DEPARTURE, conn)
+        if self.config.router == ROUTER_RFTR:  # the baseline never probes
+            conn.prober = self._prober(conn)
             t = conn.prober.open_windows(self.now)
             if t is not None:
-                for path_index in range(len(cands)):
+                for path_index in range(len(conn.prober.candidates)):
                     self.schedule(t, PROBE_SEND, conn, path_index)
-        else:
-            conn.backups = cands  # empty, so a failure need not look them up again
+
+    def _prober(self, conn: Connection) -> ConnectionProber:
+        """The connection's prober, ending at its departure, over the candidates disjoint from
+        its current primary.  rftr builds it at setup, even over no candidate; the baseline at
+        a connection's first failure, opening no window, so it ranks in candidate order."""
+        cands = candidate_paths(self.topology, conn.src, conn.dst, conn.current,
+                                self.config.candidates_k)
+        return ConnectionProber(cands, self.probe_count, self.config.probe_interval,
+                                conn.arrival + conn.holding)
 
     def _on_probe_send(self, conn: Connection, path_index: int) -> None:
         if conn.current is None:
@@ -344,18 +343,19 @@ class Simulation:
         if t is not None:
             self.schedule(t, PROBE_SEND, conn, path_index)
 
-    def _count_probes(self, conn: Connection) -> None:
-        """Count the probes a connection sent, and the answers that landed before it ended now."""
+    def _end(self, conn: Connection) -> None:
+        """Drop the connection from the live map and its lightpath; count its probes and answers."""
+        del self.connections[conn.id]
+        conn.current = None
         if conn.prober is not None:
             self.collector.on_probe_sent(len(conn.prober.landings))
             self.collector.on_probe_feedback(*conn.prober.landed(self.now))
 
-    def _on_departure(self, conn_id: int) -> None:
-        conn = self.connections.pop(conn_id, None)
-        if conn is None:
-            return  # stale departure for a dropped session
-        self._count_probes(conn)
+    def _on_departure(self, conn: Connection) -> None:
+        if conn.current is None:
+            return  # stale: the connection dropped before its departure
         release_lightpath(conn.current)
+        self._end(conn)
         self.collector.on_completed(conn, self.now)
 
     def _on_link_failure(self, link_id: int) -> None:
@@ -368,18 +368,14 @@ class Simulation:
         for conn in affected:
             release_lightpath(conn.current)
         for conn in affected:
-            if conn.prober is None and conn.backups is None:  # still on its original primary
-                conn.backups = candidate_paths(self.topology, conn.src, conn.dst, conn.current,
-                                               self.config.candidates_k)
-            backups = conn.prober.ranking(self.now) if conn.prober is not None else conn.backups
+            if conn.prober is None:  # a baseline connection on its original primary
+                conn.prober = self._prober(conn)
             new_lp = reroute(
-                backups[: self.m], self.mode, self.config.conversion_time,
+                conn.prober.ranking(self.now)[: self.m], self.mode, self.config.conversion_time,
                 fallback_establish=lambda _, c=conn: self._establish(c.src, c.dst),
             )
             if new_lp is None:
-                del self.connections[conn.id]
-                self._count_probes(conn)
-                conn.current = None
+                self._end(conn)
                 self.collector.on_dropped(conn, self.now)
             else:
                 conn.current = new_lp

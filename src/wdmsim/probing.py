@@ -1,7 +1,7 @@
 """Backup path maintenance: candidate enumeration, probing, ranking, reroute.
 
-For every established connection the source keeps a set of candidate routes
-that are link-disjoint from the primary.  Each update interval it sends a
+For every established rftr connection the source keeps a set of candidate
+routes link-disjoint from the primary.  Each update interval it sends a
 small batch of probes down every candidate; the far end answers PACK when
 the route could currently carry a lightpath and NACK when it could not (no
 admissible wavelength; a down hop offers none, since its ``free_mask`` reads
@@ -12,9 +12,11 @@ out once, slot and next send (none at or after the connection's end), an
 answer's tally (fixed at send, in the window it lands in before the close),
 the close, and the probes and answers the connection's end counts.  A window's
 NACKed fraction is the route's blocking estimate; at each close the
-candidates' own ``Hops`` are ranked ascending by it as the backups, and a
-failure sets up on the best first, resolving nothing.  Sub-optimal candidates
-keep being probed, so the ranking tracks load changes.
+candidates' own ``Hops`` are ranked ascending by it.  That ranking is every
+connection's backups, and a failure sets up on the best first, resolving
+nothing; a baseline connection's prober opens no window, so it keeps the
+candidate order.  Sub-optimal candidates keep being probed, so the ranking
+tracks load changes.
 
 The candidates are Yen's k shortest hop routes avoiding the primary's
 links, from ``routing.k_shortest_hop_paths``, whose per-graph memo every run

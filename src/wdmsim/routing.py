@@ -8,8 +8,8 @@ channels in the travel lane):
     cost = infinity  if LI = 0
 
 where LT is a configurable load threshold.  The piecewise form is kept
-branch-for-branch as given, including the jump at LI = LT, but read off a
-table by free count, built once per (channel total, LT).  A down link offers
+branch-for-branch as given, including the jump at LI = LT, and worked out per
+lane from its free count and its own link's channel total.  A down link offers
 no free wavelength (``Link.free_mask`` reads 0), so like a saturated lane it
 is unusable, and a demand whose every route crosses one is blocked.
 Dijkstra prices each arc ``Topology.neighbors`` lists by its (link, lane), and
@@ -21,16 +21,15 @@ sets its lightpath up through ``establish_lightpath`` on that record.
 Hop-count routes read no link state, so they are a function of the graph
 alone.  Yen's k shortest hop routes (Yen, 1971) are memoised per
 ``Topology.graph`` for the life of the process, keyed by (src, dst, k,
-banned links).  They serve rftr's probed candidates, the unranked backups a
-failure looks up for either router, and the baseline's primary: Yen's first
-route, with the down links it was found to cross banned.
+banned links).  They serve every connection's candidates, which rftr probes
+and a baseline connection looks up at its first failure, and the baseline's
+primary: Yen's first route, with the down links it was found to cross banned.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from heapq import heappop, heappush
 
 from .errors import NoSuchNodeError
@@ -49,15 +48,11 @@ def link_cost(load_index: float, lt: float) -> float:
     return math.inf
 
 
-@lru_cache(maxsize=16)
 def loaded_edge_cost(lt: float):
-    """Edge-cost function over the current channel state, memoised per LT breakpoint ``lt``."""
-    tables: dict[int, list[float]] = {}  # channel total w -> link_cost(f / w, lt) by free count f
+    """Edge-cost function over the current channel state at the LT breakpoint ``lt``."""
 
     def cost(link: Link, lane: int) -> float:
-        w = link.total_channels
-        table = tables.get(w) or tables.setdefault(w, [link_cost(f / w, lt) for f in range(w + 1)])
-        return table[link.free_mask(lane).bit_count()]
+        return link_cost(link.free_mask(lane).bit_count() / link.total_channels, lt)
 
     return cost
 

@@ -75,7 +75,7 @@ def test_criterion_1_formula_fidelity(capsys):
             if link_cost(li, lt) != expected:
                 mismatches += 1
 
-    # free-channel fraction, exact dyadic and non-dyadic, as the tabulated costs
+    # free-channel fraction, exact dyadic and non-dyadic, as the load-aware costs
     # price it at every grid LT (0.5 is 4 of 8 free: the jump)
     costs = [(loaded_edge_cost(j / 10), j / 10) for j in range(1, 10)]
     link = Link(0, 0, 1, 0.01, 8)

@@ -79,6 +79,14 @@ def test_run_rejects_router_both(tmp_path, capsys):
     assert "single router" in capsys.readouterr().err
 
 
+def test_run_rejects_a_sweep(tmp_path, capsys):
+    cfg = write(tmp_path, "c.cfg", "sweep = sources 1,2,3,4\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", cfg, "--seed", "1", "--out", str(out)]) == 2
+    assert "no sweep; use sweep" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_router_and_topology_flags(tmp_path):
     topo = write(tmp_path, "chain.txt", "nodes 3\nlink 0 1 10 8\nlink 1 2 10 8\n")
     out = tmp_path / "out"
@@ -151,7 +159,7 @@ def test_sweep_rejects_duplicate_seed_flags(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_parallel_sweep_is_byte_identical(tmp_path):
+def test_repeat_sweeps_are_byte_identical(tmp_path):
     # a repeat sweep, and run_scenario asked for 4 workers, write what the first sweep wrote
     cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG)
     first, repeat, asked = tmp_path / "first", tmp_path / "repeat", tmp_path / "asked"

@@ -6,6 +6,7 @@ import statistics
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
@@ -15,7 +16,6 @@ import pytest
 
 import wdmsim
 from oracles import erlang_b, erlang_fixed_point, random_failure_schedule
-from wdmsim import routing
 from wdmsim.engine import (
     ARRIVAL,
     DEPARTURE,
@@ -33,7 +33,7 @@ from wdmsim.engine import (
 )
 from wdmsim.errors import ConfigError, InvariantError, SimError, TopologyError
 from wdmsim.probing import ConnectionProber
-from wdmsim.routing import FULL_CONVERSION, NO_CONVERSION, link_cost
+from wdmsim.routing import FULL_CONVERSION, NO_CONVERSION
 from wdmsim.topology import FORWARD, REVERSE, Topology, parse_topology
 
 SQUARE = "nodes 4\n" + "\n".join(
@@ -526,22 +526,16 @@ def test_every_probe_sent_is_counted_once(monkeypatch, mode):
     assert report.probes_sent == len(outcomes) <= kinds[PROBE_SEND]
 
 
-# Links of 2, 4 and 8 channels: a lane's cost table must be its own channel total's.
-MIXED = ("nodes 5\nlink 0 1 10 2\nlink 1 2 10 4\nlink 2 3 10 8\nlink 3 4 10 2\n"
-         "link 4 0 10 4\nlink 0 2 10 8\nlink 1 3 10 2\nlink 2 4 10 4\n")
-
-
-def test_tabulated_costs_route_as_the_formula_does(tmp_path, monkeypatch):
-    path = tmp_path / "mixed.topo"
-    path.write_text(MIXED)
-    cfg = SimConfig(topology_file=str(path), arrival_rate=3.0, holding_time=0.5,
-                    max_requests=400, seed=5, failures=[(4.0, 1), (9.0, 5), (15.0, 3)],
-                    repairs=[(7.0, 1), (12.0, 5)])
-    tabulated = run(cfg, audit=True)
-    assert tabulated.blocked > 0 and tabulated.dropped + tabulated.restored > 0
-    monkeypatch.setattr(routing, "loaded_edge_cost", lambda lt: lambda link, lane: link_cost(
-        link.free_mask(lane).bit_count() / link.total_channels, lt))
-    assert run(cfg, audit=True) == tabulated
+def test_a_million_channels_cost_no_memory_per_channel():
+    # a lane is priced from its free count by the formula: nothing is kept per channel
+    tracemalloc.start()
+    try:
+        report = Simulation(SimConfig(wavelengths=10**6, max_requests=3, seed=1)).run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.accepted == 3
+    assert peak < 8 * 2**20
 
 
 # A 0->1 demand at t = 0 on a triangle.  One busy channel on each detour link
@@ -727,8 +721,8 @@ def test_unranked_backups_stay_disjoint_from_the_original_primary(monkeypatch, r
 
 
 def test_an_rftr_connection_with_no_disjoint_candidate_looks_up_once(monkeypatch):
-    # on a chain nothing is disjoint from the primary 0-1-2: the failure keeps
-    # the empty setup lookup, falls back to a fresh setup, and drops
+    # on a chain nothing is disjoint from the primary 0-1-2: the failure ranks
+    # the prober's empty setup lookup, falls back to a fresh setup, and drops
     lookups = []
     lookup = wdmsim.engine.candidate_paths
     monkeypatch.setattr(wdmsim.engine, "candidate_paths",

@@ -460,16 +460,18 @@ def test_prober_initial_backups_follow_candidate_order(monkeypatch):
     routes = [(0, 4, 3, 2), (0, 7, 6, 2), (0, 4, 5, 6, 2)]
     assert conn.prober.candidates == tuple(sim.topology.hops(route) for route in routes)
     assert conn.prober.ranking(sim.now) is conn.prober.candidates  # nothing ranked yet
-    tried = []
-    reroute = wdmsim.engine.reroute
+    tried, lookups = [], []
+    reroute, lookup = wdmsim.engine.reroute, wdmsim.engine.candidate_paths
     monkeypatch.setattr(wdmsim.engine, "reroute",
                         lambda backups, *args, **kwargs: tried.append(backups)
                         or reroute(backups, *args, **kwargs))
+    monkeypatch.setattr(wdmsim.engine, "candidate_paths",
+                        lambda *args: lookups.append(args) or lookup(*args))
     sim._on_link_failure(sim.topology.hops((0, 1))[0][0].id)  # the primary is (0, 1, 2)
     [backups] = tried
     assert [hops.route for hops in backups] == routes[:2]
     assert all(map(operator.is_, backups, conn.prober.candidates))  # the candidates' own records
-    assert conn.backups is None  # the prober holds them: no lookup at the failure
+    assert lookups == []  # the prober holds them: no lookup at the failure
     assert conn.current.hops is conn.prober.candidates[0]
 
 

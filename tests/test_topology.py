@@ -196,7 +196,7 @@ def test_occupy_down_link_refused(square):
 
 
 def test_load_index_free_fraction(square):
-    # LI is a lane's free count over its channel total; its cost comes off the table
+    # LI is a lane's free count over its channel total; its cost is the formula's at LI
     link = square.links[0]
     cost = loaded_edge_cost(LT)
     assert link.free_mask(FORWARD).bit_count() / link.total_channels == 1.0
