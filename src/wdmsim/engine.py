@@ -21,9 +21,9 @@ Sample ticks run while any event is pending, scheduled or scripted, so the
 timeseries ends at the same tick whatever the router.  A run reads its
 conversion mode and binds its router once; a fresh setup, restoration
 included, goes through it.  Every connection's backups are its prober's
-ranking, and ``m`` is applied where restoration tries them.
-Before it schedules anything, ``Simulation.run`` refuses a replaced
-``arrivals`` holding a bad time, holding or endpoint.
+ranking, and ``m`` is applied where restoration tries them.  Before it schedules
+anything, ``Simulation.run`` refuses a replaced ``arrivals`` holding a bad time,
+holding or endpoint, and a tick or probe step the clock cannot take.
 """
 
 from __future__ import annotations
@@ -266,6 +266,14 @@ class Simulation:
                                         (LINK_REPAIR, self.config.repairs))
                    for t, link_id in events]
         script.sort(reverse=True)  # seqs are unique, so (time, seq) decides every comparison
+        cfg = self.config  # ``last``: the later of the last scripted time and last departure
+        last = max([t + h for t, _, _, h in self.arrivals] + [t for t, *_ in script[:1]], default=0)
+        steps = {"sample_interval": cfg.sample_interval}
+        if cfg.router == ROUTER_RFTR:  # the baseline never probes
+            steps["probe_interval"] = cfg.probe_interval / (cfg.probes_per_interval + 1)
+        for name, step in steps.items():
+            if step <= math.ulp(last) / 2:  # then some instant up to ``last`` would stall the clock
+                raise ConfigError(f"{name}: a {step:g} s step cannot move the clock at {last:g} s")
         self.schedule(self.config.sample_interval, SAMPLE_TICK)
 
         heap = self._heap

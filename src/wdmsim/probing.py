@@ -18,9 +18,9 @@ nothing; a baseline connection's prober opens no window, so it keeps the
 candidate order.  Sub-optimal candidates keep being probed, so the ranking
 tracks load changes.
 
-The candidates are Yen's k shortest hop routes avoiding the primary's
-links, from ``routing.k_shortest_hop_paths``, whose per-graph memo every run
-on that graph shares; ``Topology.hops`` resolves each once per topology.
+The candidates are Yen's k shortest hop routes avoiding the primary's links,
+read resolved from the topology's own table by ``routing.resolved_routes``;
+``k_shortest_hop_paths`` is imported only for ``perfbench/layers.py`` to wrap.
 ``reroute`` hands the fresh setup it falls back on one ignored argument,
 ``BACKUP``, only because ``perfbench/layers.py`` wraps it as a one-argument call.
 """
@@ -28,8 +28,10 @@ on that graph shares; ``Topology.hops`` resolves each once per topology.
 from __future__ import annotations
 
 import math
+from functools import cache
 
-from .routing import NO_CONVERSION, Lightpath, establish_lightpath, k_shortest_hop_paths
+from .routing import (NO_CONVERSION, Lightpath, establish_lightpath, k_shortest_hop_paths,
+                      resolved_routes)
 from .topology import Hops, Link, Topology
 
 PACK = "pack"
@@ -37,12 +39,10 @@ NACK = "nack"
 BACKUP = "backup"  # the one argument ``reroute`` passes its fallback
 
 
-def candidate_paths(
-    topology: Topology, src: int, dst: int, primary: Lightpath, k: int
-) -> tuple[Hops, ...]:
+def candidate_paths(topology: Topology, src: int, dst: int, primary: Lightpath,
+                    k: int) -> tuple[Hops, ...]:
     """Up to k shortest loop-free routes sharing no link with the primary, resolved."""
-    routes = k_shortest_hop_paths(topology, src, dst, k, primary.hops.link_ids)
-    return tuple(topology.hops(route) for route in routes)
+    return resolved_routes(topology, src, dst, k, primary.hops.link_ids)
 
 
 def probe_count(probes_per_interval: int, adaptive_scale: float, aggregate_rate: float) -> int:
@@ -73,6 +73,12 @@ def probe_outcome(hops: tuple[tuple[Link, int], ...], mode: str = NO_CONVERSION)
     return PACK if common or mode != NO_CONVERSION else NACK
 
 
+@cache
+def _slot_offsets(count: int, interval: float) -> tuple[float, ...]:
+    """Each slot's send time after its window opens, ``count`` evenly spaced before the close."""
+    return tuple((s + 1) * interval / (count + 1) for s in range(count))
+
+
 class ConnectionProber:
     """Probe windows over one connection's candidate set, and their ranking.
 
@@ -92,7 +98,7 @@ class ConnectionProber:
         self.interval = interval
         self.end = end
         self._round_trips = [2.0 * hops.delay for hops in candidates]
-        self._offsets = [(s + 1) * interval / (count + 1) for s in range(count)]
+        self._offsets = _slot_offsets(count, interval)
         n = len(candidates)  # each candidate's next slot, and the open window's tallies
         self._slots, self._acks, self._nacks = [0] * n, [0] * n, [0] * n
         self.landings: list[tuple[float, str]] = []  # (land, outcome) of every probe sent

@@ -12,18 +12,17 @@ branch-for-branch as given, including the jump at LI = LT, and worked out per
 lane from its free count and its own link's channel total.  A down link offers
 no free wavelength (``Link.free_mask`` reads 0), so like a saturated lane it
 is unusable, and a demand whose every route crosses one is blocked.
-Dijkstra prices each arc ``Topology.neighbors`` lists by its (link, lane), and
-Yen bans the links of the accepted routes' ``Hops``, so routing never works a
-lane out.  Only the load-aware costs run Dijkstra per demand.  A route is
-resolved into its ``Hops`` once, where its router finds it, and every router
-sets its lightpath up through ``establish_lightpath`` on that record.
+``least_cost_path``, Dijkstra, prices each arc ``Topology.neighbors`` lists
+inline from its lane's mask.  Every router sets its lightpath up through
+``establish_lightpath`` on the ``Hops`` it resolved, once, where it found it.
 
 Hop-count routes read no link state, so they are a function of the graph
-alone.  Yen's k shortest hop routes (Yen, 1971) are memoised per
-``Topology.graph`` for the life of the process, keyed by (src, dst, k,
-banned links).  They serve every connection's candidates, which rftr probes
-and a baseline connection looks up at its first failure, and the baseline's
-primary: Yen's first route, with the down links it was found to cross banned.
+alone: ``min_hop_path`` is a BFS.  Yen's k shortest hop routes (Yen, 1971) are
+memoised per ``Topology.graph`` for the life of the process, keyed by (src,
+dst, k, banned links), and kept resolved in each topology's own table.  They
+serve every connection's candidates, which rftr probes and a baseline
+connection looks up at its first failure, and the baseline's primary: Yen's
+first route, with the down links it was found to cross banned.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 
 from .errors import NoSuchNodeError
-from .topology import Hops, Link, Topology
+from .topology import Hops, Topology
 
 NO_CONVERSION = "none"
 FULL_CONVERSION = "full"
@@ -48,34 +47,25 @@ def link_cost(load_index: float, lt: float) -> float:
     return math.inf
 
 
-def loaded_edge_cost(lt: float):
-    """Edge-cost function over the current channel state at the LT breakpoint ``lt``."""
-
-    def cost(link: Link, lane: int) -> float:
-        return link_cost(link.free_mask(lane).bit_count() / link.total_channels, lt)
-
-    return cost
-
-
-def least_cost_path(
-    topology: Topology,
-    src: int,
-    dst: int,
-    edge_cost,
-    banned_links: frozenset[int] = frozenset(),
-    banned_nodes: frozenset[int] = frozenset(),
-) -> tuple[tuple[int, ...], float] | None:
-    """Dijkstra over ``edge_cost(link, lane)`` of each arc, with a total, deterministic order.
-
-    Ties on total cost break by fewer hops, then by lexicographically
-    smallest node sequence.  Returns (route, cost) or None when no
-    finite-cost route exists.
-    """
+def _check_endpoints(topology: Topology, src: int, dst: int) -> None:
     for n in (src, dst):
         if not 0 <= n < topology.num_nodes:
             raise NoSuchNodeError(f"node {n} not in topology")
     if src == dst:
         raise ValueError("src and dst must differ")
+
+
+def least_cost_path(
+    topology: Topology, src: int, dst: int, lt: float,
+    banned_links: frozenset[int] = frozenset(), banned_nodes: frozenset[int] = frozenset(),
+) -> tuple[tuple[int, ...], float] | None:
+    """Dijkstra over each arc's ``link_cost`` at LT ``lt``, priced inline from its lane's mask.
+
+    A lane with no free wavelength, a down link's too, is skipped.  Ties on
+    total cost break by fewer hops, then by lexicographically smallest node
+    sequence.  Returns (route, cost) or None when no finite-cost route exists.
+    """
+    _check_endpoints(topology, src, dst)
     # priority = (cost, hops, route); route extension preserves the order
     # because compared routes are loop-free and never prefixes of each other
     heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (src,))]
@@ -92,10 +82,10 @@ def least_cost_path(
         for v, link, lane in topology.neighbors(u):
             if v in done or v in banned_nodes or link.id in banned_links:
                 continue
-            c = edge_cost(link, lane)
-            if math.isinf(c):
+            if not (mask := link.free_mask(lane)):
                 continue
-            candidate = (cost + c, hops + 1, route + (v,))
+            li = mask.bit_count() / link.total_channels
+            candidate = (cost + (1.0 - li if li > lt else 1.0 + li), hops + 1, route + (v,))
             known = best.get(v)
             if known is None or candidate < known:
                 best[v] = candidate
@@ -104,45 +94,61 @@ def least_cost_path(
 
 
 def min_hop_path(
-    topology: Topology,
-    src: int,
-    dst: int,
-    banned_links: frozenset[int] = frozenset(),
-    banned_nodes: frozenset[int] = frozenset(),
+    topology: Topology, src: int, dst: int,
+    banned_links: frozenset[int] = frozenset(), banned_nodes: frozenset[int] = frozenset(),
 ) -> tuple[int, ...] | None:
-    """Least-hop route avoiding the bans; reads no link state, not even ``up``."""
-    found = least_cost_path(topology, src, dst, lambda link, lane: 1.0, banned_links, banned_nodes)
-    return None if found is None else found[0]
+    """Least-hop route avoiding the bans, least by node sequence among those; reads no
+    link state, not even ``up``.  A BFS from ``dst`` gives each node its hops to go,
+    and the walk from ``src`` steps to the smallest neighbour one hop nearer."""
+    _check_endpoints(topology, src, dst)
+    togo, queue = {dst: 0}, [dst]
+    for u in queue:  # the queue grows as it is read
+        for v, link, _ in topology.neighbors(u):
+            if (v not in togo and link.id not in banned_links
+                    and (v == src or v not in banned_nodes)):
+                togo[v] = togo[u] + 1
+                queue.append(v)
+    if src not in togo or dst in banned_nodes:
+        return None
+    route = [src]
+    for left in range(togo[src] - 1, -1, -1):  # the hops to go after this step
+        route.append(next(v for v, link, _ in topology.neighbors(route[-1])
+                          if togo.get(v) == left and link.id not in banned_links))
+    return tuple(route)
 
 
 # (graph, {(src, dst, k, banned links): routes}) for the graph last asked about
 _hop_routes: tuple[tuple, dict] = ((), {})
 
 
-def k_shortest_hop_paths(
-    topology: Topology,
-    src: int,
-    dst: int,
-    k: int,
-    banned_links: frozenset[int] = frozenset(),
-) -> list[tuple[int, ...]]:
+def k_shortest_hop_paths(topology: Topology, src: int, dst: int, k: int,
+                         banned_links: frozenset[int] = frozenset()) -> list[tuple[int, ...]]:
     """Yen's k shortest hop paths, memoised per graph (another replaces it); a fresh list."""
     global _hop_routes
     graph, memo = _hop_routes
     if graph != topology.graph:
         memo = {}
         _hop_routes = (topology.graph, memo)
-    banned = frozenset(banned_links)
-    key = (src, dst, k, banned)
+    key = (src, dst, k, banned_links)
     routes = memo.get(key)
     if routes is None:
-        routes = memo[key] = tuple(_yen(topology, src, dst, k, banned))
+        routes = memo[key] = tuple(_yen(topology, src, dst, k, banned_links))
     return list(routes)
 
 
-def _yen(
-    topology: Topology, src: int, dst: int, k: int, banned_links: frozenset[int]
-) -> list[tuple[int, ...]]:
+def resolved_routes(topology: Topology, src: int, dst: int, k: int,
+                    banned_links: frozenset[int] = frozenset()) -> tuple[Hops, ...]:
+    """Yen's k shortest hop routes, resolved, from the topology's own table; a miss fills
+    it from the per-graph memo, so each topology resolves each route once."""
+    routes = topology.routes.get(key := (src, dst, k, banned_links))
+    if routes is None:
+        found = k_shortest_hop_paths(topology, *key)
+        routes = topology.routes[key] = tuple(map(topology.hops, found))
+    return routes
+
+
+def _yen(topology: Topology, src: int, dst: int, k: int,
+         banned_links: frozenset[int]) -> list[tuple[int, ...]]:
     """Yen's algorithm ordered by (hop count, route), loop-free throughout."""
     first = min_hop_path(topology, src, dst, banned_links)
     if first is None or k < 1:
@@ -174,8 +180,8 @@ def _yen(
 
 
 def baseline_route(topology: Topology, src: int, dst: int) -> Hops | None:
-    """The least-hop route over up links that ``least_cost_path`` finds: Yen's first
-    route, resolved.
+    """The least-hop route over up links, least by node sequence among those: Yen's
+    first route, resolved.
 
     Starting with no bans, look up the first of Yen's routes avoiding the
     bans, which is ``min_hop_path``'s; if it crosses down links, ban those
@@ -185,13 +191,12 @@ def baseline_route(topology: Topology, src: int, dst: int) -> Hops | None:
     """
     banned: frozenset[int] = frozenset()
     while True:
-        routes = k_shortest_hop_paths(topology, src, dst, 1, banned)
+        routes = resolved_routes(topology, src, dst, 1, banned)
         if not routes:
             return None
-        hops = topology.hops(routes[0])
-        down = [link.id for link, _ in hops if not link.up]
+        down = [link.id for link, _ in routes[0] if not link.up]
         if not down:
-            return hops
+            return routes[0]
         banned = banned.union(down)
 
 
@@ -288,8 +293,8 @@ def _established(
 
 
 def establish_primary(topology: Topology, src: int, dst: int, lt: float, **setup) -> RouteResult:
-    """The threshold-cost router: the least-cost route under ``loaded_edge_cost(lt)``."""
-    found = least_cost_path(topology, src, dst, loaded_edge_cost(lt))
+    """The threshold-cost router: the least-cost route under the load-aware costs at ``lt``."""
+    found = least_cost_path(topology, src, dst, lt)
     return _established(None if found is None else topology.hops(found[0]), **setup)
 
 

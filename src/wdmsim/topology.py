@@ -127,6 +127,7 @@ class Topology:
         for (u, v), arc in sorted(self._arcs.items()):
             self._neighbors[u].append((v, *arc))
         self._hops: dict[tuple[int, ...], Hops] = {}
+        self.routes: dict[tuple, tuple[Hops, ...]] = {}  # Yen's, resolved by routing, by query
 
     def neighbors(self, u: int) -> list[tuple[int, Link, int]]:
         """(neighbor, link, lane) of each arc out of u, in ascending neighbor order."""

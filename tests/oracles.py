@@ -14,6 +14,7 @@ import math
 import random
 from fractions import Fraction
 
+from wdmsim.routing import least_cost_path, link_cost
 from wdmsim.topology import FORWARD, REVERSE, Hops, Link, Topology
 
 
@@ -43,8 +44,28 @@ def simple_paths(topology: Topology, src: int, dst: int, banned_links=frozenset(
 
 
 def unit_edge_cost(link: Link, lane: int) -> float:
-    """Hop-count costs over up links: under it ``least_cost_path`` is the baseline's route."""
+    """Hop-count costs over up links: its least-cost route is the baseline's route."""
     return 1.0 if link.up else math.inf
+
+
+def loaded_edge_cost(lt: float):
+    """The load-aware costs at LT ``lt``: ``link_cost`` of the lane's free fraction, its
+    free wavelengths counted one mask bit at a time."""
+
+    def cost(link: Link, lane: int) -> float:
+        free = sum(link.free_mask(lane) >> w & 1 for w in range(link.total_channels))
+        return link_cost(free / link.total_channels, lt)
+
+    return cost
+
+
+def priced_arc(topology: Topology, link: Link, lane: int, lt: float) -> float:
+    """What ``least_cost_path`` charges for travel along ``link``'s ``lane``: the cost of
+    the one route left when every other node is banned, or inf when it finds none."""
+    u, v = (link.a, link.b) if lane == FORWARD else (link.b, link.a)
+    others = frozenset(range(topology.num_nodes)) - {u, v}
+    found = least_cost_path(topology, u, v, lt, banned_nodes=others)
+    return math.inf if found is None else found[1]
 
 
 def path_cost(topology: Topology, route, edge_cost) -> float:
@@ -54,10 +75,14 @@ def path_cost(topology: Topology, route, edge_cost) -> float:
     return total
 
 
-def min_cost_route(topology: Topology, src: int, dst: int, edge_cost):
-    """Exhaustive minimum by (cost, hops, route) — mirrors the tie-break."""
+def min_cost_route(topology: Topology, src: int, dst: int, edge_cost,
+                   banned_links=frozenset(), banned_nodes=frozenset()):
+    """Exhaustive minimum by (cost, hops, route) — mirrors the tie-break — over the
+    routes crossing no banned link and entering no banned node."""
     best = None
-    for route in simple_paths(topology, src, dst):
+    for route in simple_paths(topology, src, dst, banned_links):
+        if not banned_nodes.isdisjoint(route[1:]):
+            continue
         cost = path_cost(topology, route, edge_cost)
         if cost == float("inf"):
             continue

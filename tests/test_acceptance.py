@@ -15,7 +15,9 @@ from fractions import Fraction
 from oracles import (
     hops_of,
     k_best_disjoint,
+    loaded_edge_cost,
     min_cost_route,
+    priced_arc,
     random_failure_schedule,
     random_topology,
     window_probes,
@@ -37,8 +39,8 @@ from wdmsim.probing import (
     candidate_paths,
     k_shortest_hop_paths,
 )
-from wdmsim.routing import establish_primary, least_cost_path, link_cost, loaded_edge_cost
-from wdmsim.topology import Link, parse_topology
+from wdmsim.routing import establish_primary, least_cost_path, link_cost
+from wdmsim.topology import Link, Topology, parse_topology
 
 
 def announce(capsys, number, title, ok, detail, elapsed, budget):
@@ -75,22 +77,25 @@ def test_criterion_1_formula_fidelity(capsys):
             if link_cost(li, lt) != expected:
                 mismatches += 1
 
-    # free-channel fraction, exact dyadic and non-dyadic, as the load-aware costs
-    # price it at every grid LT (0.5 is 4 of 8 free: the jump)
-    costs = [(loaded_edge_cost(j / 10), j / 10) for j in range(1, 10)]
+    # free-channel fraction, exact dyadic and non-dyadic, as least_cost_path
+    # prices an arc at every grid LT (0.5 is 4 of 8 free: the jump)
+    lts = [j / 10 for j in range(1, 10)]
     link = Link(0, 0, 1, 0.01, 8)
     for occupied in range(9):
         for w in range(occupied):
             link.occupy(0, w)
         assert link.free_mask(0).bit_count() == 8 - occupied
         li = float(Fraction(8 - occupied, 8))
-        assert all(cost(link, 0) == link_cost(li, lt) for cost, lt in costs)
+        topo = Topology(2, [link])
+        assert all(priced_arc(topo, link, 0, lt) == link_cost(li, lt) for lt in lts)
         for w in range(occupied):
             link.release(0, w)
-    three = Link(1, 0, 1, 0.01, 3)
+    three = Link(0, 0, 1, 0.01, 3)
     three.occupy(0, 0)
     assert three.free_mask(0).bit_count() == 2
-    assert all(cost(three, 0) == link_cost(float(Fraction(2, 3)), lt) for cost, lt in costs)
+    topo = Topology(2, [three])
+    assert all(priced_arc(topo, three, 0, lt) == link_cost(float(Fraction(2, 3)), lt)
+               for lt in lts)
 
     # NACK fraction over resolved probes, plus the no-evidence sentinel
     prober = one_route_prober(10)
@@ -114,7 +119,7 @@ def test_criterion_1_formula_fidelity(capsys):
 def test_criterion_2_routing_oracle_equivalence(capsys):
     t0 = time.perf_counter()
     lt = SimConfig().load_threshold
-    cost_fn = loaded_edge_cost(lt)
+    cost_fn = loaded_edge_cost(lt)  # the oracle's, which counts free bits one at a time
     route_checks = candidate_checks = 0
     for case in range(200):
         rng = random.Random(9200 + case)
@@ -123,7 +128,7 @@ def test_criterion_2_routing_oracle_equivalence(capsys):
         dst = (src + 1 + rng.randrange(topo.num_nodes - 1)) % topo.num_nodes
 
         want = min_cost_route(topo, src, dst, cost_fn)
-        found = least_cost_path(topo, src, dst, cost_fn)
+        found = least_cost_path(topo, src, dst, lt)
         cost = math.inf if found is None else found[1]
         result = establish_primary(topo, src, dst, lt)
         if want is None:

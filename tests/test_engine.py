@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import random
@@ -401,8 +402,8 @@ def test_baseline_restores_too():
 def count_yen_calls(monkeypatch) -> list:
     """Record every k-shortest route lookup candidate building makes, for probing or backups."""
     calls = []
-    lookup = wdmsim.probing.k_shortest_hop_paths
-    monkeypatch.setattr(wdmsim.probing, "k_shortest_hop_paths",
+    lookup = wdmsim.probing.resolved_routes
+    monkeypatch.setattr(wdmsim.probing, "resolved_routes",
                         lambda *args: calls.append(args) or lookup(*args))
     return calls
 
@@ -763,6 +764,61 @@ def test_leak_check_raises_under_optimised_python():
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("InvariantError: channel leak")
+
+
+# -- steps the clock cannot take --------------------------------------------------
+
+STEP_RUN = textwrap.dedent("""
+    import json, sys
+    from wdmsim.engine import SimConfig, Simulation
+    from wdmsim.errors import ConfigError
+    fields, arrivals = json.loads(sys.argv[1])
+    sim = Simulation(SimConfig(**fields))
+    if arrivals:
+        sim.arrivals = [tuple(entry) for entry in arrivals]
+    try:
+        report = sim.run()
+    except ConfigError as err:
+        print(f"ConfigError: {err}; offered={sim.collector.report.offered} queued={len(sim._heap)}")
+    else:
+        print(f"ran: offered={report.offered}")
+""")
+
+
+def run_in_child(fields: dict, arrivals=None) -> str:
+    """One run in a child process, so that a run that never ends fails the test by its
+    timeout instead of hanging it; floats pass through JSON exactly."""
+    src = str(Path(wdmsim.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", STEP_RUN, json.dumps([fields, arrivals])],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=30)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("field", ["probe_interval", "sample_interval"])
+def test_a_step_the_clock_cannot_take_is_refused(field):
+    out = run_in_child({"max_requests": 3, "seed": 1, field: 1e-300})
+    assert out.startswith(f"ConfigError: {field}: ")
+
+
+def test_a_baseline_run_is_refused_for_its_ticks_but_not_for_probes_it_never_sends():
+    baseline = {"max_requests": 3, "seed": 1, "router": ROUTER_BASELINE}
+    assert run_in_child({**baseline, "sample_interval": 1e-300}).startswith(
+        "ConfigError: sample_interval: ")
+    assert run_in_child({**baseline, "probe_interval": 1e-300}) == "ran: offered=3\n"
+
+
+@pytest.mark.parametrize("field, value, failure, last", [
+    ("sample_interval", math.ulp(1.0) / 2, 0.75, "1"),
+    ("probe_interval", math.ulp(1.0) / 2 * 11, 0.75, "1"),  # the step is probe_interval / 11
+    ("sample_interval", math.ulp(1.0), 2.0, "2"),  # moves 1.0, but not 2.0
+], ids=["tick", "probe", "tick-after-the-last-departure"])
+def test_the_step_refusal_comes_before_the_first_event(field, value, failure, last):
+    # one session departs at 1.0; a step of half the float spacing rounds back
+    fields = {"max_requests": 1, "failures": [(failure, 0)], field: value}
+    out = run_in_child(fields, arrivals=[(0.5, 0, 2, 0.5)])
+    assert re.fullmatch(f"ConfigError: {field}: .* at {last} s; offered=0 queued=0\n", out), out
 
 
 def _free_held(sim):

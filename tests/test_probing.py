@@ -11,6 +11,7 @@ from oracles import (
     arc,
     hops_of,
     k_best_disjoint,
+    min_cost_route,
     random_topology,
     rank_by_feedback,
     unit_edge_cost,
@@ -32,11 +33,11 @@ from wdmsim.probing import (
 from wdmsim.routing import (
     CONVERSION_MODES,
     FULL_CONVERSION,
+    Lightpath,
     assign_wavelength,
     baseline_route,
     establish_baseline,
     establish_primary,
-    least_cost_path,
 )
 from wdmsim.topology import FORWARD, REVERSE, default_topology, parse_topology
 
@@ -208,7 +209,7 @@ def test_threads_mixing_baseline_and_yen_lookups_get_uncached_answers():
                 for k in (1, 3):
                     want = routing._yen(topo, src, dst, k, frozenset())
                     queries.append((k_shortest_hop_paths, (topo, src, dst, k), want))
-            found = least_cost_path(topo, src, dst, unit_edge_cost)
+            found = min_cost_route(topo, src, dst, unit_edge_cost)
             queries.append((baseline_route, (topo, src, dst), found and topo.hops(found[0])))
     random.Random(0).shuffle(queries)  # so each thread keeps switching graphs
     wrong = []
@@ -236,6 +237,43 @@ def test_threads_mixing_baseline_and_yen_lookups_get_uncached_answers():
 @pytest.mark.parametrize("k", [0, -1])
 def test_no_route_is_asked_for_below_one(mesh8, k):
     assert k_shortest_hop_paths(mesh8, 0, 2, k) == []
+
+
+# -- each topology's table of resolved routes -----------------------------------
+
+def served_hops(topology, src, dst):
+    """The baseline's route and the candidates avoiding it, as ``topology`` serves them."""
+    route = baseline_route(topology, src, dst)
+    return [route, *candidate_paths(topology, src, dst, Lightpath(route, []), 3)]
+
+
+def test_a_repeated_lookup_returns_the_identical_hops(mesh8):
+    pairs = [(s, d) for s in range(8) for d in range(8) if s != d]
+    first = [served_hops(mesh8, s, d) for s, d in pairs]
+    again = [served_hops(mesh8, s, d) for s, d in pairs]
+    assert all(len(hops) > 1 for hops in first)
+    assert all(a is b for served, repeat in zip(first, again)
+               for a, b in zip(served, repeat, strict=True))
+
+
+def test_topologies_of_one_graph_never_share_hops():
+    # asked in turn, so a table kept per graph would hand one the other's records
+    stock, other = default_topology(), default_topology(channels=2)
+    assert stock.graph == other.graph
+    for src, dst in [(s, d) for s in range(8) for d in range(8) if s != d]:
+        served = {topo: served_hops(topo, src, dst) for topo in (stock, other)}
+        assert [h.route for h in served[stock]] == [h.route for h in served[other]]
+        for topo, hops_list in served.items():
+            assert all(link is topo.links[link.id] for hops in hops_list for link, _ in hops)
+
+
+def test_slot_offsets_are_worked_out_once_per_count_and_interval(two_route):
+    primary = establish_baseline(two_route, 0, 1).lightpath
+    cands = candidate_paths(two_route, 0, 1, primary, 2)
+    probers = [ConnectionProber(cands, count, interval, end)
+               for count, interval, end in ((3, 0.5, 9.0), (3, 0.5, 4.0), (4, 0.5, 9.0))]
+    assert probers[0]._offsets is probers[1]._offsets
+    assert probers[0]._offsets == (0.125, 0.25, 0.375) and probers[2]._offsets[0] == 0.1
 
 
 def test_a_returned_route_list_is_the_callers_own(square):

@@ -10,8 +10,10 @@ from oracles import (
     first_fit,
     free_wavelengths,
     held_channels,
+    loaded_edge_cost,
     min_cost_route,
     path_cost,
+    priced_arc,
     random_topology,
     simple_paths,
     unit_edge_cost,
@@ -28,7 +30,7 @@ from wdmsim.routing import (
     establish_primary,
     least_cost_path,
     link_cost,
-    loaded_edge_cost,
+    min_hop_path,
     release_lightpath,
 )
 from wdmsim.topology import FORWARD, REVERSE, Link, Topology, default_topology, parse_topology
@@ -73,26 +75,28 @@ def test_link_cost_total_and_bounded(li, lt):
 
 @given(st.integers(1, 16), st.floats(0.01, 0.99))
 @example(8, LT)
-def test_tabulated_cost_is_the_formula(w, drawn_lt):
+def test_priced_arc_is_link_cost(w, drawn_lt):
     # every free fraction of w is an LT too, where the formula jumps (0.5 of 8 free)
     lts = [drawn_lt] + [f / w for f in range(1, w)]
     link = Link(0, 0, 1, 0.01, w)
+    topo = Topology(2, [link])
     for free in range(w, -1, -1):
-        costs = [loaded_edge_cost(lt)(link, FORWARD) for lt in lts]
+        costs = [priced_arc(topo, link, FORWARD, lt) for lt in lts]
         assert costs == [link_cost(free / w, lt) for lt in lts]
         if free:
             link.occupy(FORWARD, free - 1)
     assert costs == [math.inf] * len(lts)
     link.up = False  # a down lane offers no channel, though nothing holds its REVERSE lane
-    assert [loaded_edge_cost(lt)(link, REVERSE) for lt in lts] == [math.inf] * len(lts)
+    assert [priced_arc(topo, link, REVERSE, lt) for lt in lts] == [math.inf] * len(lts)
 
 
 def test_loaded_cost_uses_travel_lane(square):
-    cost = loaded_edge_cost(LT)
     link = square.links[0]
     occupy_forward(link, 8)  # saturate 0 -> 1 only
-    assert cost(link, FORWARD) == math.inf
-    assert cost(link, REVERSE) == 0.0  # reverse lane untouched, LI = 1
+    assert priced_arc(square, link, FORWARD, LT) == math.inf
+    assert priced_arc(square, link, REVERSE, LT) == 0.0  # reverse lane untouched, LI = 1
+    assert least_cost_path(square, 0, 1, LT) == ((0, 3, 2, 1), 0.0)
+    assert least_cost_path(square, 1, 0, LT) == ((1, 0), 0.0)
 
 
 def test_unit_cost_only_cares_about_state(square):
@@ -106,9 +110,9 @@ def test_unit_cost_only_cares_about_state(square):
 # -- shortest path ------------------------------------------------------------
 
 def test_lexicographic_tie_break(square):
-    route, cost = least_cost_path(square, 0, 2, unit_edge_cost)
-    assert route == (0, 1, 2)  # [0,3,2] costs the same; smaller sequence wins
-    assert cost == 2.0
+    # [0,3,2] has as many hops and, idle, costs the same; smaller sequence wins
+    assert min_hop_path(square, 0, 2) == (0, 1, 2)
+    assert least_cost_path(square, 0, 2, LT) == ((0, 1, 2), 0.0)
 
 
 def occupy_towards(topo, u, v, count):
@@ -125,37 +129,47 @@ def test_fewer_hops_wins_on_cost_tie():
     occupy_towards(topo, 0, 1, 6)
     occupy_towards(topo, 0, 2, 5)
     occupy_towards(topo, 2, 1, 5)
-    route, cost = least_cost_path(topo, 0, 1, loaded_edge_cost(LT))
+    route, cost = least_cost_path(topo, 0, 1, LT)
     assert route == (0, 1)
     assert cost == 1.25
 
 
 def test_congestion_forces_detour(square):
     occupy_forward(square.links[0], 8)  # 0->1 saturated
-    route, _ = least_cost_path(square, 0, 2, loaded_edge_cost(LT))
+    route, _ = least_cost_path(square, 0, 2, LT)
     assert route == (0, 3, 2)
+
+
+# both searches, each answering with its route alone
+SEARCHES = [lambda *args, **bans: (least_cost_path(*args, LT, **bans) or [None])[0],
+            min_hop_path]
 
 
 def test_banned_links_and_nodes(square):
-    route, _ = least_cost_path(square, 0, 2, unit_edge_cost, banned_links=frozenset({0}))
-    assert route == (0, 3, 2)
-    route2, _ = least_cost_path(square, 0, 2, unit_edge_cost, banned_nodes=frozenset({1}))
-    assert route2 == (0, 3, 2)
-    assert least_cost_path(square, 0, 2, unit_edge_cost,
-                           banned_nodes=frozenset({1, 3})) is None
+    for route in SEARCHES:
+        assert route(square, 0, 2, banned_links=frozenset({0})) == (0, 3, 2)
+        assert route(square, 0, 2, banned_nodes=frozenset({1})) == (0, 3, 2)
+        assert route(square, 0, 2, banned_nodes=frozenset({1, 3})) is None
+        # the source is never entered again, so banning it bans nothing
+        assert route(square, 0, 2, banned_nodes=frozenset({0})) == (0, 1, 2)
+        assert route(square, 0, 2, banned_nodes=frozenset({2})) is None
 
 
 def test_no_route_when_all_down(square):
     for link in square.links:
         link.up = False
-    assert least_cost_path(square, 0, 2, unit_edge_cost) is None
+    assert least_cost_path(square, 0, 2, LT) is None
+    assert min_hop_path(square, 0, 2) == (0, 1, 2)  # reads no link state
 
 
 def test_endpoint_validation(square):
-    with pytest.raises(NoSuchNodeError):
-        least_cost_path(square, 0, 9, unit_edge_cost)
-    with pytest.raises(ValueError):
-        least_cost_path(square, 2, 2, unit_edge_cost)
+    for search in SEARCHES:
+        with pytest.raises(NoSuchNodeError):
+            search(square, 0, 9)
+        with pytest.raises(NoSuchNodeError):
+            search(square, -1, 2)
+        with pytest.raises(ValueError):
+            search(square, 2, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,9 +179,9 @@ def test_least_cost_matches_exhaustive_search(seed):
     topo = random_topology(rng)
     src = rng.randrange(topo.num_nodes)
     dst = (src + 1 + rng.randrange(topo.num_nodes - 1)) % topo.num_nodes
-    for edge_cost in (loaded_edge_cost(LT), unit_edge_cost):
-        got = least_cost_path(topo, src, dst, edge_cost)
-        want = min_cost_route(topo, src, dst, edge_cost)
+    for lt in (LT, rng.uniform(0.01, 0.99)):
+        got = least_cost_path(topo, src, dst, lt)
+        want = min_cost_route(topo, src, dst, loaded_edge_cost(lt))
         if want is None:
             assert got is None
         else:
@@ -176,13 +190,29 @@ def test_least_cost_matches_exhaustive_search(seed):
             assert got[0] == want[0]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_min_hop_path_matches_exhaustive_search(seed):
+    # random bans leave some pairs unreachable; the up flags random_topology
+    # sets must not matter
+    rng = random.Random(seed)
+    topo = random_topology(rng)
+    for _ in range(6):
+        src = rng.randrange(topo.num_nodes)
+        dst = (src + 1 + rng.randrange(topo.num_nodes - 1)) % topo.num_nodes
+        banned_links = frozenset(link.id for link in topo.links if rng.random() < 0.25)
+        banned_nodes = frozenset(n for n in range(topo.num_nodes) if rng.random() < 0.2)
+        want = min_cost_route(topo, src, dst, lambda link, lane: 1.0, banned_links, banned_nodes)
+        assert min_hop_path(topo, src, dst, banned_links, banned_nodes) == (want and want[0])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_returned_route_is_simple_and_priced_correctly(seed):
     rng = random.Random(seed)
     topo = random_topology(rng)
     src, dst = 0, topo.num_nodes - 1
-    found = least_cost_path(topo, src, dst, loaded_edge_cost(LT))
+    found = least_cost_path(topo, src, dst, LT)
     if found is None:
         return
     route, cost = found
@@ -240,7 +270,7 @@ def test_free_mask_tracks_held_set_and_first_fit_oracle(seed, ops):
         assert link.free_mask(lane) == sum(1 << w for w in free)
         assert link.free_mask(lane).bit_count() == len(free)
         li = len(free) / link.total_channels
-        assert loaded_edge_cost(LT)(link, lane) == link_cost(li, LT)
+        assert priced_arc(topo, link, lane, LT) == link_cost(li, LT)
     for src in range(topo.num_nodes):
         for dst in range(topo.num_nodes):
             if src == dst:
@@ -347,7 +377,7 @@ def test_a_router_resolves_its_route_once_per_setup(monkeypatch, router):
 
 
 def test_establish_primary_end_to_end(square):
-    _, cost = least_cost_path(square, 0, 2, loaded_edge_cost(LT))
+    _, cost = least_cost_path(square, 0, 2, LT)
     result = establish_primary(square, 0, 2, LT)
     assert not result.blocked
     assert result.lightpath.hops.route == (0, 1, 2)
@@ -401,7 +431,7 @@ def baseline_route_of(topology, src, dst):
 
 
 def unit_cost_route(topology, src, dst):
-    found = least_cost_path(topology, src, dst, unit_edge_cost)
+    found = min_cost_route(topology, src, dst, unit_edge_cost)
     return None if found is None else found[0]
 
 
@@ -438,8 +468,8 @@ def test_topologies_of_one_graph_get_their_own_down_links_routes():
 def test_a_repeated_baseline_demand_runs_no_route_search(square, monkeypatch):
     monkeypatch.setattr(routing, "_hop_routes", ((), {}))
     calls = []
-    search = routing.least_cost_path
-    monkeypatch.setattr(routing, "least_cost_path",
+    search = routing.min_hop_path
+    monkeypatch.setattr(routing, "min_hop_path",
                         lambda *args, **kwargs: calls.append(args) or search(*args, **kwargs))
     square.links[0].up = False
     assert baseline_route_of(square, 0, 1) == (0, 3, 2, 1)

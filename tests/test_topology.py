@@ -14,7 +14,8 @@ from wdmsim.errors import (
     TopologyError,
     TopologyParseError,
 )
-from wdmsim.routing import link_cost, loaded_edge_cost
+from oracles import priced_arc
+from wdmsim.routing import link_cost
 from wdmsim.topology import (
     FORWARD,
     REVERSE,
@@ -198,7 +199,10 @@ def test_occupy_down_link_refused(square):
 def test_load_index_free_fraction(square):
     # LI is a lane's free count over its channel total; its cost is the formula's at LI
     link = square.links[0]
-    cost = loaded_edge_cost(LT)
+
+    def cost(link, lane):
+        return priced_arc(square, link, lane, LT)
+
     assert link.free_mask(FORWARD).bit_count() / link.total_channels == 1.0
     assert cost(link, FORWARD) == link_cost(1.0, LT) == 0.0
     for w in range(4):
@@ -331,6 +335,6 @@ def test_load_index_matches_free_fraction(k_fwd, k_rev, lt):
         link.occupy(REVERSE, w)
     assert link.free_mask(FORWARD).bit_count() == 8 - k_fwd
     assert link.free_mask(REVERSE).bit_count() == 8 - k_rev
-    cost = loaded_edge_cost(lt)
-    assert cost(link, FORWARD) == link_cost((8 - k_fwd) / 8, lt)
-    assert cost(link, REVERSE) == link_cost((8 - k_rev) / 8, lt)
+    topo = Topology(2, [link])
+    assert priced_arc(topo, link, FORWARD, lt) == link_cost((8 - k_fwd) / 8, lt)
+    assert priced_arc(topo, link, REVERSE, lt) == link_cost((8 - k_rev) / 8, lt)
