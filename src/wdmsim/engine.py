@@ -23,17 +23,17 @@ conversion mode and binds its router once; a fresh setup, restoration
 included, goes through it.  Every connection's backups are its prober's
 ranking, and ``m`` is applied where restoration tries them.  Before it schedules
 anything, ``Simulation.run`` refuses a replaced ``arrivals`` holding a bad time,
-holding or endpoint, and a tick or probe step the clock cannot take.
+holding or endpoint, and a tick or probe step too small for the run to end.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import random
 from dataclasses import dataclass, field, fields
 from functools import partial
+from heapq import heappop, heappush
 from numbers import Real
 
 from . import metrics as metrics_mod
@@ -65,6 +65,11 @@ SAMPLE_TICK = "sample_tick"
 
 ROUTER_RFTR = "rftr"
 ROUTER_BASELINE = "baseline"
+
+# The most ticks, and rftr probe sends, a run may schedule: thousands of times any study's
+# (about 5e3 and 3e5), far fewer than a 1e-9 s step asks for in a run of a second.
+MAX_TICKS = 10**7
+MAX_PROBE_SENDS = 10**9
 
 
 @dataclass
@@ -247,7 +252,7 @@ class Simulation:
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, time: float, kind: str, *args) -> None:
-        heapq.heappush(self._heap, (time, next(self._eseq), kind, args))
+        heappush(self._heap, (time, next(self._eseq), kind, args))
 
     # -- run ----------------------------------------------------------------
 
@@ -268,16 +273,22 @@ class Simulation:
         script.sort(reverse=True)  # seqs are unique, so (time, seq) decides every comparison
         cfg = self.config  # ``last``: the later of the last scripted time and last departure
         last = max([t + h for t, _, _, h in self.arrivals] + [t for t, *_ in script[:1]], default=0)
-        steps = {"sample_interval": cfg.sample_interval}
+        # (parameter, step, events it may schedule, their cap); a connection holding h opens at
+        # most h / probe_interval + 1 windows, each sending probe_count down each candidate
+        steps = [("sample_interval", cfg.sample_interval, last / cfg.sample_interval, MAX_TICKS)]
         if cfg.router == ROUTER_RFTR:  # the baseline never probes
-            steps["probe_interval"] = cfg.probe_interval / (cfg.probes_per_interval + 1)
-        for name, step in steps.items():
+            windows = sum(h for *_, h in self.arrivals) / cfg.probe_interval + len(self.arrivals)
+            steps.append(("probe_interval", cfg.probe_interval / (cfg.probes_per_interval + 1),
+                          cfg.candidates_k * self.probe_count * windows, MAX_PROBE_SENDS))
+        for name, step, events, cap in steps:
             if step <= math.ulp(last) / 2:  # then some instant up to ``last`` would stall the clock
                 raise ConfigError(f"{name}: a {step:g} s step cannot move the clock at {last:g} s")
+            if events > cap:
+                raise ConfigError(f"{name}: a {step:g} s step asks for up to {events:.3g} events"
+                                  f" by {last:g} s, over the {cap:g} a run may schedule")
         self.schedule(self.config.sample_interval, SAMPLE_TICK)
 
-        heap = self._heap
-        pop = heapq.heappop
+        heap, pop = self._heap, heappop
         handlers = self._HANDLERS
         while heap or script:
             # the script's next event goes first when it sorts before the heap's

@@ -4,9 +4,9 @@ For every established rftr connection the source keeps a set of candidate
 routes link-disjoint from the primary.  Each update interval it sends a
 small batch of probes down every candidate; the far end answers PACK when
 the route could currently carry a lightpath and NACK when it could not (no
-admissible wavelength; a down hop offers none, since its ``free_mask`` reads
-0).  A candidate is its route's memoised ``Hops``: a probe reads only their
-masks, and its answer lands one round trip, twice their delay, later.
+admissible wavelength; a down hop offers none).  A candidate is its route's
+memoised ``Hops``: a probe reads only their masks, and its answer lands one
+round trip, twice their delay, later.
 ``ConnectionProber`` owns the window rule: each candidate's round trip, worked
 out once, slot and next send (none at or after the connection's end), an
 answer's tally (fixed at send, in the window it lands in before the close),
@@ -61,13 +61,12 @@ def probe_outcome(hops: tuple[tuple[Link, int], ...], mode: str = NO_CONVERSION)
 
     Without conversion one wavelength must be free on every hop (a nonzero
     AND of the masks); with full conversion every hop needs some free
-    wavelength.  A down hop's mask is 0, so it answers NACK.  ``mode`` is
+    wavelength.  A down hop offers none, so it answers NACK.  ``mode`` is
     checked by the config.
     """
     common = -1
     for link, lane in hops:
-        free = link.free_mask(lane)
-        if not free:
+        if not (link.up and (free := link._free[lane])):
             return NACK
         common &= free
     return PACK if common or mode != NO_CONVERSION else NACK
@@ -124,10 +123,17 @@ class ConnectionProber:
             self.ranking(now)
         land = now + self._round_trips[path_index]
         self.landings.append((land, outcome))
-        if land < self.close_at:
-            (self._acks if outcome == PACK else self._nacks)[path_index] += 1  # feedback's tally
-        slot = self._slots[path_index] = (self._slots[path_index] + 1) % self.count
-        t = (self.close_at if slot == 0 else self._opened_at) + self._offsets[slot]
+        if land < self.close_at:  # feedback's tally
+            if outcome == PACK:
+                self._acks[path_index] += 1
+            else:
+                self._nacks[path_index] += 1
+        slot = self._slots[path_index] + 1
+        if slot == self.count:  # the slot wraps into the next window
+            slot, t = 0, self.close_at + self._offsets[0]
+        else:
+            t = self._opened_at + self._offsets[slot]
+        self._slots[path_index] = slot
         return t if t < self.end else None
 
     def landed(self, end: float) -> tuple[int, int]:

@@ -10,8 +10,8 @@ channels in the travel lane):
 where LT is a configurable load threshold.  The piecewise form is kept
 branch-for-branch as given, including the jump at LI = LT, and worked out per
 lane from its free count and its own link's channel total.  A down link offers
-no free wavelength (``Link.free_mask`` reads 0), so like a saturated lane it
-is unusable, and a demand whose every route crosses one is blocked.
+no free wavelength, so like a saturated lane it is unusable, and a demand
+whose every route crosses one is blocked.
 ``least_cost_path``, Dijkstra, prices each arc ``Topology.neighbors`` lists
 inline from its lane's mask.  Every router sets its lightpath up through
 ``establish_lightpath`` on the ``Hops`` it resolved, once, where it found it.
@@ -82,7 +82,7 @@ def least_cost_path(
         for v, link, lane in topology.neighbors(u):
             if v in done or v in banned_nodes or link.id in banned_links:
                 continue
-            if not (mask := link.free_mask(lane)):
+            if not (link.up and (mask := link._free[lane])):
                 continue
             li = mask.bit_count() / link.total_channels
             candidate = (cost + (1.0 - li if li > lt else 1.0 + li), hops + 1, route + (v,))
@@ -222,15 +222,14 @@ def first_fit(hops: Hops, mode: str) -> list[int] | None:
             return None
         common = -1
         for link, lane in hops:
-            common &= link.free_mask(lane)
+            common &= link._free[lane] if link.up else 0
         if not common:
             return None
         w = (common & -common).bit_length() - 1
         return [w] * len(hops)
     wavelengths = []
     for link, lane in hops:
-        free = link.free_mask(lane)
-        if not free:
+        if not (link.up and (free := link._free[lane])):
             return None
         wavelengths.append((free & -free).bit_length() - 1)
     return wavelengths

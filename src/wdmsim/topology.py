@@ -8,9 +8,11 @@ operations; occupy refuses a busy channel, or any channel of a down link,
 and release a free one.  Which lightpath holds a channel is recorded on the
 lightpath (hops plus wavelengths), not on the link.
 
-A down link offers no free wavelength (``free_mask`` reads 0), so readers of
-channel state need no up check; the raw masks are kept, so a repaired link
-gets its held channels back and ``occupancy_snapshot`` shows real occupancy.
+A down link offers no free wavelength: ``free_mask`` reads 0, so its callers
+need no up check.  The three hot readers, ``probe_outcome``, ``first_fit`` and
+``least_cost_path``, read ``_free[lane]`` in place behind one ``up`` test, to
+the same rule.  The raw masks are kept, so a repaired link gets its held
+channels back and ``occupancy_snapshot`` shows real occupancy.
 
 The graph never changes after construction, so its arc table, the one map
 from a travel direction (u, v) to its (link, lane), is built once.  It refuses

@@ -806,7 +806,34 @@ def test_a_baseline_run_is_refused_for_its_ticks_but_not_for_probes_it_never_sen
     baseline = {"max_requests": 3, "seed": 1, "router": ROUTER_BASELINE}
     assert run_in_child({**baseline, "sample_interval": 1e-300}).startswith(
         "ConfigError: sample_interval: ")
-    assert run_in_child({**baseline, "probe_interval": 1e-300}) == "ran: offered=3\n"
+    for probe_interval in (1e-300, 1e-9):
+        assert run_in_child({**baseline, "probe_interval": probe_interval}) == "ran: offered=3\n"
+
+
+@pytest.mark.parametrize("field", ["probe_interval", "sample_interval"])
+def test_a_step_too_small_for_the_run_to_end_is_refused(field):
+    # 1e-9 s moves the clock, but a run lasting 1.35 s would take over 1e9 ticks or sends
+    out = run_in_child({"max_requests": 3, "seed": 1, field: 1e-9})
+    assert re.fullmatch(f"ConfigError: {field}: .* events by 1.35312 s, over the .*; "
+                        "offered=0 queued=0\n", out), out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_the_event_caps_bound_what_a_run_schedules(monkeypatch, seed):
+    # a cap just under what a run took is refused: the bound the cap is compared with
+    # is at least what the run schedules, failures and restorations included
+    config = SimConfig(max_requests=60, seed=seed, arrival_rate=3.0, holding_time=0.5,
+                       failures=[(2.0, 0), (4.0, 3)], repairs=[(6.0, 0)])
+    report = Simulation(config).run()
+    # a run of T ticks found an event pending at tick T - 1, so it lasts over T - 2 steps
+    for name, cap, field in (("MAX_TICKS", len(report.series) - 2, "sample_interval"),
+                             ("MAX_PROBE_SENDS", report.probes_sent - 1, "probe_interval")):
+        with monkeypatch.context() as patch:
+            patch.setattr(wdmsim.engine, name, cap)
+            sim = Simulation(config)
+            with pytest.raises(ConfigError, match=f"^{field}: .* events by "):
+                sim.run()
+            assert sim.collector.report.offered == 0
 
 
 @pytest.mark.parametrize("field, value, failure, last", [

@@ -373,6 +373,32 @@ def test_a_window_spaces_its_sends_evenly_and_tallies_each_answer_once():
     assert prober.estimates() == [3 / 4]
 
 
+@pytest.mark.parametrize("interval", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("count", range(1, 13))
+def test_sends_follow_the_slot_chain_over_many_windows(count, interval):
+    # slot s of the window opened at o goes out at o + offsets[s]; the next window opens
+    # at o + interval, so with count 1 every send wraps into the next window
+    delays = (0.03, 0.11)
+    prober = make_prober(probes=count, interval=interval, delays=delays)
+    offsets = [(s + 1) * interval / (count + 1) for s in range(count)]
+    opened, t = 0.0, prober.open_windows(0.0)
+    for w in range(40):
+        close, tallies = opened + interval, [[0, 0], [0, 0]]  # (PACKs, NACKs) per candidate
+        for s in range(count):
+            assert t == opened + offsets[s]
+            outcomes = [NACK if (w + s + j) % 3 == 0 else PACK for j in (0, 1)]
+            sends = [prober.sent(j, outcome, t) for j, outcome in enumerate(outcomes)]
+            for j, outcome in enumerate(outcomes):
+                if t + 2.0 * delays[j] < close:
+                    tallies[j][outcome == NACK] += 1
+            assert sends[0] == sends[1]
+            t = sends[0]
+        # the window stays open until the next one's first send, so its tallies are whole
+        assert [list(pair) for pair in zip(prober._acks, prober._nacks)] == tallies
+        opened = close
+    assert t == opened + offsets[0]
+
+
 def test_answers_land_one_round_trip_after_the_send():
     prober = make_prober(probes=1, delays=(0.125, 0.25))
     assert prober.open_windows(0.0) == 0.25  # every candidate's first send

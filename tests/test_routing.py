@@ -21,7 +21,9 @@ from oracles import (
 from wdmsim import routing
 from wdmsim.engine import SimConfig
 from wdmsim.errors import NoSuchNodeError
+from wdmsim.probing import NACK, PACK, probe_outcome
 from wdmsim.routing import (
+    CONVERSION_MODES,
     FULL_CONVERSION,
     NO_CONVERSION,
     assign_wavelength,
@@ -188,6 +190,29 @@ def test_least_cost_matches_exhaustive_search(seed):
             assert got is not None
             assert got[1] == want[1]  # identical accumulation order: exact
             assert got[0] == want[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.6))
+def test_in_place_mask_readers_match_free_mask_oracles(seed, p_down):
+    # first_fit, probe_outcome and least_cost_path read each lane's mask in place behind
+    # one up test; the oracles read lanes only through Link.free_mask
+    rng = random.Random(seed)
+    topo = random_topology(rng)
+    for link in topo.links:
+        link.up = rng.random() >= p_down
+    held = held_channels(topo)
+    src = rng.randrange(topo.num_nodes)
+    dst = (src + 1 + rng.randrange(topo.num_nodes - 1)) % topo.num_nodes
+    for route in itertools.islice(simple_paths(topo, src, dst), 8):
+        hops = topo.hops(route)
+        for mode in CONVERSION_MODES:
+            want = first_fit(topo, route, mode, held)
+            assert routing.first_fit(hops, mode) == want
+            assert probe_outcome(hops, mode) == (NACK if want is None else PACK)
+    for lt in (LT, rng.uniform(0.01, 0.99)):
+        assert least_cost_path(topo, src, dst, lt) == min_cost_route(
+            topo, src, dst, loaded_edge_cost(lt))
 
 
 @settings(max_examples=100, deadline=None)
