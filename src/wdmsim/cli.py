@@ -71,22 +71,17 @@ def _aggregate(scenario: Scenario, router: str, sweep_value, outcomes: list[RunO
 
 
 def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResult:
-    """One run per (router, sweep value, seed) on the calling thread, writing every CSV.
+    """One run per ``Scenario.runs`` entry on the calling thread, writing every CSV.
 
-    The runs share one topology, built from ``scenario.base`` once the first
-    run's config is checked, so a refusal comes in the order a lone run gives
-    it.  After each run every link is set back up, since a failure need not
-    be repaired, and the channels must read as built, or ``InvariantError``.
-    Needs a seed.  ``workers`` changes nothing: it stays, refused below 1, only
-    because ``perfbench/workloads.py`` passes ``workers=wl.threads``."""
-    if not scenario.seeds:
-        raise ConfigError("a scenario needs at least one seed")
+    The runs share one topology, built from ``scenario.base`` once the first run's
+    config is checked, so a refusal comes in the order a lone run gives it.  After
+    each run every link is set back up, since a failure need not be repaired, and the
+    channels must read as built, or ``InvariantError``.  ``workers`` changes nothing: it
+    stays, refused below 1, only because ``perfbench/workloads.py`` passes it."""
+    keys = scenario.runs()
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
-    sweep_values = scenario.sweep_values if scenario.sweep_param != SWEEP_NONE else [None]
-    keys = [(router, value, seed) for router in scenario.routers()
-            for value in sweep_values for seed in scenario.seeds]
     scenario.config_for(*keys[0]).validate()
     topology = build_topology(scenario.base)
     built = topology.occupancy_snapshot()
@@ -102,10 +97,9 @@ def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResul
     outcomes.sort(key=lambda o: (o.report.router, o.sweep_value or 0, o.report.seed))
 
     aggregate_rows = []
-    for router in scenario.routers():
-        for value in sweep_values:
-            group = [o for o in outcomes if o.report.router == router and o.sweep_value == value]
-            aggregate_rows.append(_aggregate(scenario, router, value, group))
+    for router, value in dict.fromkeys(key[:2] for key in keys):
+        group = [o for o in outcomes if o.report.router == router and o.sweep_value == value]
+        aggregate_rows.append(_aggregate(scenario, router, value, group))
 
     out_dir.mkdir(parents=True, exist_ok=True)
     for outcome in outcomes:

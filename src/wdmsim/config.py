@@ -4,7 +4,8 @@ Unset keys fall back to the stock parameter set (8 wavelengths, 10 ms link
 delay, 0.024 s conversion time, 0.5 s sample interval, 0.5 calls/s arrival
 rate, 0.2 s holding time, 200-byte packets, 4 session traffics, 50 max
 requests); unknown keys are rejected outright so typos cannot silently run
-a different experiment.
+a different experiment.  ``validate_scenario`` refuses what a run would
+refuse before its first event by constructing each run's ``Simulation``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field, fields, replace
 from types import NoneType, UnionType
 from typing import get_args, get_origin, get_type_hints
 
-from .engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig, build_topology, topology_errors
+from .engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig, Simulation, build_topology
 from .errors import ConfigError, TopologyError
 from .routing import min_hop_path
 
@@ -46,6 +47,14 @@ class Scenario:
         if self.router == ROUTER_BOTH:
             return [ROUTER_RFTR, ROUTER_BASELINE]
         return [self.router]
+
+    def runs(self) -> list[tuple[str, float | None, int]]:
+        """Each run's (router, sweep value, seed), in run order; refuses a scenario with no seed."""
+        if not self.seeds:
+            raise ConfigError("a scenario needs at least one seed")
+        values = self.sweep_values if self.sweep_param != SWEEP_NONE else [None]
+        return [(router, value, seed)
+                for router in self.routers() for value in values for seed in self.seeds]
 
     def config_for(self, router: str, sweep_value: float | None, seed: int) -> SimConfig:
         cfg = replace(self.base, router=router, seed=seed)
@@ -181,20 +190,22 @@ class Diagnostic:
 
 
 def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
-    """Static checks that need the topology: its shape, node count, schedule links, connectivity.
+    """The topology's refusal, else a warning if it is disconnected and any run's refusal.
 
-    Schedule times were checked by ``SimConfig.validate`` when the scenario parsed.
-    Connectivity is routing's least-hop search from node 0, which reads no link state.
+    Each run's ``Simulation`` is constructed on the one topology a sweep shares, so
+    ``validate`` refuses what ``run`` refuses before its first event.  Connectivity
+    is routing's least-hop search from node 0, which reads no link state.
     """
-    diagnostics: list[Diagnostic] = []
     try:
         topology = build_topology(scenario.base)
     except TopologyError as err:
-        diagnostics.append(Diagnostic("error", f"topology: {err}"))
-        return diagnostics
+        return [Diagnostic("error", f"topology: {err}")]
+    diagnostics = []
     if any(min_hop_path(topology, 0, v) is None for v in range(1, topology.num_nodes)):
-        diagnostics.append(
-            Diagnostic("warning", "topology is disconnected; most demands will block")
-        )
-    return diagnostics + [Diagnostic("error", message)
-                          for message in topology_errors(scenario.base, topology)]
+        diagnostics = [Diagnostic("warning", "topology is disconnected; most demands will block")]
+    try:
+        for key in scenario.runs():
+            Simulation(scenario.config_for(*key), topology=topology)
+    except ConfigError as err:
+        diagnostics.append(Diagnostic("error", str(err)))
+    return diagnostics

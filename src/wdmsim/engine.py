@@ -21,9 +21,9 @@ Sample ticks run while any event is pending, scheduled or scripted, so the
 timeseries ends at the same tick whatever the router.  A run reads its
 conversion mode and binds its router once; a fresh setup, restoration
 included, goes through it.  Every connection's backups are its prober's
-ranking, and ``m`` is applied where restoration tries them.  Before it schedules
-anything, ``Simulation.run`` refuses a replaced ``arrivals`` holding a bad time,
-holding or endpoint, and a tick or probe step too small for the run to end.
+ranking, and ``m`` is applied where restoration tries them.  Every refusal a run
+can meet before its first event, of its config, topology, pinned arrivals or a
+tick or probe step too small for it to end, is made by ``Simulation``'s constructor.
 """
 
 from __future__ import annotations
@@ -166,16 +166,6 @@ def build_topology(config: SimConfig) -> Topology:
     return default_topology(channels=config.wavelengths, delay_ms=config.link_delay_ms)
 
 
-def topology_errors(config: SimConfig, topology: Topology) -> list[str]:
-    """One message per reason the topology cannot run the config: fewer than two
-    nodes to draw traffic between, or a failure or repair naming a link id it lacks."""
-    errors = ["need at least two nodes to generate traffic"] if topology.num_nodes < 2 else []
-    errors += [f"{label}: unknown link {link_id}"
-               for label, schedule in (("failures", config.failures), ("repairs", config.repairs))
-               for _, link_id in schedule if not 0 <= link_id < len(topology.links)]
-    return errors
-
-
 def generate_arrivals(
     config: SimConfig, rng: random.Random, num_nodes: int
 ) -> tuple[tuple[float, int, int, float], ...]:
@@ -184,7 +174,7 @@ def generate_arrivals(
     ``config.max_requests`` demands; interarrival gaps are exponential at
     the aggregate rate (the per-source generators superpose into one
     stream); endpoints are uniform over ordered pairs with src != dst
-    (``topology_errors`` refuses fewer than two nodes); holding times are
+    (``Simulation`` refuses fewer than two nodes); holding times are
     exponential with mean ``config.holding_time``.
     """
     arrivals = []
@@ -209,32 +199,55 @@ class Simulation:
     onto the heap; the scripted events merge with it by (time, seq), a total
     order, so they dispatch as if one heap held both.  A departure or probe
     send carries its ``Connection``, whose ``current`` is None once it ended.
+    Construction makes every refusal; ``arrivals`` pins the demands, else they are drawn.
     """
 
-    def __init__(self, config: SimConfig, topology: Topology | None = None, audit: bool = False):
+    def __init__(self, config: SimConfig, topology: Topology | None = None, audit: bool = False,
+                 arrivals=None):
         config.validate()
         self.config = config
         self.topology = topology if topology is not None else build_topology(config)
-        errors = topology_errors(config, self.topology)
-        if errors:
-            raise ConfigError(errors[0])
+        if self.topology.num_nodes < 2:
+            raise ConfigError("need at least two nodes to generate traffic")
+        for label, schedule in (("failures", config.failures), ("repairs", config.repairs)):
+            for _, link_id in schedule:
+                if not 0 <= link_id < len(self.topology.links):
+                    raise ConfigError(f"{label}: unknown link {link_id}")
         self.audit = audit
-        self.probe_count = probe_count(
-            config.probes_per_interval, config.adaptive_scale, config.aggregate_rate
-        )
+        self.probe_count = probe_count(config.probes_per_interval, config.adaptive_scale,
+                                       config.aggregate_rate)
         self.m = config.backups_m if config.backups_m is not None else config.candidates_k
         self.mode = config.conversion_mode
         # rftr routes by Dijkstra over load-aware costs, the baseline by the
         # memoised least-hop route over up links; bound to the topology, not
         # to self, so a Simulation holds no reference cycle
-        router = (
-            partial(establish_primary, lt=config.load_threshold)
-            if config.router == ROUTER_RFTR
-            else establish_baseline
-        )
+        router = (partial(establish_primary, lt=config.load_threshold)
+                  if config.router == ROUTER_RFTR else establish_baseline)
         self._establish = partial(router, self.topology, mode=self.mode,
                                   conversion_time=config.conversion_time)
-        self.rng = random.Random(config.seed)
+        if arrivals is None:  # the engine draws no arrival it cannot run
+            arrivals = generate_arrivals(config, random.Random(config.seed), self.topology.num_nodes)
+        else:
+            arrivals = tuple(arrivals)
+            self._check_arrivals(arrivals)
+        self._arrivals = arrivals
+        # ``last``: the later of the last scripted time and the last departure
+        last = max([t + h for t, _, _, h in arrivals]
+                   + [t for t, _ in config.failures + config.repairs], default=0)
+        # (parameter, step, events it may schedule, their cap); a connection holding h opens at
+        # most h / probe_interval + 1 windows, each sending probe_count down each candidate
+        steps = [("sample_interval", config.sample_interval, last / config.sample_interval,
+                  MAX_TICKS)]
+        if config.router == ROUTER_RFTR:  # the baseline never probes
+            windows = sum(h for *_, h in arrivals) / config.probe_interval + len(arrivals)
+            steps.append(("probe_interval", config.probe_interval / (config.probes_per_interval + 1),
+                          config.candidates_k * self.probe_count * windows, MAX_PROBE_SENDS))
+        for name, step, events, cap in steps:
+            if step <= math.ulp(last) / 2:  # then some instant up to ``last`` would stall the clock
+                raise ConfigError(f"{name}: a {step:g} s step cannot move the clock at {last:g} s")
+            if events > cap:
+                raise ConfigError(f"{name}: a {step:g} s step asks for up to {events:.3g} events"
+                                  f" by {last:g} s, over the {cap:g} a run may schedule")
         self.now = 0.0
         # live connections only: a blocked one never enters, and ``_end`` removes the rest
         self.connections: dict[int, Connection] = {}
@@ -245,9 +258,27 @@ class Simulation:
         self._eseq = itertools.count()
         self._cid = itertools.count()
         self._initial_occupancy = None
-        # Pre-generated workload; scripted scenarios replace it to pin endpoints
-        # or holding times on the seeded arrival clock, and only then is it checked.
-        self.arrivals = self._drawn = generate_arrivals(config, self.rng, self.topology.num_nodes)
+
+    @property
+    def arrivals(self) -> tuple:
+        """The run's ``(time, src, dst, holding)`` demands; read-only, pinned only at construction."""
+        return self._arrivals
+
+    def _check_arrivals(self, arrivals: tuple) -> None:
+        """Refuse, as a ``ConfigError``, a pinned arrival the run cannot carry out."""
+        nodes, inf = range(self.topology.num_nodes), math.inf
+        for i, entry in enumerate(arrivals):
+            try:
+                t, src, dst, holding = parts = tuple(entry)
+                # by type first (1.0 is "in" a range), then by value; nan compares false
+                ok = (all(map(isinstance, parts, (Real, int, int, Real))) and 0 <= t < inf
+                      and 0 < holding < inf and src != dst and src in nodes and dst in nodes)
+            except (TypeError, ValueError):  # not four fields
+                ok = False
+            if not ok:
+                raise ConfigError(
+                    f"arrival {i}: (time, src, dst, holding) = {entry} needs "
+                    "a finite time >= 0, a finite holding > 0 and two distinct nodes")
 
     # -- scheduling ---------------------------------------------------------
 
@@ -259,33 +290,16 @@ class Simulation:
     def run(self) -> metrics_mod.MetricsReport:
         if self._initial_occupancy is not None:
             raise SimError("a Simulation runs once; build a new one for another run")
-        if self.arrivals is not self._drawn:
-            self._check_arrivals()
         self._initial_occupancy = self.topology.occupancy_snapshot()
         # seqs as if scheduled in this order: arrivals, failures, repairs, first tick
         eseq, script = self._eseq, self._script
         script += [(t, next(eseq), ARRIVAL, (src, dst, holding))
-                   for t, src, dst, holding in self.arrivals]
+                   for t, src, dst, holding in self._arrivals]
         script += [(t, next(eseq), kind, (link_id,))
                    for kind, events in ((LINK_FAILURE, self.config.failures),
                                         (LINK_REPAIR, self.config.repairs))
                    for t, link_id in events]
         script.sort(reverse=True)  # seqs are unique, so (time, seq) decides every comparison
-        cfg = self.config  # ``last``: the later of the last scripted time and last departure
-        last = max([t + h for t, _, _, h in self.arrivals] + [t for t, *_ in script[:1]], default=0)
-        # (parameter, step, events it may schedule, their cap); a connection holding h opens at
-        # most h / probe_interval + 1 windows, each sending probe_count down each candidate
-        steps = [("sample_interval", cfg.sample_interval, last / cfg.sample_interval, MAX_TICKS)]
-        if cfg.router == ROUTER_RFTR:  # the baseline never probes
-            windows = sum(h for *_, h in self.arrivals) / cfg.probe_interval + len(self.arrivals)
-            steps.append(("probe_interval", cfg.probe_interval / (cfg.probes_per_interval + 1),
-                          cfg.candidates_k * self.probe_count * windows, MAX_PROBE_SENDS))
-        for name, step, events, cap in steps:
-            if step <= math.ulp(last) / 2:  # then some instant up to ``last`` would stall the clock
-                raise ConfigError(f"{name}: a {step:g} s step cannot move the clock at {last:g} s")
-            if events > cap:
-                raise ConfigError(f"{name}: a {step:g} s step asks for up to {events:.3g} events"
-                                  f" by {last:g} s, over the {cap:g} a run may schedule")
         self.schedule(self.config.sample_interval, SAMPLE_TICK)
 
         heap, pop = self._heap, heappop
@@ -303,22 +317,6 @@ class Simulation:
         if self.audit:
             self._check_occupancy()
         return self.collector.finalize()
-
-    def _check_arrivals(self) -> None:
-        """Refuse, as a ``ConfigError``, a pinned arrival the run cannot carry out."""
-        nodes, inf = range(self.topology.num_nodes), math.inf
-        for i, entry in enumerate(self.arrivals):
-            try:
-                t, src, dst, holding = parts = tuple(entry)
-                # by type first (1.0 is "in" a range), then by value; nan compares false
-                ok = (all(map(isinstance, parts, (Real, int, int, Real))) and 0 <= t < inf
-                      and 0 < holding < inf and src != dst and src in nodes and dst in nodes)
-            except (TypeError, ValueError):  # not four fields
-                ok = False
-            if not ok:
-                raise ConfigError(
-                    f"arrival {i}: (time, src, dst, holding) = {entry} needs "
-                    "a finite time >= 0, a finite holding > 0 and two distinct nodes")
 
     # -- handlers -----------------------------------------------------------
 

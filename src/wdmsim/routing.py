@@ -281,22 +281,16 @@ def release_lightpath(lp: Lightpath) -> None:
     lp.wavelengths = []
 
 
-def _established(
-    hops: Hops | None, mode: str = NO_CONVERSION, conversion_time: float = 0.024
-) -> RouteResult:
-    """Blocked without a route, else ``establish_lightpath`` along it; both routers
-    pass their ``**setup`` (mode, conversion_time) through."""
-    if hops is None:
-        return RouteResult(None)
-    return RouteResult(establish_lightpath(hops, mode, conversion_time))
-
-
-def establish_primary(topology: Topology, src: int, dst: int, lt: float, **setup) -> RouteResult:
+def establish_primary(topology: Topology, src: int, dst: int, lt: float,
+                      mode: str = NO_CONVERSION, conversion_time: float = 0.024) -> RouteResult:
     """The threshold-cost router: the least-cost route under the load-aware costs at ``lt``."""
     found = least_cost_path(topology, src, dst, lt)
-    return _established(None if found is None else topology.hops(found[0]), **setup)
+    hops = None if found is None else topology.hops(found[0])
+    return RouteResult(None if hops is None else establish_lightpath(hops, mode, conversion_time))
 
 
-def establish_baseline(topology: Topology, src: int, dst: int, **setup) -> RouteResult:
+def establish_baseline(topology: Topology, src: int, dst: int,
+                       mode: str = NO_CONVERSION, conversion_time: float = 0.024) -> RouteResult:
     """The shortest-hop reference router: the least-hop route over up links."""
-    return _established(baseline_route(topology, src, dst), **setup)
+    hops = baseline_route(topology, src, dst)
+    return RouteResult(None if hops is None else establish_lightpath(hops, mode, conversion_time))

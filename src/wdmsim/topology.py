@@ -40,6 +40,8 @@ from .errors import (
 FORWARD = 0  # travel a -> b
 REVERSE = 1  # travel b -> a
 
+MAX_CHANNELS = 2**20  # a lane's free mask holds a bit per channel: billions exhaust memory
+
 
 class Link:
     """One fiber link; ``a``/``b`` are its endpoints as declared."""
@@ -49,8 +51,8 @@ class Link:
             raise TopologyError(f"self-loop link at node {a}")
         if not (math.isfinite(delay) and delay > 0):
             raise TopologyError(f"link {link_id}: delay must be finite and positive")
-        if total_channels < 1:
-            raise TopologyError(f"link {link_id}: total_channels must be >= 1")
+        if not 1 <= total_channels <= MAX_CHANNELS:
+            raise TopologyError(f"link {link_id}: total_channels must be in 1..{MAX_CHANNELS}")
         self.id = link_id
         self.a = a
         self.b = b

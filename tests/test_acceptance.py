@@ -323,9 +323,8 @@ def _scripted(seed, saturate):
                     link.occupy(lane, w)
     cfg = SimConfig(arrival_rate=50.0, max_requests=1, seed=seed,
                     failures=[(1.0, 0)], router=ROUTER_RFTR)
-    sim = Simulation(cfg, topology=topo, audit=True)
-    sim.arrivals = [(t, 0, 2, 50.0) for (t, _, _, _) in sim.arrivals]
-    return sim.run()
+    pinned = [(t, 0, 2, 50.0) for (t, _, _, _) in Simulation(cfg, topology=topo).arrivals]
+    return Simulation(cfg, topology=topo, audit=True, arrivals=pinned).run()
 
 
 def test_criterion_7_restoration_efficacy(capsys):

@@ -2,6 +2,7 @@ import csv
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 from pathlib import Path
 
@@ -338,6 +339,44 @@ def test_validate_and_run_refuse_a_one_node_topology(tmp_path, capsys):
         run_scenario(parse_config(f"topology = {topo}\n"), tmp_path / "out", workers=1)
     assert main(["run", "--topology", topo, "--out", str(tmp_path / "cli")]) == 1
     assert "at least two nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("setting", ["probe_interval = 1e-300", "sample_interval = 1e-9",
+                                     "probe_interval = 1e-9"])
+def test_validate_refuses_a_step_run_refuses(tmp_path, capsys, setting):
+    # each step cannot move the clock or would take the run past an event cap
+    cfg = write(tmp_path, "tiny.cfg", f"{setting}\nmax_requests = 3\n")
+    parameter = setting.split()[0]
+    assert main(["validate", "--config", cfg]) == 1
+    assert capsys.readouterr().out.startswith(f"error: {parameter}: ")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {parameter}: ")
+
+
+# The CLI in a child whose address space is capped at 1 GiB, so a mask of 10**10
+# bits (1.25 GB) fails there and not in the test process.
+CAPPED_CLI = textwrap.dedent("""
+    import resource, sys
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+    from wdmsim.cli import main
+    sys.exit(main(sys.argv[1:]))
+""")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("where", ["wavelengths", "topology"])
+def test_a_channel_count_over_the_cap_is_refused(tmp_path, command, where):
+    topo = write(tmp_path, "huge.topo", "nodes 2\nlink 0 1 10 10000000000\n")
+    text = "wavelengths = 10000000000\n" if where == "wavelengths" else f"topology = {topo}\n"
+    cfg = write(tmp_path, "huge.cfg", text)
+    done = subprocess.run(
+        [sys.executable, "-c", CAPPED_CLI, command, "--config", cfg,
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60)
+    assert done.returncode == 1, done.stderr
+    assert "total_channels must be in 1..1048576" in done.stdout + done.stderr
+    assert "Traceback" not in done.stderr
 
 
 def test_validate_rejects_parse_errors(tmp_path, capsys):

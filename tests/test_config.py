@@ -4,8 +4,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wdmsim.engine
 from wdmsim.config import (
     KNOWN_KEYS,
+    Diagnostic,
     ROUTER_BOTH,
     SWEEP_RATE,
     SWEEP_SOURCES,
@@ -171,6 +173,30 @@ def test_validate_flags_bad_failure_links():
     scenario = parse_config("failures = 1.0:99, 2.0:0")
     messages = [d.message for d in validate_scenario(scenario)]
     assert messages == ["failures: unknown link 99"]
+
+
+def test_validate_refuses_a_later_seed_over_the_tick_cap(monkeypatch):
+    # the cap admits the first seed's run exactly, and only a later seed's run asks for more
+    scenario = parse_config("seeds = 1, 2, 3\nmax_requests = 20\n")
+    ticks = [max(t + h for t, _, _, h in Simulation(scenario.config_for(ROUTER_RFTR, None, seed))
+                 .arrivals) / scenario.base.sample_interval for seed in scenario.seeds]
+    assert ticks[0] < max(ticks[1:])
+    monkeypatch.setattr(wdmsim.engine, "MAX_TICKS", ticks[0])
+    [diag] = validate_scenario(scenario)
+    assert diag.severity == "error" and diag.message.startswith("sample_interval: ")
+    assert "events by" in diag.message
+
+
+def test_scenario_runs_in_run_order():
+    scenario = parse_config("router = both\nsweep = sources 2, 4\nseeds = 5, 6\n")
+    assert scenario.runs() == [(router, value, seed) for router in (ROUTER_RFTR, ROUTER_BASELINE)
+                               for value in (2.0, 4.0) for seed in (5, 6)]
+    assert parse_config("").runs() == [(ROUTER_RFTR, None, 0)]
+    scenario.seeds = []
+    with pytest.raises(ConfigError, match="at least one seed"):
+        scenario.runs()
+    refusal = Diagnostic("error", "a scenario needs at least one seed")
+    assert validate_scenario(scenario) == [refusal]
 
 
 def test_validate_warns_on_disconnected_topology(tmp_path):

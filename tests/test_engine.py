@@ -263,9 +263,8 @@ def scripted_square(seed, saturate=False, router=ROUTER_RFTR, fail_at=1.0):
                     link.occupy(lane, w)
     cfg = SimConfig(arrival_rate=50.0, max_requests=1, seed=seed,
                     failures=[(fail_at, 0)], router=router)
-    sim = Simulation(cfg, topology=topo, audit=True)
-    sim.arrivals = [(t, 0, 2, 50.0) for (t, _, _, _) in sim.arrivals]
-    return sim.run()
+    pinned = [(t, 0, 2, 50.0) for (t, _, _, _) in Simulation(cfg, topology=topo).arrivals]
+    return Simulation(cfg, topology=topo, audit=True, arrivals=pinned).run()
 
 
 def test_failure_restores_via_measured_backup():
@@ -302,9 +301,8 @@ def test_failure_on_idle_link_changes_nothing():
     topo = square_topology()
     cfg = SimConfig(arrival_rate=50.0, max_requests=1, seed=0,
                     failures=[(1.0, 2)], router=ROUTER_RFTR)
-    sim = Simulation(cfg, topology=topo, audit=True)
-    sim.arrivals = [(t, 0, 1, 3.0) for (t, _, _, _) in sim.arrivals]
-    report = sim.run()
+    pinned = [(t, 0, 1, 3.0) for (t, _, _, _) in Simulation(cfg, topology=topo).arrivals]
+    report = Simulation(cfg, topology=topo, audit=True, arrivals=pinned).run()
     assert report.restored == 0 and report.dropped == 0
     assert report.completed == 1
 
@@ -315,8 +313,7 @@ def test_repair_restores_usability():
     topo = square_topology()
     cfg = SimConfig(arrival_rate=50.0, max_requests=2, seed=0,
                     failures=[(0.5, 0)], repairs=[(1.0, 0)], router=ROUTER_BASELINE)
-    sim = Simulation(cfg, topology=topo, audit=True)
-    sim.arrivals = [(1.5, 0, 1, 0.2), (1.6, 0, 1, 0.2)]
+    sim = Simulation(cfg, topology=topo, audit=True, arrivals=[(1.5, 0, 1, 0.2), (1.6, 0, 1, 0.2)])
     report = sim.run()
     assert report.blocked == 0
     assert report.completed == 2
@@ -353,28 +350,33 @@ def test_unknown_failure_link_rejected():
         "float-src", "float-dst", "none-time", "str-holding", "three-fields",
         "decimal-time", "decimal-holding"])
 def test_malformed_pinned_arrival_refused_before_anything_runs(router, pinned):
-    sim = Simulation(SimConfig(router=router, max_requests=3, seed=1))
-    drawn = sim.arrivals
-    sim.arrivals = [drawn[0], pinned, drawn[2]]
+    cfg = SimConfig(router=router, max_requests=3, seed=1)
+    drawn = Simulation(cfg).arrivals
     with pytest.raises(ConfigError, match=rf"^arrival 1: .* = {re.escape(str(pinned))} needs"):
-        sim.run()
-    assert sim._heap == [] and sim.collector.report.offered == 0
-    sim.arrivals = list(drawn)  # the refused run started nothing, so the mended one runs
-    assert sim.run().offered == 3
+        Simulation(cfg, arrivals=[drawn[0], pinned, drawn[2]])
+    assert Simulation(cfg, arrivals=list(drawn)).run().offered == 3  # the mended workload runs
 
 
 @pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
 def test_drawn_arrivals_are_not_rechecked(router, monkeypatch):
-    """Only a replaced workload is checked: the engine draws no arrival it cannot run."""
-    def refuse(self):
+    """Only a pinned workload is checked: the engine draws no arrival it cannot run."""
+    def refuse(self, arrivals):
         raise AssertionError("a drawn workload was checked")
 
     monkeypatch.setattr(Simulation, "_check_arrivals", refuse)
-    assert Simulation(SimConfig(router=router, max_requests=20, seed=1)).run().offered == 20
-    pinned = Simulation(SimConfig(router=router, max_requests=20, seed=1))
-    pinned.arrivals = list(pinned.arrivals)
+    cfg = SimConfig(router=router, max_requests=20, seed=1)
+    drawn = Simulation(cfg)
+    assert drawn.run().offered == 20
     with pytest.raises(AssertionError, match="drawn workload was checked"):
-        pinned.run()
+        Simulation(cfg, arrivals=list(drawn.arrivals))
+
+
+def test_arrivals_are_pinned_only_at_construction():
+    sim = Simulation(SimConfig(max_requests=3, seed=1))
+    drawn = sim.arrivals
+    with pytest.raises(AttributeError):
+        sim.arrivals = [(0.5, 0, 1, 1.0)]  # would otherwise run unchecked
+    assert sim.arrivals is drawn and sim.run().offered == 3
 
 
 @pytest.mark.parametrize("schedule", ["failures", "repairs"])
@@ -468,9 +470,7 @@ def recorded_dispatches(monkeypatch, kinds) -> list:
 def scripted_run(router, arrivals, failures, repairs):
     cfg = SimConfig(router=router, wavelengths=2, arrival_rate=6.0, holding_time=0.5,
                     max_requests=len(arrivals), seed=4, failures=failures, repairs=repairs)
-    sim = Simulation(cfg, audit=True)
-    sim.arrivals = arrivals
-    return sim.run()
+    return Simulation(cfg, audit=True, arrivals=arrivals).run()
 
 
 @pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
@@ -563,8 +563,7 @@ def landing_run(monkeypatch, detour_ms, holding, failures=()):
     monkeypatch.setattr(ConnectionProber, "close_and_rank", recording)
     cfg = SimConfig(max_requests=1, probes_per_interval=1, probe_interval=0.5,
                     failures=list(failures))
-    sim = Simulation(cfg, topology=topo, audit=True)
-    sim.arrivals = [(0.0, 0, 1, holding)]
+    sim = Simulation(cfg, topology=topo, audit=True, arrivals=[(0.0, 0, 1, holding)])
     return sim.run(), estimates
 
 
@@ -643,9 +642,7 @@ def test_failure_between_close_and_next_send_reroutes_on_the_closed_window(monke
     monkeypatch.setattr(wdmsim.engine, "reroute", recording)
     cfg = SimConfig(max_requests=1, probes_per_interval=1, probe_interval=0.5,
                     failures=[(0.6, 0)])
-    sim = Simulation(cfg, topology=topo, audit=True)
-    sim.arrivals = [(0.0, 0, 1, 2.0)]
-    report = sim.run()
+    report = Simulation(cfg, topology=topo, audit=True, arrivals=[(0.0, 0, 1, 2.0)]).run()
     # the window closed at 0.5; no send of the next one went out before 0.6
     assert tried == [[(0, 3, 1), (0, 2, 1)]]
     assert report.restored == 1 and report.dropped == 0
@@ -672,8 +669,7 @@ def test_a_restore_sets_up_on_the_probers_own_record(monkeypatch):
     monkeypatch.setitem(Simulation._HANDLERS, LINK_FAILURE, failure)
     cfg = SimConfig(max_requests=1, probes_per_interval=1, probe_interval=0.5,
                     failures=[(0.6, 0)])
-    sim = Simulation(cfg, topology=busy_diamond(), audit=True)
-    sim.arrivals = [(0.0, 0, 1, 2.0)]
+    sim = Simulation(cfg, topology=busy_diamond(), audit=True, arrivals=[(0.0, 0, 1, 2.0)])
     assert sim.run().restored == 1
     [(hops, candidates)] = restores
     assert [c.route for c in candidates] == [(0, 2, 1), (0, 3, 1)]
@@ -710,8 +706,8 @@ def test_unranked_backups_stay_disjoint_from_the_original_primary(monkeypatch, r
     calls = count_yen_calls(monkeypatch)
     failures, repairs = DIAMOND_SCHEDULES[router]
     cfg = SimConfig(router=router, max_requests=1, failures=failures, repairs=repairs)
-    sim = Simulation(cfg, topology=parse_topology(DIAMOND), audit=True)
-    sim.arrivals = [(0.0, 0, 1, 5.0)]
+    sim = Simulation(cfg, topology=parse_topology(DIAMOND), audit=True,
+                     arrivals=[(0.0, 0, 1, 5.0)])
     report = sim.run()
     assert tried == [[(0, 2, 1), (0, 3, 1)]] * 2
     assert restored_onto == [(0, 2, 1), (0, 3, 1)]
@@ -729,8 +725,8 @@ def test_an_rftr_connection_with_no_disjoint_candidate_looks_up_once(monkeypatch
     monkeypatch.setattr(wdmsim.engine, "candidate_paths",
                         lambda *args: lookups.append(args[1:3]) or lookup(*args))
     cfg = SimConfig(router=ROUTER_RFTR, max_requests=1, failures=[(1.0, 0)])
-    sim = Simulation(cfg, topology=parse_topology(CHAIN), audit=True)
-    sim.arrivals = [(0.0, 0, 2, 5.0)]
+    sim = Simulation(cfg, topology=parse_topology(CHAIN), audit=True,
+                     arrivals=[(0.0, 0, 2, 5.0)])
     report = sim.run()
     assert lookups == [(0, 2)]
     assert report.dropped == 1 and report.probes_sent == 0
@@ -773,15 +769,13 @@ STEP_RUN = textwrap.dedent("""
     from wdmsim.engine import SimConfig, Simulation
     from wdmsim.errors import ConfigError
     fields, arrivals = json.loads(sys.argv[1])
-    sim = Simulation(SimConfig(**fields))
-    if arrivals:
-        sim.arrivals = [tuple(entry) for entry in arrivals]
     try:
-        report = sim.run()
+        sim = Simulation(SimConfig(**fields),
+                         arrivals=None if arrivals is None else map(tuple, arrivals))
     except ConfigError as err:
-        print(f"ConfigError: {err}; offered={sim.collector.report.offered} queued={len(sim._heap)}")
+        print(f"ConfigError at construction: {err}")
     else:
-        print(f"ran: offered={report.offered}")
+        print(f"ran: offered={sim.run().offered}")
 """)
 
 
@@ -799,13 +793,13 @@ def run_in_child(fields: dict, arrivals=None) -> str:
 @pytest.mark.parametrize("field", ["probe_interval", "sample_interval"])
 def test_a_step_the_clock_cannot_take_is_refused(field):
     out = run_in_child({"max_requests": 3, "seed": 1, field: 1e-300})
-    assert out.startswith(f"ConfigError: {field}: ")
+    assert out.startswith(f"ConfigError at construction: {field}: ")
 
 
 def test_a_baseline_run_is_refused_for_its_ticks_but_not_for_probes_it_never_sends():
     baseline = {"max_requests": 3, "seed": 1, "router": ROUTER_BASELINE}
     assert run_in_child({**baseline, "sample_interval": 1e-300}).startswith(
-        "ConfigError: sample_interval: ")
+        "ConfigError at construction: sample_interval: ")
     for probe_interval in (1e-300, 1e-9):
         assert run_in_child({**baseline, "probe_interval": probe_interval}) == "ran: offered=3\n"
 
@@ -814,8 +808,8 @@ def test_a_baseline_run_is_refused_for_its_ticks_but_not_for_probes_it_never_sen
 def test_a_step_too_small_for_the_run_to_end_is_refused(field):
     # 1e-9 s moves the clock, but a run lasting 1.35 s would take over 1e9 ticks or sends
     out = run_in_child({"max_requests": 3, "seed": 1, field: 1e-9})
-    assert re.fullmatch(f"ConfigError: {field}: .* events by 1.35312 s, over the .*; "
-                        "offered=0 queued=0\n", out), out
+    assert re.fullmatch(f"ConfigError at construction: {field}: .* events by 1.35312 s,"
+                        " over the .*\n", out), out
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -830,10 +824,8 @@ def test_the_event_caps_bound_what_a_run_schedules(monkeypatch, seed):
                              ("MAX_PROBE_SENDS", report.probes_sent - 1, "probe_interval")):
         with monkeypatch.context() as patch:
             patch.setattr(wdmsim.engine, name, cap)
-            sim = Simulation(config)
             with pytest.raises(ConfigError, match=f"^{field}: .* events by "):
-                sim.run()
-            assert sim.collector.report.offered == 0
+                Simulation(config)
 
 
 @pytest.mark.parametrize("field, value, failure, last", [
@@ -845,7 +837,7 @@ def test_the_step_refusal_comes_before_the_first_event(field, value, failure, la
     # one session departs at 1.0; a step of half the float spacing rounds back
     fields = {"max_requests": 1, "failures": [(failure, 0)], field: value}
     out = run_in_child(fields, arrivals=[(0.5, 0, 2, 0.5)])
-    assert re.fullmatch(f"ConfigError: {field}: .* at {last} s; offered=0 queued=0\n", out), out
+    assert re.fullmatch(f"ConfigError at construction: {field}: .* at {last} s\n", out), out
 
 
 def _free_held(sim):
@@ -872,9 +864,9 @@ def test_audit_catches_occupancy_changed_behind_the_engine(tamper, message):
     def two_sessions():
         cfg = SimConfig(arrival_rate=50.0, max_requests=2, router=ROUTER_BASELINE,
                         failures=[(1.0, 2)])
-        sim = Simulation(cfg, topology=square_topology(), audit=True)
-        sim.arrivals = [(t, 0, 2, 50.0) for (t, _, _, _) in sim.arrivals]
-        return sim
+        topo = square_topology()
+        pinned = [(t, 0, 2, 50.0) for (t, _, _, _) in Simulation(cfg, topology=topo).arrivals]
+        return Simulation(cfg, topology=topo, audit=True, arrivals=pinned)
 
     assert two_sessions().run().completed == 2  # untouched, the audit passes
     sim = two_sessions()

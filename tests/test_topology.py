@@ -18,6 +18,7 @@ from oracles import priced_arc
 from wdmsim.routing import link_cost
 from wdmsim.topology import (
     FORWARD,
+    MAX_CHANNELS,
     REVERSE,
     Link,
     Topology,
@@ -133,6 +134,15 @@ def test_topology_names_the_refused_link(ends, message):
         Topology(3, links)
     assert err.value.link_id == 1
     assert not isinstance(err.value, TopologyParseError)
+
+
+def test_link_refuses_more_channels_than_the_cap():
+    assert Link(0, 0, 1, 0.01, MAX_CHANNELS).total_channels == MAX_CHANNELS == 2**20
+    with pytest.raises(TopologyError) as err:
+        Link(3, 0, 1, 0.01, MAX_CHANNELS + 1)
+    assert str(err.value) == f"link 3: total_channels must be in 1..{MAX_CHANNELS}"
+    with pytest.raises(TopologyParseError, match="^line 2: link 0: total_channels must be in 1.."):
+        parse_topology(f"nodes 2\nlink 0 1 10 {MAX_CHANNELS + 1}\n")
 
 
 def test_default_topology_is_ring_with_chords():
