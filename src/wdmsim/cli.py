@@ -6,9 +6,9 @@ sweeping), and ``timeseries_<run-id>.csv`` per run.  Outputs are
 byte-identical across repeat invocations.  Runs go one after another on one
 thread: threads only took turns on the interpreter lock, and were slower.
 A sweep value changes only a run's traffic, never its network, so a sweep
-builds its topology once and every run shares it, with the routes it has
-resolved; between runs every link is set back up and the channels must read
-as built, so no state passes from one run to the next.
+builds its topology once and every run shares it; between runs every link is
+set back up and the channels must read as built, so no state passes from one
+run to the next.  Resolved routes belong to the graph, in ``topology``'s tables.
 """
 
 from __future__ import annotations

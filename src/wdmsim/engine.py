@@ -355,7 +355,7 @@ class Simulation:
         if conn.current is None:
             return  # stale: the connection dropped before the probe went out
         prober = conn.prober
-        outcome = probe_outcome(prober.candidates[path_index], self.mode)
+        outcome = probe_outcome(self.topology, prober.candidates[path_index], self.mode)
         t = prober.sent(path_index, outcome, self.now)
         if t is not None:
             self.schedule(t, PROBE_SEND, conn, path_index)
@@ -387,10 +387,9 @@ class Simulation:
         for conn in affected:
             if conn.prober is None:  # a baseline connection on its original primary
                 conn.prober = self._prober(conn)
-            new_lp = reroute(
-                conn.prober.ranking(self.now)[: self.m], self.mode, self.config.conversion_time,
-                fallback_establish=lambda _, c=conn: self._establish(c.src, c.dst),
-            )
+            new_lp = reroute(self.topology, conn.prober.ranking(self.now)[: self.m], self.mode,
+                             self.config.conversion_time,
+                             fallback_establish=lambda _, c=conn: self._establish(c.src, c.dst))
             if new_lp is None:
                 self._end(conn)
                 self.collector.on_dropped(conn, self.now)
@@ -429,18 +428,18 @@ class Simulation:
             raise InvariantError("wavelength continuity violated")
 
     def _check_failure_safety(self) -> None:
-        down = {l.id for l in self.topology.links if not l.up}
+        arcs = self.topology.arcs
         for conn in self.connections.values():
-            if not down.isdisjoint(conn.current.hops.link_ids):
+            if not all(arcs[arc][0].up for arc in conn.current.hops):
                 raise InvariantError(f"connection {conn.id} rides a down link")
 
     def _check_occupancy(self) -> None:
         """The masks must equal the pre-run masks minus every live lightpath's channels."""
         # indexed by link id, which Topology checks runs 0..n-1 in list order
-        expected = list(map(list, self._initial_occupancy))
+        expected, arcs = list(map(list, self._initial_occupancy)), self.topology.arcs
         for conn in self.connections.values():
             lp = conn.current
-            for (link, lane), w in zip(lp.hops, lp.wavelengths):
+            for (link, lane), w in zip(map(arcs.__getitem__, lp.hops), lp.wavelengths):
                 masks = expected[link.id]
                 if not masks[lane] >> w & 1:
                     raise InvariantError(f"link {link.id} lane {lane} wavelength {w} held twice")

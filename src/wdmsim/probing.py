@@ -5,8 +5,8 @@ routes link-disjoint from the primary.  Each update interval it sends a
 small batch of probes down every candidate; the far end answers PACK when
 the route could currently carry a lightpath and NACK when it could not (no
 admissible wavelength; a down hop offers none).  A candidate is its route's
-memoised ``Hops``: a probe reads only their masks, and its answer lands one
-round trip, twice their delay, later.
+memoised ``Hops``: a probe reads only their masks, through the topology's arc
+table, and its answer lands one round trip, twice their delay, later.
 ``ConnectionProber`` owns the window rule: each candidate's round trip, worked
 out once, slot and next send (none at or after the connection's end), an
 answer's tally (fixed at send, in the window it lands in before the close),
@@ -19,7 +19,7 @@ candidate order.  Sub-optimal candidates keep being probed, so the ranking
 tracks load changes.
 
 The candidates are Yen's k shortest hop routes avoiding the primary's links,
-read resolved from the topology's own table by ``routing.resolved_routes``;
+read resolved by ``routing.resolved_routes`` from the graph's table in ``topology``;
 ``k_shortest_hop_paths`` is imported only for ``perfbench/layers.py`` to wrap.
 ``reroute`` hands the fresh setup it falls back on one ignored argument,
 ``BACKUP``, only because ``perfbench/layers.py`` wraps it as a one-argument call.
@@ -32,7 +32,7 @@ from functools import cache
 
 from .routing import (NO_CONVERSION, Lightpath, establish_lightpath, k_shortest_hop_paths,
                       resolved_routes)
-from .topology import Hops, Link, Topology
+from .topology import Hops, Topology
 
 PACK = "pack"
 NACK = "nack"
@@ -56,16 +56,17 @@ def probe_count(probes_per_interval: int, adaptive_scale: float, aggregate_rate:
     return max(1, math.floor(scaled))
 
 
-def probe_outcome(hops: tuple[tuple[Link, int], ...], mode: str = NO_CONVERSION) -> str:
-    """Admissibility of a candidate's resolved hops at probe time; reads masks only.
+def probe_outcome(topology: Topology, hops: Hops, mode: str = NO_CONVERSION) -> str:
+    """Admissibility of a candidate's resolved hops on ``topology`` at probe time; reads masks only.
 
     Without conversion one wavelength must be free on every hop (a nonzero
     AND of the masks); with full conversion every hop needs some free
     wavelength.  A down hop offers none, so it answers NACK.  ``mode`` is
     checked by the config.
     """
-    common = -1
-    for link, lane in hops:
+    arcs, common = topology.arcs, -1
+    for arc in hops:
+        link, lane = arcs[arc]
         if not (link.up and (free := link._free[lane])):
             return NACK
         common &= free
@@ -161,9 +162,10 @@ class ConnectionProber:
 
 
 def reroute(
-    backups: list[Hops], mode: str, conversion_time: float, fallback_establish=None
+    topology: Topology, backups: list[Hops], mode: str, conversion_time: float,
+    fallback_establish=None,
 ) -> Lightpath | None:
-    """Restore onto the first viable ranked backup, else recompute, else drop.
+    """Restore onto ``topology``'s first viable ranked backup, else recompute, else drop.
 
     A backup with no admissible wavelength, a down hop included, is skipped.
     ``fallback_establish(BACKUP)`` runs the owning router's fresh path setup
@@ -173,7 +175,7 @@ def reroute(
     the restoring lightpath, or None when the connection drops.
     """
     for hops in backups:
-        lp = establish_lightpath(hops, mode, conversion_time)
+        lp = establish_lightpath(topology, hops, mode, conversion_time)
         if lp is not None:
             return lp
     if fallback_establish is not None:

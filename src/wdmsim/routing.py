@@ -19,10 +19,11 @@ inline from its lane's mask.  Every router sets its lightpath up through
 Hop-count routes read no link state, so they are a function of the graph
 alone: ``min_hop_path`` is a BFS.  Yen's k shortest hop routes (Yen, 1971) are
 memoised per ``Topology.graph`` for the life of the process, keyed by (src,
-dst, k, banned links), and kept resolved in each topology's own table.  They
-serve every connection's candidates, which rftr probes and a baseline
-connection looks up at its first failure, and the baseline's primary: Yen's
-first route, with the down links it was found to cross banned.
+dst, k, banned links), and kept resolved in ``topology``'s table for the graph
+and link delays, which every topology built on them reads through its own arc
+table.  They serve every connection's candidates, which rftr probes and a
+baseline connection looks up at its first failure, and the baseline's primary:
+Yen's first route, with the down links it was found to cross banned.
 """
 
 from __future__ import annotations
@@ -138,8 +139,8 @@ def k_shortest_hop_paths(topology: Topology, src: int, dst: int, k: int,
 
 def resolved_routes(topology: Topology, src: int, dst: int, k: int,
                     banned_links: frozenset[int] = frozenset()) -> tuple[Hops, ...]:
-    """Yen's k shortest hop routes, resolved, from the topology's own table; a miss fills
-    it from the per-graph memo, so each topology resolves each route once."""
+    """Yen's k shortest hop routes, resolved, from the graph's shared table; a miss fills
+    it from the per-graph memo, so a process resolves each route once."""
     routes = topology.routes.get(key := (src, dst, k, banned_links))
     if routes is None:
         found = k_shortest_hop_paths(topology, *key)
@@ -164,7 +165,7 @@ def _yen(topology: Topology, src: int, dst: int, k: int,
             spur_banned = set(banned_links)
             for hops in resolved:
                 if hops.route[: i + 1] == root and len(hops) > i:
-                    spur_banned.add(hops[i][0].id)
+                    spur_banned.add(topology.arcs[hops[i]][0].id)
             spur_path = min_hop_path(topology, prev[i], dst, spur_banned, frozenset(root[:-1]))
             if spur_path is None:
                 continue
@@ -189,12 +190,12 @@ def baseline_route(topology: Topology, src: int, dst: int) -> Hops | None:
     that is least among the routes avoiding them, and crosses no down link,
     is least among the routes over up links in the same (hops, route) order.
     """
-    banned: frozenset[int] = frozenset()
+    arcs, banned = topology.arcs, frozenset()
     while True:
         routes = resolved_routes(topology, src, dst, 1, banned)
         if not routes:
             return None
-        down = [link.id for link, _ in routes[0] if not link.up]
+        down = [arcs[arc][0].id for arc in routes[0] if not arcs[arc][0].up]
         if not down:
             return routes[0]
         banned = banned.union(down)
@@ -204,11 +205,11 @@ def assign_wavelength(
     topology: Topology, route: list[int], mode: str = NO_CONVERSION
 ) -> list[int] | None:
     """First-fit wavelength assignment along ``route``: ``first_fit`` of its hops."""
-    return first_fit(topology.hops(route), mode)
+    return first_fit(topology, topology.hops(route), mode)
 
 
-def first_fit(hops: Hops, mode: str) -> list[int] | None:
-    """First-fit wavelength assignment along resolved hops.
+def first_fit(topology: Topology, hops: Hops, mode: str) -> list[int] | None:
+    """First-fit wavelength assignment along resolved hops, on ``topology``'s channels.
 
     Without conversion every hop must share one wavelength (continuity);
     with full conversion each hop independently takes its lowest free index.
@@ -217,18 +218,21 @@ def first_fit(hops: Hops, mode: str) -> list[int] | None:
     by the config.
     """
     # the lowest set bit of a free mask is its lowest free wavelength index
+    arcs = topology.arcs
     if mode == NO_CONVERSION:
         if not hops:
             return None
         common = -1
-        for link, lane in hops:
+        for arc in hops:
+            link, lane = arcs[arc]
             common &= link._free[lane] if link.up else 0
         if not common:
             return None
         w = (common & -common).bit_length() - 1
         return [w] * len(hops)
     wavelengths = []
-    for link, lane in hops:
+    for arc in hops:
+        link, lane = arcs[arc]
         if not (link.up and (free := link._free[lane])):
             return None
         wavelengths.append((free & -free).bit_length() - 1)
@@ -239,6 +243,7 @@ def first_fit(hops: Hops, mode: str) -> list[int] | None:
 class Lightpath:
     """An established route's resolved hops and the wavelength it holds on each hop."""
 
+    arcs: list  # the arc table of the topology whose channels it holds
     hops: Hops  # the route's record as its router resolved it
     wavelengths: list[int]  # emptied on release
     path_delay: float = 0.0  # propagation plus conversion charges
@@ -256,19 +261,22 @@ class RouteResult:
         return self.lightpath is None
 
 
-def establish_lightpath(hops: Hops, mode: str, conversion_time: float) -> Lightpath | None:
-    """Assign wavelengths and occupy channels atomically along resolved ``hops``.
+def establish_lightpath(topology: Topology, hops: Hops, mode: str,
+                        conversion_time: float) -> Lightpath | None:
+    """Assign wavelengths and occupy ``topology``'s channels atomically along resolved ``hops``.
 
     Returns the lightpath, whose ``path_delay`` is its setup delay, or None
     when no wavelength fits, a down hop included; in that case no channel is
     touched.
     """
-    wavelengths = first_fit(hops, mode)
+    wavelengths = first_fit(topology, hops, mode)
     if wavelengths is None:
         return None
-    for (link, lane), w in zip(hops, wavelengths):
+    arcs = topology.arcs
+    for arc, w in zip(hops, wavelengths):
+        link, lane = arcs[arc]
         link.occupy(lane, w)
-    lp = Lightpath(hops, wavelengths, hops.delay)
+    lp = Lightpath(arcs, hops, wavelengths, hops.delay)
     if mode == FULL_CONVERSION:  # a continuous lightpath changes no wavelength
         lp.path_delay += conversion_time * lp.wavelength_changes()
     return lp
@@ -276,7 +284,9 @@ def establish_lightpath(hops: Hops, mode: str, conversion_time: float) -> Lightp
 
 def release_lightpath(lp: Lightpath) -> None:
     """Free the lightpath's channels; releasing it again is a no-op."""
-    for (link, lane), w in zip(lp.hops, lp.wavelengths):
+    arcs = lp.arcs
+    for arc, w in zip(lp.hops, lp.wavelengths):
+        link, lane = arcs[arc]
         link.release(lane, w)
     lp.wavelengths = []
 
@@ -286,11 +296,11 @@ def establish_primary(topology: Topology, src: int, dst: int, lt: float,
     """The threshold-cost router: the least-cost route under the load-aware costs at ``lt``."""
     found = least_cost_path(topology, src, dst, lt)
     hops = None if found is None else topology.hops(found[0])
-    return RouteResult(None if hops is None else establish_lightpath(hops, mode, conversion_time))
+    return RouteResult(hops and establish_lightpath(topology, hops, mode, conversion_time))
 
 
 def establish_baseline(topology: Topology, src: int, dst: int,
                        mode: str = NO_CONVERSION, conversion_time: float = 0.024) -> RouteResult:
     """The shortest-hop reference router: the least-hop route over up links."""
     hops = baseline_route(topology, src, dst)
-    return RouteResult(None if hops is None else establish_lightpath(hops, mode, conversion_time))
+    return RouteResult(hops and establish_lightpath(topology, hops, mode, conversion_time))

@@ -14,10 +14,11 @@ need no up check.  The three hot readers, ``probe_outcome``, ``first_fit`` and
 the same rule.  The raw masks are kept, so a repaired link gets its held
 channels back and ``occupancy_snapshot`` shows real occupancy.
 
-The graph never changes after construction, so its arc table, the one map
-from a travel direction (u, v) to its (link, lane), is built once.  It refuses
-duplicate links, lists each node's arcs for ``neighbors`` and resolves each
-route once, into ``Hops``, its one record: nodes, link ids and delay.
+The graph never changes after construction, so its arc table, from a travel
+direction to its (link, lane) at index ``2 * link.id + lane``, is built once.
+It refuses duplicate links and lists each node's arcs for ``neighbors``.  A
+route's record, ``Hops``, names arcs, never a ``Link``, so a process resolves it
+once: every topology of one graph and link delays shares the module's tables.
 ``Topology.graph`` is the structure alone; ``routing`` alone searches it, memoising routes.
 ``Link`` and ``Topology`` alone check the structure: ``parse_topology`` reports
 any refusal, dangling or duplicate links too, at the refused link's line.
@@ -41,6 +42,8 @@ FORWARD = 0  # travel a -> b
 REVERSE = 1  # travel b -> a
 
 MAX_CHANNELS = 2**20  # a lane's free mask holds a bit per channel: billions exhaust memory
+# ((graph, link delays), (Hops by route, Yen's resolved routes by query)) of the graph last built
+_tables: tuple[tuple, tuple[dict, dict]] = ((), ({}, {}))
 
 
 class Link:
@@ -89,14 +92,14 @@ class Link:
 
 
 class Hops(tuple):
-    """A resolved route's (link, lane) pairs, its node tuple ``route``, its
-    ``link_ids`` and its ``delay``, the left-to-right sum of its link delays."""
+    """A resolved route's arc indices, ``2 * link_id + lane`` each, its node tuple ``route``,
+    its ``link_ids`` and its ``delay``, the left-to-right sum of its ``links``' delays."""
 
-    def __new__(cls, pairs, route: tuple[int, ...]):
-        hops = super().__new__(cls, pairs)
+    def __new__(cls, arcs, route: tuple[int, ...], links: list[Link]):
+        hops = super().__new__(cls, arcs)
         hops.route = route
-        hops.link_ids = frozenset(link.id for link, _ in hops)
-        hops.delay = reduce(operator.add, (link.delay for link, _ in hops), 0)
+        hops.link_ids = frozenset(arc >> 1 for arc in hops)
+        hops.delay = reduce(operator.add, (links[arc >> 1].delay for arc in hops), 0)
         return hops
 
 
@@ -108,49 +111,55 @@ class Topology:
         self.links = list(links)
         # the structure alone: what a hop-count route search reads
         self.graph = (num_nodes, tuple((link.a, link.b) for link in self.links))
-        # (u, v) -> (link, lane), for both travel directions of every link
-        self._arcs: dict[tuple[int, int], tuple[Link, int]] = {}
+        # (u, v) -> arc index, and arc index -> (link, lane), for both travel directions
+        self._arc_ids: dict[tuple[int, int], int] = {}
+        self.arcs = [(link, lane) for link in self.links for lane in (FORWARD, REVERSE)]
         # incident links in id order, since ids are checked to run in list order
         self.adjacency: list[list[Link]] = [[] for _ in range(num_nodes)]
         for i, link in enumerate(self.links):
-            # failure schedules and the engine look a link up by its id
+            # failure schedules, the engine and the arc table look a link up by its id
             if link.id != i:
                 raise TopologyError(f"link {link.id} is at position {i}; ids must be 0..n-1 in order")
             for end in (link.a, link.b):
                 if not 0 <= end < num_nodes:
                     raise TopologyError(
                         f"dangling node reference: link {link.id} names node {end}", link.id)
-            if (link.a, link.b) in self._arcs:
+            if (link.a, link.b) in self._arc_ids:
                 lo, hi = sorted((link.a, link.b))
                 raise TopologyError(f"duplicate link between {lo} and {hi}", link.id)
-            self._arcs[link.a, link.b] = (link, FORWARD)
-            self._arcs[link.b, link.a] = (link, REVERSE)
+            self._arc_ids[link.a, link.b] = 2 * i + FORWARD
+            self._arc_ids[link.b, link.a] = 2 * i + REVERSE
             self.adjacency[link.a].append(link)
             self.adjacency[link.b].append(link)
         self._neighbors: list[list[tuple[int, Link, int]]] = [[] for _ in range(num_nodes)]
-        for (u, v), arc in sorted(self._arcs.items()):
-            self._neighbors[u].append((v, *arc))
-        self._hops: dict[tuple[int, ...], Hops] = {}
-        self.routes: dict[tuple, tuple[Hops, ...]] = {}  # Yen's, resolved by routing, by query
+        for (u, v), arc in sorted(self._arc_ids.items()):
+            self._neighbors[u].append((v, *self.arcs[arc]))
+        global _tables  # the graph's tables of records, shared by all its topologies
+        key = (self.graph, tuple(link.delay for link in self.links))
+        built, tables = _tables
+        if built != key:
+            _tables = (key, tables := ({}, {}))
+        self._hops, self.routes = tables  # Hops by route; Yen's, resolved by routing, by query
 
     def neighbors(self, u: int) -> list[tuple[int, Link, int]]:
         """(neighbor, link, lane) of each arc out of u, in ascending neighbor order."""
         return self._neighbors[u]
 
     def hops(self, route: list[int] | tuple[int, ...]) -> Hops:
-        """Resolve a node sequence into the (link, lane) of each of its arcs.
+        """Resolve a node sequence into the arc index of each of its arcs.
 
-        A resolved route is memoised; one with a missing link raises
-        ``TopologyError`` on every call.
+        A resolved route is memoised for the graph; one with a missing link
+        raises ``TopologyError`` on every call.
         """
         key = tuple(route)
         hops = self._hops.get(key)
         if hops is None:
             try:
-                hops = self._hops[key] = Hops([self._arcs[arc] for arc in zip(key, key[1:])], key)
+                arcs = [self._arc_ids[arc] for arc in zip(key, key[1:])]
             except KeyError as err:
                 u, v = map(operator.index, err.args[0])  # a non-integer node: TypeError
                 raise TopologyError(f"no link between {u} and {v}") from None
+            hops = self._hops[key] = Hops(arcs, key, self.links)
         return hops
 
     def occupancy_snapshot(self) -> tuple[tuple[int, int], ...]:

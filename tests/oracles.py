@@ -14,6 +14,7 @@ import math
 import random
 from fractions import Fraction
 
+from wdmsim import routing, topology as topology_mod
 from wdmsim.routing import least_cost_path, link_cost
 from wdmsim.topology import FORWARD, REVERSE, Hops, Link, Topology
 
@@ -232,8 +233,15 @@ def hops_of(route, delay: float = 0.0) -> Hops:
     A prober reads only a candidate's route and delay, so the link need not
     join the route's nodes.
     """
-    pairs = [(Link(0, route[0], route[-1], delay, 1), 0)] if delay else []
-    return Hops(pairs, tuple(route))
+    links = [Link(0, route[0], route[-1], delay, 1)] if delay else []
+    return Hops([0] * len(links), tuple(route), links)
+
+
+def cold_start(monkeypatch) -> None:
+    """Empty Yen's per-graph memo and the graph's resolved-route tables, as a fresh process
+    has them; a topology built afterwards searches and resolves every route anew."""
+    monkeypatch.setattr(routing, "_hop_routes", ((), {}))
+    monkeypatch.setattr(topology_mod, "_tables", ((), ({}, {})))
 
 
 def window_probes(prober, now: float) -> list[tuple[float, int, int]]:

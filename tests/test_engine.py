@@ -9,14 +9,14 @@ import sys
 import textwrap
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import astuple, replace
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
 
 import wdmsim
-from oracles import erlang_b, erlang_fixed_point, random_failure_schedule
+from oracles import cold_start, erlang_b, erlang_fixed_point, random_failure_schedule
 from wdmsim.engine import (
     ARRIVAL,
     DEPARTURE,
@@ -427,6 +427,68 @@ def test_connections_hold_only_live_sessions():
     assert sim.connections == {}
 
 
+# -- route tables shared by every topology of a graph ----------------------------
+
+# failures on the default mesh that either router restores or drops connections at
+UNIT_FAILURES = [(2.0, 3), (4.0, 8), (6.0, 0), (9.0, 5)]
+UNIT_REPAIRS = [(5.0, 3), (8.0, 8), (11.0, 0)]
+
+
+def write_unit(router: str, seed: int, out_dir) -> wdmsim.metrics.MetricsReport:
+    """One audited run with failures on a fresh default mesh, its CSVs written to ``out_dir``."""
+    config = SimConfig(router=router, seed=seed, wavelengths=8 if router == ROUTER_RFTR else 2,
+                       arrival_rate=4.0, holding_time=0.5, session_traffics=4, max_requests=300,
+                       failures=UNIT_FAILURES, repairs=UNIT_REPAIRS)
+    report = run(config, topology=build_topology(config), audit=True)
+    Path(out_dir).mkdir(parents=True)
+    wdmsim.metrics.export_csv(report, Path(out_dir) / "summary.csv")
+    wdmsim.metrics.write_timeseries_csv(report, Path(out_dir) / "timeseries.csv")
+    return report
+
+
+@pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
+def test_a_run_on_a_fresh_topology_of_a_resolved_graph_resolves_nothing(
+        monkeypatch, tmp_path, router):
+    cold_start(monkeypatch)
+    built, searched = [], []
+    hops, yen = wdmsim.topology.Hops, wdmsim.routing._yen
+    monkeypatch.setattr(wdmsim.topology, "Hops", lambda *args: built.append(args) or hops(*args))
+    monkeypatch.setattr(wdmsim.routing, "_yen", lambda *args: searched.append(args) or yen(*args))
+    first = write_unit(router, 3, tmp_path / "first")
+    assert built and searched and first.restored > 0
+    built.clear()
+    searched.clear()
+    assert write_unit(router, 3, tmp_path / "again") == first
+    assert built == searched == []
+
+
+COLD_UNIT = textwrap.dedent("""
+    import dataclasses, sys
+    sys.path[:0] = sys.argv[1:3]
+    from test_engine import write_unit
+    print(repr(dataclasses.astuple(write_unit(sys.argv[3], int(sys.argv[4]), sys.argv[5]))))
+""")
+
+
+@pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
+def test_warm_route_tables_give_what_cold_ones_give(tmp_path, router):
+    # another seed's run, on another topology of the graph, fills the tables the next reads
+    write_unit(router, 1, tmp_path / "first")
+    tables = wdmsim.topology._tables[1]
+    assert all(tables)
+    warm = write_unit(router, 2, tmp_path / "warm")
+    assert wdmsim.topology._tables[1] is tables
+    assert warm.restored + warm.dropped > 0
+    # the same run alone in a fresh interpreter, whose tables start empty
+    paths = [str(Path(__file__).resolve().parent), str(Path(wdmsim.__file__).resolve().parents[1])]
+    done = subprocess.run([sys.executable, "-c", COLD_UNIT, *paths, router, "2",
+                           str(tmp_path / "cold")], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == repr(astuple(warm)) + "\n"
+    for name in ("summary.csv", "timeseries.csv"):
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+
 # -- event model: only events that carry a decision ----------------------------
 
 def counted_kinds(monkeypatch) -> Counter:
@@ -635,9 +697,9 @@ def test_failure_between_close_and_next_send_reroutes_on_the_closed_window(monke
     tried = []
     reroute = wdmsim.engine.reroute
 
-    def recording(backups, *args, **kwargs):
+    def recording(topology, backups, *args, **kwargs):
         tried.append([hops.route for hops in backups])
-        return reroute(backups, *args, **kwargs)
+        return reroute(topology, backups, *args, **kwargs)
 
     monkeypatch.setattr(wdmsim.engine, "reroute", recording)
     cfg = SimConfig(max_requests=1, probes_per_interval=1, probe_interval=0.5,
@@ -696,9 +758,9 @@ def test_unranked_backups_stay_disjoint_from_the_original_primary(monkeypatch, r
     tried, restored_onto = [], []
     reroute = wdmsim.engine.reroute
 
-    def recording(backups, *args, **kwargs):
+    def recording(topology, backups, *args, **kwargs):
         tried.append([hops.route for hops in backups])
-        lp = reroute(backups, *args, **kwargs)
+        lp = reroute(topology, backups, *args, **kwargs)
         restored_onto.append(lp.hops.route)
         return lp
 

@@ -78,8 +78,8 @@ def test_blocking_probability_ratio():
 
 
 def test_end_to_end_delay_recomputed_from_links(square):
-    lp = establish_lightpath(square.hops((0, 1, 2)), "none", 0.024)
-    assert lp.path_delay == pytest.approx(sum(link.delay for link, _ in lp.hops))
+    lp = establish_lightpath(square, square.hops((0, 1, 2)), "none", 0.024)
+    assert lp.path_delay == pytest.approx(sum(square.arcs[arc][0].delay for arc in lp.hops))
     assert lp.path_delay == pytest.approx(0.020)
 
 
@@ -87,7 +87,7 @@ def test_end_to_end_delay_charges_conversion():
     topo = parse_topology("nodes 3\nlink 0 1 10 2\nlink 1 2 10 2\n")
     topo.links[0].occupy(FORWARD, 0)
     topo.links[1].occupy(FORWARD, 1)
-    lp = establish_lightpath(topo.hops((0, 1, 2)), "full", 0.024)
+    lp = establish_lightpath(topo, topo.hops((0, 1, 2)), "full", 0.024)
     assert lp.path_delay == pytest.approx(0.044)
 
 
@@ -95,12 +95,12 @@ def test_end_to_end_delay_charges_conversion():
 
 def test_utilization_counts_both_lanes(square):
     assert sample_utilization(square) == 0.0
-    establish_lightpath(square.hops((0, 1, 2)), "none", 0.024)
+    establish_lightpath(square, square.hops((0, 1, 2)), "none", 0.024)
     assert sample_utilization(square) == 2 / 64
 
 
 def test_utilization_ignores_down_links(square):
-    establish_lightpath(square.hops((0, 1)), "none", 0.024)
+    establish_lightpath(square, square.hops((0, 1)), "none", 0.024)
     assert sample_utilization(square) == 1 / 64
     square.links[0].up = False
     assert sample_utilization(square) == 0.0  # the only occupied link no longer counts

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     arc,
+    cold_start,
     hops_of,
     k_best_disjoint,
     min_cost_route,
@@ -37,7 +38,9 @@ from wdmsim.routing import (
     assign_wavelength,
     baseline_route,
     establish_baseline,
+    establish_lightpath,
     establish_primary,
+    release_lightpath,
 )
 from wdmsim.topology import FORWARD, REVERSE, default_topology, parse_topology
 
@@ -106,10 +109,10 @@ def test_k_shortest_matches_exhaustive_k_best(seed, k):
 
 @pytest.fixture
 def yen_calls(monkeypatch):
-    """An empty route memo, and the arguments of every uncached Yen search."""
+    """An empty route memo and route tables, and the arguments of every uncached Yen search."""
     calls = []
     search = routing._yen
-    monkeypatch.setattr(routing, "_hop_routes", ((), {}))
+    cold_start(monkeypatch)
     monkeypatch.setattr(routing, "_yen", lambda *args: calls.append(args) or search(*args))
     return calls
 
@@ -148,7 +151,8 @@ def test_topologies_with_one_graph_share_routes(yen_calls):
 MOVED = "nodes 4\nlink 0 1 10 8\nlink 1 2 10 8\nlink 2 3 10 8\nlink 1 3 10 8\n"
 
 
-def test_a_baseline_route_is_yens_first_route_from_the_same_memo(mesh8, yen_calls):
+def test_a_baseline_route_is_yens_first_route_from_the_same_memo(yen_calls):
+    mesh8 = default_topology()  # built on the emptied tables
     pairs = [(s, d) for s in range(8) for d in range(8) if s != d]
     routes = [baseline_route(mesh8, s, d) for s, d in pairs]
     assert len(yen_calls) == len(pairs)
@@ -244,7 +248,7 @@ def test_no_route_is_asked_for_below_one(mesh8, k):
 def served_hops(topology, src, dst):
     """The baseline's route and the candidates avoiding it, as ``topology`` serves them."""
     route = baseline_route(topology, src, dst)
-    return [route, *candidate_paths(topology, src, dst, Lightpath(route, []), 3)]
+    return [route, *candidate_paths(topology, src, dst, Lightpath(topology.arcs, route, []), 3)]
 
 
 def test_a_repeated_lookup_returns_the_identical_hops(mesh8):
@@ -256,15 +260,50 @@ def test_a_repeated_lookup_returns_the_identical_hops(mesh8):
                for a, b in zip(served, repeat, strict=True))
 
 
-def test_topologies_of_one_graph_never_share_hops():
-    # asked in turn, so a table kept per graph would hand one the other's records
+def test_topologies_of_one_graph_share_records_never_channels(monkeypatch):
+    cold_start(monkeypatch)
     stock, other = default_topology(), default_topology(channels=2)
     assert stock.graph == other.graph
     for src, dst in [(s, d) for s in range(8) for d in range(8) if s != d]:
-        served = {topo: served_hops(topo, src, dst) for topo in (stock, other)}
-        assert [h.route for h in served[stock]] == [h.route for h in served[other]]
-        for topo, hops_list in served.items():
-            assert all(link is topo.links[link.id] for hops in hops_list for link, _ in hops)
+        served = [served_hops(topo, src, dst) for topo in (stock, other)]
+        assert all(a is b for a, b in zip(*served, strict=True))  # one record for both
+        assert all(type(arc) is int for hops in served[0] for arc in hops)  # naming no Link
+    hops = stock.hops((0, 1, 2))
+    assert hops is other.hops((0, 1, 2))
+    other.links[0].occupy(FORWARD, 0)
+    assert routing.first_fit(other, hops, "none") == [1, 1]
+    other.links[0].occupy(FORWARD, 1)
+    assert (probe_outcome(other, hops), routing.first_fit(other, hops, "none")) == (NACK, None)
+    assert (probe_outcome(stock, hops), routing.first_fit(stock, hops, "none")) == (PACK, [0, 0])
+    # a setup and a release on one topology leave the other's masks as they were
+    for topo, bystander in ((stock, other), (other, stock)):
+        before = bystander.occupancy_snapshot()
+        held = topo.occupancy_snapshot()
+        lp = establish_lightpath(topo, stock.hops((2, 1, 0)), "none", 0.024)
+        assert topo.occupancy_snapshot() != held
+        assert bystander.occupancy_snapshot() == before
+        release_lightpath(lp)
+        assert (topo.occupancy_snapshot(), bystander.occupancy_snapshot()) == (held, before)
+
+
+def test_topologies_of_one_structure_and_other_delays_keep_their_own_records(monkeypatch):
+    cold_start(monkeypatch)
+    # built in turn, then asked in turn, so one table for the structure alone would
+    # hand the later topology the earlier one's delays
+    fast, slow = default_topology(delay_ms=10.0), default_topology(delay_ms=30.0)
+    assert fast.graph == slow.graph
+    trips = {}
+    for topo in (fast, slow, fast, slow):
+        primary = establish_baseline(topo, 0, 4).lightpath
+        cands = candidate_paths(topo, 0, 4, primary, 3)
+        release_lightpath(primary)
+        prober = ConnectionProber(cands, 1, 0.5, math.inf)
+        for j in range(len(cands)):
+            prober.sent(j, PACK, 0.0)
+        trips[topo] = [land for land, _ in prober.landings]
+        assert trips[topo] == pytest.approx([2.0 * len(hops) * topo.links[0].delay
+                                             for hops in cands])
+    assert trips[slow] == pytest.approx([3.0 * trip for trip in trips[fast]])
 
 
 def test_slot_offsets_are_worked_out_once_per_count_and_interval(two_route):
@@ -316,7 +355,7 @@ def test_candidates_share_no_link_with_primary(seed):
     primary = result.lightpath
     cands = candidate_paths(topo, src, dst, primary, k=3)
     for hops in cands:
-        used = {link.id for link, _ in hops}
+        used = {topo.arcs[arc][0].id for arc in hops}
         assert not (used & primary.hops.link_ids)
 
 
@@ -435,31 +474,31 @@ def test_estimate_is_the_nacked_fraction_and_one_without_answers():
 # -- probe outcome ------------------------------------------------------------
 
 def test_probe_outcome_reports_admissibility(square):
-    assert probe_outcome(square.hops((0, 1, 2))) == PACK
+    assert probe_outcome(square, square.hops((0, 1, 2))) == PACK
     square.links[0].up = False
-    assert probe_outcome(square.hops((0, 1, 2))) == NACK
+    assert probe_outcome(square, square.hops((0, 1, 2))) == NACK
 
 
 def test_probe_outcome_sees_wavelength_exhaustion():
     topo = parse_topology("nodes 3\nlink 0 1 10 1\nlink 1 2 10 1\n")
-    assert probe_outcome(topo.hops((0, 1, 2))) == PACK
+    assert probe_outcome(topo, topo.hops((0, 1, 2))) == PACK
     topo.links[0].occupy(FORWARD, 0)
-    assert probe_outcome(topo.hops((0, 1, 2))) == NACK
+    assert probe_outcome(topo, topo.hops((0, 1, 2))) == NACK
 
 
 def test_probe_outcome_nacks_only_route_faults(square):
     # a missing link or a non-node fails in topology.hops, when candidates are built
     hops = square.hops((0, 1, 2))
     square.links[1].up = False
-    assert probe_outcome(hops) == NACK
-    assert probe_outcome(hops, FULL_CONVERSION) == NACK
+    assert probe_outcome(square, hops) == NACK
+    assert probe_outcome(square, hops, FULL_CONVERSION) == NACK
 
 
 def test_probe_outcome_never_mutates(square):
     before = square.occupancy_snapshot()
-    probe_outcome(square.hops((0, 1, 2)))
+    probe_outcome(square, square.hops((0, 1, 2)))
     square.links[1].up = False
-    probe_outcome(square.hops((0, 1, 2)))
+    probe_outcome(square, square.hops((0, 1, 2)))
     square.links[1].up = True
     assert square.occupancy_snapshot() == before
 
@@ -483,7 +522,7 @@ def test_probe_outcome_matches_wavelength_assignment(seed, channels):
         hops = topo.hops(route)
         for mode in CONVERSION_MODES:
             admits = assign_wavelength(topo, route, mode) is not None
-            assert probe_outcome(hops, mode) == (PACK if admits else NACK)
+            assert probe_outcome(topo, hops, mode) == (PACK if admits else NACK)
 
 
 # -- ranking and prober lifecycle --------------------------------------------
@@ -527,11 +566,12 @@ def test_prober_initial_backups_follow_candidate_order(monkeypatch):
     tried, lookups = [], []
     reroute, lookup = wdmsim.engine.reroute, wdmsim.engine.candidate_paths
     monkeypatch.setattr(wdmsim.engine, "reroute",
-                        lambda backups, *args, **kwargs: tried.append(backups)
-                        or reroute(backups, *args, **kwargs))
+                        lambda topology, backups, *args, **kwargs: tried.append(backups)
+                        or reroute(topology, backups, *args, **kwargs))
     monkeypatch.setattr(wdmsim.engine, "candidate_paths",
                         lambda *args: lookups.append(args) or lookup(*args))
-    sim._on_link_failure(sim.topology.hops((0, 1))[0][0].id)  # the primary is (0, 1, 2)
+    [arc] = sim.topology.hops((0, 1))
+    sim._on_link_failure(sim.topology.arcs[arc][0].id)  # the primary is (0, 1, 2)
     [backups] = tried
     assert [hops.route for hops in backups] == routes[:2]
     assert all(map(operator.is_, backups, conn.prober.candidates))  # the candidates' own records
@@ -636,7 +676,7 @@ def test_prober_ranking_matches_on_time_oracle(data):
 
 def test_reroute_takes_first_viable_backup(square):
     backups = [square.hops((0, 1, 2)), square.hops((0, 3, 2))]
-    lp = reroute(backups, "none", 0.024)
+    lp = reroute(square, backups, "none", 0.024)
     assert lp is not None
     assert lp.hops is backups[0]
 
@@ -644,7 +684,7 @@ def test_reroute_takes_first_viable_backup(square):
 def test_reroute_skips_down_and_saturated(square):
     square.links[0].up = False  # kills (0,1,2)
     backups = [square.hops((0, 1, 2)), square.hops((0, 3, 2))]
-    lp = reroute(backups, "none", 0.024)
+    lp = reroute(square, backups, "none", 0.024)
     assert lp.hops is backups[1]
 
 
@@ -656,7 +696,7 @@ def test_reroute_falls_back_to_fresh_search(square):
         calls.append(args)
         return establish_baseline(square, 0, 2)
 
-    lp = reroute([square.hops((0, 1, 2))], "none", 0.024, fallback_establish=fallback)
+    lp = reroute(square, [square.hops((0, 1, 2))], "none", 0.024, fallback_establish=fallback)
     assert calls == [("backup",)]  # exactly one positional argument
     assert lp.hops.route == (0, 3, 2)
 
@@ -668,5 +708,5 @@ def test_reroute_returns_none_when_nothing_fits():
     def fallback(_):
         return establish_baseline(topo, 0, 2)
 
-    assert reroute([topo.hops((0, 1, 2))], "none", 0.024,
+    assert reroute(topo, [topo.hops((0, 1, 2))], "none", 0.024,
                    fallback_establish=fallback) is None

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
+    cold_start,
     first_fit,
     free_wavelengths,
     held_channels,
@@ -119,7 +120,7 @@ def test_lexicographic_tie_break(square):
 
 def occupy_towards(topo, u, v, count):
     """Occupy ``count`` channels on the u->v travel lane."""
-    [(link, lane)] = topo.hops((u, v))
+    [(link, lane)] = map(topo.arcs.__getitem__, topo.hops((u, v)))
     for w in range(count):
         link.occupy(lane, w)
 
@@ -208,8 +209,8 @@ def test_in_place_mask_readers_match_free_mask_oracles(seed, p_down):
         hops = topo.hops(route)
         for mode in CONVERSION_MODES:
             want = first_fit(topo, route, mode, held)
-            assert routing.first_fit(hops, mode) == want
-            assert probe_outcome(hops, mode) == (NACK if want is None else PACK)
+            assert routing.first_fit(topo, hops, mode) == want
+            assert probe_outcome(topo, hops, mode) == (NACK if want is None else PACK)
     for lt in (LT, rng.uniform(0.01, 0.99)):
         assert least_cost_path(topo, src, dst, lt) == min_cost_route(
             topo, src, dst, loaded_edge_cost(lt))
@@ -316,7 +317,7 @@ def test_assignment_rejects_down_link(square):
 
 def test_establish_occupies_and_release_frees(square):
     before = square.occupancy_snapshot()
-    lp = establish_lightpath(square.hops((0, 1, 2)), NO_CONVERSION, 0.024)
+    lp = establish_lightpath(square, square.hops((0, 1, 2)), NO_CONVERSION, 0.024)
     assert lp.wavelengths == [0, 0]
     assert lp.hops.link_ids == frozenset({0, 1})
     assert lp.path_delay == pytest.approx(0.020)
@@ -328,9 +329,10 @@ def test_establish_occupies_and_release_frees(square):
 
 
 def test_second_release_is_a_no_op(square):
-    lp = establish_lightpath(square.hops((0, 1, 2)), NO_CONVERSION, 0.024)
+    lp = establish_lightpath(square, square.hops((0, 1, 2)), NO_CONVERSION, 0.024)
     release_lightpath(lp)
-    other = establish_lightpath(square.hops((0, 1)), NO_CONVERSION, 0.024)  # reuses wavelength 0
+    # reuses wavelength 0
+    other = establish_lightpath(square, square.hops((0, 1)), NO_CONVERSION, 0.024)
     held = square.occupancy_snapshot()
     release_lightpath(lp)  # must neither raise nor free the other's channel
     assert square.occupancy_snapshot() == held
@@ -343,7 +345,7 @@ def test_establish_returns_none_leaving_state_clean():
     topo = parse_topology("nodes 3\nlink 0 1 10 1\nlink 1 2 10 1\n")
     topo.links[0].occupy(FORWARD, 0)
     before = topo.occupancy_snapshot()
-    assert establish_lightpath(topo.hops((0, 1, 2)), NO_CONVERSION, 0.024) is None
+    assert establish_lightpath(topo, topo.hops((0, 1, 2)), NO_CONVERSION, 0.024) is None
     assert topo.occupancy_snapshot() == before
 
 
@@ -352,7 +354,7 @@ def test_establish_over_down_hop_returns_none_leaving_state_clean(square, mode):
     square.links[2].occupy(REVERSE, 3)  # held channels of the down link stay held
     square.links[1].up = False
     before = square.occupancy_snapshot()
-    assert establish_lightpath(square.hops((0, 1, 2, 3)), mode, 0.024) is None
+    assert establish_lightpath(square, square.hops((0, 1, 2, 3)), mode, 0.024) is None
     assert square.occupancy_snapshot() == before
 
 
@@ -360,7 +362,7 @@ def test_setup_delay_charges_conversions():
     topo = parse_topology("nodes 3\nlink 0 1 10 2\nlink 1 2 10 2\n")
     topo.links[0].occupy(FORWARD, 0)
     topo.links[1].occupy(FORWARD, 1)
-    lp = establish_lightpath(topo.hops((0, 1, 2)), FULL_CONVERSION, 0.024)
+    lp = establish_lightpath(topo, topo.hops((0, 1, 2)), FULL_CONVERSION, 0.024)
     assert lp.wavelengths == [1, 0]
     assert lp.wavelength_changes() == 1
     assert lp.path_delay == pytest.approx(0.010 + 0.010 + 0.024)
@@ -376,7 +378,7 @@ def test_a_lightpath_resolves_its_route_once(monkeypatch, mode):
     calls = []
     monkeypatch.setattr(Topology, "hops",
                         lambda self, route: calls.append(tuple(route)) or resolve(self, route))
-    lp = establish_lightpath(topo.hops([0, 1, 2, 3]), mode, 0.024)
+    lp = establish_lightpath(topo, topo.hops([0, 1, 2, 3]), mode, 0.024)
     assert lp.wavelength_changes() == (1 if mode == FULL_CONVERSION else 0)
     # propagation is the left-to-right sum of the link delays, as an exact float
     assert lp.path_delay == sum(link.delay for link in topo.links) + 0.024 * lp.wavelength_changes()
@@ -490,8 +492,9 @@ def test_topologies_of_one_graph_get_their_own_down_links_routes():
     assert baseline_route_of(stock, 0, 2) != baseline_route_of(other, 0, 2)
 
 
-def test_a_repeated_baseline_demand_runs_no_route_search(square, monkeypatch):
-    monkeypatch.setattr(routing, "_hop_routes", ((), {}))
+def test_a_repeated_baseline_demand_runs_no_route_search(monkeypatch):
+    cold_start(monkeypatch)
+    square = parse_topology("nodes 4\nlink 0 1 10 8\nlink 1 2 10 8\nlink 2 3 10 8\nlink 3 0 10 8\n")
     calls = []
     search = routing.min_hop_path
     monkeypatch.setattr(routing, "min_hop_path",

@@ -163,8 +163,10 @@ def test_default_topology_keeps_link_delay_precision():
 
 def test_lane_orientation(square):
     link = square.links[0]  # 0 -- 1
-    assert square.hops((0, 1)) == ((link, FORWARD),)
-    assert square.hops((1, 0)) == ((link, REVERSE),)
+    assert square.hops((0, 1)) == (2 * link.id + FORWARD,)
+    assert square.hops((1, 0)) == (2 * link.id + REVERSE,)
+    assert [square.arcs[arc] for arc in square.hops((0, 1, 0))] == [(link, FORWARD),
+                                                                    (link, REVERSE)]
     assert (1, link, FORWARD) in square.neighbors(0)
     assert (0, link, REVERSE) in square.neighbors(1)
     with pytest.raises(TopologyError, match="^no link between 1 and 3$"):
@@ -255,7 +257,7 @@ def test_link_between(square):
     """One link joins a node pair from either end; resolving a pair no link joins raises."""
     assert [(v, link) for v, link, _ in square.neighbors(0)] == [
         (1, square.links[0]), (3, square.links[3])]
-    assert square.hops((1, 0))[0][0] is square.links[0]
+    assert square.arcs[square.hops((1, 0))[0]][0] is square.links[0]
     for route in ((0, 2), (2, 0)):
         with pytest.raises(TopologyError, match=f"^no link between {route[0]} and {route[1]}$"):
             square.hops(route)
@@ -263,9 +265,11 @@ def test_link_between(square):
 
 def test_hops_maps_route_to_lanes(square):
     hops = square.hops((0, 1, 2))
-    assert [(l.id, lane) for l, lane in hops] == [(0, FORWARD), (1, FORWARD)]
+    assert [(l.id, lane) for l, lane in map(square.arcs.__getitem__, hops)] == [
+        (0, FORWARD), (1, FORWARD)]
     hops_rev = square.hops((2, 1, 0))
-    assert [(l.id, lane) for l, lane in hops_rev] == [(1, REVERSE), (0, REVERSE)]
+    assert [(l.id, lane) for l, lane in map(square.arcs.__getitem__, hops_rev)] == [
+        (1, REVERSE), (0, REVERSE)]
     # candidates are resolved here, once: a bad route fails at build, not at a probe
     with pytest.raises(TopologyError):
         square.hops((0, 2))
@@ -284,7 +288,7 @@ def test_hops_repeat_equal_and_missing_link_raises_every_time(square):
         for route, lanes in expected.items():
             hops = square.hops(list(route))
             assert isinstance(hops, tuple)
-            assert [(l.id, lane) for l, lane in hops] == lanes
+            assert [(l.id, lane) for l, lane in map(square.arcs.__getitem__, hops)] == lanes
             assert square.hops(route) == hops
         with pytest.raises(TopologyError):
             square.hops((0, 2))
