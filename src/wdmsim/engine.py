@@ -24,6 +24,8 @@ included, goes through it.  Every connection's backups are its prober's
 ranking, and ``m`` is applied where restoration tries them.  Every refusal a run
 can meet before its first event, of its config, topology, pinned arrivals or a
 tick or probe step too small for it to end, is made by ``Simulation``'s constructor.
+Under ``audit``, one pass after every link failure and at the end of the run checks each live
+lightpath (one wavelength per hop, up links) and the masks against the pre-run masks minus them.
 """
 
 from __future__ import annotations
@@ -257,7 +259,7 @@ class Simulation:
         self._script: list[tuple[float, int, str, tuple]] = []
         self._eseq = itertools.count()
         self._cid = itertools.count()
-        self._initial_occupancy = None
+        self._initial_free = None  # the pre-run masks by arc, taken once by ``run``
 
     @property
     def arrivals(self) -> tuple:
@@ -288,9 +290,9 @@ class Simulation:
     # -- run ----------------------------------------------------------------
 
     def run(self) -> metrics_mod.MetricsReport:
-        if self._initial_occupancy is not None:
+        if self._initial_free is not None:
             raise SimError("a Simulation runs once; build a new one for another run")
-        self._initial_occupancy = self.topology.occupancy_snapshot()
+        self._initial_free = [link._free[lane] for link, lane in self.topology.arcs]
         # seqs as if scheduled in this order: arrivals, failures, repairs, first tick
         eseq, script = self._eseq, self._script
         script += [(t, next(eseq), ARRIVAL, (src, dst, holding))
@@ -315,7 +317,7 @@ class Simulation:
             handlers[kind](self, *args)
 
         if self.audit:
-            self._check_occupancy()
+            self._audit()
         return self.collector.finalize()
 
     # -- handlers -----------------------------------------------------------
@@ -398,8 +400,7 @@ class Simulation:
                 self._check_continuity(new_lp)
                 self.collector.on_restored(conn, new_lp.path_delay, self.now)
         if self.audit:
-            self._check_failure_safety()
-            self._check_occupancy()
+            self._audit()
 
     def _on_link_repair(self, link_id: int) -> None:
         self.topology.links[link_id].up = True
@@ -427,27 +428,25 @@ class Simulation:
         if self.mode == NO_CONVERSION and len(set(lp.wavelengths)) > 1:
             raise InvariantError("wavelength continuity violated")
 
-    def _check_failure_safety(self) -> None:
-        arcs = self.topology.arcs
+    def _audit(self) -> None:
+        """One pass over the live lightpaths: each holds one wavelength per hop, on up links,
+        and the masks equal the pre-run masks minus their channels.  It keeps no state."""
+        expected, arcs = self._initial_free.copy(), self.topology.arcs
         for conn in self.connections.values():
-            if not all(arcs[arc][0].up for arc in conn.current.hops):
-                raise InvariantError(f"connection {conn.id} rides a down link")
-
-    def _check_occupancy(self) -> None:
-        """The masks must equal the pre-run masks minus every live lightpath's channels."""
-        # indexed by link id, which Topology checks runs 0..n-1 in list order
-        expected, arcs = list(map(list, self._initial_occupancy)), self.topology.arcs
-        for conn in self.connections.values():
-            lp = conn.current
-            for (link, lane), w in zip(map(arcs.__getitem__, lp.hops), lp.wavelengths):
-                masks = expected[link.id]
-                if not masks[lane] >> w & 1:
+            hops, wavelengths = conn.current.hops, conn.current.wavelengths
+            if len(wavelengths) != len(hops):
+                raise InvariantError(f"connection {conn.id} holds {len(wavelengths)} wavelengths"
+                                     f" on {len(hops)} hops")
+            for arc, w in zip(hops, wavelengths):
+                link, lane = arcs[arc]
+                if not link.up:
+                    raise InvariantError(f"connection {conn.id} rides a down link")
+                if not expected[arc] >> w & 1:
                     raise InvariantError(f"link {link.id} lane {lane} wavelength {w} held twice")
-                masks[lane] &= ~(1 << w)
-        if tuple(map(tuple, expected)) != self.topology.occupancy_snapshot():
-            raise InvariantError(
-                "channel leak: occupancy differs from the pre-run state minus the live lightpaths"
-            )
+                expected[arc] &= ~(1 << w)
+        if expected != [link._free[lane] for link, lane in arcs]:
+            raise InvariantError("channel leak: occupancy differs from the pre-run state minus"
+                                 " the live lightpaths")
 
 
 def run(

@@ -64,9 +64,9 @@ def sample_utilization(topology: Topology) -> float:
     """Occupied fraction of the channels on up links, both lanes counted, in one pass."""
     total = free = 0
     for link in topology.links:
-        if link.up:
+        if link.up:  # so the masks are read in place, to ``free_mask``'s rule
             total += 2 * link.total_channels
-            free += link.free_mask(FORWARD).bit_count() + link.free_mask(REVERSE).bit_count()
+            free += link._free[FORWARD].bit_count() + link._free[REVERSE].bit_count()
     return (total - free) / total if total else 0.0
 
 

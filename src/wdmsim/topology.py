@@ -9,10 +9,10 @@ and release a free one.  Which lightpath holds a channel is recorded on the
 lightpath (hops plus wavelengths), not on the link.
 
 A down link offers no free wavelength: ``free_mask`` reads 0, so its callers
-need no up check.  The three hot readers, ``probe_outcome``, ``first_fit`` and
-``least_cost_path``, read ``_free[lane]`` in place behind one ``up`` test, to
-the same rule.  The raw masks are kept, so a repaired link gets its held
-channels back and ``occupancy_snapshot`` shows real occupancy.
+need no up check.  The hot readers, ``probe_outcome``, ``first_fit``, ``least_cost_path``
+and ``metrics.sample_utilization``, read ``_free[lane]`` in place behind one ``up`` test,
+to the same rule.  The raw masks are kept, so a repaired link gets its held channels
+back, and ``occupancy_snapshot`` and the engine's audit (in arc order) see real occupancy.
 
 The graph never changes after construction, so its arc table, from a travel
 direction to its (link, lane) at index ``2 * link.id + lane``, is built once.

@@ -192,8 +192,9 @@ def test_criterion_3_estimator_convergence(capsys):
 
 # -- 4: safety invariants under fuzzing --------------------------------------
 # 100 seeded stock runs, one random single-link failure each; the engine's
-# audit mode asserts channel exclusivity, wavelength continuity, failure
-# safety and leak freedom; conservation is checked here explicitly
+# audit pass checks one wavelength per hop, channel exclusivity, failure
+# safety and leak freedom, and its wavelength-continuity check runs on every
+# setup and restoration, audited or not; conservation is checked here explicitly
 
 def test_criterion_4_safety_invariants(capsys):
     t0 = time.perf_counter()

@@ -34,7 +34,7 @@ from wdmsim.engine import (
 )
 from wdmsim.errors import ConfigError, InvariantError, SimError, TopologyError
 from wdmsim.probing import ConnectionProber
-from wdmsim.routing import FULL_CONVERSION, NO_CONVERSION
+from wdmsim.routing import FULL_CONVERSION, NO_CONVERSION, release_lightpath
 from wdmsim.topology import FORWARD, REVERSE, Topology, parse_topology
 
 SQUARE = "nodes 4\n" + "\n".join(
@@ -434,12 +434,12 @@ UNIT_FAILURES = [(2.0, 3), (4.0, 8), (6.0, 0), (9.0, 5)]
 UNIT_REPAIRS = [(5.0, 3), (8.0, 8), (11.0, 0)]
 
 
-def write_unit(router: str, seed: int, out_dir) -> wdmsim.metrics.MetricsReport:
-    """One audited run with failures on a fresh default mesh, its CSVs written to ``out_dir``."""
+def write_unit(router: str, seed: int, out_dir, audit: bool = True) -> wdmsim.metrics.MetricsReport:
+    """One run with failures on a fresh default mesh, its CSVs written to ``out_dir``."""
     config = SimConfig(router=router, seed=seed, wavelengths=8 if router == ROUTER_RFTR else 2,
                        arrival_rate=4.0, holding_time=0.5, session_traffics=4, max_requests=300,
                        failures=UNIT_FAILURES, repairs=UNIT_REPAIRS)
-    report = run(config, topology=build_topology(config), audit=True)
+    report = run(config, topology=build_topology(config), audit=audit)
     Path(out_dir).mkdir(parents=True)
     wdmsim.metrics.export_csv(report, Path(out_dir) / "summary.csv")
     wdmsim.metrics.write_timeseries_csv(report, Path(out_dir) / "timeseries.csv")
@@ -487,6 +487,17 @@ def test_warm_route_tables_give_what_cold_ones_give(tmp_path, router):
     assert done.stdout == repr(astuple(warm)) + "\n"
     for name in ("summary.csv", "timeseries.csv"):
         assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+
+@pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
+def test_the_audit_only_observes(tmp_path, router):
+    # the audit runs after each of the four failures and at the end, and changes nothing
+    audited = write_unit(router, 4, tmp_path / "audited")
+    assert audited.restored > 0 and audited.series
+    assert write_unit(router, 4, tmp_path / "plain", audit=False) == audited
+    for name in ("summary.csv", "timeseries.csv"):
+        assert (tmp_path / "plain" / name).read_bytes() == \
+            (tmp_path / "audited" / name).read_bytes()
 
 
 # -- event model: only events that carry a decision ----------------------------
@@ -914,10 +925,20 @@ def _record_twice(sim):
     sim.connections[1].current.wavelengths = list(sim.connections[0].current.wavelengths)
 
 
+def _take_link_down(sim):
+    sim.topology.links[0].up = False  # link 0 carries both sessions
+
+
+def _release_live(sim):
+    release_lightpath(sim.connections[0].current)  # its connection stays live
+
+
 @pytest.mark.parametrize("tamper, message", [
     (_free_held, "channel leak"),
     (_occupy_stray, "channel leak"),
     (_record_twice, "held twice"),
+    (_take_link_down, "connection 0 rides a down link"),
+    (_release_live, "connection 0 holds 0 wavelengths on 2 hops"),
 ])
 def test_audit_catches_occupancy_changed_behind_the_engine(tamper, message):
     # two pinned 0->2 sessions, both on [0,1,2] (wavelengths 0 and 1); just

@@ -22,6 +22,7 @@ from oracles import (
 from wdmsim import routing
 from wdmsim.engine import SimConfig
 from wdmsim.errors import NoSuchNodeError
+from wdmsim.metrics import sample_utilization
 from wdmsim.probing import NACK, PACK, probe_outcome
 from wdmsim.routing import (
     CONVERSION_MODES,
@@ -196,8 +197,8 @@ def test_least_cost_matches_exhaustive_search(seed):
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.0, 0.6))
 def test_in_place_mask_readers_match_free_mask_oracles(seed, p_down):
-    # first_fit, probe_outcome and least_cost_path read each lane's mask in place behind
-    # one up test; the oracles read lanes only through Link.free_mask
+    # first_fit, probe_outcome, least_cost_path and sample_utilization read each lane's mask
+    # in place behind one up test; the oracles read lanes only through Link.free_mask
     rng = random.Random(seed)
     topo = random_topology(rng)
     for link in topo.links:
@@ -214,6 +215,9 @@ def test_in_place_mask_readers_match_free_mask_oracles(seed, p_down):
     for lt in (LT, rng.uniform(0.01, 0.99)):
         assert least_cost_path(topo, src, dst, lt) == min_cost_route(
             topo, src, dst, loaded_edge_cost(lt))
+    channels = 2 * sum(link.total_channels for link in topo.links if link.up)
+    busy = sum(topo.links[link_id].up for link_id, _, _ in held)
+    assert sample_utilization(topo) == (busy / channels if channels else 0.0)
 
 
 @settings(max_examples=100, deadline=None)
