@@ -3,8 +3,9 @@
 Every run is driven by a single seeded RNG consumed only while pre-generating
 the arrival sequence, so identical (config, seed) pairs replay bit-identically.
 Events dequeue in (time, insertion seq) order, which makes simultaneous events
-deterministic too.  Payloads are positional; a departure or probe send carries
-its connection.
+deterministic too; a ``schedule`` call at the time of the one just before joins its
+queued entry, run in call order, as no event can sort between two consecutive calls.
+Payloads are positional; a departure or probe send carries its connection.
 
 Only events that carry a decision exist: the lifecycle (arrival, departure,
 link failure, link repair), one pending probe send per candidate and the
@@ -14,11 +15,12 @@ the seqs scheduling them would give; the heap holds only what the run
 schedules: departures, probe sends and ticks.  The engine schedules the sends
 each ``ConnectionProber`` names; the prober owns the window rule, so no send
 falls at or after the departure and no event closes a window or delivers an
-answer.  A connection ends one way, by departure or drop: it leaves the live
+answer.  A connection's candidates share slot instants, so one slot's sends share
+one entry.  A connection ends one way, by departure or drop: it leaves the live
 map, its ``current`` becomes None and its probes and the answers landed by then
 are counted, so an event queued for it is stale once ``current`` is None.
-Sample ticks run while any event is pending, scheduled or scripted, so the
-timeseries ends at the same tick whatever the router.  A run reads its
+Sample ticks run while any event is pending, scheduled or scripted (no call joins a
+tick's entry), so the timeseries ends at the same tick whatever the router.  A run reads its
 conversion mode and binds its router once; a fresh setup, restoration
 included, goes through it.  Every connection's backups are its prober's
 ranking, and ``m`` is applied where restoration tries them.  Every refusal a run
@@ -33,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from functools import partial
 from heapq import heappop, heappush
@@ -64,6 +67,7 @@ PROBE_SEND = "probe_send"
 LINK_FAILURE = "link_failure"
 LINK_REPAIR = "link_repair"
 SAMPLE_TICK = "sample_tick"
+_NO_TAIL = (math.nan,)  # a tail no call joins: nan equals no time
 
 ROUTER_RFTR = "rftr"
 ROUTER_BASELINE = "baseline"
@@ -196,10 +200,10 @@ def generate_arrivals(
 class Simulation:
     """Single-threaded event loop over one topology instance.
 
-    An event is an entry ``(time, seq, kind, args)``; dispatch passes ``args``
-    positionally to ``kind``'s handler.  ``schedule`` pushes a run's decisions
-    onto the heap; the scripted events merge with it by (time, seq), a total
-    order, so they dispatch as if one heap held both.  A departure or probe
+    An event is an entry ``(time, seq, kind, args)``; dispatch passes ``args`` to ``kind``'s
+    handler, then those of the calls that joined the entry, kept under its seq in ``_joined``.
+    ``schedule`` pushes a run's decisions onto the heap; the scripted events merge with it by
+    (time, seq), a total order, so they dispatch as if one heap held both.  A departure or probe
     send carries its ``Connection``, whose ``current`` is None once it ended.
     Construction makes every refusal; ``arrivals`` pins the demands, else they are drawn.
     """
@@ -257,7 +261,8 @@ class Simulation:
         self._heap: list[tuple[float, int, str, tuple]] = []
         # the scripted events, latest first, so the next one is popped off the end
         self._script: list[tuple[float, int, str, tuple]] = []
-        self._eseq = itertools.count()
+        self._eseq, self._tail = itertools.count(), _NO_TAIL  # tail: the last call's entry
+        self._joined = defaultdict(list)  # by an entry's seq, the later calls that joined it
         self._cid = itertools.count()
         self._initial_free = None  # the pre-run masks by arc, taken once by ``run``
 
@@ -285,7 +290,12 @@ class Simulation:
     # -- scheduling ---------------------------------------------------------
 
     def schedule(self, time: float, kind: str, *args) -> None:
-        heappush(self._heap, (time, next(self._eseq), kind, args))
+        tail = self._tail
+        if time == tail[0] and time > self.now:  # the last call's entry, still queued: join it
+            self._joined[tail[1]].append((kind, args))
+        else:
+            self._tail = tail = (time, next(self._eseq), kind, args)
+            heappush(self._heap, tail)
 
     # -- run ----------------------------------------------------------------
 
@@ -302,19 +312,21 @@ class Simulation:
                                         (LINK_REPAIR, self.config.repairs))
                    for t, link_id in events]
         script.sort(reverse=True)  # seqs are unique, so (time, seq) decides every comparison
-        self.schedule(self.config.sample_interval, SAMPLE_TICK)
+        self._schedule_tick(self.config.sample_interval)
 
-        heap, pop = self._heap, heappop
-        handlers = self._HANDLERS
+        heap, pop, handlers, joined = self._heap, heappop, self._HANDLERS, self._joined
         while heap or script:
             # the script's next event goes first when it sorts before the heap's
-            time, _, kind, args = (script.pop() if script and (not heap or script[-1] < heap[0])
-                                   else pop(heap))
+            time, seq, kind, args = (script.pop() if script and (not heap or script[-1] < heap[0])
+                                     else pop(heap))
             if time > self.now:
                 self.now = time
             elif time < self.now - 1e-12:
                 raise InvariantError("event clock went backwards")
             handlers[kind](self, *args)
+            if joined and seq in joined:  # then the calls that joined its entry, in call order
+                for kind, args in joined.pop(seq):
+                    handlers[kind](self, *args)
 
         if self.audit:
             self._audit()
@@ -410,7 +422,11 @@ class Simulation:
         # a send is queued only before its connection's departure, which stays queued
         # through a drop, so a pending send means a pending lifecycle event
         if self._heap or self._script:
-            self.schedule(self.now + self.config.sample_interval, SAMPLE_TICK)
+            self._schedule_tick(self.now + self.config.sample_interval)
+
+    def _schedule_tick(self, time: float) -> None:
+        self.schedule(time, SAMPLE_TICK)
+        self._tail = _NO_TAIL  # no later call joins a tick's entry, so the tick runs last in it
 
     # unbound, so a Simulation holds no reference cycle and is freed on last use
     _HANDLERS = {

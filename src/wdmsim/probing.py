@@ -11,8 +11,9 @@ table, and its answer lands one round trip, twice their delay, later.
 out once, slot and next send (none at or after the connection's end), an
 answer's tally (fixed at send, in the window it lands in before the close),
 the close, and the probes and answers the connection's end counts.  A window's
-NACKed fraction is the route's blocking estimate; at each close the
-candidates' own ``Hops`` are ranked ascending by it.  That ranking is every
+NACKed fraction (1.0 without answers) is the route's blocking estimate; a close
+sets its tallies aside, and a failure reading the ranking sorts the candidates'
+own ``Hops`` ascending by the last closed window's.  That ranking is every
 connection's backups, and a failure sets up on the best first, resolving
 nothing; a baseline connection's prober opens no window, so it keeps the
 candidate order.  Sub-optimal candidates keep being probed, so the ranking
@@ -87,9 +88,9 @@ class ConnectionProber:
     tallies a probe's answer into the open window's PACK/NACK counts when it
     lands strictly before ``close_at``, and keeps its landing in ``landings``.
     A window closes at the first send after ``close_at`` or when a failure asks
-    for the ranking, whichever comes first: its estimate is read once, then, so
-    an answer landing at or after the close moves no ranking.  Until the first
-    close the ranking is the candidate order.
+    for the ranking, whichever comes first, fixing its tallies, so an answer
+    landing at or after the close moves no ranking; ``ranking`` sorts the last
+    closed window's, once.  Until the first close the ranking is candidate order.
     """
 
     def __init__(self, candidates: tuple[Hops, ...], count: int, interval: float, end: float):
@@ -103,6 +104,7 @@ class ConnectionProber:
         self._slots, self._acks, self._nacks = [0] * n, [0] * n, [0] * n
         self.landings: list[tuple[float, str]] = []  # (land, outcome) of every probe sent
         self._ranked: list[Hops] | tuple[Hops, ...] = candidates
+        self._closed = None  # the last closed window's (PACKs, NACKs), until ranked
         self._opened_at, self.close_at = 0.0, math.inf  # the open window's span; none yet
 
     def open_windows(self, now: float) -> float | None:
@@ -111,17 +113,22 @@ class ConnectionProber:
         t = now + self._offsets[0]
         return t if t < self.end else None
 
+    def close_window(self) -> None:
+        """Close the open window, its tallies kept unsorted, and open the next at its close."""
+        self._closed, n = (self._acks, self._nacks), len(self.candidates)
+        self._acks, self._nacks = [0] * n, [0] * n
+        self.open_windows(self.close_at)
+
     def ranking(self, now: float) -> list[Hops] | tuple[Hops, ...]:
-        """The candidates best first at ``now``; ranks a window closed before, opens the next."""
+        """The candidates best first at ``now``: by the last window closed before ``now``."""
         if self.close_at < now:
-            self.close_and_rank()
-            self.open_windows(self.close_at)
-        return self._ranked
+            self.close_window()
+        return self.close_and_rank() if self._closed else self._ranked
 
     def sent(self, path_index: int, outcome: str, now: float) -> float | None:
         """Record a probe sent at ``now``; returns the candidate's next send if before ``end``."""
         if self.close_at < now:
-            self.ranking(now)
+            self.close_window()
         land = now + self._round_trips[path_index]
         self.landings.append((land, outcome))
         if land < self.close_at:  # feedback's tally
@@ -146,17 +153,19 @@ class ConnectionProber:
         tally = self._acks if outcome == PACK else self._nacks
         tally[path_index] += 1
 
-    def estimates(self) -> list[float]:
-        """Open window's NACKed fraction of resolved probes; no evidence counts as 1.0."""
-        return [nack / (ack + nack) if ack + nack else 1.0
-                for ack, nack in zip(self._acks, self._nacks)]
+    def estimates(self, tallies=None) -> list[float]:
+        """NACKed fraction of resolved probes in (PACKs, NACKs), the open window's by default."""
+        acks, nacks = tallies or (self._acks, self._nacks)
+        return [nack / (ack + nack) if ack + nack else 1.0 for ack, nack in zip(acks, nacks)]
 
     def close_and_rank(self) -> list[Hops]:
-        """Close the open window; rank every candidate ascending by (estimate, hops, route)."""
-        estimates = self.estimates()
+        """Rank every candidate ascending by the last closed window's (estimate, hops, route),
+        closing the open window first if no closed one waits."""
+        if self._closed is None:
+            self.close_window()
+        estimates, self._closed = self.estimates(self._closed), None
         routes = [hops.route for hops in self.candidates]
         order = sorted(range(len(routes)), key=lambda j: (estimates[j], len(routes[j]), routes[j]))
-        self._acks, self._nacks = [0] * len(routes), [0] * len(routes)
         self._ranked = [self.candidates[j] for j in order]
         return self._ranked
 

@@ -600,6 +600,118 @@ def test_every_probe_sent_is_counted_once(monkeypatch, mode):
     assert report.probes_sent == len(outcomes) <= kinds[PROBE_SEND]
 
 
+class EagerQueue(Simulation):
+    """The same run with every ``schedule`` call in its own heap entry: nothing joins."""
+
+    def schedule(self, time, kind, *args):
+        super().schedule(time, kind, *args)
+        self._tail = wdmsim.engine._NO_TAIL
+
+
+def ordered_run(monkeypatch, sim):
+    """Run ``sim``, numbering every ``schedule`` call and recording every dispatch.
+
+    Returns (report, dispatch keys, the kinds of each heap entry's calls, the
+    stale sends).  A dispatch's key sorts as the eager queue would: time, then
+    the scripted events (arrivals, failures, repairs, each in list order), then
+    the scheduled ones in call order.
+    """
+    calls, keys, entries, stale = {}, [], [], []
+    script = {(ARRIVAL, t, (src, dst, h)): i for i, (t, src, dst, h) in enumerate(sim.arrivals)}
+    for kind, events in ((LINK_FAILURE, sim.config.failures), (LINK_REPAIR, sim.config.repairs)):
+        script.update({(kind, t, (link_id,)): len(script) + i
+                       for i, (t, link_id) in enumerate(events)})
+    schedule, push = Simulation.schedule, wdmsim.engine.heappush
+
+    def numbered(self, time, kind, *args):
+        key = (kind, time, tuple(getattr(arg, "id", arg) for arg in args))
+        assert key not in calls
+        calls[key], pushes = len(calls), len(entries)
+        schedule(self, time, kind, *args)
+        if len(entries) == pushes:  # no entry of its own: it joined the last one pushed
+            entries[-1].append(kind)
+
+    def recorded(self, *args, kind, handler):
+        key = (kind, self.now, tuple(getattr(arg, "id", arg) for arg in args))
+        keys.append((self.now, 0, script[key]) if key in script else (self.now, 1, calls[key]))
+        if kind == PROBE_SEND and args[0].current is None:
+            stale.append(key)
+        handler(self, *args)
+
+    monkeypatch.setattr(Simulation, "schedule", numbered)
+    monkeypatch.setattr(wdmsim.engine, "heappush",
+                        lambda heap, entry: entries.append([entry[2]]) or push(heap, entry))
+    for kind, handler in list(Simulation._HANDLERS.items()):
+        monkeypatch.setitem(Simulation._HANDLERS, kind,
+                            lambda self, *args, k=kind, h=handler: recorded(self, *args, kind=k,
+                                                                             handler=h))
+    report = sim.run()
+    # every call is dispatched once: none lost in a shared entry, none run twice
+    assert sorted(n for _, scheduled, n in keys if scheduled) == list(range(len(calls)))
+    assert sum(not scheduled for _, scheduled, _ in keys) == len(script)
+    return report, keys, entries, stale
+
+
+@pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
+def test_dispatch_runs_in_time_then_script_then_call_order(monkeypatch, router):
+    # drops leave sends queued for ended connections, which pop stale
+    cfg = SimConfig(router=router, wavelengths=2, arrival_rate=6.0, holding_time=0.5,
+                    max_requests=300, seed=3, failures=[(2.0, 0), (4.0, 9), (6.0, 5)],
+                    repairs=[(3.0, 0), (5.0, 9)])
+    eager = EagerQueue(cfg, audit=True).run()
+    report, keys, entries, stale = ordered_run(monkeypatch, Simulation(cfg, audit=True))
+    assert keys == sorted(keys)
+    assert report == eager
+    assert report.dropped > 0 and report.restored > 0
+    if router == ROUTER_RFTR:  # one slot's sends share an entry, stale ones too
+        assert stale and len(entries) < sum(scheduled for _, scheduled, _ in keys) / 2
+
+
+def test_a_call_never_joins_an_entry_already_dispatched(monkeypatch):
+    # both baseline departures fall at 0.1 + 0.2 == 0.2 + 0.1 and share the last call's
+    # entry; each then makes a call for its own instant, which must get an entry of its
+    # own, not join the spent one
+    ran, departure = [], Simulation._HANDLERS[DEPARTURE]
+
+    def departing(self, conn, *echo):
+        if echo:
+            ran.append((conn.id, self.now))
+        else:
+            departure(self, conn)
+            self.schedule(self.now, DEPARTURE, conn, "echo")
+
+    monkeypatch.setitem(Simulation._HANDLERS, DEPARTURE, departing)
+    Simulation(SimConfig(router=ROUTER_BASELINE, max_requests=2),
+               arrivals=[(0.1, 0, 2, 0.2), (0.2, 1, 3, 0.1)]).run()
+    assert ran == [(0, 0.1 + 0.2), (1, 0.1 + 0.2)]
+
+
+# One demand arrives at 0.25 s; with one probe a 0.5 s window its sends go out
+# every 0.5 s from 0.5 s, on the sample ticks' instants, and a 0.25 s holding
+# puts its departure on one too.  The series ends at the first tick with nothing
+# pending after it, which the eager queue decides by seq.
+@pytest.mark.parametrize("sample_interval, holding, last_tick", [
+    (0.5, 0.25, 1.0), (0.5, 0.5, 1.0), (0.5, 0.8, 1.5), (0.5, 1.3, 2.0),
+    (0.25, 0.25, 0.5), (0.25, 0.5, 0.75), (0.25, 0.8, 1.25), (0.25, 1.3, 1.75)])
+def test_a_shared_entry_ends_the_series_at_the_eager_tick(monkeypatch, sample_interval, holding,
+                                                          last_tick):
+    cfg = SimConfig(max_requests=1, probes_per_interval=1, probe_interval=0.5,
+                    sample_interval=sample_interval)
+    arrivals = [(0.25, 0, 2, holding)]
+    eager = EagerQueue(cfg, arrivals=arrivals).run()
+    report, keys, entries, _ = ordered_run(monkeypatch, Simulation(cfg, arrivals=arrivals))
+    assert keys == sorted(keys)
+    assert report == eager  # the series included
+    assert report.series[-1][0] == last_tick
+    # no call joins a tick's entry, so a tick is the last event of its entry: at
+    # (0.5, 0.25) the departure at 0.5 s would otherwise join the first tick's
+    shared = [kinds for kinds in entries if len(kinds) > 1]
+    assert all(SAMPLE_TICK not in kinds[:-1] for kinds in shared)
+    if sample_interval == 0.25:  # the tick 0.25 s after the arrival shares its instant's entry
+        together = [DEPARTURE] if holding == 0.25 else [PROBE_SEND] * 3
+        assert together + [SAMPLE_TICK] in shared
+
+
 def test_a_million_channels_cost_no_memory_per_channel():
     # a lane is priced from its free count by the formula: nothing is kept per channel
     tracemalloc.start()
@@ -627,13 +739,13 @@ def landing_run(monkeypatch, detour_ms, holding, failures=()):
         for lane in (0, 1):
             link.occupy(lane, 7)
     estimates = []
-    close = ConnectionProber.close_and_rank
+    close = ConnectionProber.close_window
 
-    def recording(prober):
+    def recording(prober):  # every close, ranked or not
         estimates.append(prober.estimates())
-        return close(prober)
+        close(prober)
 
-    monkeypatch.setattr(ConnectionProber, "close_and_rank", recording)
+    monkeypatch.setattr(ConnectionProber, "close_window", recording)
     cfg = SimConfig(max_requests=1, probes_per_interval=1, probe_interval=0.5,
                     failures=list(failures))
     sim = Simulation(cfg, topology=topo, audit=True, arrivals=[(0.0, 0, 1, holding)])
@@ -664,6 +776,21 @@ def test_feedback_landing_at_drop_counts_nowhere(monkeypatch):
     assert report.dropped == 1
     assert estimates == [[1.0]]
     assert (report.probes_sent, report.probe_packs, report.probe_nacks) == (2, 1, 0)
+
+
+def test_windows_are_ranked_only_when_a_failure_reads_them(monkeypatch):
+    calls = Counter()
+    for name in ("close_window", "close_and_rank"):
+        method = getattr(ConnectionProber, name)
+        monkeypatch.setattr(ConnectionProber, name,
+                            lambda prober, n=name, m=method: calls.update([n]) or m(prober))
+    cfg = SimConfig(wavelengths=2, arrival_rate=6.0, holding_time=0.5, max_requests=300, seed=3)
+    Simulation(cfg).run()
+    assert calls["close_window"] > 100 and calls["close_and_rank"] == 0
+    calls.clear()
+    report = Simulation(replace(cfg, failures=[(2.0, 0), (4.0, 9), (6.0, 5)])).run()
+    # each connection a failure hits reads its ranking once, and sorts at most once
+    assert 0 < calls["close_and_rank"] <= report.restored + report.dropped
 
 
 def test_send_queued_before_a_drop_is_ignored(monkeypatch):

@@ -593,8 +593,8 @@ def test_prober_sequences_continue_across_windows(monkeypatch):
     # which the next window's first send makes; the first window's probes PACK
     # and the second's NACK
     estimates = []
-    close = ConnectionProber.close_and_rank
-    monkeypatch.setattr(ConnectionProber, "close_and_rank",
+    close = ConnectionProber.close_window
+    monkeypatch.setattr(ConnectionProber, "close_window",
                         lambda prober: estimates.append(prober.estimates()) or close(prober))
     prober = make_prober(paths=[(0, 1, 9)], probes=2, interval=0.6)
     t, sends = prober.open_windows(0.0), []
@@ -670,6 +670,43 @@ def test_prober_ranking_matches_on_time_oracle(data):
                               st.floats(0.0, 3.0)), label="end")
     landed = [outcome for land, outcome in answers if land < end]
     assert prober.landed(end) == (landed.count(PACK), landed.count(NACK))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_a_failure_reads_the_last_closed_windows_ranking(data):
+    # the sends run as the engine runs them, each naming the next, so a window closes
+    # at the first send after it; a failure between two slots reads the ranking, which
+    # sorts the last window closed before the failure, once, and matches the oracle
+    hop_counts = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4), label="hops")
+    paths = [(0, *(10 * (j + 1) + h for h in range(n)), 9) for j, n in enumerate(hop_counts)]
+    delays = data.draw(st.lists(st.floats(0.0, 0.5), min_size=len(paths), max_size=len(paths)),
+                       label="delays")
+    prober = make_prober(paths, probes=data.draw(st.integers(1, 4), label="count"), delays=delays)
+    sorts, close_and_rank = [], prober.close_and_rank
+    prober.close_and_rank = lambda: sorts.append(None) or close_and_rank()
+    on_time = {}  # window -> (path_index, outcome) of its answers landing before its close
+    t, last_send, last_read = prober.open_windows(0.0), 0.0, None
+    for _ in range(data.draw(st.integers(1, 12), label="slots")):
+        if data.draw(st.booleans(), label="failure"):
+            now = data.draw(st.floats(last_send, t), label="now")
+            closed = max((w for w in range(int(now // 0.5) + 1) if 0.5 * (w + 1) < now),
+                         default=None)
+            before = len(sorts)
+            routes = [hops.route for hops in prober.ranking(now)]
+            if closed is None:
+                assert routes == paths  # candidate order until the first close
+            else:
+                assert routes == rank_by_feedback(paths, on_time.get(closed, []))
+            assert len(sorts) - before == (closed is not None and closed != last_read)
+            last_read = closed
+        window = int(t // 0.5)
+        for j, delay in enumerate(delays):
+            outcome = data.draw(st.sampled_from([PACK, NACK]))
+            next_t = prober.sent(j, outcome, t)
+            if t + 2.0 * delay < 0.5 * (window + 1):
+                on_time.setdefault(window, []).append((j, outcome))
+        last_send, t = t, next_t
 
 
 # -- reroute ------------------------------------------------------------------
