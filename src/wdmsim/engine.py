@@ -5,7 +5,9 @@ the arrival sequence, so identical (config, seed) pairs replay bit-identically.
 Events dequeue in (time, insertion seq) order, which makes simultaneous events
 deterministic too; a ``schedule`` call at the time of the one just before joins its
 queued entry, run in call order, as no event can sort between two consecutive calls.
-Payloads are positional; a departure or probe send carries its connection.
+An event carries one payload, and every per-event call is positional with a fixed arity:
+an arrival carries its (src, dst, holding), a departure its connection, a probe send its
+(connection, candidate index), a failure or repair its link id and a tick None.
 
 Only events that carry a decision exist: the lifecycle (arrival, departure,
 link failure, link repair), one pending probe send per candidate and the
@@ -37,7 +39,6 @@ import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field, fields
-from functools import partial
 from heapq import heappop, heappush
 from numbers import Real
 
@@ -200,11 +201,12 @@ def generate_arrivals(
 class Simulation:
     """Single-threaded event loop over one topology instance.
 
-    An event is an entry ``(time, seq, kind, args)``; dispatch passes ``args`` to ``kind``'s
-    handler, then those of the calls that joined the entry, kept under its seq in ``_joined``.
-    ``schedule`` pushes a run's decisions onto the heap; the scripted events merge with it by
-    (time, seq), a total order, so they dispatch as if one heap held both.  A departure or probe
-    send carries its ``Connection``, whose ``current`` is None once it ended.
+    An event is an entry ``(time, seq, kind, payload)``; dispatch calls ``kind``'s handler as
+    ``handler(self, payload)``, then those of the calls that joined the entry, kept as
+    ``(kind, payload)`` under its seq in ``_joined``.  ``schedule`` pushes a run's decisions onto
+    the heap; the scripted events merge with it by (time, seq), a total order, so they dispatch
+    as if one heap held both.  A departure carries its ``Connection``, and a probe send its
+    ``(Connection, candidate index)``; ``current`` is None once the connection ended.
     Construction makes every refusal; ``arrivals`` pins the demands, else they are drawn.
     """
 
@@ -225,12 +227,14 @@ class Simulation:
         self.m = config.backups_m if config.backups_m is not None else config.candidates_k
         self.mode = config.conversion_mode
         # rftr routes by Dijkstra over load-aware costs, the baseline by the
-        # memoised least-hop route over up links; bound to the topology, not
-        # to self, so a Simulation holds no reference cycle
-        router = (partial(establish_primary, lt=config.load_threshold)
-                  if config.router == ROUTER_RFTR else establish_baseline)
-        self._establish = partial(router, self.topology, mode=self.mode,
-                                  conversion_time=config.conversion_time)
+        # memoised least-hop route over up links; a closure over the topology, not
+        # self, so a Simulation holds no reference cycle
+        topology, mode = self.topology, self.mode
+        lt, ct = config.load_threshold, config.conversion_time
+        if config.router == ROUTER_RFTR:
+            self._establish = lambda src, dst: establish_primary(topology, src, dst, lt, mode, ct)
+        else:
+            self._establish = lambda src, dst: establish_baseline(topology, src, dst, mode, ct)
         if arrivals is None:  # the engine draws no arrival it cannot run
             arrivals = generate_arrivals(config, random.Random(config.seed), self.topology.num_nodes)
         else:
@@ -258,9 +262,9 @@ class Simulation:
         # live connections only: a blocked one never enters, and ``_end`` removes the rest
         self.connections: dict[int, Connection] = {}
         self.collector = metrics_mod.MetricsCollector(config)
-        self._heap: list[tuple[float, int, str, tuple]] = []
+        self._heap: list[tuple[float, int, str, object]] = []
         # the scripted events, latest first, so the next one is popped off the end
-        self._script: list[tuple[float, int, str, tuple]] = []
+        self._script: list[tuple[float, int, str, object]] = []
         self._eseq, self._tail = itertools.count(), _NO_TAIL  # tail: the last call's entry
         self._joined = defaultdict(list)  # by an entry's seq, the later calls that joined it
         self._cid = itertools.count()
@@ -289,12 +293,12 @@ class Simulation:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule(self, time: float, kind: str, *args) -> None:
+    def schedule(self, time: float, kind: str, payload=None) -> None:
         tail = self._tail
         if time == tail[0] and time > self.now:  # the last call's entry, still queued: join it
-            self._joined[tail[1]].append((kind, args))
+            self._joined[tail[1]].append((kind, payload))
         else:
-            self._tail = tail = (time, next(self._eseq), kind, args)
+            self._tail = tail = (time, next(self._eseq), kind, payload)
             heappush(self._heap, tail)
 
     # -- run ----------------------------------------------------------------
@@ -307,7 +311,7 @@ class Simulation:
         eseq, script = self._eseq, self._script
         script += [(t, next(eseq), ARRIVAL, (src, dst, holding))
                    for t, src, dst, holding in self._arrivals]
-        script += [(t, next(eseq), kind, (link_id,))
+        script += [(t, next(eseq), kind, link_id)
                    for kind, events in ((LINK_FAILURE, self.config.failures),
                                         (LINK_REPAIR, self.config.repairs))
                    for t, link_id in events]
@@ -317,16 +321,17 @@ class Simulation:
         heap, pop, handlers, joined = self._heap, heappop, self._HANDLERS, self._joined
         while heap or script:
             # the script's next event goes first when it sorts before the heap's
-            time, seq, kind, args = (script.pop() if script and (not heap or script[-1] < heap[0])
-                                     else pop(heap))
+            time, seq, kind, payload = (script.pop()
+                                        if script and (not heap or script[-1] < heap[0])
+                                        else pop(heap))
             if time > self.now:
                 self.now = time
             elif time < self.now - 1e-12:
                 raise InvariantError("event clock went backwards")
-            handlers[kind](self, *args)
+            handlers[kind](self, payload)
             if joined and seq in joined:  # then the calls that joined its entry, in call order
-                for kind, args in joined.pop(seq):
-                    handlers[kind](self, *args)
+                for kind, payload in joined.pop(seq):
+                    handlers[kind](self, payload)
 
         if self.audit:
             self._audit()
@@ -334,17 +339,15 @@ class Simulation:
 
     # -- handlers -----------------------------------------------------------
 
-    def _on_arrival(self, src: int, dst: int, holding: float) -> None:
+    def _on_arrival(self, demand: tuple[int, int, float]) -> None:
+        src, dst, holding = demand
         conn_id = next(self._cid)
         self.collector.on_offered()
         result = self._establish(src, dst)
         if result.blocked:
             self.collector.on_blocked()
             return
-        conn = Connection(
-            id=conn_id, src=src, dst=dst, arrival=self.now, holding=holding,
-            current=result.lightpath,
-        )
+        conn = Connection(conn_id, src, dst, self.now, holding, result.lightpath)
         self.connections[conn.id] = conn
         self._check_continuity(result.lightpath)
         self.collector.on_accepted(conn, result.lightpath.path_delay, self.now)
@@ -354,7 +357,7 @@ class Simulation:
             t = conn.prober.open_windows(self.now)
             if t is not None:
                 for path_index in range(len(conn.prober.candidates)):
-                    self.schedule(t, PROBE_SEND, conn, path_index)
+                    self.schedule(t, PROBE_SEND, (conn, path_index))
 
     def _prober(self, conn: Connection) -> ConnectionProber:
         """The connection's prober, ending at its departure, over the candidates disjoint from
@@ -365,14 +368,15 @@ class Simulation:
         return ConnectionProber(cands, self.probe_count, self.config.probe_interval,
                                 conn.arrival + conn.holding)
 
-    def _on_probe_send(self, conn: Connection, path_index: int) -> None:
+    def _on_probe_send(self, send: tuple[Connection, int]) -> None:
+        conn, path_index = send
         if conn.current is None:
             return  # stale: the connection dropped before the probe went out
         prober = conn.prober
         outcome = probe_outcome(self.topology, prober.candidates[path_index], self.mode)
         t = prober.sent(path_index, outcome, self.now)
         if t is not None:
-            self.schedule(t, PROBE_SEND, conn, path_index)
+            self.schedule(t, PROBE_SEND, send)  # the same payload: no tuple per probe
 
     def _end(self, conn: Connection) -> None:
         """Drop the connection from the live map and its lightpath; count its probes and answers."""
@@ -380,7 +384,8 @@ class Simulation:
         conn.current = None
         if conn.prober is not None:
             self.collector.on_probe_sent(len(conn.prober.landings))
-            self.collector.on_probe_feedback(*conn.prober.landed(self.now))
+            packs, nacks = conn.prober.landed(self.now)
+            self.collector.on_probe_feedback(packs, nacks)
 
     def _on_departure(self, conn: Connection) -> None:
         if conn.current is None:
@@ -417,7 +422,7 @@ class Simulation:
     def _on_link_repair(self, link_id: int) -> None:
         self.topology.links[link_id].up = True
 
-    def _on_sample_tick(self) -> None:
+    def _on_sample_tick(self, _: None) -> None:
         self.collector.on_sample(self.topology, self.now)
         # a send is queued only before its connection's departure, which stays queued
         # through a drop, so a pending send means a pending lifecycle event

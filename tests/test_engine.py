@@ -1,3 +1,6 @@
+import dis
+import gc
+import inspect
 import json
 import math
 import os
@@ -8,6 +11,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from collections import Counter
 from dataclasses import astuple, replace
 from decimal import Decimal
@@ -530,13 +534,18 @@ def test_reference_run_schedules_only_decision_events(monkeypatch):
     assert sum(kinds.values()) <= 147_000
 
 
+def as_args(payload) -> tuple:
+    """An event's payload as the arguments it stands for: a tuple as is, None as none."""
+    return payload if isinstance(payload, tuple) else () if payload is None else (payload,)
+
+
 def recorded_dispatches(monkeypatch, kinds) -> list:
     """Record (kind, time, args) of every dispatched event of the given kinds, in order."""
     seen = []
     for kind in kinds:
         handler = Simulation._HANDLERS[kind]
-        monkeypatch.setitem(Simulation._HANDLERS, kind, lambda self, *args, k=kind, h=handler:
-                            seen.append((k, self.now, args)) or h(self, *args))
+        monkeypatch.setitem(Simulation._HANDLERS, kind, lambda self, payload, k=kind, h=handler:
+                            seen.append((k, self.now, as_args(payload))) or h(self, payload))
     return seen
 
 
@@ -603,8 +612,8 @@ def test_every_probe_sent_is_counted_once(monkeypatch, mode):
 class EagerQueue(Simulation):
     """The same run with every ``schedule`` call in its own heap entry: nothing joins."""
 
-    def schedule(self, time, kind, *args):
-        super().schedule(time, kind, *args)
+    def schedule(self, time, kind, payload=None):
+        super().schedule(time, kind, payload)
         self._tail = wdmsim.engine._NO_TAIL
 
 
@@ -623,28 +632,27 @@ def ordered_run(monkeypatch, sim):
                        for i, (t, link_id) in enumerate(events)})
     schedule, push = Simulation.schedule, wdmsim.engine.heappush
 
-    def numbered(self, time, kind, *args):
-        key = (kind, time, tuple(getattr(arg, "id", arg) for arg in args))
+    def numbered(self, time, kind, payload=None):
+        key = (kind, time, tuple(getattr(arg, "id", arg) for arg in as_args(payload)))
         assert key not in calls
         calls[key], pushes = len(calls), len(entries)
-        schedule(self, time, kind, *args)
+        schedule(self, time, kind, payload)
         if len(entries) == pushes:  # no entry of its own: it joined the last one pushed
             entries[-1].append(kind)
 
-    def recorded(self, *args, kind, handler):
-        key = (kind, self.now, tuple(getattr(arg, "id", arg) for arg in args))
+    def recorded(self, payload, kind, handler):
+        key = (kind, self.now, tuple(getattr(arg, "id", arg) for arg in as_args(payload)))
         keys.append((self.now, 0, script[key]) if key in script else (self.now, 1, calls[key]))
-        if kind == PROBE_SEND and args[0].current is None:
+        if kind == PROBE_SEND and payload[0].current is None:
             stale.append(key)
-        handler(self, *args)
+        handler(self, payload)
 
     monkeypatch.setattr(Simulation, "schedule", numbered)
     monkeypatch.setattr(wdmsim.engine, "heappush",
                         lambda heap, entry: entries.append([entry[2]]) or push(heap, entry))
     for kind, handler in list(Simulation._HANDLERS.items()):
         monkeypatch.setitem(Simulation._HANDLERS, kind,
-                            lambda self, *args, k=kind, h=handler: recorded(self, *args, kind=k,
-                                                                             handler=h))
+                            lambda self, payload, k=kind, h=handler: recorded(self, payload, k, h))
     report = sim.run()
     # every call is dispatched once: none lost in a shared entry, none run twice
     assert sorted(n for _, scheduled, n in keys if scheduled) == list(range(len(calls)))
@@ -673,12 +681,12 @@ def test_a_call_never_joins_an_entry_already_dispatched(monkeypatch):
     # own, not join the spent one
     ran, departure = [], Simulation._HANDLERS[DEPARTURE]
 
-    def departing(self, conn, *echo):
-        if echo:
-            ran.append((conn.id, self.now))
+    def departing(self, payload):
+        if isinstance(payload, tuple):  # (conn, "echo")
+            ran.append((payload[0].id, self.now))
         else:
-            departure(self, conn)
-            self.schedule(self.now, DEPARTURE, conn, "echo")
+            departure(self, payload)
+            self.schedule(self.now, DEPARTURE, (payload, "echo"))
 
     monkeypatch.setitem(Simulation._HANDLERS, DEPARTURE, departing)
     Simulation(SimConfig(router=ROUTER_BASELINE, max_requests=2),
@@ -710,6 +718,42 @@ def test_a_shared_entry_ends_the_series_at_the_eager_tick(monkeypatch, sample_in
     if sample_interval == 0.25:  # the tick 0.25 s after the arrival shares its instant's entry
         together = [DEPARTURE] if holding == 0.25 else [PROBE_SEND] * 3
         assert together + [SAMPLE_TICK] in shared
+
+
+def test_per_event_calls_are_positional_with_a_fixed_arity():
+    # a call through *args or **kwargs compiles to CALL_FUNCTION_EX, which the
+    # specialising interpreter (PEP 659) never inlines; every event makes these calls
+    handlers = list(Simulation._HANDLERS.values())
+    routers = [Simulation(SimConfig(router=r))._establish for r in (ROUTER_RFTR, ROUTER_BASELINE)]
+    for fn in [Simulation.run, Simulation.schedule, Simulation._end, *handlers, *routers]:
+        assert inspect.isfunction(fn), fn  # not a partial, whose keywords take the slow path
+        assert "CALL_FUNCTION_EX" not in {ins.opname for ins in dis.get_instructions(fn)}, fn
+    variadic = (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
+    for fn in [Simulation.schedule, *handlers]:
+        assert not [p for p in inspect.signature(fn).parameters.values() if p.kind in variadic]
+    for fn in handlers:  # exactly (self, payload)
+        params = list(inspect.signature(fn).parameters.values())
+        assert [p.kind for p in params] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 2, fn
+        assert params[0].name == "self" and params[1].default is inspect.Parameter.empty
+
+
+@pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
+def test_a_simulation_holds_no_reference_cycle(router):
+    # with the cyclic collector off, a run is freed only if nothing it holds refers back
+    # to it: the handlers are unbound and the router closes over the topology, not self
+    cfg = SimConfig(router=router, wavelengths=2, arrival_rate=6.0, holding_time=0.5,
+                    max_requests=200, seed=3, failures=[(2.0, 0), (4.0, 9)], repairs=[(3.0, 0)])
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = Simulation(cfg, audit=True)
+        report, alive = sim.run(), weakref.ref(sim)
+        del sim
+        assert alive() is None
+    finally:
+        if enabled:
+            gc.enable()
+    assert report.restored + report.dropped > 0
 
 
 def test_a_million_channels_cost_no_memory_per_channel():

@@ -558,7 +558,7 @@ def test_rank_sentinel_never_beats_measured_success():
 def test_prober_initial_backups_follow_candidate_order(monkeypatch):
     # before the first window closes, a failure restores onto the first m candidates
     sim = Simulation(SimConfig(candidates_k=3, backups_m=2))
-    sim._on_arrival(0, 2, holding=1.0)
+    sim._on_arrival((0, 2, 1.0))  # (src, dst, holding)
     conn = sim.connections[0]
     routes = [(0, 4, 3, 2), (0, 7, 6, 2), (0, 4, 5, 6, 2)]
     assert conn.prober.candidates == tuple(sim.topology.hops(route) for route in routes)
