@@ -18,7 +18,6 @@ from .errors import (
     ConfigError,
     InvariantError,
     LinkDownError,
-    NoSuchNodeError,
     SimError,
     TopologyError,
     TopologyParseError,
@@ -34,7 +33,6 @@ __all__ = [
     "InvariantError",
     "LinkDownError",
     "MetricsReport",
-    "NoSuchNodeError",
     "Scenario",
     "SimConfig",
     "SimError",

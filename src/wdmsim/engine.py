@@ -226,9 +226,9 @@ class Simulation:
                                        config.aggregate_rate)
         self.m = config.backups_m if config.backups_m is not None else config.candidates_k
         self.mode = config.conversion_mode
-        # rftr routes by Dijkstra over load-aware costs, the baseline by the
-        # memoised least-hop route over up links; a closure over the topology, not
-        # self, so a Simulation holds no reference cycle
+        # rftr routes by Dijkstra over load-aware costs, the baseline by the least-hop
+        # route over up links, from the graph's route table; a closure over the topology,
+        # not self, so a Simulation holds no reference cycle
         topology, mode = self.topology, self.mode
         lt, ct = config.load_threshold, config.conversion_time
         if config.router == ROUTER_RFTR:

@@ -24,10 +24,6 @@ class TopologyParseError(TopologyError):
         return f"line {self.line_no}: {self.args[0]}"
 
 
-class NoSuchNodeError(SimError):
-    """A route endpoint does not exist in the topology."""
-
-
 class LinkDownError(SimError):
     """``Link.occupy`` was asked for a channel of a down link."""
 

@@ -20,8 +20,8 @@ candidate order.  Sub-optimal candidates keep being probed, so the ranking
 tracks load changes.
 
 The candidates are Yen's k shortest hop routes avoiding the primary's links,
-read resolved by ``routing.resolved_routes`` from the graph's table in ``topology``;
-``k_shortest_hop_paths`` is imported only for ``perfbench/layers.py`` to wrap.
+read resolved by ``routing.resolved_routes`` from the graph's one route table in
+``topology``; ``k_shortest_hop_paths`` is imported only for ``perfbench/layers.py`` to wrap.
 ``reroute`` hands the fresh setup it falls back on one ignored argument,
 ``BACKUP``, only because ``perfbench/layers.py`` wraps it as a one-argument call.
 """
@@ -172,7 +172,7 @@ class ConnectionProber:
 
 def reroute(
     topology: Topology, backups: list[Hops], mode: str, conversion_time: float,
-    fallback_establish=None,
+    fallback_establish,
 ) -> Lightpath | None:
     """Restore onto ``topology``'s first viable ranked backup, else recompute, else drop.
 
@@ -187,6 +187,4 @@ def reroute(
         lp = establish_lightpath(topology, hops, mode, conversion_time)
         if lp is not None:
             return lp
-    if fallback_establish is not None:
-        return fallback_establish(BACKUP).lightpath
-    return None
+    return fallback_establish(BACKUP).lightpath

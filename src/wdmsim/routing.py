@@ -18,12 +18,13 @@ inline from its lane's mask.  Every router sets its lightpath up through
 
 Hop-count routes read no link state, so they are a function of the graph
 alone: ``min_hop_path`` is a BFS.  Yen's k shortest hop routes (Yen, 1971) are
-memoised per ``Topology.graph`` for the life of the process, keyed by (src,
-dst, k, banned links), and kept resolved in ``topology``'s table for the graph
-and link delays, which every topology built on them reads through its own arc
-table.  They serve every connection's candidates, which rftr probes and a
-baseline connection looks up at its first failure, and the baseline's primary:
-Yen's first route, with the down links it was found to cross banned.
+kept resolved, by (src, dst, k, banned links), in ``topology``'s one table for
+the graph and link delays, which every topology built on them reads through its
+own arc table; ``resolved_routes`` fills it.  They serve every connection's
+candidates, which rftr probes and a baseline connection looks up at its first
+failure, and the baseline's primary: Yen's first route, with the down links it
+was found to cross banned.  Every endpoint a search is asked about is a
+distinct node of the topology: the engine refuses any other before its first event.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .errors import NoSuchNodeError
 from .topology import Hops, Topology
 
 NO_CONVERSION = "none"
@@ -48,25 +48,14 @@ def link_cost(load_index: float, lt: float) -> float:
     return math.inf
 
 
-def _check_endpoints(topology: Topology, src: int, dst: int) -> None:
-    for n in (src, dst):
-        if not 0 <= n < topology.num_nodes:
-            raise NoSuchNodeError(f"node {n} not in topology")
-    if src == dst:
-        raise ValueError("src and dst must differ")
-
-
-def least_cost_path(
-    topology: Topology, src: int, dst: int, lt: float,
-    banned_links: frozenset[int] = frozenset(), banned_nodes: frozenset[int] = frozenset(),
-) -> tuple[tuple[int, ...], float] | None:
+def least_cost_path(topology: Topology, src: int, dst: int,
+                    lt: float) -> tuple[tuple[int, ...], float] | None:
     """Dijkstra over each arc's ``link_cost`` at LT ``lt``, priced inline from its lane's mask.
 
     A lane with no free wavelength, a down link's too, is skipped.  Ties on
     total cost break by fewer hops, then by lexicographically smallest node
     sequence.  Returns (route, cost) or None when no finite-cost route exists.
     """
-    _check_endpoints(topology, src, dst)
     # priority = (cost, hops, route); route extension preserves the order
     # because compared routes are loop-free and never prefixes of each other
     heap: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (src,))]
@@ -81,9 +70,7 @@ def least_cost_path(
         if u == dst:
             return route, cost
         for v, link, lane in topology.neighbors(u):
-            if v in done or v in banned_nodes or link.id in banned_links:
-                continue
-            if not (link.up and (mask := link._free[lane])):
+            if v in done or not (link.up and (mask := link._free[lane])):
                 continue
             li = mask.bit_count() / link.total_channels
             candidate = (cost + (1.0 - li if li > lt else 1.0 + li), hops + 1, route + (v,))
@@ -101,7 +88,6 @@ def min_hop_path(
     """Least-hop route avoiding the bans, least by node sequence among those; reads no
     link state, not even ``up``.  A BFS from ``dst`` gives each node its hops to go,
     and the walk from ``src`` steps to the smallest neighbour one hop nearer."""
-    _check_endpoints(topology, src, dst)
     togo, queue = {dst: 0}, [dst]
     for u in queue:  # the queue grows as it is read
         for v, link, _ in topology.neighbors(u):
@@ -118,29 +104,10 @@ def min_hop_path(
     return tuple(route)
 
 
-# (graph, {(src, dst, k, banned links): routes}) for the graph last asked about
-_hop_routes: tuple[tuple, dict] = ((), {})
-
-
-def k_shortest_hop_paths(topology: Topology, src: int, dst: int, k: int,
-                         banned_links: frozenset[int] = frozenset()) -> list[tuple[int, ...]]:
-    """Yen's k shortest hop paths, memoised per graph (another replaces it); a fresh list."""
-    global _hop_routes
-    graph, memo = _hop_routes
-    if graph != topology.graph:
-        memo = {}
-        _hop_routes = (topology.graph, memo)
-    key = (src, dst, k, banned_links)
-    routes = memo.get(key)
-    if routes is None:
-        routes = memo[key] = tuple(_yen(topology, src, dst, k, banned_links))
-    return list(routes)
-
-
 def resolved_routes(topology: Topology, src: int, dst: int, k: int,
                     banned_links: frozenset[int] = frozenset()) -> tuple[Hops, ...]:
     """Yen's k shortest hop routes, resolved, from the graph's shared table; a miss fills
-    it from the per-graph memo, so a process resolves each route once."""
+    it, so a process searches and resolves each route once per graph and link delays."""
     routes = topology.routes.get(key := (src, dst, k, banned_links))
     if routes is None:
         found = k_shortest_hop_paths(topology, *key)
@@ -148,9 +115,9 @@ def resolved_routes(topology: Topology, src: int, dst: int, k: int,
     return routes
 
 
-def _yen(topology: Topology, src: int, dst: int, k: int,
-         banned_links: frozenset[int]) -> list[tuple[int, ...]]:
-    """Yen's algorithm ordered by (hop count, route), loop-free throughout."""
+def k_shortest_hop_paths(topology: Topology, src: int, dst: int, k: int,
+                         banned_links: frozenset[int] = frozenset()) -> list[tuple[int, ...]]:
+    """Yen's algorithm ordered by (hop count, route), loop-free throughout; uncached."""
     first = min_hop_path(topology, src, dst, banned_links)
     if first is None or k < 1:
         return []
@@ -220,8 +187,6 @@ def first_fit(topology: Topology, hops: Hops, mode: str) -> list[int] | None:
     # the lowest set bit of a free mask is its lowest free wavelength index
     arcs = topology.arcs
     if mode == NO_CONVERSION:
-        if not hops:
-            return None
         common = -1
         for arc in hops:
             link, lane = arcs[arc]

@@ -19,7 +19,8 @@ direction to its (link, lane) at index ``2 * link.id + lane``, is built once.
 It refuses duplicate links and lists each node's arcs for ``neighbors``.  A
 route's record, ``Hops``, names arcs, never a ``Link``, so a process resolves it
 once: every topology of one graph and link delays shares the module's tables.
-``Topology.graph`` is the structure alone; ``routing`` alone searches it, memoising routes.
+``Topology.graph`` is the structure alone; ``routing`` alone searches it, and keeps Yen's
+routes resolved in the tables' ``routes``, the process's one route cache.
 ``Link`` and ``Topology`` alone check the structure: ``parse_topology`` reports
 any refusal, dangling or duplicate links too, at the refused link's line.
 """

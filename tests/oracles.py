@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 
-from wdmsim import routing, topology as topology_mod
+from wdmsim import topology as topology_mod
 from wdmsim.routing import least_cost_path, link_cost
 from wdmsim.topology import FORWARD, REVERSE, Hops, Link, Topology
 
@@ -62,10 +62,17 @@ def loaded_edge_cost(lt: float):
 
 def priced_arc(topology: Topology, link: Link, lane: int, lt: float) -> float:
     """What ``least_cost_path`` charges for travel along ``link``'s ``lane``: the cost of
-    the one route left when every other node is banned, or inf when it finds none."""
+    the one route left while every other link is down, or inf when it finds none."""
     u, v = (link.a, link.b) if lane == FORWARD else (link.b, link.a)
-    others = frozenset(range(topology.num_nodes)) - {u, v}
-    found = least_cost_path(topology, u, v, lt, banned_nodes=others)
+    others = [other for other in topology.links if other is not link]
+    ups = [other.up for other in others]
+    for other in others:
+        other.up = False
+    try:
+        found = least_cost_path(topology, u, v, lt)
+    finally:
+        for other, up in zip(others, ups):
+            other.up = up
     return math.inf if found is None else found[1]
 
 
@@ -238,9 +245,8 @@ def hops_of(route, delay: float = 0.0) -> Hops:
 
 
 def cold_start(monkeypatch) -> None:
-    """Empty Yen's per-graph memo and the graph's resolved-route tables, as a fresh process
+    """Empty the graph's resolved-route tables, the one route cache, as a fresh process
     has them; a topology built afterwards searches and resolves every route anew."""
-    monkeypatch.setattr(routing, "_hop_routes", ((), {}))
     monkeypatch.setattr(topology_mod, "_tables", ((), ({}, {})))
 
 

@@ -431,6 +431,46 @@ def test_connections_hold_only_live_sessions():
     assert sim.connections == {}
 
 
+# a triangle on nodes 0-2 and, apart from it, one link 3-4: no route joins the two
+SPLIT = "nodes 5\n" + "".join(f"link {a} {b} 10 2\n" for a, b in [(0, 1), (1, 2), (2, 0), (3, 4)])
+
+
+def crosses(src: int, dst: int) -> bool:
+    """Whether a demand joins SPLIT's two components."""
+    return (src >= 3) != (dst >= 3)
+
+
+@pytest.mark.parametrize("mode", [NO_CONVERSION, FULL_CONVERSION])
+@pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
+def test_every_demand_between_components_blocks(router, mode):
+    # a failure of link 1-2 and its repair, so restores and drops meet the split graph too
+    config = SimConfig(router=router, conversion_mode=mode, seed=1, max_requests=400,
+                       arrival_rate=4.0, holding_time=2.0, failures=[(5.0, 1)], repairs=[(8.0, 1)])
+    sim = Simulation(config, topology=parse_topology(SPLIT), audit=True)
+    cross = [demand for demand in sim.arrivals if crosses(*demand[1:3])]
+    establish, setups = sim._establish, []
+
+    def recorded(src, dst):
+        result = establish(src, dst)
+        setups.append((crosses(src, dst), result.blocked))
+        return result
+
+    sim._establish = recorded
+    report = sim.run()
+    assert 0 < len(cross) < report.offered == 400
+    assert [blocked for crossing, blocked in setups if crossing] == [True] * len(cross)
+    assert report.offered == report.accepted + report.blocked
+    assert report.completed + report.dropped == report.accepted
+    assert report.restored > 0 and report.dropped > 0
+    # the demands between components block and take nothing, so the others alone run as before
+    within = Simulation(config, topology=parse_topology(SPLIT), audit=True,
+                        arrivals=[demand for demand in sim.arrivals if demand not in cross]).run()
+    assert within.blocked == report.blocked - len(cross)
+    for name in ("accepted", "completed", "restored", "dropped", "probes_sent", "probe_packs",
+                 "probe_nacks"):
+        assert getattr(within, name) == getattr(report, name), name
+
+
 # -- route tables shared by every topology of a graph ----------------------------
 
 # failures on the default mesh that either router restores or drops connections at
@@ -455,9 +495,10 @@ def test_a_run_on_a_fresh_topology_of_a_resolved_graph_resolves_nothing(
         monkeypatch, tmp_path, router):
     cold_start(monkeypatch)
     built, searched = [], []
-    hops, yen = wdmsim.topology.Hops, wdmsim.routing._yen
+    hops, yen = wdmsim.topology.Hops, wdmsim.routing.k_shortest_hop_paths
     monkeypatch.setattr(wdmsim.topology, "Hops", lambda *args: built.append(args) or hops(*args))
-    monkeypatch.setattr(wdmsim.routing, "_yen", lambda *args: searched.append(args) or yen(*args))
+    monkeypatch.setattr(wdmsim.routing, "k_shortest_hop_paths",
+                        lambda *args: searched.append(args) or yen(*args))
     first = write_unit(router, 3, tmp_path / "first")
     assert built and searched and first.restored > 0
     built.clear()

@@ -41,6 +41,7 @@ from wdmsim.routing import (
     establish_lightpath,
     establish_primary,
     release_lightpath,
+    resolved_routes,
 )
 from wdmsim.topology import FORWARD, REVERSE, default_topology, parse_topology
 
@@ -105,16 +106,22 @@ def test_k_shortest_matches_exhaustive_k_best(seed, k):
     assert got == want
 
 
-# -- the per-graph route memo ---------------------------------------------------
+# -- the graph's route table, the one route cache ---------------------------------
 
 @pytest.fixture
 def yen_calls(monkeypatch):
-    """An empty route memo and route tables, and the arguments of every uncached Yen search."""
+    """Empty route tables, and the arguments of every Yen search a table miss makes."""
     calls = []
-    search = routing._yen
+    search = routing.k_shortest_hop_paths
     cold_start(monkeypatch)
-    monkeypatch.setattr(routing, "_yen", lambda *args: calls.append(args) or search(*args))
+    monkeypatch.setattr(routing, "k_shortest_hop_paths",
+                        lambda *args: calls.append(args) or search(*args))
     return calls
+
+
+def uncached(topology, src, dst, k, banned=frozenset()):
+    """Yen's routes searched anew and resolved on ``topology``, bypassing its table."""
+    return tuple(map(topology.hops, k_shortest_hop_paths(topology, src, dst, k, banned)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -130,25 +137,27 @@ def test_memoised_routes_equal_uncached_yen(seed):
         k = rng.randint(1, 4)
         banned = frozenset(link.id for link in topo.links if rng.random() < 0.25)
         for bans in (frozenset(), banned):
-            assert k_shortest_hop_paths(topo, src, dst, k, bans) == \
-                routing._yen(topo, src, dst, k, bans)
+            assert resolved_routes(topo, src, dst, k, bans) == uncached(topo, src, dst, k, bans)
 
 
 def test_topologies_with_one_graph_share_routes(yen_calls):
+    # same link delays, other channels, down links and occupancy
     stock = default_topology()
-    other = default_topology(channels=2, delay_ms=3.0)
+    other = default_topology(channels=2)
     other.links[4].up = False
     other.links[0].occupy(FORWARD, 1)
     assert other.graph == stock.graph
     queries = [(0, 2, 3, frozenset()), (0, 2, 3, frozenset({0, 1})), (5, 3, 2, frozenset())]
-    first = [k_shortest_hop_paths(stock, *q) for q in queries]
+    first = [resolved_routes(stock, *q) for q in queries]
     assert len(yen_calls) == len(queries)
-    assert [k_shortest_hop_paths(other, *q) for q in queries] == first
-    assert len(yen_calls) == len(queries)  # every answer came from the memo
+    again = [resolved_routes(other, *q) for q in queries]
+    assert again == first and all(map(operator.is_, again, first))
+    assert len(yen_calls) == len(queries)  # every answer came from the shared table
 
 
-# the 4-node ring of the ``square`` fixture with its link 3-0 moved to 1-3
-MOVED = "nodes 4\nlink 0 1 10 8\nlink 1 2 10 8\nlink 2 3 10 8\nlink 1 3 10 8\n"
+# the 4-node ring of the ``square`` fixture, and the ring with its link 3-0 moved to 1-3
+SQUARE = "nodes 4\nlink 0 1 10 8\nlink 1 2 10 8\nlink 2 3 10 8\nlink 3 0 10 8\n"
+MOVED = SQUARE.replace("link 3 0", "link 1 3")
 
 
 def test_a_baseline_route_is_yens_first_route_from_the_same_memo(yen_calls):
@@ -158,68 +167,30 @@ def test_a_baseline_route_is_yens_first_route_from_the_same_memo(yen_calls):
     assert len(yen_calls) == len(pairs)
     assert [k_shortest_hop_paths(mesh8, s, d, 1) for s, d in pairs] == [[r.route] for r in routes]
     assert all(r is mesh8.hops(r.route) for r in routes)  # the resolved record, memoised
+    assert [resolved_routes(mesh8, s, d, 1) for s, d in pairs] == [(r,) for r in routes]
     assert len(yen_calls) == len(pairs)  # every answer came from the baseline's searches
 
 
-def test_a_moved_link_never_gets_the_other_graphs_routes(square, yen_calls):
-    moved = parse_topology(MOVED)
+def test_a_moved_link_never_gets_the_other_graphs_routes(yen_calls):
+    square, moved = parse_topology(SQUARE), parse_topology(MOVED)
     assert moved.num_nodes == square.num_nodes and moved.graph != square.graph
-    assert k_shortest_hop_paths(square, 0, 2, 3) == [(0, 1, 2), (0, 3, 2)]
-    assert k_shortest_hop_paths(moved, 0, 2, 3) == [(0, 1, 2), (0, 1, 3, 2)]
-    assert k_shortest_hop_paths(square, 0, 2, 3) == [(0, 1, 2), (0, 3, 2)]
-    assert len(yen_calls) == 3  # each change of graph replaces the memo
+
+    def served(topo):
+        return ([hops.route for hops in resolved_routes(topo, 0, 2, 3)],
+                baseline_route(topo, 0, 3).route)
+
+    assert served(square) == ([(0, 1, 2), (0, 3, 2)], (0, 3))
+    assert served(moved) == ([(0, 1, 2), (0, 1, 3, 2)], (0, 1, 3))
+    assert served(square) == ([(0, 1, 2), (0, 3, 2)], (0, 3))
+    assert len(yen_calls) == 4  # each topology keeps its own graph's table
 
 
-def test_threads_switching_graphs_get_their_own_graphs_routes(square):
-    # every call on the other graph replaces the memo under the other threads
-    queries = [(topo, src, dst, k) for topo in (square, parse_topology(MOVED))
-               for src in range(4) for dst in range(4) if src != dst for k in (1, 3)]
-    want = [routing._yen(*query, frozenset()) for query in queries]
+def asked_from_threads(queries, rounds: int) -> list:
+    """Ask every ``(ask_for, args, want)`` from 8 threads switching often; the wrong answers."""
     wrong = []
 
     def ask(offset):
-        for i in range(400):
-            j = (7 * i + offset) % len(queries)
-            if k_shortest_hop_paths(*queries[j]) != want[j]:
-                wrong.append(queries[j])
-
-    threads = [threading.Thread(target=ask, args=(n,)) for n in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
-
-
-def test_threads_mixing_baseline_and_yen_lookups_get_uncached_answers():
-    # the baseline reads Yen's first route from the same memo; two topologies
-    # of one graph differ in their down links, and the other graph keeps
-    # replacing the memo
-    stock, same_graph, moved = default_topology(), default_topology(), parse_topology(MOVED)
-    stock.links[8].up = False
-    same_graph.links[0].up = same_graph.links[1].up = False
-    moved.links[3].up = False
-    queries = []
-    for topo in (stock, same_graph, moved):
-        pairs = [(s, d) for s in range(topo.num_nodes) for d in range(topo.num_nodes) if s != d]
-        for src, dst in pairs:
-            if topo is not same_graph:
-                for k in (1, 3):
-                    want = routing._yen(topo, src, dst, k, frozenset())
-                    queries.append((k_shortest_hop_paths, (topo, src, dst, k), want))
-            found = min_cost_route(topo, src, dst, unit_edge_cost)
-            queries.append((baseline_route, (topo, src, dst), found and topo.hops(found[0])))
-    random.Random(0).shuffle(queries)  # so each thread keeps switching graphs
-    wrong = []
-
-    def ask(offset):
-        for i in range(600):
+        for i in range(rounds):
             ask_for, args, want = queries[(7 * i + offset) % len(queries)]
             if ask_for(*args) != want:
                 wrong.append(args)
@@ -235,7 +206,47 @@ def test_threads_mixing_baseline_and_yen_lookups_get_uncached_answers():
     finally:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
+    return wrong
+
+
+def routes_on_fresh(text, src, dst, k):
+    """The routes ``resolved_routes`` serves on a topology built now, replacing the tables."""
+    return [hops.route for hops in resolved_routes(parse_topology(text), src, dst, k)]
+
+
+def test_threads_switching_graphs_get_their_own_graphs_routes(monkeypatch):
+    # fresh topologies of either graph keep replacing the tables under the other threads
+    cold_start(monkeypatch)
+    queries = []
+    for text in (SQUARE, MOVED):
+        topo = parse_topology(text)
+        for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d]:
+            for k in (1, 3):
+                want = k_shortest_hop_paths(topo, src, dst, k)
+                queries.append((routes_on_fresh, (text, src, dst, k), want))
+    assert asked_from_threads(queries, 400) == []
+
+
+def test_threads_mixing_baseline_and_yen_lookups_get_uncached_answers(monkeypatch):
+    # the baseline reads Yen's first route from the same table; two topologies
+    # of one graph differ in their down links, and the other graph is asked in turn
+    cold_start(monkeypatch)
+    stock, same_graph, moved = default_topology(), default_topology(), parse_topology(MOVED)
+    stock.links[8].up = False
+    same_graph.links[0].up = same_graph.links[1].up = False
+    moved.links[3].up = False
+    queries = []
+    for topo in (stock, same_graph, moved):
+        pairs = [(s, d) for s in range(topo.num_nodes) for d in range(topo.num_nodes) if s != d]
+        for src, dst in pairs:
+            if topo is not same_graph:
+                for k in (1, 3):
+                    queries.append((resolved_routes, (topo, src, dst, k),
+                                    uncached(topo, src, dst, k)))
+            found = min_cost_route(topo, src, dst, unit_edge_cost)
+            queries.append((baseline_route, (topo, src, dst), found and topo.hops(found[0])))
+    random.Random(0).shuffle(queries)  # so each thread keeps switching graphs
+    assert asked_from_threads(queries, 600) == []
 
 
 @pytest.mark.parametrize("k", [0, -1])
@@ -711,9 +722,14 @@ def test_a_failure_reads_the_last_closed_windows_ranking(data):
 
 # -- reroute ------------------------------------------------------------------
 
+def never_called(role):
+    """A fallback for a restore some backup must carry."""
+    pytest.fail(f"fallback set up a {role} though a backup fits")
+
+
 def test_reroute_takes_first_viable_backup(square):
     backups = [square.hops((0, 1, 2)), square.hops((0, 3, 2))]
-    lp = reroute(square, backups, "none", 0.024)
+    lp = reroute(square, backups, "none", 0.024, fallback_establish=never_called)
     assert lp is not None
     assert lp.hops is backups[0]
 
@@ -721,7 +737,7 @@ def test_reroute_takes_first_viable_backup(square):
 def test_reroute_skips_down_and_saturated(square):
     square.links[0].up = False  # kills (0,1,2)
     backups = [square.hops((0, 1, 2)), square.hops((0, 3, 2))]
-    lp = reroute(square, backups, "none", 0.024)
+    lp = reroute(square, backups, "none", 0.024, fallback_establish=never_called)
     assert lp.hops is backups[1]
 
 

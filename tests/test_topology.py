@@ -1,5 +1,8 @@
+import ast
 import math
 import pickle
+from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -100,6 +103,27 @@ def test_every_exported_error_survives_pickling(cls):
     assert type(back) is cls and str(back) == str(err)
     for attr in ("line_no", "link_id"):
         assert getattr(back, attr, None) == getattr(err, attr, None)
+
+
+@cache
+def raised_names() -> frozenset[str]:
+    """The name of every class a ``raise`` statement in the package's modules raises."""
+    names = set()
+    for path in Path(wdmsim.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    names.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    names.add(exc.attr)
+    return frozenset(names)
+
+
+@pytest.mark.parametrize("cls", EXPORTED_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_exported_error_has_a_raiser(cls):
+    # an exported error nothing raises is API no run can meet
+    assert cls.__name__ in raised_names()
 
 
 @pytest.mark.parametrize("bad_link, message", [
