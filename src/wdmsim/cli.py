@@ -73,8 +73,8 @@ def _aggregate(scenario: Scenario, router: str, sweep_value, outcomes: list[RunO
 def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResult:
     """One run per ``Scenario.runs`` entry on the calling thread, writing every CSV.
 
-    The runs share one topology, built from ``scenario.base`` once the first run's
-    config is checked, so a refusal comes in the order a lone run gives it.  After
+    Every run's config is checked, each built once, before the one topology the runs share
+    is built from ``scenario.base``, so a late sweep value is refused before any run.  After
     each run every link is set back up, since a failure need not be repaired, and the
     channels must read as built, or ``InvariantError``.  ``workers`` changes nothing: it
     stays, refused below 1, only because ``perfbench/workloads.py`` passes it."""
@@ -82,12 +82,14 @@ def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResul
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
     out_dir = Path(out_dir)
-    scenario.config_for(*keys[0]).validate()
+    configs = [scenario.config_for(*key) for key in keys]
+    for config in configs:
+        config.validate()
     topology = build_topology(scenario.base)
     built = topology.occupancy_snapshot()
     outcomes = []
-    for key in keys:
-        report = run(scenario.config_for(*key), topology=topology)
+    for key, config in zip(keys, configs):
+        report = run(config, topology=topology)
         report.scenario = scenario.run_label(*key)
         outcomes.append(RunOutcome(key[1], report))
         for link in topology.links:

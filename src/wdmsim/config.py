@@ -4,8 +4,8 @@ Unset keys fall back to the stock parameter set (8 wavelengths, 10 ms link
 delay, 0.024 s conversion time, 0.5 s sample interval, 0.5 calls/s arrival
 rate, 0.2 s holding time, 200-byte packets, 4 session traffics, 50 max
 requests); unknown keys are rejected outright so typos cannot silently run
-a different experiment.  ``validate_scenario`` refuses what a run would
-refuse before its first event by constructing each run's ``Simulation``.
+a different experiment.  ``parse_config`` only parses; ``run_scenario`` refuses a value out
+of range before the first run, and ``validate_scenario`` constructs each run's ``Simulation``.
 """
 
 from __future__ import annotations
@@ -148,7 +148,6 @@ def parse_config(text: str) -> Scenario:
     base = SimConfig(**base_kwargs)
     if router != ROUTER_BOTH:
         base = replace(base, router=router)
-    base.validate()
 
     scenario = Scenario(name=values.get("name", "scenario"), base=base, router=router)
     if "seeds" in values:
@@ -168,13 +167,12 @@ def parse_config(text: str) -> Scenario:
             sweep_values = _parse_number_list(parts[1], "sweep", float)
             if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
                 raise ConfigError("sweep: values must be strictly increasing")
-            if parts[0] == SWEEP_SOURCES and any(not v.is_integer() or v < 1 for v in sweep_values):
-                raise ConfigError("sweep: sources values must be positive integers")
+            if parts[0] == SWEEP_SOURCES and not all(v.is_integer() for v in sweep_values):
+                raise ConfigError("sweep: sources values must be integers")
             scenario.sweep_param = parts[0]
             scenario.sweep_values = sweep_values
             labels = {}
             for value in sweep_values:
-                scenario.config_for(base.router, value, base.seed).validate()
                 first = labels.setdefault(scenario.run_label(base.router, value), value)
                 if first != value:  # both runs would write the same files
                     raise ConfigError(f"sweep: values {first!r} and {value!r} share a run label")

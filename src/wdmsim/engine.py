@@ -121,15 +121,12 @@ class SimConfig:
         return self.arrival_rate * self.session_traffics
 
     def validate(self) -> None:
-        """The one place a scenario parameter is checked; raises ``ConfigError``."""
+        """Refuse, as a ``ConfigError``, a value no run takes; ``Link`` owns the channel count
+        and delay rules, and ``Simulation``'s constructor the failure and repair schedules."""
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
-        for label, schedule in (("failures", self.failures), ("repairs", self.repairs)):
-            for t, _ in schedule:
-                if not (math.isfinite(t) and t >= 0):
-                    raise ConfigError(f"{label}: time must be finite and >= 0, got {t}")
         if self.max_requests < 1:
             raise ConfigError("max_requests must be >= 1")
         if self.sample_interval <= 0:
@@ -144,14 +141,10 @@ class SimConfig:
             raise ConfigError("arrival_rate and holding_time must be positive")
         if self.session_traffics < 1:
             raise ConfigError("session_traffics must be >= 1")
-        if self.wavelengths < 1:
-            raise ConfigError("wavelengths must be >= 1")
         if self.candidates_k < 1:
             raise ConfigError("candidates_k must be >= 1")
         if self.backups_m is not None and self.backups_m < 0:
             raise ConfigError(f"backups_m must be >= 0, got {self.backups_m}")
-        if self.link_delay_ms <= 0:
-            raise ConfigError(f"link_delay_ms must be positive, got {self.link_delay_ms}")
         if self.conversion_time < 0:
             raise ConfigError(f"conversion_time must be >= 0, got {self.conversion_time}")
         if self.probes_per_interval < 1 or self.probe_interval <= 0 or self.adaptive_scale < 0:
@@ -218,7 +211,9 @@ class Simulation:
         if self.topology.num_nodes < 2:
             raise ConfigError("need at least two nodes to generate traffic")
         for label, schedule in (("failures", config.failures), ("repairs", config.repairs)):
-            for _, link_id in schedule:
+            for t, link_id in schedule:
+                if not (math.isfinite(t) and t >= 0):
+                    raise ConfigError(f"{label}: time must be finite and >= 0, got {t}")
                 if not 0 <= link_id < len(self.topology.links):
                     raise ConfigError(f"{label}: unknown link {link_id}")
         self.audit = audit

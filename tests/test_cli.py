@@ -237,8 +237,8 @@ def test_a_run_that_leaks_a_channel_stops_the_sweep(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("base, error, message", [
-    # checked before the topology is built, as a lone run checks it
-    (SimConfig(wavelengths=0), ConfigError, "wavelengths must be >= 1"),
+    # refused as the topology is built, as a lone run refuses it: by the mesh's first link
+    (SimConfig(wavelengths=0), TopologyError, "total_channels must be in 1.."),
     (SimConfig(topology_file="no-such.topo"), TopologyError, "topology file no-such.topo"),
 ])
 def test_run_scenario_refuses_in_a_lone_runs_order(tmp_path, monkeypatch, base, error, message):
@@ -365,10 +365,12 @@ CAPPED_CLI = textwrap.dedent("""
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("where", ["wavelengths", "topology"])
-def test_a_channel_count_over_the_cap_is_refused(tmp_path, command, where):
-    topo = write(tmp_path, "huge.topo", "nodes 2\nlink 0 1 10 10000000000\n")
-    text = "wavelengths = 10000000000\n" if where == "wavelengths" else f"topology = {topo}\n"
-    cfg = write(tmp_path, "huge.cfg", text)
+@pytest.mark.parametrize("count", [0, 10**10])
+def test_a_channel_count_outside_the_range_is_refused(tmp_path, command, where, count):
+    # Link's one rule, whether the count reaches it from the config or from a topology line
+    topo = write(tmp_path, "bad.topo", f"nodes 2\nlink 0 1 10 {count}\n")
+    text = f"wavelengths = {count}\n" if where == "wavelengths" else f"topology = {topo}\n"
+    cfg = write(tmp_path, "bad.cfg", text)
     done = subprocess.run(
         [sys.executable, "-c", CAPPED_CLI, command, "--config", cfg,
          "--out", str(tmp_path / "out")],
@@ -377,6 +379,16 @@ def test_a_channel_count_over_the_cap_is_refused(tmp_path, command, where):
     assert done.returncode == 1, done.stderr
     assert "total_channels must be in 1..1048576" in done.stdout + done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_a_bad_last_sweep_value_is_refused_before_any_run(tmp_path, capsys):
+    cfg = write(tmp_path, "late.cfg", "sweep = rate 2, 1e400\nseeds = 1, 2\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: data_rate_mbps must be finite, got inf\n"
+    assert not out.exists()
+    assert main(["validate", "--config", cfg]) == 1
+    assert capsys.readouterr().out == "error: data_rate_mbps must be finite, got inf\n"
 
 
 def test_validate_rejects_parse_errors(tmp_path, capsys):

@@ -1,10 +1,13 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wdmsim.cli
 import wdmsim.engine
+from wdmsim.cli import run_scenario
 from wdmsim.config import (
     KNOWN_KEYS,
     Diagnostic,
@@ -16,7 +19,7 @@ from wdmsim.config import (
     validate_scenario,
 )
 from wdmsim.engine import ROUTER_BASELINE, ROUTER_RFTR, SimConfig, Simulation
-from wdmsim.errors import ConfigError, SimError
+from wdmsim.errors import ConfigError, SimError, TopologyError
 from wdmsim.metrics import SUMMARY_COLUMNS
 
 
@@ -64,30 +67,16 @@ def test_full_scenario_round_trip():
         ("router = bgp", "router"),
         ("sweep = rate", "value list"),
         ("sweep = rate 4,2", "increasing"),
-        ("sweep = sources 1,2.5", "positive integers"),
+        ("sweep = sources 1,2.5", "integers"),
         ("sweep = holding 1,2", "unknown parameter"),
         ("sweep =", "unknown parameter"),
-        ("sweep = sources inf", "positive integers"),
-        ("sweep = sources 1e400", "positive integers"),
-        ("sweep = sources nan", "positive integers"),
+        ("sweep = sources inf", "integers"),
+        ("sweep = sources 1e400", "integers"),
+        ("sweep = sources nan", "integers"),
         ("seeds =", "empty"),
         ("failures = 5.0", "time:link"),
         ("max_requests = many", "integer"),
         ("arrival_rate = fast", "number"),
-        ("load_threshold = 2.0", "load_threshold"),
-        ("probe_interval = nan", "probe_interval must be finite"),
-        ("arrival_rate = nan", "arrival_rate must be finite"),
-        ("holding_time = inf", "holding_time must be finite"),
-        ("sweep = rate 2,inf", "data_rate_mbps must be finite"),
-        ("backups_m = -3", "backups_m"),
-        ("link_delay_ms = 0", "link_delay_ms"),
-        ("link_delay_ms = -5", "link_delay_ms"),
-        ("conversion_time = -5", "conversion_time must be >= 0"),
-        ("conversion_mode = sparse", "conversion_mode must be one of"),
-        ("failures = -1:0", "failures: time"),
-        ("failures = 1.0:0, -2.0:0", "failures: time"),
-        ("failures = nan:0", "failures: time"),
-        ("repairs = inf:0", "repairs: time"),
         ("seeds = 1,1", "duplicate seed"),
         ("seed = 3\nseeds = 1, 2", "seed and seeds"),
     ],
@@ -96,6 +85,51 @@ def test_bad_configs_rejected(text, fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(text)
     assert fragment in str(err.value)
+
+
+# A value the parser reads but no run takes, by the rule's one owner: ``SimConfig.validate``
+# in run_scenario's pass over every run, the mesh's ``Link``, or the first run's constructor.
+OWNER_ERRORS = {"validate": ConfigError, "link": TopologyError, "first run": ConfigError}
+
+
+@pytest.mark.parametrize(
+    "text, owner, fragment",
+    [
+        ("load_threshold = 2.0", "validate", "load_threshold"),
+        ("probe_interval = nan", "validate", "probe_interval must be finite"),
+        ("arrival_rate = nan", "validate", "arrival_rate must be finite"),
+        ("holding_time = inf", "validate", "holding_time must be finite"),
+        ("sweep = rate 2,inf", "validate", "data_rate_mbps must be finite"),
+        ("sweep = sources 0, 2", "validate", "session_traffics must be >= 1"),
+        ("backups_m = -3", "validate", "backups_m"),
+        ("link_delay_ms = 0", "link", "delay must be finite and positive"),
+        ("link_delay_ms = -5", "link", "delay must be finite and positive"),
+        ("conversion_time = -5", "validate", "conversion_time must be >= 0"),
+        ("conversion_mode = sparse", "validate", "conversion_mode must be one of"),
+        ("failures = -1:0", "first run", "failures: time"),
+        ("failures = 1.0:0, -2.0:0", "first run", "failures: time"),
+        ("failures = nan:0", "first run", "failures: time"),
+        ("repairs = inf:0", "first run", "repairs: time"),
+    ],
+)
+def test_a_bad_value_is_parsed_then_refused_before_any_run(tmp_path, monkeypatch, text, owner,
+                                                           fragment):
+    scenario = parse_config(text)
+    simulate, runs = wdmsim.cli.run, []
+
+    def spy(config, topology):
+        runs.append(config)
+        return simulate(config, topology=topology)
+
+    monkeypatch.setattr(wdmsim.cli, "run", spy)
+    monkeypatch.setattr(Simulation, "run", lambda self: pytest.fail("a run started"))
+    out = tmp_path / "out"
+    with pytest.raises(OWNER_ERRORS[owner], match=re.escape(fragment)):
+        run_scenario(scenario, out)
+    assert len(runs) == (owner == "first run")  # only a constructor refusal reaches a run
+    assert not out.exists()
+    errors = [d.message for d in validate_scenario(scenario) if d.severity == "error"]
+    assert len(errors) == 1 and fragment in errors[0]
 
 
 def test_unknown_key_error_names_the_line():

@@ -15,9 +15,11 @@ import weakref
 from collections import Counter
 from dataclasses import astuple, replace
 from decimal import Decimal
+from heapq import heappush
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wdmsim
 from oracles import cold_start, erlang_b, erlang_fixed_point, random_failure_schedule
@@ -69,7 +71,7 @@ def test_config_defaults_validate():
         {"arrival_rate": 0.0},
         {"holding_time": -1.0},
         {"session_traffics": 0},
-        {"wavelengths": 0},
+        {"packet_size": 0},
         {"candidates_k": 0},
         {"probes_per_interval": 0},
         {"data_rate_mbps": 0.0},
@@ -81,6 +83,18 @@ def test_config_defaults_validate():
 def test_config_rejects_bad_values(overrides):
     with pytest.raises(ConfigError):
         SimConfig(**overrides).validate()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"wavelengths": 0}, "link 0: total_channels must be in 1..1048576"),
+    ({"link_delay_ms": 0.0}, "link 0: delay must be finite and positive"),
+])
+def test_the_mesh_links_own_the_channel_count_and_delay(overrides, message):
+    config = SimConfig(**overrides)
+    config.validate()  # not a rule of validate's: the mesh's first Link refuses it
+    for build in (build_topology, Simulation):
+        with pytest.raises(TopologyError, match=f"^{re.escape(message)}$"):
+            build(config)
 
 
 def test_aggregate_rate_is_the_per_source_rate_times_the_sources():
@@ -469,6 +483,34 @@ def test_every_demand_between_components_blocks(router, mode):
     for name in ("accepted", "completed", "restored", "dropped", "probes_sent", "probe_packs",
                  "probe_nacks"):
         assert getattr(within, name) == getattr(report, name), name
+
+
+def random_tree(rng: random.Random) -> str:
+    """A topology file of a random tree: 3-8 nodes, each node v > 0 linked to an earlier node,
+    either way round, with random delays and 1, 2 or 4 channels on every link."""
+    n, channels = rng.randint(3, 8), rng.choice([1, 2, 4])
+    ends = [(rng.randrange(v), v) for v in range(1, n)]
+    return f"nodes {n}\n" + "".join(
+        f"link {a} {b} {rng.choice([5, 10, 20])} {channels}\n"
+        for a, b in (end if rng.random() < 0.5 else end[::-1] for end in ends))
+
+
+@pytest.mark.parametrize("mode", [NO_CONVERSION, FULL_CONVERSION])
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_on_a_tree_rftr_reports_what_the_baseline_reports(mode, seed):
+    # one route joins each pair, so both routers take it, no candidate is disjoint from it
+    # and nothing is probed, and a failure drops every connection across it in either router
+    rng = random.Random(seed)
+    text = random_tree(rng)
+    link = rng.randrange(len(parse_topology(text).links))
+    fail_at = rng.uniform(1.0, 20.0)
+    config = SimConfig(conversion_mode=mode, seed=rng.randrange(1000), max_requests=300,
+                       arrival_rate=2.0, holding_time=0.5, failures=[(fail_at, link)],
+                       repairs=[(fail_at + rng.uniform(0.5, 5.0), link)])
+    rftr, baseline = (run(replace(config, router=router), topology=parse_topology(text), audit=True)
+                      for router in (ROUTER_RFTR, ROUTER_BASELINE))
+    assert replace(rftr, router=ROUTER_BASELINE) == baseline
 
 
 # -- route tables shared by every topology of a graph ----------------------------
@@ -1045,6 +1087,30 @@ def test_leak_check_raises_under_optimised_python():
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("InvariantError: channel leak")
+
+
+def test_a_lightpath_that_changes_wavelength_without_conversion_is_refused(monkeypatch):
+    # a router that ignores the run's mode: the engine's continuity check must catch it
+    establish = wdmsim.engine.establish_primary
+    monkeypatch.setattr(wdmsim.engine, "establish_primary",
+                        lambda topology, src, dst, lt, mode, ct:
+                        establish(topology, src, dst, lt, FULL_CONVERSION, ct))
+    topology = parse_topology(CHAIN)
+    topology.links[0].occupy(FORWARD, 0)  # so full conversion takes 1 on 0-1 and 0 on 1-2
+    sim = Simulation(SimConfig(max_requests=1), topology=topology, arrivals=[(0.1, 0, 2, 1.0)])
+    with pytest.raises(InvariantError, match="^wavelength continuity violated$"):
+        sim.run()
+
+
+def test_an_entry_earlier_than_the_clock_is_refused(monkeypatch):
+    def push_into_the_past(sim, demand):
+        heappush(sim._heap, (sim.now - 0.5, -1, LINK_REPAIR, 0))
+
+    monkeypatch.setitem(Simulation._HANDLERS, ARRIVAL, push_into_the_past)
+    sim = Simulation(SimConfig(max_requests=1), topology=parse_topology(CHAIN),
+                     arrivals=[(1.0, 0, 2, 1.0)])
+    with pytest.raises(InvariantError, match="^event clock went backwards$"):
+        sim.run()
 
 
 # -- steps the clock cannot take --------------------------------------------------

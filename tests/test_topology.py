@@ -217,6 +217,8 @@ def test_occupy_conflict_and_release_guards(square):
         link.release(FORWARD, 4)
     with pytest.raises(TopologyError):
         link.occupy(FORWARD, 8)  # out of range
+    with pytest.raises(TopologyError, match="^wavelength 8 out of range for link 0$"):
+        link.release(FORWARD, 8)
     link.release(FORWARD, 3)
     with pytest.raises(ChannelFreeError):
         link.release(FORWARD, 3)
