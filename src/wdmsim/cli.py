@@ -13,11 +13,10 @@ run to the next.  Resolved routes belong to the graph, in ``topology``'s tables.
 
 from __future__ import annotations
 
-import argparse
 import operator
 import re
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import reduce
 from pathlib import Path
 
@@ -35,19 +34,20 @@ from .engine import build_topology, run
 from .errors import ConfigError, InvariantError, SimError
 
 
-@dataclass
 class RunOutcome:
     """One run; its router, seed and label are the report's own fields."""
 
-    sweep_value: float | None
-    report: metrics_mod.MetricsReport
+    __slots__ = ("sweep_value", "report")
+
+    def __init__(self, sweep_value: float | None, report: metrics_mod.MetricsReport):
+        self.sweep_value, self.report = sweep_value, report
 
 
-@dataclass
 class ScenarioResult:
-    runs: list[RunOutcome]
-    aggregate_rows: list[dict]
-    out_dir: Path
+    __slots__ = ("runs", "aggregate_rows", "out_dir")
+
+    def __init__(self, runs: list[RunOutcome], aggregate_rows: list[dict], out_dir: Path):
+        self.runs, self.aggregate_rows, self.out_dir = runs, aggregate_rows, out_dir
 
 
 def _sanitize(label: str) -> str:
@@ -181,6 +181,7 @@ def _cmd_validate(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    import argparse  # only a command line loads the parser, not a library call of run_scenario
     parser = argparse.ArgumentParser(
         prog="wdmsim",
         description="Discrete-event simulator for fault-tolerant WDM lightpath routing",

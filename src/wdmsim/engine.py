@@ -210,11 +210,22 @@ class Simulation:
         self.topology = topology if topology is not None else build_topology(config)
         if self.topology.num_nodes < 2:
             raise ConfigError("need at least two nodes to generate traffic")
+        num_links = len(self.topology.links)
         for label, schedule in (("failures", config.failures), ("repairs", config.repairs)):
-            for t, link_id in schedule:
-                if not (math.isfinite(t) and t >= 0):
+            for entry in schedule:
+                # by type first, as for arrivals: a float id passes the range test.  Every run
+                # of a sweep checks every entry, so float is tried before the dearer Real ABC
+                try:
+                    t, link_id = entry
+                    typed = isinstance(t, (float, Real)) and isinstance(link_id, int)
+                except (TypeError, ValueError):  # not two fields
+                    typed = False
+                if not typed:
+                    raise ConfigError(f"{label}: (time, link) = {entry!r} needs a real time "
+                                      "and an int link id")
+                if not 0 <= t < math.inf:  # nan compares false
                     raise ConfigError(f"{label}: time must be finite and >= 0, got {t}")
-                if not 0 <= link_id < len(self.topology.links):
+                if not 0 <= link_id < num_links:
                     raise ConfigError(f"{label}: unknown link {link_id}")
         self.audit = audit
         self.probe_count = probe_count(config.probes_per_interval, config.adaptive_scale,

@@ -302,6 +302,20 @@ def test_run_scenario_returns_in_memory_results(tmp_path):
     assert agg["blocking_probability"] == pytest.approx(sum(member) / len(member))
 
 
+def test_importing_the_cli_as_a_library_loads_no_argument_parser():
+    # a sweep's set-up imports wdmsim.cli for run_scenario; only main() needs argparse
+    def loads_argparse(code):
+        done = subprocess.run([sys.executable, "-c", f"import sys{code}; "
+                               "print('argparse' in sys.modules)"],
+                              capture_output=True, text=True, check=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        return done.stdout.split() == ["True"]
+
+    if loads_argparse(""):
+        pytest.skip("this interpreter loads argparse at start-up")
+    assert not loads_argparse(", wdmsim, wdmsim.cli")
+
+
 # -- validate -----------------------------------------------------------------
 
 def test_validate_ok(tmp_path, capsys):

@@ -397,11 +397,22 @@ def test_arrivals_are_pinned_only_at_construction():
     assert sim.arrivals is drawn and sim.run().offered == 3
 
 
-@pytest.mark.parametrize("schedule", ["failures", "repairs"])
-def test_unknown_schedule_link_refused_at_construction(schedule):
+@pytest.mark.parametrize("schedule, entry, message", [
+    pytest.param(schedule, entry, message, id=f"{schedule}{case}")
+    for schedule in ("failures", "repairs")
+    for case, entry, message in (
+        ("", (2.0, 99), "unknown link 99$"),
+        # malformed entries, checked by type before value: a float id would pass the range
+        # test and crash the run, a str time or a third field would crash the constructor
+        ("-float-link", (1.0, 1.0), r"\(time, link\) = \(1.0, 1.0\) needs"),
+        ("-str-time", ("1", 1), r"\(time, link\) = \('1', 1\) needs"),
+        ("-three-fields", (1.0, 1, 2), r"\(time, link\) = \(1.0, 1, 2\) needs"),
+    )
+])
+def test_unknown_schedule_link_refused_at_construction(schedule, entry, message):
     # refused before a run queues anything, naming the schedule that holds it
-    with pytest.raises(ConfigError, match=f"^{schedule}: unknown link 99$"):
-        Simulation(SimConfig(**{schedule: [(1.0, 0), (2.0, 99)]}))
+    with pytest.raises(ConfigError, match=f"^{schedule}: {message}"):
+        Simulation(SimConfig(max_requests=5, **{schedule: [(1.0, 0), entry]}))
 
 
 def test_restoration_is_reflected_in_mean_delay():
@@ -511,6 +522,89 @@ def test_on_a_tree_rftr_reports_what_the_baseline_reports(mode, seed):
     rftr, baseline = (run(replace(config, router=router), topology=parse_topology(text), audit=True)
                       for router in (ROUTER_RFTR, ROUTER_BASELINE))
     assert replace(rftr, router=ROUTER_BASELINE) == baseline
+
+
+# -- relations between two whole runs ----------------------------------------------
+
+def random_mesh(rng: random.Random) -> tuple[int, list[tuple[int, int, int, int]]]:
+    """Node count and links ``(a, b, delay ms, channels)`` of a random connected graph: 3-7
+    nodes, a random spanning tree plus random chords, each link its own delay and channels."""
+    n = rng.randint(3, 7)
+    pairs = {(rng.randrange(v), v) for v in range(1, n)}
+    chords = [(a, b) for b in range(n) for a in range(b) if (a, b) not in pairs]
+    pairs.update(rng.sample(chords, rng.randint(0, len(chords))))
+    return n, [(a, b, rng.choice([1, 5, 25, 125]), rng.randint(1, 4)) for a, b in sorted(pairs)]
+
+
+def mesh_text(n: int, links, delay_scale: int = 1) -> str:
+    return f"nodes {n}\n" + "".join(f"link {a} {b} {delay * delay_scale} {channels}\n"
+                                    for a, b, delay, channels in links)
+
+
+def random_run(rng: random.Random, num_links: int) -> SimConfig:
+    """Either router and conversion mode, 150 requests at a random load, and one to three
+    link failures in the first 15 s, most of them repaired."""
+    failures = sorted((rng.uniform(0.0, 15.0), rng.randrange(num_links))
+                      for _ in range(rng.randint(1, 3)))
+    return SimConfig(
+        router=rng.choice([ROUTER_RFTR, ROUTER_BASELINE]),
+        conversion_mode=rng.choice([NO_CONVERSION, FULL_CONVERSION]),
+        conversion_time=rng.choice([0.0, 0.003, 0.024]), seed=rng.randrange(1000),
+        max_requests=150, arrival_rate=rng.uniform(1.0, 3.0), holding_time=rng.uniform(0.3, 1.5),
+        candidates_k=rng.randint(1, 3), backups_m=rng.choice([None, 1, 2]), failures=failures,
+        repairs=[(t + rng.uniform(0.5, 5.0), link) for t, link in failures if rng.random() < 0.7])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_doubling_every_delay_doubles_the_mean_delays_and_nothing_else(seed):
+    # delays and the conversion time only add up along a path; no route search reads them.
+    # A ranking tallies an answer only if it lands before its window closes, and a doubled
+    # round trip can land after, so rftr keeps one candidate here, which no tally reorders
+    rng = random.Random(seed)
+    n, links = random_mesh(rng)
+    config = random_run(rng, len(links))
+    if config.router == ROUTER_RFTR:
+        config = replace(config, candidates_k=1)
+    report = run(config, topology=parse_topology(mesh_text(n, links)), audit=True)
+    doubled = run(replace(config, conversion_time=2 * config.conversion_time),
+                  topology=parse_topology(mesh_text(n, links, delay_scale=2)), audit=True)
+    for name in ("blocked", "dropped", "restored", "packets_received", "probes_sent"):
+        assert getattr(doubled, name) == getattr(report, name), name
+    assert doubled.mean_delay == 2 * report.mean_delay
+    assert doubled.mean_setup_delay == 2 * report.mean_setup_delay
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_doubling_data_rate_and_packet_size_changes_only_the_rate(seed):
+    rng = random.Random(seed)
+    n, links = random_mesh(rng)
+    config = random_run(rng, len(links))
+    report = run(config, topology=parse_topology(mesh_text(n, links)), audit=True)
+    doubled = run(replace(config, data_rate_mbps=2 * config.data_rate_mbps,
+                          packet_size=2 * config.packet_size),
+                  topology=parse_topology(mesh_text(n, links)), audit=True)
+    assert doubled.rate_mbps == 2 * report.rate_mbps
+    assert replace(doubled, rate_mbps=report.rate_mbps) == report  # packets and series too
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_links_declared_in_another_order_and_turned_round_change_nothing(seed):
+    # routes are nodes, ties break by route and a lane is a travel direction, so neither a
+    # link's id nor which end it names first may reach the report
+    rng = random.Random(seed)
+    n, links = random_mesh(rng)
+    config = random_run(rng, len(links))
+    order = rng.sample(range(len(links)), len(links))  # new id -> old id
+    new_id = {old: new for new, old in enumerate(order)}
+    turned = [(b, a, delay, channels) for a, b, delay, channels in map(links.__getitem__, order)]
+    report = run(config, topology=parse_topology(mesh_text(n, links)), audit=True)
+    renamed = run(replace(config, **{name: [(t, new_id[link]) for t, link in getattr(config, name)]
+                                     for name in ("failures", "repairs")}),
+                  topology=parse_topology(mesh_text(n, turned)), audit=True)
+    assert renamed == report
 
 
 # -- route tables shared by every topology of a graph ----------------------------
