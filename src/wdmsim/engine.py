@@ -237,7 +237,8 @@ class Simulation:
         # not self, so a Simulation holds no reference cycle
         topology, mode = self.topology, self.mode
         lt, ct = config.load_threshold, config.conversion_time
-        if config.router == ROUTER_RFTR:
+        self._probes = config.router == ROUTER_RFTR  # the baseline never probes
+        if self._probes:
             self._establish = lambda src, dst: establish_primary(topology, src, dst, lt, mode, ct)
         else:
             self._establish = lambda src, dst: establish_baseline(topology, src, dst, mode, ct)
@@ -312,7 +313,8 @@ class Simulation:
     def run(self) -> metrics_mod.MetricsReport:
         if self._initial_free is not None:
             raise SimError("a Simulation runs once; build a new one for another run")
-        self._initial_free = [link._free[lane] for link, lane in self.topology.arcs]
+        # the masks by arc, in arc order: link-major, forward lane first
+        self._initial_free = [free for link in self.topology.links for free in link._free]
         # seqs as if scheduled in this order: arrivals, failures, repairs, first tick
         eseq, script = self._eseq, self._script
         script += [(t, next(eseq), ARRIVAL, (src, dst, holding))
@@ -325,14 +327,15 @@ class Simulation:
         self._schedule_tick(self.config.sample_interval)
 
         heap, pop, handlers, joined = self._heap, heappop, self._HANDLERS, self._joined
+        now = self.now  # the clock, kept here too: no handler sets it
         while heap or script:
             # the script's next event goes first when it sorts before the heap's
             time, seq, kind, payload = (script.pop()
                                         if script and (not heap or script[-1] < heap[0])
                                         else pop(heap))
-            if time > self.now:
-                self.now = time
-            elif time < self.now - 1e-12:
+            if time > now:
+                self.now = now = time
+            elif time < now - 1e-12:
                 raise InvariantError("event clock went backwards")
             handlers[kind](self, payload)
             if joined and seq in joined:  # then the calls that joined its entry, in call order
@@ -347,20 +350,19 @@ class Simulation:
 
     def _on_arrival(self, demand: tuple[int, int, float]) -> None:
         src, dst, holding = demand
-        conn_id = next(self._cid)
-        self.collector.on_offered()
-        result = self._establish(src, dst)
-        if result.blocked:
-            self.collector.on_blocked()
+        conn_id, collector, now = next(self._cid), self.collector, self.now
+        collector.on_offered()
+        lp = self._establish(src, dst).lightpath
+        if lp is None:
+            collector.on_blocked()
             return
-        conn = Connection(conn_id, src, dst, self.now, holding, result.lightpath)
-        self.connections[conn.id] = conn
-        self._check_continuity(result.lightpath)
-        self.collector.on_accepted(conn, result.lightpath.path_delay, self.now)
-        self.schedule(self.now + conn.holding, DEPARTURE, conn)
-        if self.config.router == ROUTER_RFTR:  # the baseline never probes
+        self.connections[conn_id] = conn = Connection(conn_id, src, dst, now, holding, lp)
+        self._check_continuity(lp)
+        collector.on_accepted(conn, lp.path_delay, now)
+        self.schedule(now + holding, DEPARTURE, conn)
+        if self._probes:
             conn.prober = self._prober(conn)
-            t = conn.prober.open_windows(self.now)
+            t = conn.prober.open_windows(now)
             if t is not None:
                 for path_index in range(len(conn.prober.candidates)):
                     self.schedule(t, PROBE_SEND, (conn, path_index))
@@ -452,13 +454,14 @@ class Simulation:
     # -- invariant checks: explicit raises, so they hold under ``python -O`` --
 
     def _check_continuity(self, lp: Lightpath) -> None:
-        if self.mode == NO_CONVERSION and len(set(lp.wavelengths)) > 1:
+        wavelengths = lp.wavelengths  # one at least: a route has a hop
+        if self.mode == NO_CONVERSION and wavelengths.count(wavelengths[0]) != len(wavelengths):
             raise InvariantError("wavelength continuity violated")
 
     def _audit(self) -> None:
         """One pass over the live lightpaths: each holds one wavelength per hop, on up links,
         and the masks equal the pre-run masks minus their channels.  It keeps no state."""
-        expected, arcs = self._initial_free.copy(), self.topology.arcs
+        expected, arcs, links = self._initial_free.copy(), self.topology.arcs, self.topology.links
         for conn in self.connections.values():
             hops, wavelengths = conn.current.hops, conn.current.wavelengths
             if len(wavelengths) != len(hops):
@@ -471,7 +474,7 @@ class Simulation:
                 if not expected[arc] >> w & 1:
                     raise InvariantError(f"link {link.id} lane {lane} wavelength {w} held twice")
                 expected[arc] &= ~(1 << w)
-        if expected != [link._free[lane] for link, lane in arcs]:
+        if expected != [free for link in links for free in link._free]:  # in arc order
             raise InvariantError("channel leak: occupancy differs from the pre-run state minus"
                                  " the live lightpaths")
 

@@ -105,9 +105,10 @@ class MetricsCollector:
         self.restored_ids.add(conn.id)
 
     def on_completed(self, conn, now: float):
-        self.report.completed += 1
+        report = self.report
+        report.completed += 1
         self._close_epoch(conn.id, now)
-        self.report.packets_received += packets_for(conn.holding, self.config)
+        report.packets_received += packets_for(conn.holding, self.config)
 
     def on_dropped(self, conn, now: float):
         self.report.dropped += 1

@@ -38,6 +38,7 @@ from .topology import Hops, Topology
 NO_CONVERSION = "none"
 FULL_CONVERSION = "full"
 CONVERSION_MODES = (NO_CONVERSION, FULL_CONVERSION)
+_NO_BANS = frozenset()  # the bans a baseline route search starts from: none
 
 
 def link_cost(load_index: float, lt: float) -> float:
@@ -157,15 +158,17 @@ def baseline_route(topology: Topology, src: int, dst: int) -> Hops | None:
     that is least among the routes avoiding them, and crosses no down link,
     is least among the routes over up links in the same (hops, route) order.
     """
-    arcs, banned = topology.arcs, frozenset()
+    arcs, banned = topology.arcs, _NO_BANS
     while True:
         routes = resolved_routes(topology, src, dst, 1, banned)
         if not routes:
             return None
-        down = [arcs[arc][0].id for arc in routes[0] if not arcs[arc][0].up]
-        if not down:
+        for arc in routes[0]:
+            if not arcs[arc][0].up:
+                break
+        else:  # every hop is up
             return routes[0]
-        banned = banned.union(down)
+        banned = banned.union(arcs[arc][0].id for arc in routes[0] if not arcs[arc][0].up)
 
 
 def assign_wavelength(

@@ -80,16 +80,18 @@ class Link:
             raise TopologyError(f"wavelength {w} out of range for link {self.id}")
         if not self.up:
             raise LinkDownError(f"link {self.id} is down")
-        if not self._free[lane] >> w & 1:
+        free = self._free
+        if not (mask := free[lane]) >> w & 1:
             raise ChannelBusyError(f"link {self.id} lane {lane} wavelength {w} is busy")
-        self._free[lane] &= ~(1 << w)
+        free[lane] = mask ^ 1 << w  # clears bit w, which is set
 
     def release(self, lane: int, w: int) -> None:
         if not 0 <= w < self.total_channels:
             raise TopologyError(f"wavelength {w} out of range for link {self.id}")
-        if self._free[lane] >> w & 1:
+        free = self._free
+        if (mask := free[lane]) >> w & 1:
             raise ChannelFreeError(f"link {self.id} lane {lane} wavelength {w} is already free")
-        self._free[lane] |= 1 << w
+        free[lane] = mask | 1 << w
 
 
 class Hops(tuple):

@@ -335,6 +335,19 @@ def test_repair_restores_usability():
     report = sim.run()
     assert report.blocked == 0
     assert report.completed == 2
+    assert report.mean_delay == pytest.approx(0.010)  # one hop: the 3-hop detour reads 0.030
+
+
+@pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
+def test_a_repaired_link_carries_what_only_it_can(router):
+    # on the chain 0-1-2, link 0 is the one route from 0 to 1: a demand during its
+    # outage blocks in either router, and one after its repair is carried on it
+    cfg = SimConfig(max_requests=2, failures=[(0.5, 0)], repairs=[(1.0, 0)], router=router)
+    sim = Simulation(cfg, topology=parse_topology(CHAIN), audit=True,
+                     arrivals=[(0.7, 0, 1, 0.2), (1.5, 0, 1, 0.2)])
+    report = sim.run()
+    assert (report.blocked, report.completed, report.dropped) == (1, 1, 0)
+    assert report.mean_delay == pytest.approx(0.010)
 
 
 def test_unknown_failure_link_rejected():
@@ -553,6 +566,32 @@ def random_run(rng: random.Random, num_links: int) -> SimConfig:
         max_requests=150, arrival_rate=rng.uniform(1.0, 3.0), holding_time=rng.uniform(0.3, 1.5),
         candidates_k=rng.randint(1, 3), backups_m=rng.choice([None, 1, 2]), failures=failures,
         repairs=[(t + rng.uniform(0.5, 5.0), link) for t, link in failures if rng.random() < 0.7])
+
+
+@pytest.mark.parametrize("router", [ROUTER_RFTR, ROUTER_BASELINE])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_every_demand_ends_one_way_and_each_restored_connection_counts_once(router, seed):
+    # offered = accepted + blocked and accepted = completed + dropped at the end of a run
+    # with failures and repairs, and ``restored`` counts the connections the engine
+    # reported restored, each once however often it restored
+    rng = random.Random(seed)
+    n, links = random_mesh(rng)
+    config = replace(random_run(rng, len(links)), router=router)
+    sim = Simulation(config, topology=parse_topology(mesh_text(n, links)), audit=True)
+    restorations = []  # the connection id of each on_restored call
+    on_restored = sim.collector.on_restored
+
+    def counted(conn, path_delay, now):
+        restorations.append(conn.id)
+        on_restored(conn, path_delay, now)
+
+    sim.collector.on_restored = counted
+    report = sim.run()
+    assert report.offered == report.accepted + report.blocked == config.max_requests
+    assert report.accepted == report.completed + report.dropped
+    assert report.restored <= len(restorations)
+    assert report.restored == len(set(restorations))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1305,12 +1344,26 @@ def _release_live(sim):
     release_lightpath(sim.connections[0].current)  # its connection stays live
 
 
+def _flip_last_reverse_lane(sim):
+    # the last arc of the masks, which neither session uses: a comparison that drops a
+    # lane or a link misses it
+    sim.topology.links[-1]._free[REVERSE] ^= 1 << 7
+
+
+def _swap_lanes(sim):
+    # every mask value stays, on another arc: a comparison blind to arc order misses it
+    first, last = sim.topology.links[0]._free, sim.topology.links[-1]._free
+    first[FORWARD], last[REVERSE] = last[REVERSE], first[FORWARD]
+
+
 @pytest.mark.parametrize("tamper, message", [
     (_free_held, "channel leak"),
     (_occupy_stray, "channel leak"),
     (_record_twice, "held twice"),
     (_take_link_down, "connection 0 rides a down link"),
     (_release_live, "connection 0 holds 0 wavelengths on 2 hops"),
+    (_flip_last_reverse_lane, "channel leak"),
+    (_swap_lanes, "channel leak"),
 ])
 def test_audit_catches_occupancy_changed_behind_the_engine(tamper, message):
     # two pinned 0->2 sessions, both on [0,1,2] (wavelengths 0 and 1); just
