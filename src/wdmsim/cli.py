@@ -166,6 +166,13 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args)
     result = run_scenario(scenario, args.out)
+    rows = result.aggregate_rows
+    width = max(len("scenario"), *(len(row["scenario"]) for row in rows))
+    print(f"{'scenario':<{width}} {'blocking':>9} {'packets':>9} {'delay_ms':>9} {'utilization':>12}")
+    for row in rows:
+        print(f"{row['scenario']:<{width}} {row['blocking_probability']:>9.4f} "
+              f"{row['packets_received']:>9.0f} {row['mean_delay'] * 1e3:>9.2f} "
+              f"{row['mean_utilization']:>12.4f}")
     print(f"{len(result.runs)} runs, {len(result.aggregate_rows)} aggregate rows "
           f"-> {result.out_dir / 'summary.csv'}")
     return 0

@@ -1,5 +1,6 @@
 import csv
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -142,6 +143,25 @@ def test_sweep_produces_aggregates_and_runs(tmp_path):
     assert "timeseries_demo-rftr-rate2-seed1.csv" in ts
 
 
+def test_sweep_prints_one_aligned_row_per_aggregate(tmp_path, capsys):
+    # "sources-sweep-baseline-sources1" is 31 characters, past a 28-wide column
+    cfg = write(tmp_path, "sweep.cfg", "name = sources-sweep\nrouter = both\nseeds = 1,2\n"
+                "sweep = sources 1,2\nwavelengths = 2\narrival_rate = 4.0\nmax_requests = 30\n")
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    *table, last = capsys.readouterr().out.splitlines()
+    summary = read_csv(out / "summary.csv")
+    assert table[0].split() == ["scenario", "blocking", "packets", "delay_ms", "utilization"]
+    assert [line.split()[0] for line in table[1:]] == [r["scenario"] for r in summary]
+    assert max(len(r["scenario"]) for r in summary) == 31
+    for line, row in zip(table[1:], summary):
+        assert line.split()[1] == f"{float(row['blocking_probability']):.4f}"
+    # every number ends where its column's header does
+    ends = [[m.end() for m in re.finditer(r"\S+", line)][1:] for line in table]
+    assert ends[1:] == [ends[0]] * len(summary)
+    assert last == f"8 runs, 4 aggregate rows -> {out / 'summary.csv'}"
+
+
 def test_sweep_seed_flag_overrides_config(tmp_path):
     cfg = write(tmp_path, "sweep.cfg", SWEEP_CFG)
     out = tmp_path / "out"
@@ -259,23 +279,19 @@ def test_run_scenario_refuses_no_seeds_and_no_workers(tmp_path, seeds, workers):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("script, flag, message", [
-    ("sources_sweep.py", "--seeds", "a scenario needs at least one seed"),
-    ("restoration_demo.py", "--seeds", "--seeds must be >= 1, got 0"),
-    ("restoration_demo.py", "--seeds=-3", "--seeds must be >= 1, got -3"),
+@pytest.mark.parametrize("flag, message", [
+    ("--seeds", "--seeds must be >= 1, got 0"),
+    ("--seeds=-3", "--seeds must be >= 1, got -3"),
 ])
-def test_study_scripts_refuse_no_seeds_and_no_workers(tmp_path, script, flag, message):
+def test_restoration_demo_refuses_no_seeds(flag, message):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     argv = [flag] if "=" in flag else [flag, "0"]
-    if script != "restoration_demo.py":  # the demo only prints
-        argv += ["--out", str(tmp_path / "o")]
     done = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *argv],
+        [sys.executable, str(ROOT / "scripts" / "restoration_demo.py"), *argv],
         capture_output=True, text=True, env=env, check=False)
     assert done.returncode == 2
     assert message in done.stderr
     assert "Traceback" not in done.stderr
-    assert not (tmp_path / "o").exists()
 
 
 def test_failed_sweep_leaves_no_partial_summary(tmp_path, capsys):
