@@ -19,10 +19,46 @@ from __future__ import annotations
 
 import csv
 import operator
+from array import array
 from dataclasses import dataclass, field, fields
 from functools import reduce
 
 from .topology import FORWARD, REVERSE, Topology
+
+
+class Series:
+    """A run's samples as columns, read as ``(time, blocking_so_far, cumulative_packets,
+    utilization)`` rows; packets stay ints, since a count may pass any fixed width."""
+
+    def __init__(self):
+        self.times, self.blocking, self.utilization = array("d"), array("d"), array("d")
+        self.packets: list[int] = []
+
+    def append(self, time: float, blocking: float, packets: int, utilization: float) -> None:
+        self.times.append(time)
+        self.blocking.append(blocking)
+        self.packets.append(packets)
+        self.utilization.append(utilization)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __iter__(self):
+        return zip(self.times, self.blocking, self.packets, self.utilization)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        return self.times[i], self.blocking[i], self.packets[i], self.utilization[i]
+
+    def __eq__(self, other):  # equal to any sequence of the same rows
+        try:
+            return list(self) == list(other)
+        except TypeError:
+            return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass
@@ -48,8 +84,7 @@ class MetricsReport:
     completed: int = 0
     restored: int = 0
     dropped: int = 0
-    # (time, blocking_probability_so_far, cumulative_packets, utilization)
-    series: list[tuple[float, float, int, float]] = field(default_factory=list)
+    series: Series = field(default_factory=Series)
 
 
 def packets_for(carried_s: float, config) -> int:
@@ -125,7 +160,7 @@ class MetricsCollector:
     def on_sample(self, topology: Topology, now: float):
         report = self.report
         bp = report.blocked / report.offered if report.offered else 0.0
-        report.series.append((now, bp, report.packets_received, sample_utilization(topology)))
+        report.series.append(now, bp, report.packets_received, sample_utilization(topology))
 
     def _close_epoch(self, conn_id: int, now: float):
         delay, start = self._epochs.pop(conn_id)
@@ -145,8 +180,8 @@ class MetricsCollector:
             report.mean_setup_delay = self.setup_delay_sum / report.accepted
         if report.series:
             # summed left to right: sum() compensates from Python 3.12 on
-            utilizations = (u for *_, u in report.series)
-            report.mean_utilization = reduce(operator.add, utilizations, 0) / len(report.series)
+            utilizations = report.series.utilization
+            report.mean_utilization = reduce(operator.add, utilizations, 0) / len(utilizations)
         return report
 
 

@@ -1,4 +1,6 @@
 import csv
+import pickle
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -16,7 +18,7 @@ from wdmsim.metrics import (
     write_summary_csv,
     write_timeseries_csv,
 )
-from wdmsim.engine import SimConfig
+from wdmsim.engine import Simulation, SimConfig, run
 from wdmsim.routing import establish_lightpath
 from wdmsim.topology import FORWARD, parse_topology
 
@@ -148,6 +150,69 @@ def test_sample_series_tracks_running_counters(square):
     assert report.series[1] == (1.0, 1.0, 0, 0.0)
     assert [(t, u) for t, _, _, u in report.series] == [(0.5, 0.0), (1.0, 0.0)]
     assert report.mean_utilization == 0.0
+
+
+def test_series_reads_as_its_rows(square):
+    collector = MetricsCollector(CONFIG)
+    c = conn(holding=0.2)
+    collector.on_offered()
+    collector.on_accepted(c, 0.02, now=0.0)
+    collector.on_sample(square, 0.1)
+    collector.on_completed(c, now=0.2)
+    collector.on_sample(square, 0.25)
+    collector.on_offered()
+    collector.on_blocked()
+    collector.on_sample(square, 0.5)
+    series = collector.finalize().series
+    rows = [(0.1, 0.0, 0, 0.0), (0.25, 0.0, 250, 0.0), (0.5, 0.5, 250, 0.0)]
+    assert len(series) == 3 and list(series) == rows
+    assert series == rows and rows == series and series == series
+    assert series != rows[:2] and series != [list(row) for row in rows] and series != 3
+    assert series[-1] == rows[-1] and series[1:] == rows[1:]
+    assert repr(series) == repr(rows)
+    with pytest.raises(IndexError):
+        series[3]
+
+
+def test_a_long_sampled_run_keeps_under_48_bytes_a_sample():
+    # the baseline sampled every millisecond, about 27,000 samples: held as a tuple of
+    # four boxed numbers each, a sample took about 150 bytes, and as columns about 34
+    tracemalloc.start()
+    try:
+        report = run(SimConfig(router="baseline", sample_interval=0.001, seed=1))
+        held, samples = tracemalloc.get_traced_memory()[0], len(report.series)
+        del report
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert samples > 20_000
+    # three columns of doubles take 24 bytes a sample, so less freed means the report outlived del
+    assert 24 <= freed / samples < 48
+
+
+def test_packet_counts_past_2_63_are_kept_and_written_exactly(tmp_path):
+    # 10^21 b/s in one-byte packets: each session delivers about 10^20 packets, so the
+    # running total passes 2^63 within a few completions; no fixed-width column holds it
+    config = SimConfig(data_rate_mbps=1e15, packet_size=1, seed=1, max_requests=60)
+    sim = Simulation(config)
+    report = sim.run()
+    assert report.blocked == 0  # so each demand delivers its whole holding
+    exact = sum(packets_for(holding, config) for *_, holding in sim.arrivals)
+    assert report.packets_received == exact > 2 ** 63
+    write_timeseries_csv(report, tmp_path / "ts.csv")
+    with open(tmp_path / "ts.csv", newline="") as fh:
+        packets = [row[2] for row in list(csv.reader(fh))[1:]]
+    assert packets == [str(p) for _, _, p, _ in report.series]
+    assert packets[-1] == str(exact)
+
+
+def test_a_report_survives_pickle_series_included():
+    report = run(SimConfig(seed=2, wavelengths=2, arrival_rate=6.0, max_requests=200))
+    assert report.series and report.blocked > 0
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(report, protocol))
+        assert copy == report and copy.series == report.series
+        assert repr(copy) == repr(report)
 
 
 def test_probe_counters():
