@@ -4,11 +4,8 @@ Artifacts land under ``--out``: ``summary.csv`` (one aggregate row per
 router and sweep value), ``runs.csv`` (one row per individual run when
 sweeping), and ``timeseries_<run-id>.csv`` per run.  Outputs are
 byte-identical across repeat invocations.  Runs go one after another on one
-thread: threads only took turns on the interpreter lock, and were slower.
-A sweep value changes only a run's traffic, never its network, so a sweep
-builds its topology once and every run shares it; between runs every link is
-set back up and the channels must read as built, so no state passes from one
-run to the next.  Resolved routes belong to the graph, in ``topology``'s tables.
+thread, and each builds its own topology, as a lone ``run`` does; the routes one
+run resolves stay in ``topology``'s per-graph tables for the next.
 """
 
 from __future__ import annotations
@@ -23,6 +20,7 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from .config import (
     ROUTER_BOTH,
+    ROUTERS,
     SWEEP_NONE,
     Diagnostic,
     Scenario,
@@ -30,8 +28,8 @@ from .config import (
     unique_seeds,
     validate_scenario,
 )
-from .engine import build_topology, run
-from .errors import ConfigError, InvariantError, SimError
+from .engine import run
+from .errors import ConfigError, SimError
 
 
 class RunOutcome:
@@ -73,11 +71,9 @@ def _aggregate(scenario: Scenario, router: str, sweep_value, outcomes: list[RunO
 def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResult:
     """One run per ``Scenario.runs`` entry on the calling thread, writing every CSV.
 
-    Every run's config is checked, each built once, before the one topology the runs share
-    is built from ``scenario.base``, so a late sweep value is refused before any run.  After
-    each run every link is set back up, since a failure need not be repaired, and the
-    channels must read as built, or ``InvariantError``.  ``workers`` changes nothing: it
-    stays, refused below 1, only because ``perfbench/workloads.py`` passes it."""
+    Every run's config is checked, each built once, before the first run, so a late sweep
+    value is refused before any run.  ``workers`` changes nothing: it stays, refused below 1,
+    only because ``perfbench/workloads.py`` passes it."""
     keys = scenario.runs()
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
@@ -85,17 +81,11 @@ def run_scenario(scenario: Scenario, out_dir, workers: int = 1) -> ScenarioResul
     configs = [scenario.config_for(*key) for key in keys]
     for config in configs:
         config.validate()
-    topology = build_topology(scenario.base)
-    built = topology.occupancy_snapshot()
     outcomes = []
     for key, config in zip(keys, configs):
-        report = run(config, topology=topology)
+        report = run(config)
         report.scenario = scenario.run_label(*key)
         outcomes.append(RunOutcome(key[1], report))
-        for link in topology.links:
-            link.up = True
-        if topology.occupancy_snapshot() != built:
-            raise InvariantError(f"{report.scenario} left channels held on the shared topology")
     outcomes.sort(key=lambda o: (o.report.router, o.sweep_value or 0, o.report.seed))
 
     aggregate_rows = []
@@ -200,7 +190,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--topology", help="topology file overriding the config/default")
         p.add_argument("--out", default="out", help="output directory for CSV artifacts")
         p.add_argument("--seed", type=int, action="append", help="seed (repeatable)")
-        p.add_argument("--router", choices=["rftr", "baseline", "both"], help="router selection")
+        p.add_argument("--router", choices=ROUTERS, help="router selection")
         p.set_defaults(handler=handler)
     return parser
 

@@ -190,9 +190,9 @@ class Diagnostic:
 def validate_scenario(scenario: Scenario) -> list[Diagnostic]:
     """The topology's refusal, else a warning if it is disconnected and any run's refusal.
 
-    Each run's ``Simulation`` is constructed on the one topology a sweep shares, so
-    ``validate`` refuses what ``run`` refuses before its first event.  Connectivity
-    is routing's least-hop search from node 0, which reads no link state.
+    Each run's ``Simulation`` is constructed, never run, on one topology built as each run
+    builds its own, so ``validate`` refuses what ``run`` refuses before its first event.
+    Connectivity is routing's least-hop search from node 0, which reads no link state.
     """
     try:
         topology = build_topology(scenario.base)

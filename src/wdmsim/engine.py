@@ -28,8 +28,9 @@ included, goes through it.  Every connection's backups are its prober's
 ranking, and ``m`` is applied where restoration tries them.  Every refusal a run
 can meet before its first event, of its config, topology, pinned arrivals or a
 tick or probe step too small for it to end, is made by ``Simulation``'s constructor.
-Under ``audit``, one pass after every link failure and at the end of the run checks each live
-lightpath (one wavelength per hop, up links) and the masks against the pre-run masks minus them.
+At the end of every run, and under ``audit`` after every link failure too, one pass checks each
+live lightpath (one wavelength per hop, up links) and the masks against the pre-run masks minus
+them, so a leaked channel is an ``InvariantError`` before any run returns.
 """
 
 from __future__ import annotations
@@ -255,7 +256,7 @@ class Simulation:
         # most h / probe_interval + 1 windows, each sending probe_count down each candidate
         steps = [("sample_interval", config.sample_interval, last / config.sample_interval,
                   MAX_TICKS)]
-        if config.router == ROUTER_RFTR:  # the baseline never probes
+        if self._probes:
             windows = sum(h for *_, h in arrivals) / config.probe_interval + len(arrivals)
             steps.append(("probe_interval", config.probe_interval / (config.probes_per_interval + 1),
                           config.candidates_k * self.probe_count * windows, MAX_PROBE_SENDS))
@@ -342,8 +343,7 @@ class Simulation:
                 for kind, payload in joined.pop(seq):
                     handlers[kind](self, payload)
 
-        if self.audit:
-            self._audit()
+        self._audit()  # every run, audit or not: no channel leaks past its end
         return self.collector.finalize()
 
     # -- handlers -----------------------------------------------------------

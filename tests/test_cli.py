@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import wdmsim.cli
+import wdmsim.engine
 from wdmsim.cli import main, run_scenario
 from wdmsim.config import Scenario, parse_config
 from wdmsim.engine import SimConfig, run
@@ -198,9 +199,9 @@ def test_run_scenario_runs_every_simulation_on_the_calling_thread(tmp_path, monk
     seen = []
     simulate = wdmsim.cli.run
 
-    def recording(config, *, topology):
+    def recording(config, **kwargs):
         seen.append((threading.get_ident(), threading.active_count()))
-        return simulate(config, topology=topology)
+        return simulate(config, **kwargs)
 
     monkeypatch.setattr(wdmsim.cli, "run", recording)
     before = threading.active_count()
@@ -214,9 +215,9 @@ RING_TOPO = "nodes 5\n" + "".join(
     f"link {a} {b} 10 2\n" for a, b in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
 
 
-def test_sweep_runs_share_a_topology_yet_match_fresh_runs(tmp_path):
-    # link 0 fails at 1 s and is never repaired: a run that handed its down
-    # link to the next would change every later run's report
+def test_sweep_runs_match_lone_runs(tmp_path):
+    # link 0 fails at 1 s and is never repaired: a run that handed its down link, or a
+    # route resolved while it was down, to the next would change every later run's report
     topo = write(tmp_path, "ring.topo", RING_TOPO)
     scenario = parse_config(f"topology = {topo}\nrouter = both\nseeds = 1, 2\n"
                             "arrival_rate = 4.0\nholding_time = 0.5\nmax_requests = 60\n"
@@ -231,27 +232,10 @@ def test_sweep_runs_share_a_topology_yet_match_fresh_runs(tmp_path):
     assert sum(o.report.restored + o.report.dropped for o in result.runs) > 0
 
 
-def test_run_scenario_builds_one_topology(tmp_path, monkeypatch):
-    built = []
-    build = wdmsim.cli.build_topology
-    monkeypatch.setattr(wdmsim.cli, "build_topology",
-                        lambda config: built.append(config) or build(config))
-    result = run_scenario(parse_config(SWEEP_CFG), tmp_path / "out")
-    assert len(result.runs) == 8
-    assert len(built) == 1
-
-
 def test_a_run_that_leaks_a_channel_stops_the_sweep(tmp_path, monkeypatch):
-    simulate = wdmsim.cli.run
-
-    def leaking(config, *, topology):
-        report = simulate(config, topology=topology)
-        topology.links[0].occupy(0, 0)
-        return report
-
-    monkeypatch.setattr(wdmsim.cli, "run", leaking)
+    monkeypatch.setattr(wdmsim.engine, "release_lightpath", lambda lp: None)  # departures leak
     out = tmp_path / "out"
-    with pytest.raises(InvariantError, match="left channels held"):
+    with pytest.raises(InvariantError, match="channel leak"):
         run_scenario(parse_config(SWEEP_CFG), out)
     assert not out.exists()
 

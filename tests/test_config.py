@@ -88,7 +88,8 @@ def test_bad_configs_rejected(text, fragment):
 
 
 # A value the parser reads but no run takes, by the rule's one owner: ``SimConfig.validate``
-# in run_scenario's pass over every run, the mesh's ``Link``, or the first run's constructor.
+# in run_scenario's pass over every run, or the first run's constructor, itself or as it
+# builds the mesh's ``Link``s.
 OWNER_ERRORS = {"validate": ConfigError, "link": TopologyError, "first run": ConfigError}
 
 
@@ -117,16 +118,16 @@ def test_a_bad_value_is_parsed_then_refused_before_any_run(tmp_path, monkeypatch
     scenario = parse_config(text)
     simulate, runs = wdmsim.cli.run, []
 
-    def spy(config, topology):
+    def spy(config, **kwargs):
         runs.append(config)
-        return simulate(config, topology=topology)
+        return simulate(config, **kwargs)
 
     monkeypatch.setattr(wdmsim.cli, "run", spy)
     monkeypatch.setattr(Simulation, "run", lambda self: pytest.fail("a run started"))
     out = tmp_path / "out"
     with pytest.raises(OWNER_ERRORS[owner], match=re.escape(fragment)):
         run_scenario(scenario, out)
-    assert len(runs) == (owner == "first run")  # only a constructor refusal reaches a run
+    assert len(runs) == (owner != "validate")  # a constructor refusal reaches the first run
     assert not out.exists()
     errors = [d.message for d in validate_scenario(scenario) if d.severity == "error"]
     assert len(errors) == 1 and fragment in errors[0]

@@ -1204,22 +1204,24 @@ def test_session_ending_by_its_first_slot_sends_no_probe(monkeypatch, holding):
 # -- invariants under python -O ------------------------------------------------
 
 def test_leak_check_raises_under_optimised_python():
-    # -O strips every bare assert; the audit's leak check must still raise
+    # -O strips every bare assert; the end-of-run leak check must still raise, audit or not
     code = textwrap.dedent("""
         import wdmsim.engine as engine
         from wdmsim.errors import InvariantError
         assert False, "stripped under -O; reached only without it"
         engine.release_lightpath = lambda lp: None  # departures leak channels
-        try:
-            engine.run(engine.SimConfig(seed=1, max_requests=20), audit=True)
-        except InvariantError as err:
-            print(f"InvariantError: {err}")
+        for audit in (True, False):
+            try:
+                engine.run(engine.SimConfig(seed=1, max_requests=20), audit=audit)
+            except InvariantError as err:
+                print(f"InvariantError: {err}")
     """)
     src = str(Path(wdmsim.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.startswith("InvariantError: channel leak")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2 and all(line.startswith("InvariantError: channel leak") for line in lines)
 
 
 def test_a_lightpath_that_changes_wavelength_without_conversion_is_refused(monkeypatch):

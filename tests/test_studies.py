@@ -1,12 +1,15 @@
 """The stock studies under ``studies/``: each is a scenario file ``wdmsim sweep`` runs."""
 
 import ast
+import math
+import statistics
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from wdmsim.config import parse_config, validate_scenario
+from wdmsim.engine import ROUTER_BASELINE, ROUTER_RFTR, run
 
 ROOT = Path(__file__).resolve().parents[1]
 STUDIES = sorted((ROOT / "studies").glob("*.cfg"))
@@ -35,3 +38,18 @@ def test_benchmark_sources_sweep_is_the_sources_study():
                 if isinstance(node, ast.Assign)
                 and [getattr(t, "id", None) for t in node.targets] == ["SOURCES_SWEEP"])
     assert replace(parse_config(text), seeds=[]) == replace(study("sources.cfg"), seeds=[])
+
+
+def test_rftr_blocks_less_than_the_baseline_at_four_sources_paired():
+    # The paper's headline claim on the sources study's heaviest load.  Both routers see one
+    # demand sequence per seed, so the per-seed difference cancels the traffic's own noise;
+    # 2,000 requests a run is past the 100-request warm-up the study file describes.  The
+    # bound guards the direction: a 10-seed reading was 0.079 +- 0.002 (39 SE)
+    scenario = study("sources.cfg")
+    diffs = []
+    for seed in range(10):
+        blocking = {router: run(replace(scenario.config_for(router, 4, seed), max_requests=2000))
+                    .blocking_probability for router in (ROUTER_BASELINE, ROUTER_RFTR)}
+        diffs.append(blocking[ROUTER_BASELINE] - blocking[ROUTER_RFTR])
+    mean, se = statistics.fmean(diffs), statistics.stdev(diffs) / math.sqrt(len(diffs))
+    assert mean > 0 and mean >= 3 * se, (mean, se)
